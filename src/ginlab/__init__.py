@@ -22,6 +22,7 @@ from .rings import (
     wedge_supports,
 )
 from .ideals import (
+    ComputationLimit,
     Ideal,
     MonomialIdeal,
     component_ideal,

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation failure
-(genericity not reached), 3 theorem-check or oracle violation.  All
-randomness flows from --seed (default: the GINLAB_SEED environment
-variable, else 0), so identical invocations are byte-identical.
+(genericity not reached or degree cap hit), 3 theorem-check or oracle
+violation.  All randomness flows from --seed (default: the GINLAB_SEED
+environment variable, else 0), so identical invocations are byte-identical.
 """
 
 import argparse
@@ -15,7 +15,7 @@ from .annihilators import annihilators_from_gin, generic_annihilators_direct
 from .betti import IDEAL, QUOTIENT, betti_table
 from .corpus import CorpusSpec, generate, ideal_digest
 from .groebner import GenericityError, gin
-from .ideals import lex_ideal
+from .ideals import ComputationLimit, lex_ideal
 from .oracles import oracle_equivalences
 from .parsing import ParseError, parse_ideal
 from .rigidity import (
@@ -111,8 +111,12 @@ def cmd_gin(args):
 
 def cmd_alpha(args):
     ideal = _load_ideal(args.file)
-    direct = generic_annihilators_direct(ideal, seed=args.seed)
-    from_gin = annihilators_from_gin(ideal, seed=args.seed)
+    J, _ = gin(ideal, seed=args.seed)
+    bound = None if ideal.ring.is_exterior else J.max_gen_degree() + 2
+    direct = generic_annihilators_direct(
+        ideal, seed=args.seed, degree_bound=bound
+    )
+    from_gin = annihilators_from_gin(ideal, seed=args.seed, gin_result=J)
     agree = direct.same_numbers(from_gin)
     if args.json:
         payload = direct.to_json()
@@ -165,6 +169,8 @@ def _sweep_params(ctx, name, args):
         grids["i"] = range(1, n + 1)
     if name == "total-betti-componentwise":
         grids["i"] = range(1, imax + 1)
+    if name == "transfer":
+        grids["i"] = range(2, min(imax, n + 1) + 1)  # the battery's window
     if name == "post-clinear":
         grids["k"] = [
             k for k in range(0, kmax + 1) if ctx.component_linear(k)
@@ -379,7 +385,7 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GenericityError as exc:
+    except (GenericityError, ComputationLimit) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except TheoremViolationError as exc:

@@ -60,13 +60,6 @@ def _random_monomial(ring, d, rng):
     return tuple(exps)
 
 
-def _random_generator(ring, rng, max_degree):
-    kind_roll = rng.random()
-    top = min(max_degree, ring.n) if ring.is_exterior else max_degree
-    d = rng.randint(1, top)
-    return d, kind_roll
-
-
 def _draw_generator(ring, rng, max_degree, weights):
     wm, wb, wd = weights
     total = wm + wb + wd

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import (
+    ComputationLimit,
     Ideal,
     MonomialIdeal,
     hilbert_numerator,
@@ -263,7 +264,7 @@ def _initial_ideal_degreewise(ring, gens, order, stop, max_scan_degree=None):
                 up = list(m)
                 up[i] += 1
                 grown.add(tuple(up))
-    raise RuntimeError("initial ideal scan exceeded the degree cap")
+    raise ComputationLimit("initial ideal scan exceeded the degree cap")
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ class LexIdealError(Exception):
     """Lexsegment spans failed the ideal property; indicates a bug."""
 
 
+class ComputationLimit(Exception):
+    """A degree scan ran past its cap before it could certify a result."""
+
+
 class Piece:
     """Echelonized degree-d piece of a graded ideal."""
 
@@ -497,7 +501,7 @@ def _lex_construct(ideal, up_to=None, cap=64):
         if up_to is not None and d > up_to:
             return minimal_generators(ring, gens), False
         if d > cap:
-            raise LexIdealError(
+            raise ComputationLimit(
                 "lexsegment construction exceeded the degree cap"
             )
         grown = _lex_span_grow(ring, span, d - 1) if span else set()

@@ -54,7 +54,10 @@ def betti_oracle_exterior(J, i_max, seed=0):
 
 def alpha_oracle(ideal, seed=0, gin_result=None):
     """Direct colon-quotient annihilator numbers match the gin statistics."""
-    direct = generic_annihilators_direct(ideal, seed=seed)
+    if gin_result is None:
+        gin_result, _ = gin(ideal, seed=seed)
+    bound = None if ideal.ring.is_exterior else gin_result.max_gen_degree() + 2
+    direct = generic_annihilators_direct(ideal, seed=seed, degree_bound=bound)
     from_gin = annihilators_from_gin(ideal, seed=seed, gin_result=gin_result)
     ok = direct.same_numbers(from_gin)
     detail = ""

@@ -12,8 +12,10 @@ import time
 import pytest
 
 from ginlab.annihilators import verify_homology_formula
+from ginlab.betti import has_linear_resolution
 from ginlab.corpus import CorpusSpec, generate
 from ginlab.groebner import gin
+from ginlab.ideals import component_ideal
 from ginlab.oracles import alpha_oracle, betti_oracle_exterior, betti_oracle_triple
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import (
@@ -122,6 +124,30 @@ def test_criterion_4_oracle_equivalences(corpus):
             failures.append(("alpha", ideal, res.detail))
     assert not failures, failures[:3]
     _report("criterion 4 (oracle equivalences on 100 ideals)", t0, 600)
+
+
+def test_component_linear_oracle(corpus):
+    """The gin-degree linearity predicate of I_<k> against the Betti table
+    of I_<k> itself, for every corpus ideal and every k the battery reads."""
+    t0 = time.time()
+    pairs = 0
+    mismatches = []
+    for ideal in corpus:
+        ctx = RigidityContext(ideal, seed=0)
+        for k in range(0, ctx.strand_max + 3):
+            comp = component_ideal(ideal, k)
+            reg_bound = None
+            if not ideal.ring.is_exterior and not comp.is_zero():
+                reg_bound = ctx.component_gin(k).max_gen_degree()
+            slow = has_linear_resolution(
+                comp, seed=0, i_max=ctx.i_max, reg_bound=reg_bound
+            )
+            if ctx.component_linear(k) != slow:
+                mismatches.append((ideal, k, slow))
+            pairs += 1
+    assert not mismatches, mismatches[:3]
+    assert pairs == 575
+    _report("component linearity: gin degrees vs Betti tables", t0, 600)
 
 
 def test_criterion_5_theorem_battery(corpus):

@@ -6,6 +6,8 @@ from importlib import resources
 import jsonschema
 
 from ginlab.cli import main
+from ginlab.parsing import parse_ideal
+from ginlab.rigidity import RigidityContext, battery
 
 from conftest import CANCEL_4, STAIRCASE_3, STRAND_4
 
@@ -137,6 +139,25 @@ class TestCheck:
         code, out, _ = run_main(capsys, "check", path, "--all")
         assert code == 0 and "0 violations" in out
 
+    def test_exterior_transfer_sweep_matches_battery(self, tmp_path, capsys):
+        text = "ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n"
+        path = write(tmp_path, text)
+        code, out, _ = run_main(
+            capsys, "check", path, "--statement", "transfer", "--json"
+        )
+        assert code == 0
+        swept = [
+            (r["params"]["target"], r["params"]["i"], r["params"]["k"])
+            for r in json.loads(out)
+        ]
+        ctx = RigidityContext(parse_ideal(text), seed=0)
+        expected = [
+            (r.params["target"], r.params["i"], r.params["k"])
+            for r in battery(ctx)
+            if r.statement == "transfer"
+        ]
+        assert swept == expected
+
     def test_unknown_statement(self, tmp_path, capsys):
         path = write(tmp_path, STAIRCASE_3)
         code, _, err = run_main(capsys, "check", path, "--statement", "nope")
@@ -161,6 +182,15 @@ class TestErrors:
         path = write(tmp_path, STAIRCASE_3)
         code, _, _ = run_main(capsys, "gin", path, "--trials", "1")
         assert code == 1
+
+    def test_degree_cap_exit_2(self, tmp_path):
+        path = write(tmp_path, "ring poly 2 QQ\nx1^70\n")
+        for command in ("gin", "betti", "lex"):
+            cmd = [sys.executable, "-m", "ginlab.cli", command, path]
+            run = subprocess.run(cmd, capture_output=True, text=True)
+            assert run.returncode == 2, (command, run.stderr)
+            assert run.stderr.startswith("computation failed:")
+            assert "Traceback" not in run.stderr
 
 
 class TestCorpus:

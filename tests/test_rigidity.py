@@ -124,6 +124,19 @@ class TestLinearComponent:
         assert r.holds and r.hypothesis["first_betti_equal"] is False
 
 
+class TestComponentLinear:
+    def test_below_lowest_generator_degree(self, ctx_staircase):
+        # I_<1> is the zero ideal, which counts as linear
+        assert ctx_staircase.component_linear(1)
+        assert not ctx_staircase.component_linear(2)
+
+    def test_exterior_beyond_n(self):
+        ctx = RigidityContext(
+            parse_ideal("ring ext 3 QQ\ne1*e2 + e2*e3\n"), seed=0
+        )
+        assert ctx.component_linear(4)
+
+
 class TestCancellation:
     def test_cancel_ideal(self, ctx_cancel):
         c = ctx_cancel.cancellation
