@@ -9,23 +9,29 @@ annihilator numbers are the graded dimensions
 computed directly from colon quotients, and independently from the
 max-variable statistics of the generators of gin(I); the two must agree.
 
-The homology workspace computes H_i(y_1..y_p; M) per graded piece
-together with the delta numbers: ranks of multiplication by the next form
-on Koszul homology, resp. of the connecting map gamma of the Cartan long
-exact sequence.  verify_homology_formula evaluates the closed formula for
-h_{i,i+k}(p) in terms of alpha and delta, and the degreewise recurrences
-it comes from, cell by cell.
+The homology workspace (betti.HomologyWorkspace) computes
+H_i(y_1..y_p; M) per graded piece together with the delta numbers: ranks
+of multiplication by the next form on Koszul homology, resp. of the
+connecting map gamma of the Cartan long exact sequence.
+verify_homology_formula evaluates the closed formula for h_{i,i+k}(p) in
+terms of alpha and delta, and the degreewise recurrences it comes from,
+cell by cell.
 """
 
 import random
 from dataclasses import dataclass, field
 
-from .betti import QuotientBasis, binom, divided_power_multiindices
+from .betti import (
+    QUOTIENT,
+    HomologyWorkspace,
+    binom,
+    cartan_betti,
+    koszul_betti,
+)
 from .groebner import GenericityError, gin
-from .linalg import IntRank, left_kernel
+from .ideals import degree_rows
+from .linalg import IntRank
 from .rings import Element, matrix_det
-
-from itertools import combinations
 
 
 @dataclass(frozen=True)
@@ -39,6 +45,8 @@ class GenericSequence:
 
     @classmethod
     def draw(cls, ring, seed, bound=1000):
+        if bound < 1:
+            raise ValueError("coefficient bound must be at least 1")
         rng = random.Random(f"forms:{seed}:{bound}")
         n = ring.n
         while True:
@@ -113,21 +121,12 @@ def _prefix_dims(ideal, seq, dmax):
             continue
         index = {m: i for i, m in enumerate(monos)}
         eng = IntRank()
-        for g in ideal.generators:
-            e = g.degree()
-            if e > d:
-                continue
-            for m in ring.monomials(d - e):
-                prod = g.term_mul(m)
-                if not prod.is_zero():
-                    eng.add({index[t]: c for t, c in prod.terms.items()})
+        for row in degree_rows(ring, ideal.generators, d, index):
+            eng.add(row)
         dims[0][d] = eng.rank
         for p in range(1, n + 1):
-            if d >= 1:
-                for m in ring.monomials(d - 1):
-                    prod = forms[p - 1].term_mul(m)
-                    if not prod.is_zero():
-                        eng.add({index[t]: c for t, c in prod.terms.items()})
+            for row in degree_rows(ring, [forms[p - 1]], d, index):
+                eng.add(row)
             dims[p][d] = eng.rank
     return dims
 
@@ -173,37 +172,53 @@ def generic_annihilators_direct(
         else:
             J, _ = gin(ideal, seed=seed)
             degree_bound = J.max_gen_degree() + 2
+    entries = _two_seed(
+        ring, seed, coeff_bound,
+        lambda seq: _alpha_with_band(ideal, seq, degree_bound),
+        "genericity not reached for annihilator numbers",
+    )
+    return AnnihilatorTable(ring, entries, "direct", degree_bound)
+
+
+def _two_seed(ring, seed, coeff_bound, compute, failure):
+    """compute(seq) on two drawn sequences, escalating until they agree.
+
+    Each escalation doubles the coefficient bound.  A None from compute
+    fails the trial; after five escalations GenericityError(failure).
+    """
     bound = coeff_bound
     for escalation in range(5):
-        tables = []
-        ok = True
+        results = []
         for tag in ("a", "b"):
             seq = GenericSequence.draw(ring, f"{seed}:{escalation}:{tag}", bound)
-            entries, good = _alpha_with_band(ideal, seq, degree_bound)
-            if not good:
-                ok = False
+            result = compute(seq)
+            if result is None:
                 break
-            tables.append(entries)
-        if ok and tables[0] == tables[1]:
-            return AnnihilatorTable(ring, tables[0], "direct", degree_bound)
+            results.append(result)
+        else:
+            if results[0] == results[1]:
+                return results[0]
         bound *= 2
-    raise GenericityError("genericity not reached for annihilator numbers")
+    raise GenericityError(failure)
 
 
 def _alpha_with_band(ideal, seq, degree_bound):
-    """Alpha table with a zero trailing band of width 2, raising D if needed."""
+    """Alpha table with a zero trailing band of width 2, raising D if needed.
+
+    None if the band does not appear below degree_bound + 8.
+    """
     ring = ideal.ring
     cap = degree_bound + 8
     D = degree_bound
     while D <= cap:
         entries = _alpha_for_sequence(ideal, seq, D)
         if ring.is_exterior:
-            return entries, True  # vanishes beyond n by dimension reasons
+            return entries  # vanishes beyond n by dimension reasons
         band = {k for (_, k) in entries if k >= D - 1}
         if not band:
-            return entries, True
+            return entries
         D += 2
-    return {}, False
+    return None
 
 
 def annihilators_from_gin(ideal, seed=0, gin_result=None):
@@ -235,211 +250,18 @@ def annihilator_index_set(i, p):
     ]
 
 
-class HomologyWorkspace:
-    """Koszul (or Cartan) homology of partial generic sequences on R/I.
-
-    All ranks are exact; cycle spaces come from kernel computations over
-    QQ so that images of induced maps can be reduced against boundaries.
-    """
-
-    def __init__(self, ideal, seq):
-        self.ideal = ideal
-        self.ring = ideal.ring
-        self.seq = seq
-        self.qb = QuotientBasis(ideal)
-        self._mult = {}  # (form index, degree) -> columns
-        self._sets = {}
-        self._rank = {}
-        self._bcols = {}
-        self._delta = {}
-        self._cycles = {}
-
-    def mult(self, t, d):
-        key = (t, d)
-        if key not in self._mult:
-            self._mult[key] = self.qb.mult_form(self.seq.coeffs(t), d)
-        return self._mult[key]
-
-    def chain_sets(self, p, i):
-        """Index sets for C_i on the first p forms."""
-        key = (p, i)
-        if key not in self._sets:
-            if self.ring.is_exterior:
-                self._sets[key] = divided_power_multiindices(p, i)
-            else:
-                self._sets[key] = list(combinations(range(p), i))
-        return self._sets[key]
-
-    def chain_dim(self, p, i, j):
-        return len(self.chain_sets(p, i)) * self.qb.dim(j - i)
-
-    def boundary_cols(self, p, i, j):
-        """Columns of the differential C_{i,j}(p) -> C_{i-1,j}(p)."""
-        key = (p, i, j)
-        if key in self._bcols:
-            return self._bcols[key]
-        cols = []
-        src_deg = j - i
-        dim_src = self.qb.dim(src_deg)
-        if i < 1 or dim_src == 0 or (not self.ring.is_exterior and i > p):
-            self._bcols[key] = cols
-            return cols
-        tgt_sets = {s: idx for idx, s in enumerate(self.chain_sets(p, i - 1))}
-        block = self.qb.dim(src_deg + 1)
-        for s in self.chain_sets(p, i):
-            drops = []
-            if self.ring.is_exterior:
-                for t in range(p):
-                    if s[t]:
-                        down = list(s)
-                        down[t] -= 1
-                        drops.append((tgt_sets[tuple(down)], 1, self.mult(t, src_deg)))
-            else:
-                for pos, t in enumerate(s):
-                    rest = s[:pos] + s[pos + 1 :]
-                    drops.append((tgt_sets[rest], (-1) ** pos, self.mult(t, src_deg)))
-            for u_idx in range(dim_src):
-                col = {}
-                for tgt_block, sgn, mt in drops:
-                    base = tgt_block * block
-                    for v_idx, c in mt[u_idx].items():
-                        val = col.get(base + v_idx, 0) + sgn * c
-                        if val:
-                            col[base + v_idx] = val
-                        else:
-                            del col[base + v_idx]
-                cols.append(col)
-        self._bcols[key] = cols
-        return cols
-
-    def boundary_rank(self, p, i, j):
-        key = (p, i, j)
-        if key not in self._rank:
-            eng = IntRank()
-            for col in self.boundary_cols(p, i, j):
-                eng.add(col)
-            self._rank[key] = eng.rank
-        return self._rank[key]
-
-    def h(self, p, i, j):
-        """dim H_i(y_1..y_p; M)_j."""
-        if i < 0:
-            return 0
-        if i == 0:
-            return self.qb.dim(j) - self.boundary_rank(p, 1, j)
-        return (
-            self.chain_dim(p, i, j)
-            - self.boundary_rank(p, i, j)
-            - self.boundary_rank(p, i + 1, j)
-        )
-
-    def cycles(self, p, i, j):
-        """Basis of Z_i(p)_j as coefficient dicts over the chain basis."""
-        key = (p, i, j)
-        if key in self._cycles:
-            return self._cycles[key]
-        if i == 0:
-            out = [{t: 1} for t in range(self.qb.dim(j))]
-        else:
-            cols = self.boundary_cols(p, i, j)
-            tgt_dim = self.chain_dim(p, i - 1, j)
-            out = left_kernel(cols, tgt_dim)
-        self._cycles[key] = out
-        return out
-
-    def _push_cycle(self, p, i, j, z, images_mult):
-        """Map a cycle through a degree-raising coefficient map on M."""
-        src_sets = self.chain_sets(p, i)
-        dim_src = self.qb.dim(j - i)
-        block = self.qb.dim(j - i + 1)
-        out = {}
-        for idx, c in z.items():
-            s_idx, u_idx = divmod(idx, dim_src)
-            for v_idx, mc in images_mult[u_idx].items():
-                key = s_idx * block + v_idx
-                val = out.get(key, 0) + c * mc
-                if val:
-                    out[key] = val
-                else:
-                    del out[key]
-        return out
-
-    def delta(self, p, i, k):
-        """Polynomial: rank of multiplication by y_{p+1} on H_i(p) into degree k.
-
-        Exterior: rank of the connecting map gamma_{i,p} : H_i(p+1)_{k-1}
-        -> H_i(p)_k (zero for i = 0 by convention).
-        """
-        if i < 1 or k - 1 - i < 0 or self.qb.dim(k - 1 - i) == 0:
-            return 0
-        key = (p, i, k)
-        if key in self._delta:
-            return self._delta[key]
-        if self.ring.is_exterior:
-            val = self._delta_ext(p, i, k)
-            self._delta[key] = val
-            return val
-        if i > p:
-            self._delta[key] = 0
-            return 0
-        base = IntRank()
-        for col in self.boundary_cols(p, i + 1, k):
-            base.add(col)
-        rank0 = base.rank
-        mt = self.mult(p, k - 1 - i)  # y_{p+1} on M in degree (k-1)-i
-        for z in self.cycles(p, i, k - 1):
-            base.add(self._push_cycle(p, i, k - 1, z, mt))
-        self._delta[key] = base.rank - rank0
-        return self._delta[key]
-
-    def _delta_ext(self, p, i, k):
-        base = IntRank()
-        for col in self.boundary_cols(p, i + 1, k):
-            base.add(col)
-        rank0 = base.rank
-        src_sets = self.chain_sets(p + 1, i)
-        tgt_sets = {s: idx for idx, s in enumerate(self.chain_sets(p, i))}
-        dim_src = self.qb.dim(k - 1 - i)
-        block = self.qb.dim(k - i)
-        mt = self.mult(p, k - 1 - i)  # wedge with v_{p+1}
-        for z in self.cycles(p + 1, i, k - 1):
-            out = {}
-            for idx, c in z.items():
-                s_idx, u_idx = divmod(idx, dim_src)
-                a = src_sets[s_idx]
-                if a[p]:
-                    continue  # gamma keeps only the x_{p+1}-free part
-                tgt = tgt_sets[a[:p]]
-                for v_idx, mc in mt[u_idx].items():
-                    key = tgt * block + v_idx
-                    val = out.get(key, 0) + c * mc
-                    if val:
-                        out[key] = val
-                    else:
-                        del out[key]
-            base.add(out)
-        return base.rank - rank0
-
-
 def partial_homology(ideal, p, seed=0, degree_bound=None, i_max=None, coeff_bound=1000):
     """Slice of the homology profile at p, two-seed certified.
 
     Returns dict (i, j) -> dim H_i(first p forms; R/I)_j.
     """
-    profiles = []
-    bound = coeff_bound
-    for escalation in range(5):
-        profiles = []
-        for tag in ("a", "b"):
-            seq = GenericSequence.draw(
-                ideal.ring, f"{seed}:{escalation}:{tag}", bound
-            )
-            ws = HomologyWorkspace(ideal, seq)
-            profiles.append(_profile_slice(ws, p, degree_bound, i_max, seed))
-        if profiles[0] == profiles[1]:
-            return profiles[0]
-        bound *= 2
-    raise GenericityError("genericity not reached for homology profile")
+    return _two_seed(
+        ideal.ring, seed, coeff_bound,
+        lambda seq: _profile_slice(
+            HomologyWorkspace(ideal, seq), p, degree_bound, i_max, seed
+        ),
+        "genericity not reached for homology profile",
+    )
 
 
 def _default_windows(ideal, degree_bound, i_max, seed):
@@ -467,19 +289,13 @@ def _profile_slice(ws, p, degree_bound, i_max, seed):
 
 def partial_delta(ideal, p, seed=0, degree_bound=None, i_max=None, coeff_bound=1000):
     """Slice of the delta profile at p, two-seed certified: (i, k) -> delta."""
-    bound = coeff_bound
-    for escalation in range(5):
-        slices = []
-        for tag in ("a", "b"):
-            seq = GenericSequence.draw(
-                ideal.ring, f"{seed}:{escalation}:{tag}", bound
-            )
-            ws = HomologyWorkspace(ideal, seq)
-            slices.append(_delta_slice(ws, p, degree_bound, i_max, seed))
-        if slices[0] == slices[1]:
-            return slices[0]
-        bound *= 2
-    raise GenericityError("genericity not reached for delta profile")
+    return _two_seed(
+        ideal.ring, seed, coeff_bound,
+        lambda seq: _delta_slice(
+            HomologyWorkspace(ideal, seq), p, degree_bound, i_max, seed
+        ),
+        "genericity not reached for delta profile",
+    )
 
 
 def _delta_slice(ws, p, degree_bound, i_max, seed):
@@ -642,8 +458,6 @@ def upper_bound_check(ideal, seed=0, i_max=None):
     beta_{i,i+k}(R/gin I) exactly, and (polynomial ring) that the first
     Betti numbers at the initial degree agree with sum_j alpha_{j,d0-1}.
     """
-    from .betti import QUOTIENT, cartan_betti, koszul_betti
-
     ring = ideal.ring
     n = ring.n
     J, _ = gin(ideal, seed=seed)

@@ -2,6 +2,9 @@
 
 Homological route: Koszul complex on the coordinate forms over S (Cartan
 complex over E), exact ranks of the differentials per internal degree.
+HomologyWorkspace builds that complex on any sequence of linear forms; a
+Betti table is its homology on all n coordinates, and the partial
+homology of generic sequences in annihilators.py runs on the same engine.
 Closed forms for strongly stable monomial ideals: Eliahou-Kervaire,
 Bigatti's count in terms of m_<=q, and the Aramova-Herzog-Hibi formula
 over the exterior algebra.  The homological and combinatorial routes stay
@@ -18,7 +21,7 @@ from math import comb
 
 from .groebner import gin
 from .ideals import MonomialIdeal, is_strongly_stable, m_leq
-from .linalg import IntRank
+from .linalg import IntRank, left_kernel
 from .rings import max_variable, monomial_degree, wedge_supports
 
 IDEAL = "ideal"
@@ -191,35 +194,232 @@ class QuotientBasis:
 # homological route
 
 
-def _koszul_rank(qb, subsets_by_size, i, j, cache):
-    """Rank of the Koszul differential C_i -> C_{i-1} in internal degree j."""
-    key = (i, j)
-    if key in cache:
-        return cache[key]
-    n = qb.ring.n
-    dim_src = qb.dim(j - i)
-    if i < 1 or i > n or dim_src == 0:
-        cache[key] = 0
-        return 0
-    tgt_sets = {T: idx for idx, T in enumerate(subsets_by_size[i - 1])}
-    dim_tgt_block = qb.dim(j - i + 1)
-    mult = [qb.mult_var(t, j - i) for t in range(n)]
-    eng = IntRank()
-    for T in subsets_by_size[i]:
-        drops = []
-        for pos, t in enumerate(T):
-            rest = T[:pos] + T[pos + 1 :]
-            drops.append((tgt_sets[rest], (-1) ** pos, mult[t]))
-        for u_idx in range(dim_src):
-            col = {}
-            for block, sgn, mt in drops:
-                base = block * dim_tgt_block
-                for v_idx, c in mt[u_idx].items():
-                    col[base + v_idx] = sgn * c
-            if col:
-                eng.add(col)
-    cache[key] = eng.rank
-    return eng.rank
+def divided_power_multiindices(n, i):
+    """All a in N^n with |a| = i (basis of the divided power degree i)."""
+    out = []
+    for c in combinations_with_replacement(range(n), i):
+        a = [0] * n
+        for t in c:
+            a[t] += 1
+        out.append(tuple(a))
+    return out
+
+
+class HomologyWorkspace:
+    """Koszul (or Cartan) homology of partial sequences of linear forms on R/I.
+
+    seq=None stands for the coordinate forms; at p = n their homology is
+    the graded Betti table.  All ranks are exact; cycle spaces come from
+    kernel computations over QQ so that images of induced maps can be
+    reduced against boundaries.
+    """
+
+    def __init__(self, ideal, seq=None):
+        self.ideal = ideal
+        self.ring = ideal.ring
+        self.seq = seq
+        self.qb = QuotientBasis(ideal)
+        self._mult = {}  # (form index, degree) -> columns
+        self._sets = {}
+        self._rank = {}
+        self._bcols = {}
+        self._delta = {}
+        self._cycles = {}
+
+    def mult(self, t, d):
+        if self.seq is None:
+            return self.qb.mult_var(t, d)
+        key = (t, d)
+        if key not in self._mult:
+            self._mult[key] = self.qb.mult_form(self.seq.coeffs(t), d)
+        return self._mult[key]
+
+    def chain_sets(self, p, i):
+        """Index sets for C_i on the first p forms."""
+        key = (p, i)
+        if key not in self._sets:
+            if self.ring.is_exterior:
+                self._sets[key] = divided_power_multiindices(p, i)
+            else:
+                self._sets[key] = list(combinations(range(p), i))
+        return self._sets[key]
+
+    def chain_dim(self, p, i, j):
+        return len(self.chain_sets(p, i)) * self.qb.dim(j - i)
+
+    def _columns(self, p, i, j):
+        """Yield the columns of the differential C_{i,j}(p) -> C_{i-1,j}(p)."""
+        src_deg = j - i
+        dim_src = self.qb.dim(src_deg)
+        if i < 1 or dim_src == 0 or (not self.ring.is_exterior and i > p):
+            return
+        tgt_sets = {s: idx for idx, s in enumerate(self.chain_sets(p, i - 1))}
+        block = self.qb.dim(src_deg + 1)
+        mult = [self.mult(t, src_deg) for t in range(p)]
+        for s in self.chain_sets(p, i):
+            # the terms of one column land in distinct target blocks
+            drops = []
+            if self.ring.is_exterior:
+                for t in range(p):
+                    if s[t]:
+                        down = s[:t] + (s[t] - 1,) + s[t + 1 :]
+                        drops.append((tgt_sets[down] * block, 1, mult[t]))
+            else:
+                for pos, t in enumerate(s):
+                    rest = s[:pos] + s[pos + 1 :]
+                    sgn = -1 if pos % 2 else 1
+                    drops.append((tgt_sets[rest] * block, sgn, mult[t]))
+            for u_idx in range(dim_src):
+                col = {}
+                for base, sgn, mt in drops:
+                    for v_idx, c in mt[u_idx].items():
+                        col[base + v_idx] = sgn * c
+                yield col
+
+    def boundary_cols(self, p, i, j):
+        """Columns of the differential C_{i,j}(p) -> C_{i-1,j}(p), cached."""
+        key = (p, i, j)
+        if key not in self._bcols:
+            self._bcols[key] = list(self._columns(p, i, j))
+        return self._bcols[key]
+
+    def boundary_rank(self, p, i, j):
+        key = (p, i, j)
+        if key not in self._rank:
+            cols = self._bcols.get(key)
+            if cols is None:
+                cols = self._columns(p, i, j)  # streamed, not kept
+            eng = IntRank()
+            for col in cols:
+                if col:
+                    eng.add(col)
+            self._rank[key] = eng.rank
+        return self._rank[key]
+
+    def h(self, p, i, j):
+        """dim H_i(y_1..y_p; M)_j."""
+        if i < 0:
+            return 0
+        if i == 0:
+            return self.qb.dim(j) - self.boundary_rank(p, 1, j)
+        return (
+            self.chain_dim(p, i, j)
+            - self.boundary_rank(p, i, j)
+            - self.boundary_rank(p, i + 1, j)
+        )
+
+    def cycles(self, p, i, j):
+        """Basis of Z_i(p)_j as coefficient dicts over the chain basis."""
+        key = (p, i, j)
+        if key in self._cycles:
+            return self._cycles[key]
+        if i == 0:
+            out = [{t: 1} for t in range(self.qb.dim(j))]
+        else:
+            cols = self.boundary_cols(p, i, j)
+            tgt_dim = self.chain_dim(p, i - 1, j)
+            out = left_kernel(cols, tgt_dim)
+        self._cycles[key] = out
+        return out
+
+    def _push_cycle(self, p, i, j, z, images_mult):
+        """Map a cycle through a degree-raising coefficient map on M."""
+        dim_src = self.qb.dim(j - i)
+        block = self.qb.dim(j - i + 1)
+        out = {}
+        for idx, c in z.items():
+            s_idx, u_idx = divmod(idx, dim_src)
+            for v_idx, mc in images_mult[u_idx].items():
+                key = s_idx * block + v_idx
+                val = out.get(key, 0) + c * mc
+                if val:
+                    out[key] = val
+                else:
+                    del out[key]
+        return out
+
+    def _boundary_engine(self, p, i, j):
+        """IntRank holding the boundaries of C_{i,j}(p), and their rank."""
+        eng = IntRank()
+        for col in self.boundary_cols(p, i, j):
+            eng.add(col)
+        return eng, eng.rank
+
+    def delta(self, p, i, k):
+        """Polynomial: rank of multiplication by y_{p+1} on H_i(p) into degree k.
+
+        Exterior: rank of the connecting map gamma_{i,p} : H_i(p+1)_{k-1}
+        -> H_i(p)_k (zero for i = 0 by convention).
+        """
+        if i < 1 or k - 1 - i < 0 or self.qb.dim(k - 1 - i) == 0:
+            return 0
+        key = (p, i, k)
+        if key in self._delta:
+            return self._delta[key]
+        if self.ring.is_exterior:
+            val = self._delta_ext(p, i, k)
+        elif i > p:
+            val = 0
+        else:
+            base, rank0 = self._boundary_engine(p, i + 1, k)
+            mt = self.mult(p, k - 1 - i)  # y_{p+1} on M in degree (k-1)-i
+            for z in self.cycles(p, i, k - 1):
+                base.add(self._push_cycle(p, i, k - 1, z, mt))
+            val = base.rank - rank0
+        self._delta[key] = val
+        return val
+
+    def _delta_ext(self, p, i, k):
+        base, rank0 = self._boundary_engine(p, i + 1, k)
+        src_sets = self.chain_sets(p + 1, i)
+        tgt_sets = {s: idx for idx, s in enumerate(self.chain_sets(p, i))}
+        dim_src = self.qb.dim(k - 1 - i)
+        block = self.qb.dim(k - i)
+        mt = self.mult(p, k - 1 - i)  # wedge with v_{p+1}
+        for z in self.cycles(p + 1, i, k - 1):
+            out = {}
+            for idx, c in z.items():
+                s_idx, u_idx = divmod(idx, dim_src)
+                a = src_sets[s_idx]
+                if a[p]:
+                    continue  # gamma keeps only the x_{p+1}-free part
+                tgt = tgt_sets[a[:p]]
+                for v_idx, mc in mt[u_idx].items():
+                    key = tgt * block + v_idx
+                    val = out.get(key, 0) + c * mc
+                    if val:
+                        out[key] = val
+                    else:
+                        del out[key]
+            base.add(out)
+        return base.rank - rank0
+
+
+def _homology_table(ideal, i_max, k_max, name, cert_strand=None):
+    """Entries (i, i + k) -> dim H_i(x_1..x_n; R/I)_{i+k}, the table of R/I.
+
+    A nonzero entry with i >= 1 on cert_strand, or an H_0 other than K,
+    means the window was wrong.
+    """
+    ws = HomologyWorkspace(ideal)
+    n = ideal.ring.n
+    entries = {}
+    for i in range(i_max + 1):
+        for k in range(k_max + 1):
+            b = ws.h(n, i, i + k)
+            if b < 0:
+                raise WindowError("negative homology dimension")
+            if b:
+                if i >= 1 and k == cert_strand:
+                    raise WindowError(
+                        f"certification strand {k} is nonzero at i={i}"
+                    )
+                entries[(i, i + k)] = b
+    if entries.get((0, 0)) != 1 or any(
+        i == 0 and j != 0 for (i, j) in entries
+    ):
+        raise WindowError(f"H_0 of the {name} complex is not K")
+    return entries
 
 
 def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):
@@ -237,80 +437,11 @@ def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):
     n = ring.n
     if reg_bound is None:
         reg_bound = gin(ideal, seed=seed)[0].max_gen_degree()
-    qb = QuotientBasis(ideal)
-    subsets = [list(combinations(range(n), i)) for i in range(n + 1)]
-    cache = {}
-    entries = {}
-    for i in range(0, n + 1):
-        for k in range(0, reg_bound + 1):
-            j = i + k
-            dim_chain = len(subsets[i]) * qb.dim(j - i)
-            r_in = _koszul_rank(qb, subsets, i, j, cache)
-            r_out = _koszul_rank(qb, subsets, i + 1, j, cache)
-            b = dim_chain - r_in - r_out
-            if b < 0:
-                raise WindowError("negative homology dimension")
-            if b:
-                if i >= 1 and k == reg_bound:
-                    raise WindowError(
-                        f"certification strand {reg_bound} is nonzero at i={i}"
-                    )
-                entries[(i, j)] = b
-    if entries.get((0, 0)) != 1 or any(
-        i == 0 and j != 0 for (i, j) in entries
-    ):
-        raise WindowError("H_0 of the Koszul complex is not K")
+    entries = _homology_table(ideal, n, reg_bound, "Koszul", reg_bound)
     table = BettiTable(
         ring, QUOTIENT, entries, {"strand_max": reg_bound - 1, "i_max": n}
     )
     return table.as_convention(convention)
-
-
-def _cartan_rank(qb, multi_by_size, i, j, cache):
-    key = (i, j)
-    if key in cache:
-        return cache[key]
-    n = qb.ring.n
-    dim_src = qb.dim(j - i)
-    if i < 1 or dim_src == 0:
-        cache[key] = 0
-        return 0
-    tgt = {a: idx for idx, a in enumerate(multi_by_size[i - 1])}
-    dim_tgt_block = qb.dim(j - i + 1)
-    mult = [qb.mult_var(t, j - i) for t in range(n)]
-    eng = IntRank()
-    for a in multi_by_size[i]:
-        drops = []
-        for t in range(n):
-            if a[t]:
-                down = list(a)
-                down[t] -= 1
-                drops.append((tgt[tuple(down)], mult[t]))
-        for u_idx in range(dim_src):
-            col = {}
-            for block, mt in drops:
-                base = block * dim_tgt_block
-                for v_idx, c in mt[u_idx].items():
-                    s = col.get(base + v_idx, 0) + c
-                    if s:
-                        col[base + v_idx] = s
-                    else:
-                        del col[base + v_idx]
-            if col:
-                eng.add(col)
-    cache[key] = eng.rank
-    return eng.rank
-
-
-def divided_power_multiindices(n, i):
-    """All a in N^n with |a| = i (basis of the divided power degree i)."""
-    out = []
-    for c in combinations_with_replacement(range(n), i):
-        a = [0] * n
-        for t in c:
-            a[t] += 1
-        out.append(tuple(a))
-    return out
 
 
 def cartan_betti(ideal, convention=QUOTIENT, i_max=None, seed=0):
@@ -328,25 +459,9 @@ def cartan_betti(ideal, convention=QUOTIENT, i_max=None, seed=0):
     n = ring.n
     if i_max is None:
         i_max = n + 3
-    qb = QuotientBasis(ideal)
-    multi = [divided_power_multiindices(n, i) for i in range(i_max + 2)]
-    cache = {}
-    entries = {}
-    for i in range(0, i_max + 1):
-        for k in range(0, n + 1):
-            j = i + k
-            dim_chain = len(multi[i]) * qb.dim(k)
-            r_in = _cartan_rank(qb, multi, i, j, cache)
-            r_out = _cartan_rank(qb, multi, i + 1, j, cache)
-            b = dim_chain - r_in - r_out
-            if b < 0:
-                raise WindowError("negative homology dimension")
-            if b:
-                entries[(i, j)] = b
-    if entries.get((0, 0)) != 1 or any(
-        i == 0 and j != 0 for (i, j) in entries
-    ):
-        raise WindowError("H_0 of the Cartan complex is not K")
+    if i_max < 0:
+        raise ValueError("i_max must be nonnegative")
+    entries = _homology_table(ideal, i_max, n, "Cartan")
     table = BettiTable(
         ring, QUOTIENT, entries, {"strand_max": n, "i_max": i_max}
     )

@@ -21,6 +21,7 @@ from .ideals import (
     ComputationLimit,
     Ideal,
     MonomialIdeal,
+    degree_rows,
     hilbert_numerator,
     is_strongly_stable,
     minimal_generators,
@@ -173,16 +174,7 @@ def _degree_pivot_monomials(ring, gens, d, key):
     """Leading monomials of the degree-d piece of the span of gens."""
     monos = sorted(ring.monomials(d), key=key, reverse=True)
     index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for g in gens:
-        e = g.degree()
-        if e is None or e > d:
-            continue
-        for m in ring.monomials(d - e):
-            prod = g.term_mul(m)
-            if prod.is_zero():
-                continue
-            rows.append({index[t]: c for t, c in prod.terms.items()})
+    rows = list(degree_rows(ring, gens, d, index))
     # sparse rows first: keeps the elimination basis short and the
     # integer growth down when monomial and dense generators mix
     rows.sort(key=len)
@@ -330,6 +322,8 @@ def gin(
     order = order or DEGREVLEX
     if trials < 2:
         raise ValueError("at least two trials are required")
+    if coeff_bound < 1:
+        raise ValueError("coefficient bound must be at least 1")
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
     if ideal.is_zero():

@@ -32,6 +32,18 @@ class ComputationLimit(Exception):
     """A degree scan ran past its cap before it could certify a result."""
 
 
+def degree_rows(ring, gens, d, index):
+    """Rows {index[t]: c} of the nonzero products g * m, deg m = d - deg g."""
+    for g in gens:
+        e = g.degree()
+        if e is None or e > d:
+            continue
+        for m in ring.monomials(d - e):
+            prod = g.term_mul(m)
+            if prod.terms:
+                yield {index[t]: c for t, c in prod.terms.items()}
+
+
 class Piece:
     """Echelonized degree-d piece of a graded ideal."""
 
@@ -150,16 +162,8 @@ class Ideal:
             return Piece(ring, d, monos, pivots, None)
         index = {m: i for i, m in enumerate(monos)}
         rref = Rref()
-        key = order_key(ring)
-        for g in self.generators:
-            e = g.degree()
-            if e > d:
-                continue
-            for m in ring.monomials(d - e):
-                prod = g.term_mul(m)
-                if prod.is_zero():
-                    continue
-                rref.add({index[t]: c for t, c in prod.terms.items()})
+        for row in degree_rows(ring, self.generators, d, index):
+            rref.add(row)
         pivots = {monos[c] for c in rref.pivots}
         return Piece(ring, d, monos, pivots, rref)
 

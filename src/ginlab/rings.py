@@ -158,11 +158,6 @@ def wedge_supports(s, t):
     return (-1) ** (inv & 1), tuple(merged)
 
 
-def exterior_multiply(a, b):
-    """e_a ^ e_b as (sign, support); (0, None) when the supports meet."""
-    return wedge_supports(a, b)
-
-
 def order_key(ring, order=None):
     """Sort key: larger key means larger monomial in the term order."""
     order = order or ring.order

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 
 from ginlab.annihilators import (
     GenericSequence,
@@ -35,6 +36,13 @@ class TestDirect:
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
         t = generic_annihilators_direct(I, seed=0)
         assert t.entries == {(2, 1): 1}
+
+    def test_coeff_bound_below_one_raises(self):
+        I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
+        with pytest.raises(ValueError, match="coefficient bound"):
+            GenericSequence.draw(I.ring, 0, 0)
+        with pytest.raises(ValueError, match="coefficient bound"):
+            generic_annihilators_direct(I, seed=0, coeff_bound=-1)
 
     def test_staircase(self):
         I = parse_ideal(STAIRCASE_3)

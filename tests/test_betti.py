@@ -8,6 +8,7 @@ from ginlab.betti import (
     QUOTIENT,
     NotStronglyStableError,
     ahh_betti,
+    betti_table,
     bigatti_betti,
     cartan_betti,
     ek_betti,
@@ -16,10 +17,19 @@ from ginlab.betti import (
     koszul_betti,
     regularity,
 )
+from ginlab.corpus import CorpusSpec, generate
 from ginlab.groebner import gin, gin_exterior
 from ginlab.ideals import Ideal, MonomialIdeal, is_strongly_stable
 from ginlab.parsing import parse_ideal
-from ginlab.rings import exterior_ring, polynomial_ring
+from ginlab.rings import (
+    EXT,
+    POLY,
+    Element,
+    apply_linear_change,
+    exterior_ring,
+    matrix_det,
+    polynomial_ring,
+)
 
 
 
@@ -100,6 +110,47 @@ class TestKoszul:
             assert chain == hom
 
 
+class TestIndependentChecks:
+    """Tables of inputs that are not monomial, checked without gin."""
+
+    @pytest.mark.parametrize("kind,n", [(POLY, 3), (EXT, 4)])
+    def test_invariant_under_coordinate_change(self, kind, n):
+        # binomial and dense generators of degree <= 3, as in the corpus
+        spec = CorpusSpec(
+            kind=kind, n=n, count=4, seed=7, max_degree=3,
+            min_generators=2, max_generators=3, weights=(1, 3, 2),
+        )
+        rng = random.Random(f"coordinate-change:{kind}")
+        for ideal in generate(spec):
+            while True:
+                g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+                if matrix_det(g):
+                    break
+            gens = [apply_linear_change(f, g) for f in ideal.generators]
+            moved = Ideal(ideal.ring, gens)
+            assert betti_table(moved).entries == betti_table(ideal).entries
+
+    def test_complete_intersection(self):
+        # dense forms of degrees 2, 2, 3: the Koszul complex on them is the
+        # minimal resolution, with one free summand per subset of the forms
+        ring = polynomial_ring(3)
+        rng = random.Random("complete-intersection")
+        forms = [
+            Element(ring, {m: rng.choice([-9, -5, 1, 2, 7])
+                           for m in ring.monomials(d)})
+            for d in (2, 2, 3)
+        ]
+        T = koszul_betti(Ideal(ring, forms))
+        assert T.entries == {
+            (0, 0): 1,
+            (1, 2): 2,
+            (1, 3): 1,
+            (2, 4): 1,
+            (2, 5): 2,
+            (3, 7): 1,
+        }
+
+
 class TestClosedForms:
     def test_ek_two_variables(self):
         J = MonomialIdeal(polynomial_ring(2), [(1, 0), (0, 1)])
@@ -155,6 +206,11 @@ class TestCartan:
         T = cartan_betti(I, i_max=5)
         for i in range(1, 6):
             assert T.get(i, i) == comb(n + i - 1, i)
+
+    def test_negative_i_max_raises(self):
+        I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
+        with pytest.raises(ValueError, match="i_max"):
+            cartan_betti(I, i_max=-1)
 
     def test_two_form_strand(self):
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")

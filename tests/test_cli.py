@@ -192,6 +192,34 @@ class TestErrors:
             assert run.stderr.startswith("computation failed:")
             assert "Traceback" not in run.stderr
 
+    def test_nonpositive_coeff_bound_exit_1(self, tmp_path):
+        path = write(tmp_path, STAIRCASE_3)
+        for bound in ("0", "-3"):
+            cmd = [
+                sys.executable, "-m", "ginlab.cli", "gin", path,
+                "--coeff-bound", bound,
+            ]
+            run = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=60
+            )
+            assert run.returncode == 1, (bound, run.stderr)
+            assert "coefficient bound must be at least 1" in run.stderr
+            assert "Traceback" not in run.stderr
+
+    def test_negative_imax_exterior_exit_1(self, tmp_path):
+        path = write(tmp_path, "ring ext 3 QQ\ne1*e2\ne2*e3\n")
+        for command in ("betti", "check"):
+            cmd = [
+                sys.executable, "-m", "ginlab.cli", command, path,
+                "--imax", "-1",
+            ]
+            run = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=60
+            )
+            assert run.returncode == 1, (command, run.stderr)
+            assert "i_max must be nonnegative" in run.stderr
+            assert "Traceback" not in run.stderr
+
 
 class TestCorpus:
     def test_listing_sorted_by_digest(self, capsys):

@@ -105,6 +105,11 @@ class TestGin:
         J, cert = gin(Ideal.zero(ring), seed=0)
         assert J.is_zero() and cert.strongly_stable
 
+    def test_coeff_bound_below_one_raises(self, staircase3):
+        for bound in (0, -3):
+            with pytest.raises(ValueError, match="coefficient bound"):
+                gin(staircase3, coeff_bound=bound)
+
     def test_seed_determinism(self, staircase3):
         a = gin(staircase3, seed=7)
         b = gin(staircase3, seed=7)

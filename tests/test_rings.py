@@ -7,7 +7,6 @@ from ginlab.rings import (
     Element,
     apply_linear_change,
     compare_monomials,
-    exterior_multiply,
     exterior_ring,
     matrix_det,
     max_variable,
@@ -71,13 +70,13 @@ def test_compare_multiplicative(a, b, c):
 
 class TestWedge:
     def test_disjoint(self):
-        assert exterior_multiply((0, 1), (2,)) == (1, (0, 1, 2))
+        assert wedge_supports((0, 1), (2,)) == (1, (0, 1, 2))
 
     def test_transposition_sign(self):
-        assert exterior_multiply((1,), (0,)) == (-1, (0, 1))
+        assert wedge_supports((1,), (0,)) == (-1, (0, 1))
 
     def test_square_zero(self):
-        assert exterior_multiply((0,), (0,)) == (0, None)
+        assert wedge_supports((0,), (0,)) == (0, None)
 
     def test_anticommutative(self):
         for i in range(4):
