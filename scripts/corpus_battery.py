@@ -11,12 +11,13 @@ Usage: python3 scripts/corpus_battery.py [--seed N] [--count-scale S]
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ginlab import battery, generate_corpus, oracle_equivalences
-from ginlab.corpus import CorpusSpec, ideal_digest
+from ginlab.corpus import ACCEPTANCE_SPECS, ideal_digest
 
 
 def main():
@@ -25,23 +26,14 @@ def main():
     parser.add_argument("--count-scale", type=float, default=1.0)
     args = parser.parse_args()
 
-    base = (
-        ("poly", 2, 10, 101),
-        ("poly", 3, 26, 102),
-        ("poly", 4, 28, 103),
-        ("ext", 3, 16, 104),
-        ("ext", 4, 20, 105),
-    )
     t0 = time.time()
     total = violations = 0
     rows = []
-    for kind, n, count, spec_seed in base:
-        spec = CorpusSpec(
-            kind=kind,
-            n=n,
-            count=max(1, int(count * args.count_scale)),
-            seed=spec_seed + args.seed,
-            max_degree=5,
+    for base in ACCEPTANCE_SPECS:
+        spec = replace(
+            base,
+            count=max(1, int(base.count * args.count_scale)),
+            seed=base.seed + args.seed,
         )
         for ideal in generate_corpus(spec):
             reports = battery(ideal, seed=args.seed)
@@ -54,7 +46,7 @@ def main():
             rows.append(
                 (
                     ideal_digest(ideal),
-                    f"{ideal_digest(ideal)}  {kind} n={n}  "
+                    f"{ideal_digest(ideal)}  {spec.kind} n={spec.n}  "
                     f"checks={len(reports) + len(oracles)}  "
                     + ("OK" if not bad else f"VIOLATIONS={len(bad)}"),
                 )

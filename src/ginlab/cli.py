@@ -24,6 +24,7 @@ from .rigidity import (
     TheoremViolationError,
     battery,
     cancellation_numbers,
+    sweep,
 )
 from .rings import EXT, POLY, render_monomial
 
@@ -154,46 +155,6 @@ def cmd_lex(args):
     return EXIT_OK
 
 
-def _sweep_params(ctx, name, args):
-    """Parameter grid for a statement when flags are left unset."""
-    n = ctx.ring.n
-    kmax = ctx.strand_max + 1
-    imax = ctx.i_max if ctx.ring.is_exterior else n
-    grids = {
-        "i": range(2, imax + 1),
-        "k": range(0, kmax + 1),
-        "q": range(1, max(n, 2)),
-        "target": ("lex", "gin_lex", "gin_degrevlex"),
-    }
-    if name == "crigid":
-        grids["i"] = range(1, n + 1)
-    if name == "total-betti-componentwise":
-        grids["i"] = range(1, imax + 1)
-    if name == "transfer":
-        grids["i"] = range(2, min(imax, n + 1) + 1)  # the battery's window
-    if name == "post-clinear":
-        grids["k"] = [
-            k for k in range(0, kmax + 1) if ctx.component_linear(k)
-        ]
-    fixed = {
-        "i": args.i,
-        "k": args.k,
-        "q": args.q,
-        "target": args.target,
-    }
-    _, wanted = STATEMENTS[name]
-    combos = [{}]
-    for pname in wanted:
-        if fixed[pname] is not None:
-            for c in combos:
-                c[pname] = fixed[pname]
-        else:
-            combos = [
-                dict(c, **{pname: v}) for c in combos for v in grids[pname]
-            ]
-    return combos
-
-
 def cmd_check(args):
     ideal = _load_ideal(args.file)
     ctx = RigidityContext(ideal, seed=args.seed, i_max=args.imax)
@@ -205,10 +166,13 @@ def cmd_check(args):
             raise _UsageError(
                 f"unknown statement {name!r}; known: {', '.join(sorted(STATEMENTS))}"
             )
-        fn, _ = STATEMENTS[name]
-        reports = []
-        for params in _sweep_params(ctx, name, args):
-            reports.append(fn(ctx, **params))
+        fixed = {
+            axis: getattr(args, axis)
+            for axis in ("i", "k", "q", "target")
+            if getattr(args, axis) is not None
+        }
+        check = STATEMENTS[name].check
+        reports = [check(ctx, **params) for params in sweep(ctx, name, fixed)]
     violated = [r for r in reports if not r.holds]
     if args.json:
         _emit_json([r.to_json() for r in reports])

@@ -38,6 +38,17 @@ class CorpusSpec:
         return Ring(self.kind, self.n)
 
 
+# the acceptance corpus: 100 ideals, n <= 4, degrees <= 5, both ring
+# kinds, mixed monomial/binomial/dense generators
+ACCEPTANCE_SPECS = (
+    CorpusSpec(kind=POLY, n=2, count=10, seed=101, max_degree=5),
+    CorpusSpec(kind=POLY, n=3, count=26, seed=102, max_degree=5),
+    CorpusSpec(kind=POLY, n=4, count=28, seed=103, max_degree=5),
+    CorpusSpec(kind=EXT, n=3, count=16, seed=104, max_degree=5),
+    CorpusSpec(kind=EXT, n=4, count=20, seed=105, max_degree=5),
+)
+
+
 def taylor_regularity_bound(J):
     """reg(J) <= max over generator subsets of (deg lcm - size + 1)."""
     gens = J.gens

@@ -9,6 +9,7 @@ are theorems), and carries a reproducible witness.
 """
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .annihilators import (
     GenericSequence,
@@ -31,7 +32,7 @@ from .ideals import (
     lex_segment_ideal,
     m_leq,
 )
-from .rings import LEX
+from .rings import EXT, LEX, POLY
 
 
 class TheoremViolationError(Exception):
@@ -117,9 +118,15 @@ class RigidityContext:
         self.ideal = ideal
         self.ring = ideal.ring
         self.seed = seed
-        self.i_max = i_max if i_max is not None else (
-            ideal.ring.n + 3 if ideal.ring.is_exterior else ideal.ring.n
-        )
+        # homological window; polynomial tables stop at n by Hilbert's
+        # syzygy theorem, so only exterior rings read a cutoff
+        if not ideal.ring.is_exterior:
+            i_max = ideal.ring.n
+        elif i_max is None:
+            i_max = ideal.ring.n + 3
+        elif i_max < 0:
+            raise ValueError("i_max must be nonnegative")
+        self.i_max = i_max
         self._cache = {}
 
     def _get(self, key, builder):
@@ -289,10 +296,6 @@ def _ctx(ideal_or_ctx, seed=0, i_max=None):
     return RigidityContext(ideal_or_ctx, seed=seed, i_max=i_max)
 
 
-def _imax_window(ctx):
-    return ctx.i_max if ctx.ring.is_exterior else ctx.ring.n
-
-
 # ---------------------------------------------------------------------------
 # individual statements
 
@@ -312,6 +315,72 @@ def dominance_check(ideal_or_ctx, seed=0):
     return RigidityReport("dominance", {}, "holds")
 
 
+def _strand_mismatch(bI, bJ, k, qs):
+    """Witness of the first cell (q, q + k), q in qs, where the tables differ."""
+    for q in qs:
+        if bI.get(q, q + k) != bJ.get(q, q + k):
+            return {
+                "cell": (q, q + k),
+                "left": bI.get(q, q + k),
+                "right": bJ.get(q, q + k),
+            }
+    return None
+
+
+def _strand_equal(ctx, k):
+    """Strand-k equality of the tables of I and gin(I) for 1 <= i <= i_max."""
+    return (
+        _strand_mismatch(ctx.table, ctx.gin_table, k, range(1, ctx.i_max + 1))
+        is None
+    )
+
+
+def _first_equal(ctx, k):
+    """Equal first Betti numbers of I and gin(I) in degrees k + 1 and k + 2."""
+    bI, bG = ctx.table, ctx.gin_table
+    return all(bI.get(1, j) == bG.get(1, j) for j in (k + 1, k + 2))
+
+
+def _agreement(statement, params, hypothesis, conclusion, witness=None, window=None):
+    """Verdict of an equivalence: it holds iff all the flags agree.
+
+    A violation's witness defaults to every flag of both sides.
+    """
+    flags = {**hypothesis, **conclusion}
+    holds = len(set(flags.values())) == 1
+    return RigidityReport(
+        statement,
+        params,
+        "holds" if holds else "violated",
+        hypothesis=hypothesis,
+        conclusion=conclusion,
+        witness=None if holds else witness or flags,
+        window=window or {},
+    )
+
+
+def _strand_persists(ctx, statement, i, k, qs, conclusion):
+    """Equality of beta_{i,i+k} of I and gin(I) forces it at every q in qs."""
+    bI, bG = ctx.table, ctx.gin_table
+    hyp = bI.get(i, i + k) == bG.get(i, i + k)
+    report = RigidityReport(
+        statement,
+        {"i": i, "k": k},
+        "holds",
+        hypothesis={"cell": (i, i + k), "equal": hyp},
+        window={"q_max": ctx.i_max},
+    )
+    if not hyp:
+        report.vacuous = True
+        return report
+    report.witness = _strand_mismatch(bI, bG, k, qs)
+    if report.witness:
+        report.verdict = "violated"
+    else:
+        report.conclusion = conclusion
+    return report
+
+
 def rigidity_poly(ideal_or_ctx, i, k, seed=0):
     """Strand-k equality of beta(S/I) and beta(S/gin I) at i > 1 persists upward."""
     if i <= 1:
@@ -319,29 +388,10 @@ def rigidity_poly(ideal_or_ctx, i, k, seed=0):
     ctx = _ctx(ideal_or_ctx, seed)
     if ctx.ring.is_exterior:
         raise ValueError("polynomial-ring statement")
-    bI, bG = ctx.table, ctx.gin_table
-    hyp = bI.get(i, i + k) == bG.get(i, i + k)
-    report = RigidityReport(
-        "rigidity-poly",
-        {"i": i, "k": k},
-        "holds",
-        hypothesis={"cell": (i, i + k), "equal": hyp},
-        window={"q_max": ctx.ring.n},
+    return _strand_persists(
+        ctx, "rigidity-poly", i, k, range(i, ctx.i_max + 1),
+        {"equal_for_q_geq": i},
     )
-    if not hyp:
-        report.vacuous = True
-        return report
-    for q in range(i, ctx.ring.n + 1):
-        if bI.get(q, q + k) != bG.get(q, q + k):
-            report.verdict = "violated"
-            report.witness = {
-                "cell": (q, q + k),
-                "left": bI.get(q, q + k),
-                "right": bG.get(q, q + k),
-            }
-            return report
-    report.conclusion = {"equal_for_q_geq": i}
-    return report
 
 
 def rigidity_ext(ideal_or_ctx, i, k, seed=0, i_max=None):
@@ -351,53 +401,21 @@ def rigidity_ext(ideal_or_ctx, i, k, seed=0, i_max=None):
     ctx = _ctx(ideal_or_ctx, seed, i_max)
     if not ctx.ring.is_exterior:
         raise ValueError("exterior statement")
-    bI, bG = ctx.table, ctx.gin_table
-    hyp = bI.get(i, i + k) == bG.get(i, i + k)
-    report = RigidityReport(
-        "rigidity-ext",
-        {"i": i, "k": k},
-        "holds",
-        hypothesis={"cell": (i, i + k), "equal": hyp},
-        window={"q_max": ctx.i_max},
+    return _strand_persists(
+        ctx, "rigidity-ext", i, k, range(1, ctx.i_max + 1),
+        {"equal_for_all_q": True},
     )
-    if not hyp:
-        report.vacuous = True
-        return report
-    for q in range(1, ctx.i_max + 1):
-        if bI.get(q, q + k) != bG.get(q, q + k):
-            report.verdict = "violated"
-            report.witness = {
-                "cell": (q, q + k),
-                "left": bI.get(q, q + k),
-                "right": bG.get(q, q + k),
-            }
-            return report
-    report.conclusion = {"equal_for_all_q": True}
-    return report
 
 
 def first_strand_criterion(ideal_or_ctx, k, seed=0, i_max=None):
     """Full strand-k equality iff the two first Betti numbers at k+1, k+2 agree."""
     ctx = _ctx(ideal_or_ctx, seed, i_max)
-    bI, bG = ctx.table, ctx.gin_table
-    imax = _imax_window(ctx)
-    strand = all(
-        bI.get(i, i + k) == bG.get(i, i + k) for i in range(1, imax + 1)
-    )
-    first = bI.get(1, k + 1) == bG.get(1, k + 1) and bI.get(1, k + 2) == bG.get(
-        1, k + 2
-    )
-    verdict = "holds" if strand == first else "violated"
-    return RigidityReport(
+    return _agreement(
         "first-strand",
         {"k": k},
-        verdict,
-        hypothesis={"strand_equal": strand},
-        conclusion={"first_betti_equal": first},
-        witness=None
-        if verdict == "holds"
-        else {"strand_equal": strand, "first_betti_equal": first},
-        window={"i_max": imax},
+        {"strand_equal": _strand_equal(ctx, k)},
+        {"first_betti_equal": _first_equal(ctx, k)},
+        window={"i_max": ctx.i_max},
     )
 
 
@@ -407,18 +425,11 @@ def linear_component_criterion(ideal_or_ctx, k, seed=0, i_max=None):
     degrees of gin(I_<k>)."""
     ctx = _ctx(ideal_or_ctx, seed, i_max)
     bI, bG = ctx.table, ctx.gin_table
-    primary = bI.get(1, k + 1) == bG.get(1, k + 1)
-    independent = ctx.component_linear(k)
-    verdict = "holds" if primary == independent else "violated"
-    return RigidityReport(
+    return _agreement(
         "linear-component",
         {"k": k},
-        verdict,
-        hypothesis={"first_betti_equal": primary},
-        conclusion={"component_linear": independent},
-        witness=None
-        if verdict == "holds"
-        else {"first_betti_equal": primary, "component_linear": independent},
+        {"first_betti_equal": bI.get(1, k + 1) == bG.get(1, k + 1)},
+        {"component_linear": ctx.component_linear(k)},
     )
 
 
@@ -426,26 +437,16 @@ def dlinear_equivalence(ideal_or_ctx, k, seed=0, i_max=None):
     """Three-way equivalence: strand-k equality for all i >= 1, linearity of
     I_<k> and I_<k+1>, and the two first-Betti equalities."""
     ctx = _ctx(ideal_or_ctx, seed, i_max)
-    bI, bG = ctx.table, ctx.gin_table
-    imax = _imax_window(ctx)
-    strand = all(
-        bI.get(i, i + k) == bG.get(i, i + k) for i in range(1, imax + 1)
-    )
+    strand = _strand_equal(ctx, k)
     linear = ctx.component_linear(k) and ctx.component_linear(k + 1)
-    first = bI.get(1, k + 1) == bG.get(1, k + 1) and bI.get(1, k + 2) == bG.get(
-        1, k + 2
-    )
-    agree = strand == linear == first
-    return RigidityReport(
+    first = _first_equal(ctx, k)
+    return _agreement(
         "dlinear",
         {"k": k},
-        "holds" if agree else "violated",
-        hypothesis={"strand_equal": strand},
-        conclusion={"components_linear": linear, "first_betti_equal": first},
-        witness=None
-        if agree
-        else {"strand": strand, "linear": linear, "first": first},
-        window={"i_max": imax},
+        {"strand_equal": strand},
+        {"components_linear": linear, "first_betti_equal": first},
+        witness={"strand": strand, "linear": linear, "first": first},
+        window={"i_max": ctx.i_max},
     )
 
 
@@ -513,17 +514,11 @@ def clinear_check(ideal_or_ctx, k, seed=0, i_max=None):
     ctx = _ctx(ideal_or_ctx, seed, i_max)
     c = ctx.cancellation
     all_zero = all(c.get(i, i + k) == 0 for i in range(1, ctx.ring.n + 1))
-    linear = ctx.component_linear(k)
-    verdict = "holds" if all_zero == linear else "violated"
-    return RigidityReport(
+    return _agreement(
         "clinear",
         {"k": k},
-        verdict,
-        hypothesis={"cancellations_zero": all_zero},
-        conclusion={"component_linear": linear},
-        witness=None
-        if verdict == "holds"
-        else {"cancellations_zero": all_zero, "component_linear": linear},
+        {"cancellations_zero": all_zero},
+        {"component_linear": ctx.component_linear(k)},
     )
 
 
@@ -561,8 +556,6 @@ def _same_hilbert_function(ctx, J, dmax):
     Transfer targets may be truncated past every comparison window, so the
     check is windowed like everything else in the report.
     """
-    if ctx.ring.is_exterior:
-        dmax = ctx.ring.n
     return all(J.dim(d) == ctx.gin_ideal.dim(d) for d in range(dmax + 1))
 
 
@@ -586,14 +579,12 @@ def trans_check(ideal_or_ctx, target, i, k, seed=0, i_max=None):
     else:
         raise ValueError(f"unknown transfer target {target!r}")
 
-    dmax = ctx.strand_max + 2
-    if ctx.ring.is_exterior:
-        dmax = ctx.ring.n
+    dmax = ctx.ring.n if ctx.ring.is_exterior else ctx.strand_max + 2
     report = RigidityReport(
         "transfer",
         {"target": target, "i": i, "k": k},
         "holds",
-        window={"q_max": _imax_window(ctx), "d_max": dmax},
+        window={"q_max": ctx.i_max, "d_max": dmax},
     )
     if not is_strongly_stable(J):
         report.verdict = "violated"
@@ -621,22 +612,13 @@ def trans_check(ideal_or_ctx, target, i, k, seed=0, i_max=None):
     if not hyp:
         report.vacuous = True
         return report
-    qs = (
-        range(1, ctx.i_max + 1)
-        if ctx.ring.is_exterior
-        else range(i, ctx.ring.n + 1)
-    )
-    for q in qs:
-        if bI.get(q, q + k) != bJ.get(q, q + k):
-            report.verdict = "violated"
-            report.details = "rigidity transfer fails"
-            report.witness = {
-                "cell": (q, q + k),
-                "left": bI.get(q, q + k),
-                "right": bJ.get(q, q + k),
-            }
-            return report
-    report.conclusion = {"transfer": True}
+    first_q = 1 if ctx.ring.is_exterior else i
+    report.witness = _strand_mismatch(bI, bJ, k, range(first_q, ctx.i_max + 1))
+    if report.witness:
+        report.verdict = "violated"
+        report.details = "rigidity transfer fails"
+    else:
+        report.conclusion = {"transfer": True}
     return report
 
 
@@ -666,19 +648,16 @@ def degree_d_componentwise(ideal_or_ctx, seed=0):
         bI.get(1, 1 + k) == bG.get(1, 1 + k) for k in range(0, d + 1)
     )
     cond_gens = all(bI.get(0, k) == bG.get(0, k) for k in range(0, d + 2))
-    flags = [cond_full, cond_strands, cond_first, cond_gens]
-    agree = len(set(flags)) == 1
-    return RigidityReport(
+    return _agreement(
         "degree-d-componentwise",
         {"d": d},
-        "holds" if agree else "violated",
-        hypothesis={"componentwise_linear": cond_full},
-        conclusion={
+        {"componentwise_linear": cond_full},
+        {
             "strands_through_d": cond_strands,
             "first_betti_through_d": cond_first,
             "generators_through_d1": cond_gens,
         },
-        witness=None if agree else {"flags": flags},
+        witness={"flags": [cond_full, cond_strands, cond_first, cond_gens]},
     )
 
 
@@ -690,18 +669,11 @@ def betti_total_ext_check(ideal_or_ctx, i, seed=0, i_max=None):
     if not ctx.ring.is_exterior:
         raise ValueError("exterior statement")
     bI, bG = ctx.table, ctx.gin_table
-    eq_total = bI.total(i) == bG.total(i)
-    cwl = bI.entries == bG.entries
-    verdict = "holds" if eq_total == cwl else "violated"
-    return RigidityReport(
+    return _agreement(
         "total-betti-componentwise",
         {"i": i},
-        verdict,
-        hypothesis={"total_equal": eq_total},
-        conclusion={"componentwise_linear": cwl},
-        witness=None
-        if verdict == "holds"
-        else {"total_equal": eq_total, "componentwise_linear": cwl},
+        {"total_equal": bI.total(i) == bG.total(i)},
+        {"componentwise_linear": bI.entries == bG.entries},
         window={"i_max": ctx.i_max},
     )
 
@@ -738,69 +710,110 @@ def lemma_can_check(ideal_or_ctx, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# the full battery
+# the statement registry and the full battery
 
 
-def battery(ideal_or_ctx, seed=0, i_max=None, include_delta=False):
-    """Run every applicable statement over its full finite window."""
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
-    reports = [dominance_check(ctx)]
-    kmax = ctx.strand_max + 1
-    imax = _imax_window(ctx)
-    n = ctx.ring.n
-    if ctx.ring.is_exterior:
-        for i in range(2, imax + 1):
-            for k in range(0, kmax + 1):
-                reports.append(rigidity_ext(ctx, i, k))
-        for k in range(0, kmax + 1):
-            reports.append(first_strand_criterion(ctx, k))
-            reports.append(linear_component_criterion(ctx, k))
-            reports.append(dlinear_equivalence(ctx, k))
-        for i in range(1, imax + 1):
-            reports.append(betti_total_ext_check(ctx, i))
-        for target in ("lex", "gin_lex", "gin_degrevlex"):
-            for i in range(2, min(imax, n + 1) + 1):
-                for k in range(0, kmax + 1):
-                    reports.append(trans_check(ctx, target, i, k))
-    else:
-        for i in range(2, n + 1):
-            for k in range(0, kmax + 1):
-                reports.append(rigidity_poly(ctx, i, k))
-        for k in range(0, kmax + 1):
-            reports.append(first_strand_criterion(ctx, k))
-            reports.append(linear_component_criterion(ctx, k))
-            reports.append(dlinear_equivalence(ctx, k))
-        ctx.cancellation  # raises on uniqueness violations
-        for i in range(1, n + 1):
-            for k in range(0, kmax + 1):
-                reports.append(crigid_check(ctx, i, k))
-        for k in range(0, kmax + 1):
-            reports.append(clinear_check(ctx, k))
-            if ctx.component_linear(k):
-                for q in range(1, n):
-                    reports.append(post_clinear_corollary(ctx, k, q))
-        reports.append(degree_d_componentwise(ctx))
-        for target in ("lex", "gin_lex", "gin_degrevlex"):
-            for i in range(2, n + 1):
-                for k in range(0, kmax + 1):
-                    reports.append(trans_check(ctx, target, i, k))
-        if include_delta:
-            reports.append(lemma_can_check(ctx))
-    return reports
+class Statement(NamedTuple):
+    """A statement's check, the ring kinds the battery runs it on, and its
+    parameter axes in sweep order, each a (name, window(ctx)) pair."""
 
+    check: Callable
+    kinds: tuple = ()
+    axes: tuple = ()
+
+
+def _strands(ctx):
+    """Every strand the tables can support, and one past it."""
+    return range(0, ctx.strand_max + 2)
+
+
+_BOTH = (POLY, EXT)
+_K = ("k", _strands)
+_I_RIGID = ("i", lambda ctx: range(2, ctx.i_max + 1))
 
 STATEMENTS = {
-    "dominance": (dominance_check, ()),
-    "rigidity-poly": (rigidity_poly, ("i", "k")),
-    "rigidity-ext": (rigidity_ext, ("i", "k")),
-    "first-strand": (first_strand_criterion, ("k",)),
-    "linear-component": (linear_component_criterion, ("k",)),
-    "dlinear": (dlinear_equivalence, ("k",)),
-    "crigid": (crigid_check, ("i", "k")),
-    "clinear": (clinear_check, ("k",)),
-    "post-clinear": (post_clinear_corollary, ("k", "q")),
-    "transfer": (trans_check, ("target", "i", "k")),
-    "degree-d-componentwise": (degree_d_componentwise, ()),
-    "total-betti-componentwise": (betti_total_ext_check, ("i",)),
-    "cancellation-delta": (lemma_can_check, ()),
+    "dominance": Statement(dominance_check, _BOTH),
+    "rigidity-poly": Statement(rigidity_poly, (POLY,), (_I_RIGID, _K)),
+    "rigidity-ext": Statement(rigidity_ext, (EXT,), (_I_RIGID, _K)),
+    "first-strand": Statement(first_strand_criterion, _BOTH, (_K,)),
+    "linear-component": Statement(linear_component_criterion, _BOTH, (_K,)),
+    "dlinear": Statement(dlinear_equivalence, _BOTH, (_K,)),
+    "crigid": Statement(
+        crigid_check, (POLY,), (("i", lambda ctx: range(1, ctx.ring.n + 1)), _K)
+    ),
+    "clinear": Statement(clinear_check, (POLY,), (_K,)),
+    "post-clinear": Statement(
+        post_clinear_corollary,
+        (POLY,),
+        (
+            ("k", lambda ctx: [k for k in _strands(ctx) if ctx.component_linear(k)]),
+            ("q", lambda ctx: range(1, ctx.ring.n)),
+        ),
+    ),
+    "transfer": Statement(
+        trans_check,
+        _BOTH,
+        (
+            ("target", lambda ctx: ("lex", "gin_lex", "gin_degrevlex")),
+            ("i", lambda ctx: range(2, min(ctx.i_max, ctx.ring.n + 1) + 1)),
+            _K,
+        ),
+    ),
+    "degree-d-componentwise": Statement(degree_d_componentwise, (POLY,)),
+    "total-betti-componentwise": Statement(
+        betti_total_ext_check, (EXT,), (("i", lambda ctx: range(1, ctx.i_max + 1)),)
+    ),
+    "cancellation-delta": Statement(lemma_can_check),
 }
+
+# The battery runs these rows in order; the statements of one row step
+# through k together.
+BATTERY = (
+    ("dominance",),
+    ("rigidity-poly",),
+    ("rigidity-ext",),
+    ("first-strand", "linear-component", "dlinear"),
+    ("total-betti-componentwise",),
+    ("crigid",),
+    ("clinear", "post-clinear"),
+    ("degree-d-componentwise",),
+    ("transfer",),
+)
+
+
+def sweep(ctx, name, fixed=None):
+    """Parameter dicts of a statement over its window, in battery order.
+
+    `fixed` pins axes to one value each; a name that is not one of the
+    statement's axes raises ValueError.
+    """
+    fixed = fixed or {}
+    axes = STATEMENTS[name].axes
+    unknown = sorted(set(fixed) - {axis for axis, _ in axes})
+    if unknown:
+        takes = ", ".join(axis for axis, _ in axes) or "no parameters"
+        raise ValueError(
+            f"statement {name!r} takes {takes}, not {', '.join(unknown)}"
+        )
+    runs = [{}]
+    for axis, window in axes:
+        values = [fixed[axis]] if axis in fixed else window(ctx)
+        runs = [dict(run, **{axis: v}) for run in runs for v in values]
+    return runs
+
+
+def battery(ideal_or_ctx, seed=0, i_max=None):
+    """Run every statement of the ring's kind over its full finite window."""
+    ctx = _ctx(ideal_or_ctx, seed, i_max)
+    reports = []
+    for row in BATTERY:
+        runs = [
+            (STATEMENTS[name].check, params)
+            for name in row
+            if ctx.ring.kind in STATEMENTS[name].kinds
+            for params in sweep(ctx, name)
+        ]
+        if len(row) > 1:
+            runs.sort(key=lambda run: run[1]["k"])
+        reports += [check(ctx, **params) for check, params in runs]
+    return reports

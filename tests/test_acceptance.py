@@ -13,7 +13,7 @@ import pytest
 
 from ginlab.annihilators import verify_homology_formula
 from ginlab.betti import has_linear_resolution
-from ginlab.corpus import CorpusSpec, generate
+from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import component_ideal
 from ginlab.oracles import alpha_oracle, betti_oracle_exterior, betti_oracle_triple
@@ -36,21 +36,10 @@ def _report(name, t0, limit):
     assert elapsed < limit, f"{name} exceeded its {limit}s budget"
 
 
-# the acceptance corpus: 100 ideals, n <= 4, degrees <= 5, both ring
-# kinds, mixed monomial/binomial/dense generators
-CORPUS_SPECS = (
-    CorpusSpec(kind="poly", n=2, count=10, seed=101, max_degree=5),
-    CorpusSpec(kind="poly", n=3, count=26, seed=102, max_degree=5),
-    CorpusSpec(kind="poly", n=4, count=28, seed=103, max_degree=5),
-    CorpusSpec(kind="ext", n=3, count=16, seed=104, max_degree=5),
-    CorpusSpec(kind="ext", n=4, count=20, seed=105, max_degree=5),
-)
-
-
 @pytest.fixture(scope="module")
 def corpus():
     ideals = []
-    for spec in CORPUS_SPECS:
+    for spec in ACCEPTANCE_SPECS:
         ideals += generate(spec)
     assert len(ideals) == 100
     return ideals

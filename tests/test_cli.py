@@ -7,7 +7,7 @@ import jsonschema
 
 from ginlab.cli import main
 from ginlab.parsing import parse_ideal
-from ginlab.rigidity import RigidityContext, battery
+from ginlab.rigidity import STATEMENTS, RigidityContext, battery
 
 from conftest import CANCEL_4, STAIRCASE_3, STRAND_4
 
@@ -139,24 +139,40 @@ class TestCheck:
         code, out, _ = run_main(capsys, "check", path, "--all")
         assert code == 0 and "0 violations" in out
 
-    def test_exterior_transfer_sweep_matches_battery(self, tmp_path, capsys):
-        text = "ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n"
-        path = write(tmp_path, text)
-        code, out, _ = run_main(
-            capsys, "check", path, "--statement", "transfer", "--json"
-        )
-        assert code == 0
-        swept = [
-            (r["params"]["target"], r["params"]["i"], r["params"]["k"])
-            for r in json.loads(out)
-        ]
-        ctx = RigidityContext(parse_ideal(text), seed=0)
-        expected = [
-            (r.params["target"], r.params["i"], r.params["k"])
-            for r in battery(ctx)
-            if r.statement == "transfer"
-        ]
-        assert swept == expected
+    def test_statement_sweeps_match_battery(self, tmp_path, capsys):
+        """`check --statement NAME` sweeps the battery's window for NAME."""
+        for text in (
+            "ring poly 1 QQ\nx1^2\n",
+            STRAND_4,
+            "ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n",
+        ):
+            path = write(tmp_path, text)
+            ctx = RigidityContext(parse_ideal(text), seed=0)
+            reports = battery(ctx)
+            for name, statement in STATEMENTS.items():
+                if ctx.ring.kind not in statement.kinds:
+                    continue
+                code, out, _ = run_main(
+                    capsys, "check", path, "--statement", name, "--json"
+                )
+                assert code == 0, (text, name)
+                expected = [
+                    json.loads(json.dumps(r.to_json()))
+                    for r in reports
+                    if r.statement == name
+                ]
+                assert json.loads(out) == expected, (text, name)
+
+    def test_flag_the_statement_does_not_take_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, STAIRCASE_3)
+        for argv, message in (
+            (("dominance", "--k", "3"), "takes no parameters, not k"),
+            (("first-strand", "--i", "2"), "takes k, not i"),
+            (("post-clinear", "--target", "lex"), "takes k, q, not target"),
+        ):
+            code, out, err = run_main(capsys, "check", path, "--statement", *argv)
+            assert code == 1, argv
+            assert message in err and out == ""
 
     def test_unknown_statement(self, tmp_path, capsys):
         path = write(tmp_path, STAIRCASE_3)
@@ -208,9 +224,11 @@ class TestErrors:
 
     def test_negative_imax_exterior_exit_1(self, tmp_path):
         path = write(tmp_path, "ring ext 3 QQ\ne1*e2\ne2*e3\n")
-        for command in ("betti", "check"):
+        for command in (
+            ["betti"], ["check"], ["check", "--statement", "transfer"]
+        ):
             cmd = [
-                sys.executable, "-m", "ginlab.cli", command, path,
+                sys.executable, "-m", "ginlab.cli", *command, path,
                 "--imax", "-1",
             ]
             run = subprocess.run(

@@ -18,6 +18,7 @@ from ginlab.rigidity import (
     post_clinear_corollary,
     rigidity_ext,
     rigidity_poly,
+    sweep,
     trans_check,
 )
 from ginlab.rings import exterior_ring, polynomial_ring
@@ -297,3 +298,30 @@ class TestBattery:
         assert data["statement"] == "dlinear"
         assert data["verdict"] == "holds"
         assert isinstance(data["params"], dict)
+
+
+class TestRegistry:
+    def test_window_is_n_on_polynomial_rings(self):
+        ideal = parse_ideal(STRAND_4)
+        for i_max in (None, -1, 2, 9):
+            assert RigidityContext(ideal, i_max=i_max).i_max == 4
+
+    def test_negative_exterior_window_raises(self):
+        ideal = parse_ideal("ring ext 3 QQ\ne1*e2\ne2*e3\n")
+        with pytest.raises(ValueError, match="i_max must be nonnegative"):
+            RigidityContext(ideal, i_max=-1)
+        assert RigidityContext(ideal, i_max=0).i_max == 0
+
+    def test_sweep_pins_axes(self, ctx_strand):
+        runs = sweep(ctx_strand, "transfer", {"target": "lex", "k": 1})
+        assert runs == [{"target": "lex", "i": i, "k": 1} for i in (2, 3, 4)]
+        assert sweep(ctx_strand, "dominance") == [{}]
+
+    def test_sweep_rejects_axes_the_statement_lacks(self, ctx_strand):
+        with pytest.raises(ValueError, match="takes k, not i, q"):
+            sweep(ctx_strand, "dlinear", {"q": 1, "i": 2})
+
+    def test_post_clinear_window_on_one_variable(self):
+        ctx = RigidityContext(parse_ideal("ring poly 1 QQ\nx1^2\n"), seed=0)
+        assert sweep(ctx, "post-clinear") == []
+        assert not [r for r in battery(ctx) if r.statement == "post-clinear"]
