@@ -21,17 +21,11 @@ cell by cell.
 import random
 from dataclasses import dataclass, field
 
-from .betti import (
-    QUOTIENT,
-    HomologyWorkspace,
-    binom,
-    cartan_betti,
-    koszul_betti,
-)
+from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
 from .groebner import GenericityError, gin
 from .ideals import degree_rows
 from .linalg import IntRank
-from .rings import Element, matrix_det
+from .rings import Element, escalation_bounds, random_invertible_matrix
 
 
 @dataclass(frozen=True)
@@ -48,11 +42,8 @@ class GenericSequence:
         if bound < 1:
             raise ValueError("coefficient bound must be at least 1")
         rng = random.Random(f"forms:{seed}:{bound}")
-        n = ring.n
-        while True:
-            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-            if matrix_det(rows) != 0:
-                return cls(ring, tuple(tuple(r) for r in rows), seed, bound)
+        rows = random_invertible_matrix(rng, ring.n, bound)
+        return cls(ring, tuple(tuple(r) for r in rows), seed, bound)
 
     def coeffs(self, p):
         """Coefficient row of the (p+1)-st form (0-based p)."""
@@ -183,11 +174,10 @@ def generic_annihilators_direct(
 def _two_seed(ring, seed, coeff_bound, compute, failure):
     """compute(seq) on two drawn sequences, escalating until they agree.
 
-    Each escalation doubles the coefficient bound.  A None from compute
-    fails the trial; after five escalations GenericityError(failure).
+    The rounds are those of gin (rings.escalation_bounds).  A None from
+    compute fails the round; after the last one GenericityError(failure).
     """
-    bound = coeff_bound
-    for escalation in range(5):
+    for escalation, bound in escalation_bounds(coeff_bound):
         results = []
         for tag in ("a", "b"):
             seq = GenericSequence.draw(ring, f"{seed}:{escalation}:{tag}", bound)
@@ -198,7 +188,6 @@ def _two_seed(ring, seed, coeff_bound, compute, failure):
         else:
             if results[0] == results[1]:
                 return results[0]
-        bound *= 2
     raise GenericityError(failure)
 
 
@@ -463,17 +452,15 @@ def upper_bound_check(ideal, seed=0, i_max=None):
     J, _ = gin(ideal, seed=seed)
     alpha = generic_annihilators_direct(ideal, seed=seed)
 
+    r = J.max_gen_degree()
     if ring.is_exterior:
         imax = n + 2 if i_max is None else i_max
-        bI = cartan_betti(ideal, QUOTIENT, i_max=imax, seed=seed)
-        bG = cartan_betti(J.to_ideal(), QUOTIENT, i_max=imax, seed=seed)
         kmax = n
     else:
-        r = J.max_gen_degree()
         imax = n
-        bI = koszul_betti(ideal, QUOTIENT, reg_bound=r, seed=seed)
-        bG = koszul_betti(J.to_ideal(), QUOTIENT, reg_bound=r, seed=seed)
         kmax = max(r - 1, 0)
+    bI = betti_table(ideal, QUOTIENT, seed=seed, i_max=imax, reg_bound=r)
+    bG = betti_table(J.to_ideal(), QUOTIENT, seed=seed, i_max=imax, reg_bound=r)
 
     report = UpperBoundReport(ring, {"i_max": imax, "k_max": kmax})
     attained = True

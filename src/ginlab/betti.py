@@ -21,7 +21,7 @@ from math import comb
 
 from .groebner import gin
 from .ideals import MonomialIdeal, is_strongly_stable, m_leq
-from .linalg import IntRank, left_kernel
+from .linalg import IntRank
 from .rings import max_variable, monomial_degree, wedge_supports
 
 IDEAL = "ideal"
@@ -316,9 +316,10 @@ class HomologyWorkspace:
         if i == 0:
             out = [{t: 1} for t in range(self.qb.dim(j))]
         else:
-            cols = self.boundary_cols(p, i, j)
-            tgt_dim = self.chain_dim(p, i - 1, j)
-            out = left_kernel(cols, tgt_dim)
+            eng = IntRank(self.chain_dim(p, i - 1, j))
+            for col in self.boundary_cols(p, i, j):
+                eng.add(col)
+            out = eng.kernel
         self._cycles[key] = out
         return out
 
@@ -605,11 +606,7 @@ def is_componentwise_linear(ideal, seed=0, i_max=None):
     if ideal.is_zero():
         return True
     J, _ = gin(ideal, seed=seed)
-    if ideal.ring.is_exterior:
-        a = cartan_betti(ideal, QUOTIENT, i_max=i_max, seed=seed)
-        b = cartan_betti(J.to_ideal(), QUOTIENT, i_max=i_max, seed=seed)
-    else:
-        r = J.max_gen_degree()
-        a = koszul_betti(ideal, QUOTIENT, reg_bound=r, seed=seed)
-        b = koszul_betti(J.to_ideal(), QUOTIENT, reg_bound=r, seed=seed)
+    r = J.max_gen_degree()
+    a = betti_table(ideal, QUOTIENT, seed=seed, i_max=i_max, reg_bound=r)
+    b = betti_table(J.to_ideal(), QUOTIENT, seed=seed, i_max=i_max, reg_bound=r)
     return a.entries == b.entries

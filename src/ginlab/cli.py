@@ -156,9 +156,21 @@ def cmd_lex(args):
 
 
 def cmd_check(args):
+    fixed = {
+        axis: getattr(args, axis)
+        for axis in ("i", "k", "q", "target")
+        if getattr(args, axis) is not None
+    }
+    if args.all and args.statement is not None:
+        raise _UsageError("--all and --statement exclude each other")
+    if args.statement is None and fixed:
+        pins = ", ".join(f"--{axis}" for axis in fixed)
+        raise _UsageError(
+            f"the whole battery takes no {pins}; pin with --statement NAME"
+        )
     ideal = _load_ideal(args.file)
     ctx = RigidityContext(ideal, seed=args.seed, i_max=args.imax)
-    if args.all or args.statement is None:
+    if args.statement is None:
         reports = battery(ctx, seed=args.seed)
     else:
         name = args.statement
@@ -166,11 +178,6 @@ def cmd_check(args):
             raise _UsageError(
                 f"unknown statement {name!r}; known: {', '.join(sorted(STATEMENTS))}"
             )
-        fixed = {
-            axis: getattr(args, axis)
-            for axis in ("i", "k", "q", "target")
-            if getattr(args, axis) is not None
-        }
         check = STATEMENTS[name].check
         reports = [check(ctx, **params) for params in sweep(ctx, name, fixed)]
     violated = [r for r in reports if not r.holds]

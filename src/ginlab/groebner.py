@@ -31,12 +31,13 @@ from .rings import (
     DEGREVLEX,
     Element,
     apply_linear_change,
-    matrix_det,
+    escalation_bounds,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
     order_key,
+    random_invertible_matrix,
 )
 
 
@@ -290,14 +291,6 @@ class GinCertificate:
         return "\n".join(lines)
 
 
-def _draw_matrix(n, seed, escalation, trial, bound):
-    rng = random.Random(f"gin:{seed}:{escalation}:{trial}:{bound}")
-    while True:
-        mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        if matrix_det(mat) != 0:
-            return mat
-
-
 def gin(
     ideal,
     order=None,
@@ -338,13 +331,13 @@ def gin(
             stop = ("hilbert", hilbert_numerator(initial_ideal(ideal)))
 
     failures = []
-    bound = coeff_bound
-    for escalation in range(5):
+    for escalation, bound in escalation_bounds(coeff_bound):
         results = []
         matrices = []
         cut = None
         for t in range(trials):
-            mat = _draw_matrix(ring.n, seed, escalation, t, bound)
+            rng = random.Random(f"gin:{seed}:{escalation}:{t}:{bound}")
+            mat = random_invertible_matrix(rng, ring.n, bound)
             matrices.append(tuple(tuple(row) for row in mat))
             transformed = [apply_linear_change(g, mat) for g in ideal.generators]
             if route == "buchberger":
@@ -366,7 +359,6 @@ def gin(
         failures.append(
             "trials disagree" if not agreed else "result not strongly stable"
         )
-        bound *= 2
     raise GenericityError(
         "genericity not reached after escalation: " + "; ".join(failures)
     )

@@ -5,26 +5,23 @@ are plain ints; callers index them so that column 0 is the most significant
 (for monomial matrices: the largest monomial in the term order), which makes
 echelon pivots coincide with leading monomials.
 
-Two engines: Rref keeps a fully reduced basis (deterministic pivots,
-rational tails) and is used wherever actual coordinates matter; IntRank
-does fraction-free elimination on integer rows and is used for the many
-rank-only queries in homology computations.
+Two engines.  IntRank is the one fraction-free elimination on integer
+rows: it gives the ranks of the homology and initial-ideal computations
+and, with each row augmented by a unit column, their left kernels (the
+cycle spaces).  Rref keeps a fully reduced basis (deterministic pivots,
+rational tails) for the graded pieces, where actual coordinates matter.
 """
 
 import heapq
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 
 class Rref:
-    """Incremental reduced row echelon basis.
+    """Incremental reduced row echelon basis."""
 
-    Columns >= pivot_limit never become pivots; they ride along as
-    augmentation (used for kernel computations).
-    """
-
-    def __init__(self, pivot_limit=None):
-        self.pivot_limit = pivot_limit
+    def __init__(self):
         self.pivots = {}  # col -> index into rows
         self.rows = []  # each dict col -> coeff, leading coeff 1
 
@@ -55,24 +52,13 @@ class Rref:
                     out.pop(cc, None)
         return out
 
-    def _lead(self, row):
-        cands = [
-            c
-            for c in row
-            if self.pivot_limit is None or c < self.pivot_limit
-        ]
-        return min(cands) if cands else None
-
     def add(self, row):
-        """Insert a vector; returns the new pivot column or None.
-
-        Returns None both for rows already in the span and for rows whose
-        reducible part vanished (the residual is available via reduce).
-        """
+        """Insert a vector; returns the new pivot column, or None for a
+        vector already in the span."""
         res = self.reduce(row)
-        lead = self._lead(res)
-        if lead is None:
+        if not res:
             return None
+        lead = min(res)
         inv = Fraction(1, 1) / res[lead]
         new = {c: v * inv for c, v in res.items()}
         new[lead] = 1
@@ -92,8 +78,15 @@ class Rref:
         return lead
 
     def contains(self, row):
-        res = self.reduce(row)
-        return self._lead(res) is None
+        return not self.reduce(row)
+
+
+def _divide_content(row):
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = reduce(gcd, row.values(), 0)
+    if g > 1:
+        for c in row:
+            row[c] //= g
 
 
 def scale_to_int(row):
@@ -119,10 +112,18 @@ def scale_to_int(row):
 
 
 class IntRank:
-    """Fraction-free Gaussian elimination for rank-only queries."""
+    """Fraction-free Gaussian elimination: ranks and left kernels.
 
-    def __init__(self):
+    With ncols given, the t-th row added carries the unit column ncols + t.
+    Those columns never become pivots, so a row whose columns below ncols
+    cancel is a relation among the rows added; it lands in `kernel` as an
+    integer dict over row indices (scaled by a nonzero rational).
+    """
+
+    def __init__(self, ncols=None):
+        self.ncols = ncols
         self.pivots = {}  # col -> row dict with that leading col
+        self.kernel = []
 
     @property
     def rank(self):
@@ -130,11 +131,18 @@ class IntRank:
 
     def add(self, row):
         """Insert a vector (int or Fraction coeffs); True if rank grew."""
+        if self.ncols is not None:
+            row = dict(row)
+            row[self.ncols + len(self.pivots) + len(self.kernel)] = 1
         out = scale_to_int(row)
         while out:
             lead = min(out)
             prow = self.pivots.get(lead)
             if prow is None:
+                if self.ncols is not None and lead >= self.ncols:
+                    self.kernel.append({c - self.ncols: v for c, v in out.items()})
+                    return False
+                _divide_content(out)
                 self.pivots[lead] = out
                 return True
             p, v = prow[lead], out[lead]
@@ -147,12 +155,7 @@ class IntRank:
                     nxt[c] = s
             out = nxt
             if out and max(abs(x) for x in out.values()).bit_length() > 256:
-                g2 = 0
-                for x in out.values():
-                    g2 = gcd(g2, x)
-                if g2 > 1:
-                    for c in out:
-                        out[c] //= g2
+                _divide_content(out)
         return False
 
 
@@ -165,49 +168,13 @@ def rank_of(vectors):
 
 
 def left_kernel(vectors, ncols):
-    """Spanning set of {x : sum_i x_i * vectors[i] = 0} over QQ.
+    """Basis of {x : sum_i x_i * vectors[i] = 0} over QQ.
 
-    Returned combos are integer dicts over row indices, scaled by nonzero
-    rationals (only their span matters to callers).  ncols bounds the
-    column indices used by the vectors; fraction-free throughout.
+    Combos are integer dicts over row indices, scaled by nonzero rationals
+    (only their span matters to callers); ncols bounds the column indices
+    used by the vectors.
     """
-    pivots = {}  # main col -> integer row over main and augmented cols
-    kernel = []
-    for i, v in enumerate(vectors):
-        den = 1
-        for x in v.values():
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        row = {c: int(x * den) for c, x in v.items() if x}
-        row[ncols + i] = den
-        while True:
-            main = [c for c in row if c < ncols]
-            if not main:
-                kernel.append({c - ncols: x for c, x in row.items()})
-                break
-            lead = min(main)
-            prow = pivots.get(lead)
-            if prow is None:
-                g = 0
-                for x in row.values():
-                    g = gcd(g, x)
-                if g > 1:
-                    row = {c: x // g for c, x in row.items()}
-                pivots[lead] = row
-                break
-            p, w = prow[lead], row[lead]
-            g = gcd(p, w)
-            pf, wf = p // g, w // g
-            nxt = {}
-            for c in row.keys() | prow.keys():
-                s = pf * row.get(c, 0) - wf * prow.get(c, 0)
-                if s:
-                    nxt[c] = s
-            row = nxt
-            if row and max(abs(x) for x in row.values()).bit_length() > 256:
-                g2 = 0
-                for x in row.values():
-                    g2 = gcd(g2, x)
-                if g2 > 1:
-                    row = {c: x // g2 for c, x in row.items()}
-    return kernel
+    eng = IntRank(ncols)
+    for v in vectors:
+        eng.add(v)
+    return eng.kernel

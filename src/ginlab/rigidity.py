@@ -18,13 +18,7 @@ from .annihilators import (
     annihilators_from_gin,
     generic_annihilators_direct,
 )
-from .betti import (
-    IDEAL,
-    QUOTIENT,
-    binom,
-    cartan_betti,
-    koszul_betti,
-)
+from .betti import IDEAL, QUOTIENT, betti_table, binom
 from .groebner import gin
 from .ideals import (
     Ideal,
@@ -153,26 +147,23 @@ class RigidityContext:
             return self.ring.n
         return max(self.reg_bound, 1)
 
-    def _table(self, ideal_obj, reg_bound):
-        if self.ring.is_exterior:
-            return cartan_betti(
-                ideal_obj, QUOTIENT, i_max=self.i_max, seed=self.seed
-            )
-        return koszul_betti(
-            ideal_obj, QUOTIENT, reg_bound=reg_bound, seed=self.seed
+    def _table(self, ideal_obj):
+        return betti_table(
+            ideal_obj,
+            QUOTIENT,
+            seed=self.seed,
+            i_max=self.i_max,
+            reg_bound=self.reg_bound,
         )
 
     @property
     def table(self):
-        return self._get(
-            "table", lambda: self._table(self.ideal, self.reg_bound)
-        )
+        return self._get("table", lambda: self._table(self.ideal))
 
     @property
     def gin_table(self):
         return self._get(
-            "gin_table",
-            lambda: self._table(self.gin_ideal.to_ideal(), self.reg_bound),
+            "gin_table", lambda: self._table(self.gin_ideal.to_ideal())
         )
 
     @property
@@ -714,8 +705,8 @@ def lemma_can_check(ideal_or_ctx, seed=0):
 
 
 class Statement(NamedTuple):
-    """A statement's check, the ring kinds the battery runs it on, and its
-    parameter axes in sweep order, each a (name, window(ctx)) pair."""
+    """A statement's check, the ring kinds it holds over, and its parameter
+    axes in sweep order, each a (name, window(ctx)) pair."""
 
     check: Callable
     kinds: tuple = ()
@@ -763,7 +754,7 @@ STATEMENTS = {
     "total-betti-componentwise": Statement(
         betti_total_ext_check, (EXT,), (("i", lambda ctx: range(1, ctx.i_max + 1)),)
     ),
-    "cancellation-delta": Statement(lemma_can_check),
+    "cancellation-delta": Statement(lemma_can_check, (POLY,)),
 }
 
 # The battery runs these rows in order; the statements of one row step
@@ -784,17 +775,22 @@ BATTERY = (
 def sweep(ctx, name, fixed=None):
     """Parameter dicts of a statement over its window, in battery order.
 
-    `fixed` pins axes to one value each; a name that is not one of the
-    statement's axes raises ValueError.
+    A name in `fixed` (axes pinned to one value each) that is not one of
+    the statement's axes, or a ring kind it does not hold over, raises
+    ValueError before any window is evaluated.
     """
     fixed = fixed or {}
-    axes = STATEMENTS[name].axes
+    statement = STATEMENTS[name]
+    axes = statement.axes
     unknown = sorted(set(fixed) - {axis for axis, _ in axes})
     if unknown:
         takes = ", ".join(axis for axis, _ in axes) or "no parameters"
         raise ValueError(
             f"statement {name!r} takes {takes}, not {', '.join(unknown)}"
         )
+    if ctx.ring.kind not in statement.kinds:
+        other = "exterior" if ctx.ring.kind == POLY else "polynomial-ring"
+        raise ValueError(f"{other} statement")
     runs = [{}]
     for axis, window in axes:
         values = [fixed[axis]] if axis in fixed else window(ctx)

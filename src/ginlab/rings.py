@@ -400,6 +400,21 @@ def matrix_det(g):
     return det
 
 
+def random_invertible_matrix(rng, n, bound):
+    """An invertible n x n integer matrix with entries in [-bound, bound],
+    drawn from the random.Random rng by rejection."""
+    while True:
+        mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if matrix_det(mat) != 0:
+            return mat
+
+
+def escalation_bounds(bound):
+    """(escalation, coefficient bound) for the five rounds of a certified
+    generic draw; each round doubles the bound."""
+    return [(escalation, bound << escalation) for escalation in range(5)]
+
+
 def apply_linear_change(f, g):
     """Substitute variable i by sum_j g[j][i] * (variable j) in f.
 

@@ -7,7 +7,7 @@ import jsonschema
 
 from ginlab.cli import main
 from ginlab.parsing import parse_ideal
-from ginlab.rigidity import STATEMENTS, RigidityContext, battery
+from ginlab.rigidity import BATTERY, STATEMENTS, RigidityContext, battery
 
 from conftest import CANCEL_4, STAIRCASE_3, STRAND_4
 
@@ -149,8 +149,8 @@ class TestCheck:
             path = write(tmp_path, text)
             ctx = RigidityContext(parse_ideal(text), seed=0)
             reports = battery(ctx)
-            for name, statement in STATEMENTS.items():
-                if ctx.ring.kind not in statement.kinds:
+            for name in (name for row in BATTERY for name in row):
+                if ctx.ring.kind not in STATEMENTS[name].kinds:
                     continue
                 code, out, _ = run_main(
                     capsys, "check", path, "--statement", name, "--json"
@@ -173,6 +173,39 @@ class TestCheck:
             code, out, err = run_main(capsys, "check", path, "--statement", *argv)
             assert code == 1, argv
             assert message in err and out == ""
+
+    def test_battery_takes_no_statement_or_pin_exit_1(self, tmp_path, capsys):
+        path = write(tmp_path, "ring poly 2 QQ\nx1^2\n")
+        for argv, message in (
+            (("--all", "--k", "3"), "battery takes no --k"),
+            (("--k", "3"), "battery takes no --k"),
+            (("--all", "--i", "2", "--target", "lex"), "no --i, --target"),
+            (("--q", "1"), "battery takes no --q"),
+            (("--statement", "dominance", "--all"), "--all and --statement"),
+            (("--all", "--statement", "crigid", "--k", "1"), "--all and --statement"),
+        ):
+            code, out, err = run_main(capsys, "check", path, *argv)
+            assert code == 1, argv
+            assert message in err and out == "", argv
+
+    def test_statement_of_the_other_ring_kind_exit_1(self, tmp_path, capsys):
+        poly = write(tmp_path, "ring poly 1 QQ\nx1^2\n", "poly.txt")
+        ext = write(tmp_path, "ring ext 3 QQ\ne1*e2\ne2*e3\n", "ext.txt")
+        for path, argv, message in (
+            # empty windows: these printed "0 checks" and exited 0
+            (poly, ("rigidity-ext",), "exterior statement"),
+            (ext, ("rigidity-poly", "--imax", "0"), "polynomial-ring statement"),
+            # nonempty windows
+            (poly, ("total-betti-componentwise",), "exterior statement"),
+            (ext, ("post-clinear",), "polynomial-ring statement"),
+            (ext, ("crigid",), "polynomial-ring statement"),
+            (ext, ("cancellation-delta",), "polynomial-ring statement"),
+        ):
+            code, out, err = run_main(
+                capsys, "check", path, "--statement", *argv
+            )
+            assert code == 1, argv
+            assert message in err and out == "", argv
 
     def test_unknown_statement(self, tmp_path, capsys):
         path = write(tmp_path, STAIRCASE_3)

@@ -48,7 +48,21 @@ def test_rref_rank_matches(rows):
     assert eng.rank == brute_rank(rows, 6)
 
 
-@given(rows_strategy)
+# rational entries, and empty rows (zero columns of a differential, which
+# are cycles) drawn often
+fraction_rows_strategy = st.lists(
+    st.dictionaries(
+        st.integers(0, 5),
+        st.fractions(min_value=-9, max_value=9, max_denominator=6),
+        max_size=6,
+    )
+    | st.just({}),
+    min_size=0,
+    max_size=8,
+)
+
+
+@given(fraction_rows_strategy)
 @settings(max_examples=150)
 def test_left_kernel(rows):
     rows = [{c: v for c, v in r.items() if v} for r in rows]
@@ -63,7 +77,18 @@ def test_left_kernel(rows):
     # the kernel has the right dimension
     assert len(kernel) == len(rows) - brute_rank(rows, 6)
     # and is independent
-    assert rank_of(kernel) == len(kernel) if kernel else True
+    assert rank_of(kernel) == len(kernel)
+    # an empty row is a relation by itself
+    for t, row in enumerate(rows):
+        if not row:
+            assert {t: 1} in kernel
+    # the augmented engine splits the rows into pivots and relations
+    eng = IntRank(6)
+    for row in rows:
+        eng.add(row)
+    assert eng.kernel == kernel
+    assert eng.rank == brute_rank(rows, 6)
+    assert eng.rank + len(eng.kernel) == len(rows)
 
 
 def test_rref_reduces_members():
