@@ -101,23 +101,35 @@ class AnnihilatorTable:
 
 
 def _prefix_dims(ideal, seq, dmax):
-    """dims[p][d] = dim (I + (y_1..y_p))_d, one elimination pass per degree."""
+    """dims[p][d] = dim (J_p)_d with J_p = I + (y_1..y_p).
+
+    One elimination pass per degree, with two exact stops.  Within degree
+    d the rank only grows with p, so once it reaches dim R_d every later
+    prefix is full there too and no more rows are fed.  Across degrees,
+    (J_p)_{d-1} = R_{d-1} != 0 gives (J_p)_d = R_d with no elimination,
+    since (J_p)_d contains R_1 R_{d-1}, which is all of R_d over S and
+    over E alike.
+    """
     ring = ideal.ring
     n = ring.n
     dims = [[0] * (dmax + 1) for _ in range(n + 1)]
     forms = [seq.form(p) for p in range(n)]
     for d in range(dmax + 1):
         monos = ring.monomials(d)
-        if not monos:
+        full = len(monos)
+        if not full:
             continue
+        below = ring.dim(d - 1)
         index = {m: i for i, m in enumerate(monos)}
         eng = IntRank()
-        for row in degree_rows(ring, ideal.generators, d, index):
-            eng.add(row)
-        dims[0][d] = eng.rank
-        for p in range(1, n + 1):
-            for row in degree_rows(ring, [forms[p - 1]], d, index):
-                eng.add(row)
+        for p in range(n + 1):
+            if eng.rank == full or 0 < below == dims[p][d - 1]:
+                dims[p][d] = full
+                continue
+            gens = [forms[p - 1]] if p else ideal.generators
+            for row in degree_rows(ring, gens, d, index):
+                if eng.add(row) and eng.rank == full:
+                    break
             dims[p][d] = eng.rank
     return dims
 

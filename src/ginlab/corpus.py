@@ -34,6 +34,23 @@ class CorpusSpec:
     seed: int = 0
     max_complexity: int = 6  # cap on the Taylor regularity bound
 
+    def __post_init__(self):
+        # out-of-range specs either cannot be drawn from (empty degree or
+        # generator-count ranges) or never pass the gate: every nonzero
+        # ideal has a Taylor bound of at least 1
+        if self.max_degree < 1:
+            raise ValueError("corpus max degree must be at least 1")
+        if self.min_generators < 0:
+            raise ValueError("corpus min generators must be nonnegative")
+        if self.min_generators > self.max_generators:
+            raise ValueError("corpus min generators exceed max generators")
+        if self.max_complexity < 1:
+            raise ValueError("corpus max complexity must be at least 1")
+        if self.count < 0:
+            raise ValueError("corpus count must be nonnegative")
+        if min(self.weights) < 0 or sum(self.weights) <= 0:
+            raise ValueError("corpus weights must be nonnegative, not all zero")
+
     def ring(self):
         return Ring(self.kind, self.n)
 

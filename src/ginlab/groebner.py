@@ -310,9 +310,22 @@ def gin(
     max_scan_degree truncates the degreewise scan: the result then holds
     exactly the generators of the gin of degree <= max_scan_degree, and
     the certificate records the truncation.
+
+    The pair is memoized on the Ideal instance (Ideal._gins), keyed by
+    every argument that affects it, so the statement battery, the oracles
+    and the default windows of one ideal share one set of trials.  Errors
+    are not stored, and a new Ideal with the same generators computes its
+    gin anew.
     """
-    ring = ideal.ring
     order = order or DEGREVLEX
+    key = (order, seed, coeff_bound, trials, route, max_scan_degree)
+    if key not in ideal._gins:
+        ideal._gins[key] = _certified_gin(ideal, *key)
+    return ideal._gins[key]
+
+
+def _certified_gin(ideal, order, seed, coeff_bound, trials, route, max_scan_degree):
+    ring = ideal.ring
     if trials < 2:
         raise ValueError("at least two trials are required")
     if coeff_bound < 1:

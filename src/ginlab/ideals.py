@@ -117,6 +117,7 @@ class Ideal:
             gens.append(g.normalized_integer())
         self.generators = tuple(gens)
         self._pieces = {}
+        self._gins = {}  # groebner.gin memo: argument tuple -> (gin, cert)
         self._monomial = None
         self._monomial_known = False
 

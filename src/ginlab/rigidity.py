@@ -541,22 +541,32 @@ def post_clinear_corollary(ideal_or_ctx, k, q, seed=0, i_max=None):
     )
 
 
-def _same_hilbert_function(ctx, J, dmax):
-    """Dimension agreement with I through dmax (gin(I) carries the HF of I).
+def _transfer_hypothesis(ctx, J, dmax):
+    """The first failing hypothesis of a transfer target, or None.
 
-    Transfer targets may be truncated past every comparison window, so the
-    check is windowed like everything else in the report.
+    The package is strong stability, the Hilbert function of I (which
+    gin(I) carries) and m_<=q domination by gin(I); a failure is
+    (details, witness).  Targets may be truncated past every comparison
+    window, so the Hilbert function is compared through dmax only.
     """
-    return all(J.dim(d) == ctx.gin_ideal.dim(d) for d in range(dmax + 1))
+    if not is_strongly_stable(J):
+        return "target ideal is not strongly stable", {"target": str(J)}
+    if any(J.dim(d) != ctx.gin_ideal.dim(d) for d in range(dmax + 1)):
+        return "target ideal has a different Hilbert function", {"target": str(J)}
+    for q in range(1, ctx.ring.n + 1):
+        for d in range(0, dmax + 1):
+            if m_leq(J, q, d) > m_leq(ctx.gin_ideal, q, d):
+                return "m_<=q domination hypothesis fails", {"q": q, "d": d}
+    return None
 
 
 def trans_check(ideal_or_ctx, target, i, k, seed=0, i_max=None):
     """Rigidity transfer to Lex(I) or a gin under another order.
 
     Verifies the hypothesis package (strong stability, equal Hilbert
-    function, m_<=q domination by gin(I)) and then the transfer of the
-    strand-k equality from homological degree i upward (polynomial ring)
-    or to every q >= 1 (exterior algebra).
+    function, m_<=q domination by gin(I)), once per target and context,
+    and then the transfer of the strand-k equality from homological degree
+    i upward (polynomial ring) or to every q >= 1 (exterior algebra).
     """
     if i <= 1:
         raise ValueError("the statement requires i > 1")
@@ -577,23 +587,14 @@ def trans_check(ideal_or_ctx, target, i, k, seed=0, i_max=None):
         "holds",
         window={"q_max": ctx.i_max, "d_max": dmax},
     )
-    if not is_strongly_stable(J):
+    failure = ctx._get(
+        ("transfer_hyp", target), lambda: _transfer_hypothesis(ctx, J, dmax)
+    )
+    if failure:
         report.verdict = "violated"
-        report.details = "target ideal is not strongly stable"
-        report.witness = {"target": str(J)}
+        report.details, witness = failure
+        report.witness = dict(witness)
         return report
-    if not _same_hilbert_function(ctx, J, dmax):
-        report.verdict = "violated"
-        report.details = "target ideal has a different Hilbert function"
-        report.witness = {"target": str(J)}
-        return report
-    for q in range(1, ctx.ring.n + 1):
-        for d in range(0, dmax + 1):
-            if m_leq(J, q, d) > m_leq(ctx.gin_ideal, q, d):
-                report.verdict = "violated"
-                report.details = "m_<=q domination hypothesis fails"
-                report.witness = {"q": q, "d": d}
-                return report
     report.hypothesis["domination"] = True
 
     bI = ctx.table

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ginlab import annihilators
 from ginlab.annihilators import (
     GenericSequence,
     HomologyWorkspace,
@@ -14,7 +15,11 @@ from ginlab.annihilators import (
     verify_homology_formula,
 )
 from ginlab.betti import cartan_betti, koszul_betti
-from ginlab.ideals import Ideal
+from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
+from ginlab.groebner import gin
+from ginlab.ideals import Ideal, degree_rows
+from ginlab.linalg import IntRank
+from ginlab.oracles import alpha_oracle
 from ginlab.parsing import parse_ideal
 from ginlab.rings import Element, exterior_ring, polynomial_ring
 
@@ -105,6 +110,96 @@ def test_direct_equals_from_gin_random():
             assert generic_annihilators_direct(I, seed=1).same_numbers(
                 annihilators_from_gin(I, seed=1)
             )
+
+
+def _reference_prefix_dims(ideal, seq, dmax):
+    """The unpruned prefix dimensions: every row of every degree."""
+    ring = ideal.ring
+    n = ring.n
+    dims = [[0] * (dmax + 1) for _ in range(n + 1)]
+    forms = [seq.form(p) for p in range(n)]
+    for d in range(dmax + 1):
+        monos = ring.monomials(d)
+        if not monos:
+            continue
+        index = {m: i for i, m in enumerate(monos)}
+        eng = IntRank()
+        for row in degree_rows(ring, ideal.generators, d, index):
+            eng.add(row)
+        dims[0][d] = eng.rank
+        for p in range(1, n + 1):
+            for row in degree_rows(ring, [forms[p - 1]], d, index):
+                eng.add(row)
+            dims[p][d] = eng.rank
+    return dims
+
+
+def _counting_intrank(monkeypatch):
+    """Count every row fed to IntRank.add from here on."""
+    rows = [0]
+    add = IntRank.add
+
+    def counted(self, row):
+        rows[0] += 1
+        return add(self, row)
+
+    monkeypatch.setattr(IntRank, "add", counted)
+    return rows
+
+
+class TestPrefixDims:
+    """The pruned prefix dimensions against the unpruned reference."""
+
+    def test_corpus_draws_match_reference(self, monkeypatch):
+        # every _two_seed draw and every dmax the direct route really uses
+        pruned = annihilators._prefix_dims
+        calls = []
+
+        def checked(ideal, seq, dmax):
+            dims = pruned(ideal, seq, dmax)
+            assert dims == _reference_prefix_dims(ideal, seq, dmax), (ideal, dmax)
+            calls.append(seq.seed)
+            return dims
+
+        monkeypatch.setattr(annihilators, "_prefix_dims", checked)
+        specs = ACCEPTANCE_SPECS + (
+            CorpusSpec(kind="ext", n=3, count=10, seed=601, max_degree=3),
+            CorpusSpec(kind="ext", n=4, count=10, seed=602, max_degree=4),
+        )
+        ideals = [ideal for spec in specs for ideal in generate(spec)]
+        assert len(ideals) == 120
+        for ideal in ideals:
+            before = len(calls)
+            generic_annihilators_direct(ideal, seed=0)
+            assert {"0:0:a", "0:0:b"} <= set(calls[before:])
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ring poly 3 QQ\nx1\n",  # fills at p = 2 of 3 in degree 1
+            "ring poly 3 QQ\nx1^2\nx2^2\nx3^2\n",  # I itself fills degree 4
+            "ring poly 2 QQ\nx1^2 + x2^2\n",
+            "ring ext 3 QQ\ne1\n",  # fills at p = 2 of 3 in degree 1 over E
+            "ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n",
+        ],
+    )
+    def test_hand_cases_match_reference(self, text, monkeypatch):
+        I = parse_ideal(text)
+        seq = GenericSequence.draw(I.ring, "0:0:a", 1000)
+        rows = _counting_intrank(monkeypatch)
+        dims = annihilators._prefix_dims(I, seq, 6)
+        pruned_rows = rows[0]
+        assert dims == _reference_prefix_dims(I, seq, 6)
+        assert pruned_rows < rows[0] - pruned_rows  # a stop cut rows
+
+    def test_rows_fed_on_the_two_variable_corpus(self, monkeypatch):
+        # pins both stops: without them the same oracle feeds 1,338 rows
+        ideals = generate(ACCEPTANCE_SPECS[0])
+        gins = [gin(ideal, seed=0)[0] for ideal in ideals]
+        rows = _counting_intrank(monkeypatch)
+        for ideal, J in zip(ideals, gins):
+            assert alpha_oracle(ideal, seed=0, gin_result=J).ok
+        assert rows[0] == 170
 
 
 class TestProfiles:

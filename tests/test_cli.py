@@ -289,6 +289,23 @@ class TestCorpus:
         )
         assert code == 0 and "all statements hold" in out
 
+    def test_out_of_range_spec_exit_1(self):
+        # --max-complexity 0 used to redraw forever; the others died in
+        # randrange with an unnamed error
+        for flags, message in (
+            (["--max-complexity", "0"], "max complexity must be at least 1"),
+            (["--max-degree", "0"], "max degree must be at least 1"),
+            (["--min-gens", "5", "--max-gens", "2"],
+             "min generators exceed max generators"),
+            (["--min-gens", "-1"], "min generators must be nonnegative"),
+            (["--count", "-1"], "count must be nonnegative"),
+        ):
+            cmd = [sys.executable, "-m", "ginlab.cli", "corpus", *flags]
+            run = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+            assert run.returncode == 1, (flags, run.stderr)
+            assert message in run.stderr
+            assert "Traceback" not in run.stderr
+
 
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):

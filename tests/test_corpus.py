@@ -1,4 +1,14 @@
-from ginlab.corpus import CorpusSpec, generate, ideal_digest, taylor_regularity_bound
+import hashlib
+
+import pytest
+
+from ginlab.corpus import (
+    ACCEPTANCE_SPECS,
+    CorpusSpec,
+    generate,
+    ideal_digest,
+    taylor_regularity_bound,
+)
 from ginlab.groebner import initial_ideal
 from ginlab.ideals import MonomialIdeal
 from ginlab.rings import polynomial_ring
@@ -48,3 +58,28 @@ def test_digest_stable():
     spec = CorpusSpec(kind="poly", n=2, count=1, seed=0)
     ideal = generate(spec)[0]
     assert ideal_digest(ideal) == ideal_digest(ideal)
+
+
+def test_acceptance_corpus_unchanged():
+    digests = [ideal_digest(i) for spec in ACCEPTANCE_SPECS for i in generate(spec)]
+    assert len(digests) == 100
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == (
+        "05bd9eac9ab4db1e23059dea2707aa271f8a579f05bacdf78357b20431cf8042"
+    )
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"max_degree": 0}, "max degree must be at least 1"),
+        ({"min_generators": -1}, "min generators must be nonnegative"),
+        ({"min_generators": 5, "max_generators": 2}, "min generators exceed"),
+        ({"max_complexity": 0}, "max complexity must be at least 1"),
+        ({"count": -1}, "count must be nonnegative"),
+        ({"weights": (1, -1, 1)}, "weights must be nonnegative"),
+        ({"weights": (0, 0, 0)}, "not all zero"),
+    ],
+)
+def test_out_of_range_spec_raises(fields, message):
+    with pytest.raises(ValueError, match=message):
+        CorpusSpec(**fields)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from ginlab import groebner
 from ginlab.groebner import (
     buchberger,
     gin,
@@ -10,8 +11,17 @@ from ginlab.groebner import (
     initial_ideal,
 )
 from ginlab.ideals import Ideal, is_strongly_stable
+from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
-from ginlab.rings import Element, exterior_ring, polynomial_ring, render_monomial
+from ginlab.rigidity import battery
+from ginlab.rings import (
+    DEGREVLEX,
+    LEX,
+    Element,
+    exterior_ring,
+    polynomial_ring,
+    render_monomial,
+)
 
 from conftest import CANCEL_GIN, STAIRCASE_GIN
 
@@ -170,6 +180,54 @@ class TestGin:
     def test_trials_validation(self, staircase3):
         with pytest.raises(ValueError):
             gin(staircase3, trials=1)
+
+
+class TestGinMemo:
+    # the fifth draw of the three-variable acceptance corpus: three dense
+    # quadrics, a cubic monomial and a linear form
+    DENSE = (
+        "ring poly 3 QQ\n3*x2^2 + x2*x3\nx2^2 + 3*x1*x3\n"
+        "x1^2 - 4*x1*x2 - 2*x2^2 - x1*x3 + x3^2\nx1*x2^2\nx3\n"
+    )
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        """(order, generator count) of every initial-ideal scan gin runs."""
+        calls = []
+        scan = groebner._initial_ideal_degreewise
+
+        def counted(ring, gens, order, stop, max_scan_degree=None):
+            calls.append((order, len(gens)))
+            return scan(ring, gens, order, stop, max_scan_degree)
+
+        monkeypatch.setattr(groebner, "_initial_ideal_degreewise", counted)
+        return calls
+
+    def test_battery_and_oracles_share_one_gin(self, scans):
+        I = parse_ideal(self.DENSE)
+        full = (DEGREVLEX, len(I.generators))
+        battery(I, seed=0)
+        _, cert = gin(I, seed=0)
+        assert scans.count(full) == cert.trials * (cert.escalations + 1) == 2
+        oracle_equivalences(I, seed=0)
+        assert scans.count(full) == 2
+
+    def test_other_arguments_or_ideal_recompute(self, scans):
+        I = parse_ideal(self.DENSE)
+        J, cert = gin(I, seed=0)
+        assert gin(I, seed=0) == (J, cert) and len(scans) == 2
+        for kwargs in ({"seed": 1}, {"order": LEX}, {"max_scan_degree": 3}):
+            before = len(scans)
+            gin(I, **kwargs)
+            assert len(scans) > before, kwargs
+        before = len(scans)
+        assert gin(Ideal(I.ring, I.generators), seed=0)[0] == J
+        assert len(scans) == before + 2
+
+    def test_errors_are_not_stored(self, staircase3):
+        with pytest.raises(ValueError):
+            gin(staircase3, trials=1)
+        assert not staircase3._gins
 
 
 class TestGinExterior:

@@ -1,7 +1,8 @@
 
 import pytest
 
-from ginlab.ideals import Ideal
+from ginlab import rigidity
+from ginlab.ideals import Ideal, MonomialIdeal
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import (
     RigidityContext,
@@ -225,6 +226,39 @@ class TestTransfer:
     def test_unknown_target(self, ctx_staircase):
         with pytest.raises(ValueError):
             trans_check(ctx_staircase, "weird", 2, 0)
+
+    @pytest.mark.parametrize(
+        "gens, details, witness",
+        [
+            ([(1, 0, 1)], "target ideal is not strongly stable",
+             {"target": "(x1*x3)"}),
+            ([(2, 0, 0), (1, 1, 0)],
+             "target ideal has a different Hilbert function",
+             {"target": "(x1^2, x1*x2)"}),
+            # (x1, x2)^2 has the Hilbert function of (x1^2, x1*x2, x1*x3,
+            # x2^3) but one more quadric in x1, x2
+            ([(2, 0, 0), (1, 1, 0), (0, 2, 0)],
+             "m_<=q domination hypothesis fails", {"q": 2, "d": 2}),
+        ],
+    )
+    def test_failed_hypothesis_reports(self, gens, details, witness, monkeypatch):
+        # a strongly stable ideal is its own gin
+        ctx = RigidityContext(
+            parse_ideal("ring poly 3 QQ\nx1^2\nx1*x2\nx1*x3\nx2^3\n"), seed=0
+        )
+        target = MonomialIdeal(ctx.ring, gens)
+        monkeypatch.setattr(
+            rigidity, "lex_segment_ideal", lambda ideal, cut: (target, None)
+        )
+        runs = sweep(ctx, "transfer", {"target": "lex"})
+        reports = [trans_check(ctx, **params) for params in runs]
+        assert len(reports) == 10
+        for r in reports:
+            assert r.verdict == "violated" and not r.hypothesis
+            assert (r.details, r.witness) == (details, witness)
+        assert len({id(r.witness) for r in reports}) == len(reports)
+        reports[0].witness["spoiled"] = True
+        assert trans_check(ctx, **runs[0]).witness == witness
 
 
 class TestDegreeD:
