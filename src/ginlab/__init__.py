@@ -24,6 +24,7 @@ from .rings import (
 from .ideals import (
     ComputationLimit,
     Ideal,
+    ImplementationFault,
     MonomialIdeal,
     component_ideal,
     graded_piece_basis,

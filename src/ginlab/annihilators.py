@@ -25,7 +25,7 @@ from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
 from .groebner import GenericityError, gin
 from .ideals import degree_rows
 from .linalg import IntRank
-from .rings import Element, escalation_bounds, random_invertible_matrix
+from .rings import escalation_bounds, linear_form, random_invertible_matrix
 
 
 @dataclass(frozen=True)
@@ -50,15 +50,7 @@ class GenericSequence:
         return self.rows[p]
 
     def form(self, p):
-        ring = self.ring
-        terms = {}
-        for t, c in enumerate(self.rows[p]):
-            if c:
-                key = (t,) if ring.is_exterior else tuple(
-                    1 if s == t else 0 for s in range(ring.n)
-                )
-                terms[key] = c
-        return Element(ring, terms)
+        return linear_form(self.ring, self.rows[p])
 
 
 @dataclass

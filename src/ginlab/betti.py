@@ -17,12 +17,11 @@ is computed and required to vanish identically.
 
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
-from math import comb
 
 from .groebner import gin
-from .ideals import MonomialIdeal, is_strongly_stable, m_leq
+from .ideals import ImplementationFault, MonomialIdeal, is_strongly_stable, m_leq
 from .linalg import IntRank
-from .rings import max_variable, monomial_degree, wedge_supports
+from .rings import binom, max_variable, monomial_degree, wedge_supports
 
 IDEAL = "ideal"
 QUOTIENT = "quotient"
@@ -32,14 +31,8 @@ class NotStronglyStableError(Exception):
     pass
 
 
-class WindowError(Exception):
+class WindowError(ImplementationFault):
     """The self-certifying degree bound failed; indicates a bug."""
-
-
-def binom(a, b):
-    if b < 0 or a < 0 or b > a:
-        return 0
-    return comb(a, b)
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage or parse error, 2 computation failure
 (genericity not reached or degree cap hit), 3 theorem-check or oracle
-violation.  All randomness flows from --seed (default: the GINLAB_SEED
-environment variable, else 0), so identical invocations are byte-identical.
+violation, or an implementation fault (a proved invariant failed).  All
+randomness flows from --seed (default: the GINLAB_SEED environment
+variable, else 0), so identical invocations are byte-identical.
 """
 
 import argparse
@@ -15,7 +16,7 @@ from .annihilators import annihilators_from_gin, generic_annihilators_direct
 from .betti import IDEAL, QUOTIENT, betti_table
 from .corpus import CorpusSpec, generate, ideal_digest
 from .groebner import GenericityError, gin
-from .ideals import ComputationLimit, lex_ideal
+from .ideals import ComputationLimit, ImplementationFault, lex_ideal
 from .oracles import oracle_equivalences
 from .parsing import ParseError, parse_ideal
 from .rigidity import (
@@ -361,6 +362,9 @@ def main(argv=None):
         return EXIT_COMPUTE
     except TheoremViolationError as exc:
         print(f"statement violated: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except ImplementationFault as exc:
+        print(f"implementation fault: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
 

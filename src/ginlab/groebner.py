@@ -2,11 +2,12 @@
 
 Polynomial initial ideals come from a reduced Groebner basis (Buchberger,
 normal selection, criteria 1 and 2).  Exterior initial ideals and the
-per-trial initial ideals inside gin are computed degree by degree as the
-pivot monomials of the echelonized graded pieces; for the polynomial ring
-the scan stops once the candidate monomial ideal provably has the Hilbert
-series of the input, which certifies completeness without Groebner theory
-in generic coordinates.  Both routes compute the same object (tested).
+per-trial initial ideals inside gin run the one degree scan of ideals.py,
+degree_scan, on the pivot monomials of the echelonized graded pieces; for
+the polynomial ring the scan stops once the candidate monomial ideal
+provably has the Hilbert series of the input, or by crystallization,
+which certifies completeness without Groebner theory in generic
+coordinates.  Both routes compute the same object (tested).
 
 gin draws integer change-of-coordinate matrices with entries in [-B, B],
 requires all trials to agree, and insists the result is strongly stable;
@@ -18,10 +19,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import (
-    ComputationLimit,
     Ideal,
     MonomialIdeal,
+    check_scan_reach,
     degree_rows,
+    degree_scan,
     hilbert_numerator,
     is_strongly_stable,
     minimal_generators,
@@ -197,25 +199,19 @@ def initial_ideal(ideal, order=None):
     if mono is not None:
         return mono
     if ring.is_exterior:
-        key = order_key(ring, order)
-        found = []
-        for d in range(1, ring.n + 1):
-            found += _degree_pivot_monomials(ring, ideal.generators, d, key)
-        return minimal_generators(ring, found)
+        return _initial_ideal_degreewise(ring, ideal.generators, order, None)[0]
     gb = buchberger(ideal, order)
     return minimal_generators(
         ring, [g.leading_monomial(order) for g in gb.elements]
     )
 
 
-_SCAN_CAP = 64
-
-
 def _initial_ideal_degreewise(ring, gens, order, stop, max_scan_degree=None):
-    """in of the span of gens, scanning degrees with a certified stop.
+    """in of the span of gens by degree_scan; (ideal, truncated_at) pair.
 
     Every monomial found is a true leading monomial, so the accumulating
-    candidate ideal sits inside the initial ideal.  Two stopping rules:
+    candidate ideal sits inside the initial ideal.  Over E the scan runs
+    to degree n and stop is None; over S there are two stopping rules:
 
     - ("hilbert", numerator): stop once the candidate has the Hilbert
       series of the input; equality of Hilbert series plus containment
@@ -227,37 +223,26 @@ def _initial_ideal_degreewise(ring, gens, order, stop, max_scan_degree=None):
       covered by the trial-agreement and Borel certificates of gin).
     """
     key = order_key(ring, order)
-    if ring.is_exterior:
-        found = []
-        for d in range(1, ring.n + 1):
-            found += _degree_pivot_monomials(ring, gens, d, key)
-        return minimal_generators(ring, found), None
-    mode, data = stop
-    mindeg = min(g.degree() for g in gens)
-    grown = set()
-    found = []
-    for d in range(mindeg, _SCAN_CAP + 1):
-        if max_scan_degree is not None and d > max_scan_degree:
-            return minimal_generators(ring, found), d - 1
-        pivots = _degree_pivot_monomials(ring, gens, d, key)
-        if not grown <= pivots:
-            raise AssertionError("initial ideal lost monomials between degrees")
-        new = pivots - grown
-        found += sorted(new, key=key, reverse=True)
+    done = None
+    if stop is not None:
+        mode, data = stop
         if mode == "crystallization":
-            if d > data and not new:
-                return minimal_generators(ring, found), None
+
+            def done(d, new, found):
+                return d > data and not new
+
         else:
-            candidate = minimal_generators(ring, found)
-            if hilbert_numerator(candidate) == data:
-                return candidate, None
-        grown = set()
-        for m in pivots:
-            for i in range(ring.n):
-                up = list(m)
-                up[i] += 1
-                grown.add(tuple(up))
-    raise ComputationLimit("initial ideal scan exceeded the degree cap")
+
+            def done(d, new, found):
+                return hilbert_numerator(minimal_generators(ring, found)) == data
+
+    return degree_scan(
+        ring,
+        lambda d: _degree_pivot_monomials(ring, gens, d, key),
+        done,
+        min(g.degree() for g in gens),
+        max_scan_degree,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +325,9 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, route, max_scan_degr
     if route == "degreewise" and not ring.is_exterior:
         if order == DEGREVLEX:
             stop = ("crystallization", ideal.max_degree())
+            # the stop needs a degree above max_degree(): refuse a scan
+            # that cannot get there before any coordinate change
+            check_scan_reach(ideal.max_degree() + 1, max_scan_degree)
         else:
             stop = ("hilbert", hilbert_numerator(initial_ideal(ideal)))
 

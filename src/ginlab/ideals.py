@@ -6,9 +6,16 @@ descending) and cached.  Pivot monomials give the degree-d part of the
 initial ideal, non-pivot monomials are a basis of (R/I)_d, and reduced
 tails give normal forms, so no Groebner machinery is needed for quotient
 arithmetic.
+
+Every monomial ideal built degree by degree (exterior initial ideals, the
+per-trial initial ideals inside gin, lexsegment ideals) comes from one
+scan, degree_scan: it checks the ideal property between degrees, stops at
+degree n over E or on the caller's certified stop over S, honours a
+truncation degree, and raises ComputationLimit past the one SCAN_CAP.
 """
 
 from dataclasses import dataclass
+from itertools import count
 from math import comb
 
 from .linalg import Rref
@@ -24,12 +31,16 @@ from .rings import (
 )
 
 
-class LexIdealError(Exception):
-    """Lexsegment spans failed the ideal property; indicates a bug."""
+class ImplementationFault(Exception):
+    """A computed object broke a proved invariant; indicates a bug."""
 
 
 class ComputationLimit(Exception):
     """A degree scan ran past its cap before it could certify a result."""
+
+
+# the one degree cap of degree_scan; proved bounds are still open
+SCAN_CAP = 64
 
 
 def degree_rows(ring, gens, d, index):
@@ -438,96 +449,110 @@ def quotient_dim_from_numerator(num, n, d):
 
 
 # ---------------------------------------------------------------------------
-# lexsegment ideals
+# the degree scan
 
 
-def _lex_span_grow(ring, span, d):
-    """All degree-(d+1) multiples of a degree-d monomial set."""
+def variable_multiples(ring, monomials):
+    """All nonzero products of the given monomials with one variable."""
     out = set()
-    if ring.is_exterior:
-        for m in span:
-            for i in range(ring.n):
+    for m in monomials:
+        for i in range(ring.n):
+            if ring.is_exterior:
                 if i not in m:
                     out.add(tuple(sorted(m + (i,))))
-    else:
-        for m in span:
-            for i in range(ring.n):
-                grown = list(m)
-                grown[i] += 1
-                out.add(tuple(grown))
+            else:
+                up = list(m)
+                up[i] += 1
+                out.add(tuple(up))
     return out
 
 
-def _lex_construct(ideal, up_to=None, cap=64):
-    """Shared lexsegment construction; returns (MonomialIdeal, complete).
+def check_scan_reach(degree, up_to=None):
+    """Raise the scan's ComputationLimit unless degree_scan can reach degree.
 
-    Degree by degree: the lex-first dim I_d monomials, with the ideal
-    property verified.  Completeness over the polynomial ring is certified
-    by Hilbert-series equality of the candidate with the input (candidate
-    is contained in Lex(I), so equal series forces equality everywhere).
-    When up_to is given, construction stops there; generators through that
-    degree are exactly the generators of Lex(I) of degree <= up_to.
+    A scan truncated at up_to <= SCAN_CAP never fails, so only a scan that
+    must see a degree above the cap is refused.
+    """
+    if degree > SCAN_CAP and (up_to is None or up_to > SCAN_CAP):
+        raise ComputationLimit(f"degree scan passed the degree cap {SCAN_CAP}")
+
+
+def degree_scan(ring, piece, done, start, up_to=None):
+    """The monomial ideal whose degree-d monomials are piece(d); (ideal, cut).
+
+    From degree start upward, piece(d) must contain the one-variable
+    multiples of piece(d - 1); what is left are the minimal generators of
+    degree d.  The scan ends at degree n over E, and over S once
+    done(d, new, found) holds, where new holds the generators of degree d
+    and found every generator so far; cut is then None.  Past up_to the
+    scan stops with cut = d - 1: the result then holds exactly the
+    generators of degree <= cut.
+    """
+    below, found = set(), set()
+    for d in count(start):
+        if up_to is not None and d > up_to:
+            return minimal_generators(ring, found), d - 1
+        check_scan_reach(d, up_to)
+        span = piece(d)
+        grown = variable_multiples(ring, below)
+        if not grown <= span:
+            raise ImplementationFault(
+                f"degree {d} of a scanned ideal misses multiples of degree {d - 1}"
+            )
+        new = span - grown
+        found |= new
+        if (d >= ring.n) if ring.is_exterior else done(d, new, found):
+            return minimal_generators(ring, found), None
+        below = span
+
+
+# ---------------------------------------------------------------------------
+# lexsegment ideals
+
+
+def lex_ideal(ideal):
+    """Lex(I): the lexsegment ideal with the Hilbert function of I."""
+    result, complete = lex_segment_ideal(ideal, None)
+    if not complete:
+        raise ImplementationFault("the lexsegment scan stopped short of Lex(I)")
+    return result
+
+
+def lex_segment_ideal(ideal, up_to):
+    """The generators of Lex(I) of degree <= up_to; (ideal, complete) pair.
+
+    The degree-d piece is the lex-first dim I_d monomials.  Over the
+    polynomial ring the scan stops once the candidate, which lies inside
+    Lex(I), has the Hilbert series of I; equal series then force equality
+    in every degree.  up_to=None scans to the end.
     """
     ring = ideal.ring
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
     lexkey = order_key(ring, "lex")
+    dim, done = ideal.dim_piece, None
+    if not ring.is_exterior:
+        from .groebner import initial_ideal
 
-    if ring.is_exterior:
-        top = ring.n if up_to is None else min(up_to, ring.n)
-        span = set()
-        gens = []
-        for d in range(1, top + 1):
-            grown = _lex_span_grow(ring, span, d - 1) if span else set()
-            monos = sorted(ring.monomials(d), key=lexkey, reverse=True)
-            new_span = set(monos[: ideal.dim_piece(d)])
-            if not grown <= new_span:
-                raise LexIdealError(
-                    f"lex span in degree {d} is not an ideal piece"
-                )
-            gens += sorted(new_span - grown, key=lexkey, reverse=True)
-            span = new_span
-        return minimal_generators(ring, gens), top >= ring.n
+        init = initial_ideal(ideal)
+        num = hilbert_numerator(init)
+        top = init.max_gen_degree()
+        check_scan_reach(top, up_to)
 
-    from .groebner import initial_ideal
+        def dim(d):
+            return ring.dim(d) - quotient_dim_from_numerator(num, ring.n, d)
 
-    init = initial_ideal(ideal)
-    num = hilbert_numerator(init)
-    n = ring.n
+        def done(d, new, found):
+            # Lex(I) has a generator in every degree in(I) has one
+            # (Bigatti-Hulett-Pardue), so the guard only skips numerators
+            # that cannot match
+            return d >= top and hilbert_numerator(
+                minimal_generators(ring, found)
+            ) == num
 
-    def ideal_dim(d):
-        return ring.dim(d) - quotient_dim_from_numerator(num, n, d)
-
-    span = set()
-    gens = []
-    d = 0
-    while True:
-        d += 1
-        if up_to is not None and d > up_to:
-            return minimal_generators(ring, gens), False
-        if d > cap:
-            raise ComputationLimit(
-                "lexsegment construction exceeded the degree cap"
-            )
-        grown = _lex_span_grow(ring, span, d - 1) if span else set()
+    def piece(d):
         monos = sorted(ring.monomials(d), key=lexkey, reverse=True)
-        new_span = set(monos[: ideal_dim(d)])
-        if not grown <= new_span:
-            raise LexIdealError(f"lex span in degree {d} is not an ideal piece")
-        gens += sorted(new_span - grown, key=lexkey, reverse=True)
-        span = new_span
-        candidate = minimal_generators(ring, gens)
-        if d >= init.max_gen_degree() and hilbert_numerator(candidate) == num:
-            return candidate, True
+        return set(monos[: dim(d)])
 
-
-def lex_ideal(ideal):
-    """Lex(I): the lexsegment ideal with the Hilbert function of I."""
-    result, complete = _lex_construct(ideal)
-    assert complete
-    return result
-
-
-def lex_segment_ideal(ideal, up_to):
-    """The generators of Lex(I) of degree <= up_to; (ideal, complete) pair."""
-    return _lex_construct(ideal, up_to=up_to)
+    J, cut = degree_scan(ring, piece, done, ideal.min_degree() or 1, up_to)
+    return J, cut is None

@@ -34,7 +34,6 @@ def _tokenize(text, lineno):
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m or m.end() == pos and text[pos:].strip():
-            bad = len(text[:pos].rstrip()) + 1
             raise ParseError(
                 f"unexpected character {text[pos:].strip()[:1]!r}",
                 lineno,
@@ -159,10 +158,11 @@ class _TermParser:
             raise ParseError(
                 "exterior variables square to zero", self.lineno, col
             )
-        out = Element.monomial(ring, ring.unit_monomial())
-        for _ in range(exp):
-            out = out * ring.variable(idx - 1)
-        return out
+        if ring.is_exterior:
+            return ring.variable(idx - 1)
+        exps = [0] * ring.n
+        exps[idx - 1] = exp
+        return Element.monomial(ring, tuple(exps))
 
 
 def parse_ideal(text):

@@ -10,6 +10,9 @@ operations are pure functions.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import comb
+
+from .linalg import scale_to_int
 
 POLY = "poly"
 EXT = "ext"
@@ -78,8 +81,8 @@ class Ring:
         if d < 0:
             return 0
         if self.is_exterior:
-            return _binom(self.n, d)
-        return _binom(d + self.n - 1, self.n - 1)
+            return binom(self.n, d)
+        return binom(d + self.n - 1, self.n - 1)
 
 
 def polynomial_ring(n, order=DEGREVLEX):
@@ -90,12 +93,11 @@ def exterior_ring(n, order=DEGREVLEX):
     return Ring(EXT, n, order)
 
 
-def _binom(a, b):
+def binom(a, b):
+    """a choose b, and 0 outside 0 <= b <= a."""
     if b < 0 or a < 0 or b > a:
         return 0
-    import math
-
-    return math.comb(a, b)
+    return comb(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +318,7 @@ class Element:
 
     def normalized_integer(self):
         """Scale by a positive rational so coefficients are coprime integers."""
-        if not self.terms:
-            return self
-        from math import gcd
-
-        coeffs = [Fraction(c) for c in self.terms.values()]
-        den = 1
-        for c in coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        nums = [int(c * den) for c in coeffs]
-        g = 0
-        for v in nums:
-            g = gcd(g, v)
-        out = {m: int(Fraction(c) * den) // g for m, c in self.terms.items()}
-        return Element(self.ring, out)
+        return Element(self.ring, scale_to_int(self.terms))
 
     def __str__(self):
         return render_element(self)
@@ -415,6 +404,14 @@ def escalation_bounds(bound):
     return [(escalation, bound << escalation) for escalation in range(5)]
 
 
+def linear_form(ring, coeffs):
+    """The linear form sum_j coeffs[j] * (variable j)."""
+    out = Element.zero(ring)
+    for j, c in enumerate(coeffs):
+        out = out + ring.variable(j).scale(c)
+    return out
+
+
 def apply_linear_change(f, g):
     """Substitute variable i by sum_j g[j][i] * (variable j) in f.
 
@@ -427,16 +424,7 @@ def apply_linear_change(f, g):
         raise ValueError("matrix size does not match the ring")
     if matrix_det(g) == 0:
         raise ValueError("singular change of coordinates")
-    images = []
-    for i in range(n):
-        terms = {}
-        for j in range(n):
-            if g[j][i]:
-                key = (j,) if ring.is_exterior else tuple(
-                    1 if t == j else 0 for t in range(n)
-                )
-                terms[key] = g[j][i]
-        images.append(Element(ring, terms))
+    images = [linear_form(ring, [row[i] for row in g]) for i in range(n)]
     out = Element.zero(ring)
     one = Element.monomial(ring, ring.unit_monomial())
     pow_cache = {}

@@ -5,7 +5,9 @@ from importlib import resources
 
 import jsonschema
 
+from ginlab import betti, groebner
 from ginlab.cli import main
+from ginlab.ideals import MonomialIdeal
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import BATTERY, STATEMENTS, RigidityContext, battery
 
@@ -240,6 +242,40 @@ class TestErrors:
             assert run.returncode == 2, (command, run.stderr)
             assert run.stderr.startswith("computation failed:")
             assert "Traceback" not in run.stderr
+        # refused before the coordinate change, which alone takes seconds
+        path = write(tmp_path, "ring poly 2 QQ\nx1^2000\n", "high.txt")
+        for command in ("gin", "betti"):
+            cmd = [sys.executable, "-m", "ginlab.cli", command, path]
+            run = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=10
+            )
+            assert run.returncode == 2, (command, run.stderr)
+            assert run.stderr.startswith("computation failed:")
+            assert "Traceback" not in run.stderr
+
+    def test_lost_multiple_exit_3(self, tmp_path, capsys, monkeypatch):
+        pivots = groebner._degree_pivot_monomials
+
+        def dropping(ring, gens, d, key):
+            return {m for m in pivots(ring, gens, d, key) if m[0] < 3}
+
+        monkeypatch.setattr(groebner, "_degree_pivot_monomials", dropping)
+        path = write(tmp_path, STAIRCASE_3)
+        code, out, err = run_main(capsys, "gin", path)
+        assert code == 3 and not out
+        assert err.startswith("implementation fault: degree 3")
+
+    def test_window_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a gin one degree short of x1^2 leaves the staircase's quadrics
+        # on the certification strand
+        def short_gin(ideal, seed=0):
+            return MonomialIdeal(ideal.ring, [(1, 0, 0)]), None
+
+        monkeypatch.setattr(betti, "gin", short_gin)
+        path = write(tmp_path, STAIRCASE_3)
+        code, out, err = run_main(capsys, "betti", path)
+        assert code == 3 and not out
+        assert err.startswith("implementation fault: certification strand 1")
 
     def test_nonpositive_coeff_bound_exit_1(self, tmp_path):
         path = write(tmp_path, STAIRCASE_3)

@@ -1,9 +1,17 @@
+import hashlib
 from itertools import combinations_with_replacement
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginlab import groebner
+from ginlab.corpus import ACCEPTANCE_SPECS, generate
+from ginlab.groebner import gin, initial_ideal
 from ginlab.ideals import (
+    SCAN_CAP,
+    ComputationLimit,
     Ideal,
+    ImplementationFault,
     MonomialIdeal,
     component_ideal,
     graded_piece_basis,
@@ -17,7 +25,15 @@ from ginlab.ideals import (
     quotient_dim_from_numerator,
 )
 from ginlab.parsing import parse_ideal
-from ginlab.rings import Element, exterior_ring, polynomial_ring
+from ginlab.rigidity import RigidityContext
+from ginlab.rings import (
+    DEGLEX,
+    DEGREVLEX,
+    LEX,
+    Element,
+    exterior_ring,
+    polynomial_ring,
+)
 
 from conftest import CANCEL_GIN, STAIRCASE_3
 
@@ -217,6 +233,74 @@ class TestLex:
         assert not complete
         want = tuple(m for m in L.gens if sum(m) <= 4)
         assert trunc.gens == want
+
+
+class TestDegreeScan:
+    """The one degree scan behind in, gin and Lex."""
+
+    def scan_lines(self):
+        for spec in ACCEPTANCE_SPECS:
+            for ideal in generate(spec):
+                cut = RigidityContext(ideal, seed=0).scan_cut
+                row = [initial_ideal(ideal), lex_ideal(ideal)]
+                row += [lex_segment_ideal(ideal, up_to) for up_to in (cut, 2)]
+                for order in (DEGREVLEX, LEX, DEGLEX):
+                    J, cert = gin(ideal, order=order, max_scan_degree=cut)
+                    row.append((J, cert.truncated_at, cert.escalations))
+                J, cert = gin(ideal)
+                row.append((J, cert.truncated_at, cert.escalations))
+                yield repr(row)
+
+    def test_acceptance_outputs_unchanged(self):
+        # in, Lex, truncated Lex and truncated and full gins of the 100
+        # acceptance ideals, as computed before the scans were merged
+        text = "\n".join(self.scan_lines())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fc6d96b8def145c2ae8b1d446b5be4957b495137958c8466ecb2581df0ca8625"
+        )
+
+    def test_exterior_truncation(self):
+        I = parse_ideal("ring ext 4 QQ\ne1*e2+e3*e4\ne1*e3*e4\n")
+        full, cert = gin(I)
+        assert repr(full) == "(e1*e2, e1*e3*e4, e2*e3*e4)"
+        assert cert.truncated_at is None
+        for cut, want in ((1, "(0)"), (2, "(e1*e2)"), (3, repr(full))):
+            J, cert = gin(I, max_scan_degree=cut)
+            assert (repr(J), cert.truncated_at) == (want, cut)
+        assert gin(I, max_scan_degree=4)[1].truncated_at is None
+
+    def test_cap_refused_before_any_coordinate_change(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("matrix drawn for a scan past the cap")
+
+        monkeypatch.setattr(groebner, "random_invertible_matrix", no_draw)
+        I = parse_ideal(f"ring poly 2 QQ\nx1^{SCAN_CAP}\n")
+        with pytest.raises(ComputationLimit):
+            gin(I)
+        with pytest.raises(ComputationLimit):
+            gin(I, max_scan_degree=SCAN_CAP + 1)
+        # Lex stops at the top generator degree of in(I), which may be the cap
+        assert lex_ideal(I) == I.monomial_image()
+        above = parse_ideal(f"ring poly 2 QQ\nx1^{SCAN_CAP + 1}\n")
+        with pytest.raises(ComputationLimit):
+            lex_ideal(above)
+
+    def test_truncation_at_the_cap_never_fails(self):
+        I = parse_ideal(f"ring poly 2 QQ\nx1^{SCAN_CAP + 6}\n")
+        J, cert = gin(I, max_scan_degree=SCAN_CAP)
+        assert J.is_zero() and cert.truncated_at == SCAN_CAP + 5
+        L, complete = lex_segment_ideal(I, SCAN_CAP)
+        assert L.is_zero() and not complete
+
+    def test_lost_multiple_is_a_fault(self, monkeypatch, staircase3):
+        pivots = groebner._degree_pivot_monomials
+
+        def dropping(ring, gens, d, key):
+            return {m for m in pivots(ring, gens, d, key) if m[0] < 3}
+
+        monkeypatch.setattr(groebner, "_degree_pivot_monomials", dropping)
+        with pytest.raises(ImplementationFault, match="misses multiples"):
+            gin(staircase3)
 
 
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=4))

@@ -17,6 +17,14 @@ def test_coefficients_and_signs():
     assert g.terms == {(2, 0): 6, (1, 1): -1, (0, 2): 2}
 
 
+def test_powers():
+    I = parse_ideal("ring poly 2 QQ\nx1^200000\nx2^0*x1^3*x2^2*x1\n")
+    assert I.generators[0].terms == {(200000, 0): 1}
+    assert I.generators[1].terms == {(4, 2): 1}
+    I = parse_ideal("ring ext 3 QQ\ne3^1*e1^0*e2\n")
+    assert I.generators[0].terms == {(1, 2): -1}
+
+
 def test_exterior():
     I = parse_ideal("ring ext 4 QQ\ne1*e2\ne2*e3 - e1*e4\n")
     assert I.ring.is_exterior
