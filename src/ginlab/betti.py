@@ -13,22 +13,50 @@ independent so they can act as oracles for each other.
 Polynomial tables carry a self-certifying window: strands run up to the
 top generator degree r of the generic initial ideal, and the strand at r
 is computed and required to vanish identically.
+
+Before the Koszul complex is built, the trailing variables that form a
+regular sequence on S/I are cut away.  If x_n is regular on S/I, then
+beta^S(S/I) = beta^{S/x_n}(S/(I + x_n)) (Bruns-Herzog, Cohen-Macaulay
+Rings, 1.1); x_n is regular on S/I exactly when it is regular on
+S/in_revlex(I), and then in_revlex(I + x_n) = in_revlex(I) + (x_n)
+(Bayer-Stillman 1987; Eisenbud, Commutative Algebra, Prop. 15.12).  So
+the trailing variables dividing no minimal generator of in_revlex(I) can
+be set to zero.  E has no regular elements, so exterior tables keep all
+n variables.
 """
 
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
-from .groebner import gin
-from .ideals import ImplementationFault, MonomialIdeal, is_strongly_stable, m_leq
+from .groebner import gin, initial_ideal
+from .ideals import (
+    Ideal,
+    ImplementationFault,
+    MonomialIdeal,
+    is_strongly_stable,
+    m_leq,
+)
 from .linalg import IntRank
-from .rings import binom, max_variable, monomial_degree, wedge_supports
+from .rings import (
+    DEGREVLEX,
+    POLY,
+    Element,
+    Ring,
+    binom,
+    max_variable,
+    monomial_degree,
+    wedge_supports,
+)
 
 IDEAL = "ideal"
 QUOTIENT = "quotient"
 
 
-class NotStronglyStableError(Exception):
-    pass
+class NotStronglyStableError(ImplementationFault):
+    """A closed form got an ideal that is not strongly stable; indicates a bug.
+
+    Every caller passes a certified gin or a lexsegment ideal.
+    """
 
 
 class WindowError(ImplementationFault):
@@ -416,24 +444,55 @@ def _homology_table(ideal, i_max, k_max, name, cert_strand=None):
     return entries
 
 
+def _regular_section(ideal):
+    """I modulo its trailing regular variables, in K[x_1..x_m]; m >= 1.
+
+    x_m is dropped while it divides no minimal generator of in_revlex(I)
+    in the given coordinates, whatever the ring's order; the dropped
+    variables are set to zero in the generators.  The ideal itself comes
+    back when nothing is dropped.
+    """
+    ring = ideal.ring
+    init = initial_ideal(ideal, DEGREVLEX)
+    m = ring.n
+    while m > 1 and not any(u[m - 1] for u in init.gens):
+        m -= 1
+    if m == ring.n:
+        return ideal
+    small = Ring(POLY, m, ring.order)
+    gens = []
+    for g in ideal.generators:
+        terms = {u[:m]: c for u, c in g.terms.items() if not any(u[m:])}
+        if terms:
+            gens.append(Element(small, terms))
+    return Ideal(small, gens)
+
+
 def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):
     """Betti table of R/I from Koszul homology on the coordinate forms.
 
+    The homology runs on _regular_section(I), which has the same table:
+    a regular linear form leaves beta unchanged (Bruns-Herzog 1.1), and
+    in_revlex detects the trailing ones (Bayer-Stillman; Eisenbud 15.12).
     The strand window [0, r] comes from the top generator degree r of
-    gin(I); the strand at r itself must vanish, which certifies that the
-    table is complete.
+    gin(I), read off the gin of the section when reg_bound is not given:
+    reg survives a regular linear section, and in characteristic 0 it is
+    the top generator degree of gin_revlex.  The strand at r itself must
+    vanish, which certifies that the table is complete.
     """
     ring = ideal.ring
     if ring.is_exterior:
         raise ValueError("use cartan_betti over the exterior algebra")
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
-    n = ring.n
+    section = _regular_section(ideal)
     if reg_bound is None:
-        reg_bound = gin(ideal, seed=seed)[0].max_gen_degree()
-    entries = _homology_table(ideal, n, reg_bound, "Koszul", reg_bound)
+        reg_bound = gin(section, seed=seed)[0].max_gen_degree()
+    entries = _homology_table(
+        section, section.ring.n, reg_bound, "Koszul", reg_bound
+    )
     table = BettiTable(
-        ring, QUOTIENT, entries, {"strand_max": reg_bound - 1, "i_max": n}
+        ring, QUOTIENT, entries, {"strand_max": reg_bound - 1, "i_max": ring.n}
     )
     return table.as_convention(convention)
 

@@ -329,6 +329,13 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, route, max_scan_degr
             # that cannot get there before any coordinate change
             check_scan_reach(ideal.max_degree() + 1, max_scan_degree)
         else:
+            # a Groebner basis generates I, so every initial ideal has a
+            # generator of degree >= the top degree of a minimal generating
+            # set; refuse a scan that cannot get there before any
+            # coordinate change
+            mono = ideal.monomial_image()
+            if mono is not None:
+                check_scan_reach(mono.max_gen_degree(), max_scan_degree)
             stop = ("hilbert", hilbert_numerator(initial_ideal(ideal)))
 
     failures = []

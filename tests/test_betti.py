@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -7,6 +8,8 @@ from ginlab.betti import (
     IDEAL,
     QUOTIENT,
     NotStronglyStableError,
+    _homology_table,
+    _regular_section,
     ahh_betti,
     betti_table,
     bigatti_betti,
@@ -17,7 +20,7 @@ from ginlab.betti import (
     koszul_betti,
     regularity,
 )
-from ginlab.corpus import CorpusSpec, generate
+from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin, gin_exterior
 from ginlab.ideals import Ideal, MonomialIdeal, is_strongly_stable
 from ginlab.parsing import parse_ideal
@@ -90,8 +93,13 @@ class TestKoszul:
         }
 
     def test_zero_ideal(self):
+        # every variable is regular, but the section keeps one of them
         I = Ideal.zero(polynomial_ring(3))
-        assert koszul_betti(I).entries == {(0, 0): 1}
+        section = _regular_section(I)
+        assert section.ring == polynomial_ring(1) and section.is_zero()
+        T = koszul_betti(I)
+        assert T.entries == {(0, 0): 1}
+        assert T.window == {"strand_max": -1, "i_max": 3}
 
     def test_euler_characteristic(self, staircase3):
         # alternating sums of Betti numbers match those of the chain spaces
@@ -108,6 +116,82 @@ class TestKoszul:
             )
             hom = sum((-1) ** i * T.get(i, j) for i in range(0, n + 1))
             assert chain == hom
+
+
+def full_koszul(ideal, r):
+    """The table of R/I from the Koszul complex on all n variables."""
+    return _homology_table(ideal, ideal.ring.n, r, "Koszul", r)
+
+
+class TestDepthReduction:
+    """koszul_betti on the regular section against the full Koszul complex."""
+
+    def test_full_koszul_oracle(self, staircase3, cancel4, strand4):
+        inputs = [
+            I for spec in ACCEPTANCE_SPECS if spec.kind == POLY
+            for I in generate(spec)
+        ]
+        assert len(inputs) == 64
+        shrunk = Counter()
+        for label, ideal in (
+            [("input", I) for I in inputs]
+            + [("ref", I) for I in (staircase3, cancel4, strand4)]
+        ):
+            J = gin(ideal)[0]
+            r = J.max_gen_degree()
+            for tag, X in ((label, ideal), (label + "-gin", J.to_ideal())):
+                section = _regular_section(X)
+                n, m = X.ring.n, section.ring.n
+                assert gin(section)[0].max_gen_degree() == r, (tag, X)
+                if m < n:
+                    shrunk[tag] += 1
+                table = koszul_betti(X)
+                assert table.ring == X.ring
+                assert table.window == {"strand_max": r - 1, "i_max": n}
+                assert table.entries == full_koszul(X, r), (tag, X)
+        # pinned: a lost reduction or a widened one both move these
+        assert shrunk == {"input": 22, "input-gin": 42, "ref-gin": 2}
+
+    def test_redundant_generator_vanishes(self):
+        I = parse_ideal("ring poly 3 QQ\nx1^2\nx1^2*x3\n")
+        section = _regular_section(I)
+        assert section.ring == polynomial_ring(1)
+        assert section.generators == (Element(section.ring, {(2,): 1}),)
+        assert koszul_betti(I).entries == full_koszul(I, 2) == {
+            (0, 0): 1, (1, 2): 1,
+        }
+
+    def test_lex_ring_reduces_by_revlex(self):
+        # in_lex = (x1*x3) would keep x3; in_revlex = (x2^2) drops it
+        I = parse_ideal("ring poly 3 QQ lex\nx1*x3 + x2^2\n")
+        section = _regular_section(I)
+        assert section.ring == polynomial_ring(2, "lex")
+        T = koszul_betti(I)
+        assert T.ring == I.ring and T.window["i_max"] == 3
+        assert T.entries == full_koszul(I, 2) == {(0, 0): 1, (1, 2): 1}
+
+    def test_free_variable_not_trailing_is_kept(self):
+        # x2 is free but x3 divides a generator, so nothing is dropped
+        I = parse_ideal("ring poly 3 QQ\nx1^2\nx3^2\n")
+        assert _regular_section(I) is I
+        assert koszul_betti(I).entries == {
+            (0, 0): 1, (1, 2): 2, (2, 4): 1,
+        }
+
+    def test_dense_quadrics_drop_two_variables(self):
+        # q5 of the generic benchmark workload (perfbench/workloads.py):
+        # three dense quadrics in five variables, a complete intersection
+        # of depth 2 whose table is the Koszul complex on the quadrics
+        ring = polynomial_ring(5)
+        rng = random.Random("perfbench:quadrics:q5")
+        I = Ideal(ring, [
+            Element(ring, {m: rng.randint(-4, 4) for m in ring.monomials(2)})
+            for _ in range(3)
+        ])
+        assert _regular_section(I).ring.n == 3
+        assert koszul_betti(I).entries == {
+            (0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1,
+        }
 
 
 class TestIndependentChecks:

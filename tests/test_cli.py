@@ -244,8 +244,11 @@ class TestErrors:
             assert "Traceback" not in run.stderr
         # refused before the coordinate change, which alone takes seconds
         path = write(tmp_path, "ring poly 2 QQ\nx1^2000\n", "high.txt")
-        for command in ("gin", "betti"):
-            cmd = [sys.executable, "-m", "ginlab.cli", command, path]
+        for command in (
+            ["gin"], ["betti"], ["gin", "--order", "lex"],
+            ["gin", "--order", "deglex"],
+        ):
+            cmd = [sys.executable, "-m", "ginlab.cli", *command, path]
             run = subprocess.run(
                 cmd, capture_output=True, text=True, timeout=10
             )
@@ -276,6 +279,18 @@ class TestErrors:
         code, out, err = run_main(capsys, "betti", path)
         assert code == 3 and not out
         assert err.startswith("implementation fault: certification strand 1")
+
+    def test_unstable_closed_form_input_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the transfer targets are certified gins and lexsegments, so a
+        # closed form that sees a non-stable ideal is a fault, not usage
+        monkeypatch.setattr(betti, "is_strongly_stable", lambda J: False)
+        path = write(tmp_path, STAIRCASE_3)
+        code, out, err = run_main(
+            capsys, "check", path, "--statement", "transfer"
+        )
+        assert code == 3 and not out
+        assert err.startswith("implementation fault: ")
+        assert err.rstrip().endswith("is not strongly stable")
 
     def test_nonpositive_coeff_bound_exit_1(self, tmp_path):
         path = write(tmp_path, STAIRCASE_3)
