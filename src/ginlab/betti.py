@@ -39,12 +39,11 @@ from .ideals import (
 from .linalg import IntRank
 from .rings import (
     DEGREVLEX,
-    POLY,
     Element,
-    Ring,
     binom,
     max_variable,
     monomial_degree,
+    polynomial_ring,
     wedge_supports,
 )
 
@@ -459,7 +458,7 @@ def _regular_section(ideal):
         m -= 1
     if m == ring.n:
         return ideal
-    small = Ring(POLY, m, ring.order)
+    small = polynomial_ring(m, ring.order)
     gens = []
     for g in ideal.generators:
         terms = {u[:m]: c for u, c in g.terms.items() if not any(u[m:])}
