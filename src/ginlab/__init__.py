@@ -41,7 +41,6 @@ from .groebner import (
     GroebnerBasis,
     buchberger,
     gin,
-    gin_exterior,
     initial_ideal,
 )
 from .betti import (

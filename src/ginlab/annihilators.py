@@ -214,19 +214,18 @@ def _alpha_with_band(ideal, seq, degree_bound):
     return None
 
 
-def annihilators_from_gin(ideal, seed=0, gin_result=None):
+def annihilators_from_gin(ideal, seed=0):
     """alpha_{p,k} = #{u in G(gin I) of degree k+1 with m(u) = n-p+1}."""
     ring = ideal.ring
-    if gin_result is None:
-        gin_result, _ = gin(ideal, seed=seed)
+    J, _ = gin(ideal, seed=seed)
     from .rings import max_variable, monomial_degree
 
     entries = {}
-    for u in gin_result.gens:
+    for u in J.gens:
         p = ring.n - max_variable(ring, u) + 1
         k = monomial_degree(ring, u) - 1
         entries[(p, k)] = entries.get((p, k), 0) + 1
-    bound = gin_result.max_gen_degree() + 2
+    bound = J.max_gen_degree() + 2
     return AnnihilatorTable(ring, entries, "from-gin", bound)
 
 

@@ -159,9 +159,6 @@ class QuotientBasis:
             return []
         return self.ideal.piece(d).std_monomials
 
-    def index(self, d):
-        return self.ideal.piece(d)._std_index
-
     def dim(self, d):
         return len(self.basis(d))
 
@@ -496,7 +493,7 @@ def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):
     return table.as_convention(convention)
 
 
-def cartan_betti(ideal, convention=QUOTIENT, i_max=None, seed=0):
+def cartan_betti(ideal, convention=QUOTIENT, i_max=None):
     """Betti table of E/J from Cartan homology, up to homological degree i_max.
 
     Betti numbers over E live in unbounded homological degree; the window
@@ -631,7 +628,7 @@ def ahh_betti(J, i_max=None, convention=QUOTIENT):
 def betti_table(ideal, convention=QUOTIENT, seed=0, i_max=None, reg_bound=None):
     """The honest (homological-route) Betti table for either ring kind."""
     if ideal.ring.is_exterior:
-        return cartan_betti(ideal, convention, i_max=i_max, seed=seed)
+        return cartan_betti(ideal, convention, i_max=i_max)
     return koszul_betti(ideal, convention, reg_bound=reg_bound, seed=seed)
 
 

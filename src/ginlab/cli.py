@@ -24,7 +24,6 @@ from .rigidity import (
     RigidityContext,
     TheoremViolationError,
     battery,
-    cancellation_numbers,
     sweep,
 )
 from .rings import EXT, POLY, render_monomial
@@ -46,9 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_seed():
     try:
-        return int(os.environ.get("GINLAB_SEED", "0"))
+        return int(os.environ.get("GINLAB_SEED") or 0)
     except ValueError:
-        return 0
+        raise _UsageError("GINLAB_SEED must be an integer")
 
 
 def _load_ideal(path):
@@ -113,12 +112,8 @@ def cmd_gin(args):
 
 def cmd_alpha(args):
     ideal = _load_ideal(args.file)
-    J, _ = gin(ideal, seed=args.seed)
-    bound = None if ideal.ring.is_exterior else J.max_gen_degree() + 2
-    direct = generic_annihilators_direct(
-        ideal, seed=args.seed, degree_bound=bound
-    )
-    from_gin = annihilators_from_gin(ideal, seed=args.seed, gin_result=J)
+    direct = generic_annihilators_direct(ideal, seed=args.seed)
+    from_gin = annihilators_from_gin(ideal, seed=args.seed)
     agree = direct.same_numbers(from_gin)
     if args.json:
         payload = direct.to_json()
@@ -132,7 +127,7 @@ def cmd_alpha(args):
 
 def cmd_cancel(args):
     ideal = _load_ideal(args.file)
-    table = cancellation_numbers(ideal, seed=args.seed)
+    table = RigidityContext(ideal, seed=args.seed).cancellation
     if args.json:
         _emit_json(table.to_json())
     else:
@@ -172,7 +167,7 @@ def cmd_check(args):
     ideal = _load_ideal(args.file)
     ctx = RigidityContext(ideal, seed=args.seed, i_max=args.imax)
     if args.statement is None:
-        reports = battery(ctx, seed=args.seed)
+        reports = battery(ctx)
     else:
         name = args.statement
         if name not in STATEMENTS:
@@ -344,9 +339,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,8 @@ degree_scan, on the pivot monomials of the echelonized graded pieces; for
 the polynomial ring the scan stops once the candidate monomial ideal
 provably has the Hilbert series of the input, or by crystallization,
 which certifies completeness without Groebner theory in generic
-coordinates.  Both routes compute the same object (tested).
+coordinates.  The Buchberger initial ideal in each certified trial's
+coordinates is the tests' reference for the degreewise scan.
 
 gin draws integer change-of-coordinate matrices with entries in [-B, B],
 requires all trials to agree, and insists the result is strongly stable;
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import (
-    Ideal,
     MonomialIdeal,
     check_scan_reach,
     degree_rows,
@@ -188,9 +188,20 @@ def _degree_pivot_monomials(ring, gens, d, key):
 
 
 def initial_ideal(ideal, order=None):
-    """in(I): minimal monomial generators of the initial ideal."""
+    """in(I): minimal monomial generators of the initial ideal.
+
+    Memoized on the Ideal instance (Ideal._initials), keyed by the resolved
+    order, so in(I) and in_{ring.order}(I) share one Buchberger run.  As
+    for gin, errors are not stored.
+    """
+    order = order or ideal.ring.order
+    if order not in ideal._initials:
+        ideal._initials[order] = _initial_ideal(ideal, order)
+    return ideal._initials[order]
+
+
+def _initial_ideal(ideal, order):
     ring = ideal.ring
-    order = order or ring.order
     if ideal.is_zero():
         return MonomialIdeal(ring, [])
     if ideal.contains_unit():
@@ -282,7 +293,6 @@ def gin(
     seed=0,
     coeff_bound=1000,
     trials=2,
-    route="degreewise",
     max_scan_degree=None,
 ):
     """Generic initial ideal with a reproducible certificate.
@@ -303,13 +313,13 @@ def gin(
     gin anew.
     """
     order = order or DEGREVLEX
-    key = (order, seed, coeff_bound, trials, route, max_scan_degree)
+    key = (order, seed, coeff_bound, trials, max_scan_degree)
     if key not in ideal._gins:
         ideal._gins[key] = _certified_gin(ideal, *key)
     return ideal._gins[key]
 
 
-def _certified_gin(ideal, order, seed, coeff_bound, trials, route, max_scan_degree):
+def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     ring = ideal.ring
     if trials < 2:
         raise ValueError("at least two trials are required")
@@ -322,7 +332,7 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, route, max_scan_degr
         return MonomialIdeal(ring, []), cert
 
     stop = None
-    if route == "degreewise" and not ring.is_exterior:
+    if not ring.is_exterior:
         if order == DEGREVLEX:
             stop = ("crystallization", ideal.max_degree())
             # the stop needs a degree above max_degree(): refuse a scan
@@ -342,19 +352,14 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, route, max_scan_degr
     for escalation, bound in escalation_bounds(coeff_bound):
         results = []
         matrices = []
-        cut = None
         for t in range(trials):
             rng = random.Random(f"gin:{seed}:{escalation}:{t}:{bound}")
             mat = random_invertible_matrix(rng, ring.n, bound)
             matrices.append(tuple(tuple(row) for row in mat))
             transformed = [apply_linear_change(g, mat) for g in ideal.generators]
-            if route == "buchberger":
-                J = initial_ideal(Ideal(ring, transformed), order)
-                cut = None
-            else:
-                J, cut = _initial_ideal_degreewise(
-                    ring, transformed, order, stop, max_scan_degree
-                )
+            J, cut = _initial_ideal_degreewise(
+                ring, transformed, order, stop, max_scan_degree
+            )
             results.append(J)
         agreed = all(J == results[0] for J in results)
         borel = agreed and is_strongly_stable(results[0])
@@ -370,10 +375,3 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, route, max_scan_degr
     raise GenericityError(
         "genericity not reached after escalation: " + "; ".join(failures)
     )
-
-
-def gin_exterior(ideal, seed=0, coeff_bound=1000, trials=2):
-    """gin over the exterior algebra (reverse lexicographic order)."""
-    if not ideal.ring.is_exterior:
-        raise ValueError("exterior ideal expected")
-    return gin(ideal, DEGREVLEX, seed, coeff_bound, trials)

@@ -129,6 +129,7 @@ class Ideal:
         self.generators = tuple(gens)
         self._pieces = {}
         self._gins = {}  # groebner.gin memo: argument tuple -> (gin, cert)
+        self._initials = {}  # groebner.initial_ideal memo: order -> in(I)
         self._monomial = None
         self._monomial_known = False
 

@@ -28,10 +28,9 @@ class OracleResult:
     detail: str = ""
 
 
-def betti_oracle_triple(J, seed=0):
+def betti_oracle_triple(J):
     """ek = bigatti = koszul on a strongly stable polynomial ideal."""
-    r = J.max_gen_degree()
-    kz = koszul_betti(J.to_ideal(), QUOTIENT, reg_bound=r, seed=seed)
+    kz = koszul_betti(J.to_ideal(), QUOTIENT, reg_bound=J.max_gen_degree())
     ek = ek_betti(J, QUOTIENT)
     bg = bigatti_betti(J, QUOTIENT)
     ok = kz.entries == ek.entries == bg.entries
@@ -41,9 +40,9 @@ def betti_oracle_triple(J, seed=0):
     return OracleResult("betti-three-way", ok, detail)
 
 
-def betti_oracle_exterior(J, i_max, seed=0):
+def betti_oracle_exterior(J, i_max):
     """ahh = cartan on a strongly stable exterior ideal, windowed in i."""
-    ct = cartan_betti(J.to_ideal(), QUOTIENT, i_max=i_max, seed=seed)
+    ct = cartan_betti(J.to_ideal(), QUOTIENT, i_max=i_max)
     ah = ahh_betti(J, i_max=i_max)
     ok = ct.entries == ah.entries
     detail = ""
@@ -52,13 +51,10 @@ def betti_oracle_exterior(J, i_max, seed=0):
     return OracleResult("betti-exterior-two-way", ok, detail)
 
 
-def alpha_oracle(ideal, seed=0, gin_result=None):
+def alpha_oracle(ideal, seed=0):
     """Direct colon-quotient annihilator numbers match the gin statistics."""
-    if gin_result is None:
-        gin_result, _ = gin(ideal, seed=seed)
-    bound = None if ideal.ring.is_exterior else gin_result.max_gen_degree() + 2
-    direct = generic_annihilators_direct(ideal, seed=seed, degree_bound=bound)
-    from_gin = annihilators_from_gin(ideal, seed=seed, gin_result=gin_result)
+    direct = generic_annihilators_direct(ideal, seed=seed)
+    from_gin = annihilators_from_gin(ideal, seed=seed)
     ok = direct.same_numbers(from_gin)
     detail = ""
     if not ok:
@@ -72,8 +68,8 @@ def oracle_equivalences(ideal, seed=0, i_max=None):
     J, _ = gin(ideal, seed=seed)
     if ideal.ring.is_exterior:
         imax = i_max if i_max is not None else ideal.ring.n + 3
-        results.append(betti_oracle_exterior(J, imax, seed=seed))
+        results.append(betti_oracle_exterior(J, imax))
     elif not ideal.is_zero():
-        results.append(betti_oracle_triple(J, seed=seed))
-    results.append(alpha_oracle(ideal, seed=seed, gin_result=J))
+        results.append(betti_oracle_triple(J))
+    results.append(alpha_oracle(ideal, seed=seed))
     return results

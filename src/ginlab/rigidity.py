@@ -106,7 +106,8 @@ class CancellationTable:
 
 
 class RigidityContext:
-    """Caches the tables a battery of statement checks keeps reusing."""
+    """The one input of every statement check: the ideal, the seed, the
+    homological window, and the tables the checks keep reusing, cached."""
 
     def __init__(self, ideal, seed=0, i_max=None):
         self.ideal = ideal
@@ -275,25 +276,16 @@ class RigidityContext:
     def alpha_from_gin(self):
         return self._get(
             "alpha_g",
-            lambda: annihilators_from_gin(
-                self.ideal, seed=self.seed, gin_result=self.gin_ideal
-            ),
+            lambda: annihilators_from_gin(self.ideal, seed=self.seed),
         )
-
-
-def _ctx(ideal_or_ctx, seed=0, i_max=None):
-    if isinstance(ideal_or_ctx, RigidityContext):
-        return ideal_or_ctx
-    return RigidityContext(ideal_or_ctx, seed=seed, i_max=i_max)
 
 
 # ---------------------------------------------------------------------------
 # individual statements
 
 
-def dominance_check(ideal_or_ctx, seed=0):
+def dominance_check(ctx):
     """beta_{ij}(R/I) <= beta_{ij}(R/gin I) entrywise; gate for everything else."""
-    ctx = _ctx(ideal_or_ctx, seed)
     bI, bG = ctx.table, ctx.gin_table
     for (i, j), v in bI.entries.items():
         if v > bG.get(i, j):
@@ -372,11 +364,10 @@ def _strand_persists(ctx, statement, i, k, qs, conclusion):
     return report
 
 
-def rigidity_poly(ideal_or_ctx, i, k, seed=0):
+def rigidity_poly(ctx, i, k):
     """Strand-k equality of beta(S/I) and beta(S/gin I) at i > 1 persists upward."""
     if i <= 1:
         raise ValueError("the statement requires i > 1")
-    ctx = _ctx(ideal_or_ctx, seed)
     if ctx.ring.is_exterior:
         raise ValueError("polynomial-ring statement")
     return _strand_persists(
@@ -385,11 +376,10 @@ def rigidity_poly(ideal_or_ctx, i, k, seed=0):
     )
 
 
-def rigidity_ext(ideal_or_ctx, i, k, seed=0, i_max=None):
+def rigidity_ext(ctx, i, k):
     """Over E the strand-k equality at some i > 1 forces it at every q >= 1."""
     if i <= 1:
         raise ValueError("the statement requires i > 1")
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
     if not ctx.ring.is_exterior:
         raise ValueError("exterior statement")
     return _strand_persists(
@@ -398,9 +388,8 @@ def rigidity_ext(ideal_or_ctx, i, k, seed=0, i_max=None):
     )
 
 
-def first_strand_criterion(ideal_or_ctx, k, seed=0, i_max=None):
+def first_strand_criterion(ctx, k):
     """Full strand-k equality iff the two first Betti numbers at k+1, k+2 agree."""
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
     return _agreement(
         "first-strand",
         {"k": k},
@@ -410,11 +399,10 @@ def first_strand_criterion(ideal_or_ctx, k, seed=0, i_max=None):
     )
 
 
-def linear_component_criterion(ideal_or_ctx, k, seed=0, i_max=None):
+def linear_component_criterion(ctx, k):
     """I_<k> has a linear resolution iff I and gin(I) have equally many
     minimal generators of degree k+1; cross-checked against the generator
     degrees of gin(I_<k>)."""
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
     bI, bG = ctx.table, ctx.gin_table
     return _agreement(
         "linear-component",
@@ -424,10 +412,9 @@ def linear_component_criterion(ideal_or_ctx, k, seed=0, i_max=None):
     )
 
 
-def dlinear_equivalence(ideal_or_ctx, k, seed=0, i_max=None):
+def dlinear_equivalence(ctx, k):
     """Three-way equivalence: strand-k equality for all i >= 1, linearity of
     I_<k> and I_<k+1>, and the two first-Betti equalities."""
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
     strand = _strand_equal(ctx, k)
     linear = ctx.component_linear(k) and ctx.component_linear(k + 1)
     first = _first_equal(ctx, k)
@@ -441,13 +428,12 @@ def dlinear_equivalence(ideal_or_ctx, k, seed=0, i_max=None):
     )
 
 
-def cancellation_numbers(ideal_or_ctx, seed=0):
+def cancellation_numbers(ctx):
     """Solve the columnwise recursion for the cancellation numbers.
 
     Validates nonnegativity and that nothing survives past i = n - 1;
     both failures are uniqueness violations and raise.
     """
-    ctx = _ctx(ideal_or_ctx, seed)
     if ctx.ring.is_exterior:
         raise ValueError("cancellation numbers live over the polynomial ring")
     bI = ctx.table_ideal_conv
@@ -475,11 +461,10 @@ def cancellation_numbers(ideal_or_ctx, seed=0):
     return CancellationTable(ctx.ring, entries)
 
 
-def crigid_check(ideal_or_ctx, i, k, seed=0):
+def crigid_check(ctx, i, k):
     """c_{i,i+k} = 0 for some i >= 1 forces c_{q,q+k} = 0 for all q >= i."""
     if i < 1:
         raise ValueError("the statement requires i >= 1")
-    ctx = _ctx(ideal_or_ctx, seed)
     c = ctx.cancellation
     hyp = c.get(i, i + k) == 0
     report = RigidityReport(
@@ -500,9 +485,8 @@ def crigid_check(ideal_or_ctx, i, k, seed=0):
     return report
 
 
-def clinear_check(ideal_or_ctx, k, seed=0, i_max=None):
+def clinear_check(ctx, k):
     """c_{i,i+k} = 0 for all i >= 1 iff I_<k> has a linear resolution."""
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
     c = ctx.cancellation
     all_zero = all(c.get(i, i + k) == 0 for i in range(1, ctx.ring.n + 1))
     return _agreement(
@@ -513,10 +497,9 @@ def clinear_check(ideal_or_ctx, k, seed=0, i_max=None):
     )
 
 
-def post_clinear_corollary(ideal_or_ctx, k, q, seed=0, i_max=None):
+def post_clinear_corollary(ctx, k, q):
     """Once I_<k> is linear, strand equalities transfer between the two
     adjacent cells in columns q+k+2 and q+k-1 (ideal convention)."""
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
     if not ctx.component_linear(k):
         raise ValueError("requires a component ideal with linear resolution")
     bI = ctx.table_ideal_conv
@@ -560,7 +543,7 @@ def _transfer_hypothesis(ctx, J, dmax):
     return None
 
 
-def trans_check(ideal_or_ctx, target, i, k, seed=0, i_max=None):
+def trans_check(ctx, target, i, k):
     """Rigidity transfer to Lex(I) or a gin under another order.
 
     Verifies the hypothesis package (strong stability, equal Hilbert
@@ -570,7 +553,6 @@ def trans_check(ideal_or_ctx, target, i, k, seed=0, i_max=None):
     """
     if i <= 1:
         raise ValueError("the statement requires i > 1")
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
     if target == "lex":
         J = ctx.lex
     elif target == "gin_lex":
@@ -614,11 +596,10 @@ def trans_check(ideal_or_ctx, target, i, k, seed=0, i_max=None):
     return report
 
 
-def degree_d_componentwise(ideal_or_ctx, seed=0):
+def degree_d_componentwise(ctx):
     """Four-way equivalence bounded by the maximal generator degree d:
     componentwise linear; strand equality through d; first-Betti equality
     through d; generator-count equality through d + 1 (ideal convention)."""
-    ctx = _ctx(ideal_or_ctx, seed)
     if ctx.ring.is_exterior:
         raise ValueError("polynomial-ring statement")
     bI = ctx.table_ideal_conv
@@ -653,11 +634,10 @@ def degree_d_componentwise(ideal_or_ctx, seed=0):
     )
 
 
-def betti_total_ext_check(ideal_or_ctx, i, seed=0, i_max=None):
+def betti_total_ext_check(ctx, i):
     """Total Betti number equality at one i iff componentwise linear (over E)."""
     if i < 1:
         raise ValueError("requires i >= 1")
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
     if not ctx.ring.is_exterior:
         raise ValueError("exterior statement")
     bI, bG = ctx.table, ctx.gin_table
@@ -670,10 +650,9 @@ def betti_total_ext_check(ideal_or_ctx, i, seed=0, i_max=None):
     )
 
 
-def lemma_can_check(ideal_or_ctx, seed=0):
+def lemma_can_check(ctx):
     """Cancellation numbers against the Koszul-homology delta expression:
     c_{i,i+k} = sum over (a,b) in A_{i+1,n} of C(n-b-1, i-a) * delta_{a,b,a+k}."""
-    ctx = _ctx(ideal_or_ctx, seed)
     if ctx.ring.is_exterior:
         raise ValueError("polynomial-ring statement")
     n = ctx.ring.n
@@ -800,8 +779,14 @@ def sweep(ctx, name, fixed=None):
 
 
 def battery(ideal_or_ctx, seed=0, i_max=None):
-    """Run every statement of the ring's kind over its full finite window."""
-    ctx = _ctx(ideal_or_ctx, seed, i_max)
+    """Run every statement of the ring's kind over its full finite window.
+
+    The one entry point that also takes a bare ideal; the checks take a
+    RigidityContext.
+    """
+    ctx = ideal_or_ctx
+    if not isinstance(ctx, RigidityContext):
+        ctx = RigidityContext(ctx, seed=seed, i_max=i_max)
     reports = []
     for row in BATTERY:
         runs = [

@@ -5,6 +5,8 @@ pytest with -s to see them), and asserts both the exact values and the
 stated time budget.
 """
 
+import hashlib
+import json
 import subprocess
 import sys
 import time
@@ -16,7 +18,7 @@ from ginlab.betti import has_linear_resolution
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import component_ideal
-from ginlab.oracles import alpha_oracle, betti_oracle_exterior, betti_oracle_triple
+from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import (
     RigidityContext,
@@ -27,6 +29,10 @@ from ginlab.rigidity import (
 from ginlab.rings import render_monomial
 
 from conftest import CANCEL_4, STAIRCASE_3, STAIRCASE_GIN, STRAND_4
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def _report(name, t0, limit):
@@ -95,23 +101,21 @@ def test_criterion_3_strand_example():
 
 
 def test_criterion_4_oracle_equivalences(corpus):
-    """Three-way and two-way oracle agreement over the 100-ideal corpus."""
+    """Three-way and two-way oracle agreement over the 100-ideal corpus;
+    the digest pins every oracle verdict and detail in corpus order."""
     t0 = time.time()
     failures = []
+    lines = []
     for ideal in corpus:
-        J, _ = gin(ideal, seed=0)
-        if ideal.ring.is_exterior:
-            res = betti_oracle_exterior(J, i_max=ideal.ring.n + 3, seed=0)
-            if not res.ok:
-                failures.append(("cartan/ahh", ideal, res.detail))
-        elif not ideal.is_zero():
-            res = betti_oracle_triple(J, seed=0)
-            if not res.ok:
-                failures.append(("three-way", ideal, res.detail))
-        res = alpha_oracle(ideal, seed=0, gin_result=J)
-        if not res.ok:
-            failures.append(("alpha", ideal, res.detail))
+        results = oracle_equivalences(ideal, seed=0)
+        failures += [(o.name, ideal, o.detail) for o in results if not o.ok]
+        lines.append(
+            json.dumps([[o.name, o.ok, o.detail] for o in results], sort_keys=True)
+        )
     assert not failures, failures[:3]
+    assert _digest(lines) == (
+        "b59f5744253ba02dd9c00889f5582d8b616f7263a94fd433f43f73f4b68d2edb"
+    )
     _report("criterion 4 (oracle equivalences on 100 ideals)", t0, 600)
 
 
@@ -140,14 +144,23 @@ def test_component_linear_oracle(corpus):
 
 
 def test_criterion_5_theorem_battery(corpus):
-    """Every rigidity statement holds on every corpus ideal."""
+    """Every rigidity statement holds on every corpus ideal; the digest
+    pins every report's JSON in corpus order."""
     t0 = time.time()
     violations = []
+    lines = []
     for ideal in corpus:
-        for r in battery(ideal, seed=0):
-            if not r.holds:
-                violations.append((ideal, r.statement, r.params, r.witness))
+        reports = battery(ideal, seed=0)
+        violations += [
+            (ideal, r.statement, r.params, r.witness)
+            for r in reports
+            if not r.holds
+        ]
+        lines.append(json.dumps([r.to_json() for r in reports], sort_keys=True))
     assert not violations, violations[:3]
+    assert _digest(lines) == (
+        "e3cf23b18b8c1801935a450ccedd95d76730ef30194f8d17045a98a17c687675"
+    )
     _report("criterion 5 (statement battery on 100 ideals)", t0, 600)
 
 

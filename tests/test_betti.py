@@ -21,7 +21,7 @@ from ginlab.betti import (
     regularity,
 )
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
-from ginlab.groebner import gin, gin_exterior
+from ginlab.groebner import gin
 from ginlab.ideals import Ideal, MonomialIdeal, is_strongly_stable
 from ginlab.parsing import parse_ideal
 from ginlab.rings import (
@@ -317,7 +317,7 @@ class TestCartan:
 
     def test_dominance(self):
         I = parse_ideal("ring ext 4 QQ\ne1*e2 + e3*e4\n")
-        J, _ = gin_exterior(I, seed=0)
+        J, _ = gin(I, seed=0)
         a = cartan_betti(I, i_max=6)
         b = cartan_betti(J.to_ideal(), i_max=6)
         for (i, j), v in a.entries.items():

@@ -378,3 +378,18 @@ class TestDeterminism:
         cmd = [sys.executable, "-m", "ginlab.cli", "gin", path, "--json"]
         a = subprocess.run(cmd, capture_output=True, env=env)
         assert json.loads(a.stdout)["certificate"]["seed"] == 5
+
+    def test_malformed_env_seed_exit_1(self, tmp_path):
+        import os
+
+        path = write(tmp_path, STAIRCASE_3)
+        cmd = [sys.executable, "-m", "ginlab.cli", "gin", path, "--json"]
+        for value in ("abc", "5x"):
+            env = dict(os.environ, GINLAB_SEED=value)
+            a = subprocess.run(cmd, capture_output=True, env=env)
+            assert a.returncode == 1 and a.stdout == b""
+            assert a.stderr == b"error: GINLAB_SEED must be an integer\n"
+        env = dict(os.environ, GINLAB_SEED="")
+        a = subprocess.run(cmd, capture_output=True, env=env)
+        assert a.returncode == 0
+        assert json.loads(a.stdout)["certificate"]["seed"] == 0

@@ -7,7 +7,6 @@ from ginlab import groebner
 from ginlab.groebner import (
     buchberger,
     gin,
-    gin_exterior,
     initial_ideal,
 )
 from ginlab.ideals import Ideal, is_strongly_stable
@@ -18,6 +17,7 @@ from ginlab.rings import (
     DEGREVLEX,
     LEX,
     Element,
+    apply_linear_change,
     exterior_ring,
     polynomial_ring,
     render_monomial,
@@ -144,9 +144,8 @@ class TestGin:
             I = Ideal(ring, gens)
             if I.contains_unit():
                 continue
-            a, _ = gin(I, seed=3, route="degreewise")
-            b, _ = gin(I, seed=3, route="buchberger")
-            assert a == b
+            J, cert = gin(I, seed=3)
+            assert _buchberger_trials(I, cert) == [J] * cert.trials
 
     def test_gin_idempotent(self, staircase3):
         J, _ = gin(staircase3, seed=0)
@@ -229,35 +228,67 @@ class TestGinMemo:
             gin(staircase3, trials=1)
         assert not staircase3._gins
 
+    def test_battery_and_oracles_run_buchberger_once(self, monkeypatch):
+        # in(I) is read by the regular section of the Betti table, by
+        # Lex(I) and by the Hilbert stop of gin under lex; one memo serves
+        calls = []
+        run = groebner.buchberger
+
+        def counted(ideal, order=None):
+            calls.append(order)
+            return run(ideal, order)
+
+        monkeypatch.setattr(groebner, "buchberger", counted)
+        I = parse_ideal(self.DENSE)
+        battery(I, seed=0)
+        oracle_equivalences(I, seed=0)
+        assert calls == [DEGREVLEX]
+
+    def test_initial_ideal_memo_keys_the_resolved_order(self):
+        I = parse_ideal(self.DENSE)
+        J = initial_ideal(I)
+        assert initial_ideal(I, DEGREVLEX) is J
+        assert set(I._initials) == {DEGREVLEX}
+        initial_ideal(I, LEX)
+        assert set(I._initials) == {DEGREVLEX, LEX}
+        assert initial_ideal(Ideal(I.ring, I.generators)) is not J
+
 
 class TestGinExterior:
     def test_principal_two_form(self):
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
-        J, _ = gin_exterior(I, seed=0)
+        J, _ = gin(I, seed=0)
         assert J.gens == ((0, 1),)
 
     def test_last_variable(self):
         I = parse_ideal("ring ext 3 QQ\ne3\n")
-        J, _ = gin_exterior(I, seed=0)
+        J, _ = gin(I, seed=0)
         assert J.gens == ((0,),)
 
     def test_zero(self):
         ring = exterior_ring(3)
-        J, _ = gin_exterior(Ideal.zero(ring), seed=0)
+        J, _ = gin(Ideal.zero(ring), seed=0)
         assert J.is_zero()
 
     def test_mixed(self):
         I = parse_ideal("ring ext 4 QQ\ne1*e2 + e3*e4\n")
-        J, _ = gin_exterior(I, seed=0)
+        J, _ = gin(I, seed=0)
         assert is_strongly_stable(J)
         for d in range(5):
             assert J.dim(d) == I.dim_piece(d)
 
-    def test_requires_exterior(self, staircase3):
-        with pytest.raises(ValueError):
-            gin_exterior(staircase3)
+
+def _buchberger_trials(I, cert):
+    """The Buchberger initial ideal of I in each certified trial's coordinates."""
+    return [
+        initial_ideal(
+            Ideal(I.ring, [apply_linear_change(g, M) for g in I.generators])
+        )
+        for M in cert.matrices
+    ]
 
 
 def test_buchberger_route_reproduces_staircase_gin(staircase3):
-    J, _ = gin(staircase3, seed=0, route="buchberger")
-    assert gens_as_strings(J) == STAIRCASE_GIN
+    _, cert = gin(staircase3, seed=0)
+    for J in _buchberger_trials(staircase3, cert):
+        assert gens_as_strings(J) == STAIRCASE_GIN

@@ -1,3 +1,4 @@
+import inspect
 
 import pytest
 
@@ -335,6 +336,12 @@ class TestBattery:
 
 
 class TestRegistry:
+    def test_checks_take_a_context_and_their_axes(self):
+        # exactly what sweep passes: no seed or window rides along
+        for name, statement in rigidity.STATEMENTS.items():
+            params = list(inspect.signature(statement.check).parameters)
+            assert params == ["ctx"] + [axis for axis, _ in statement.axes], name
+
     def test_window_is_n_on_polynomial_rings(self):
         ideal = parse_ideal(STRAND_4)
         for i_max in (None, -1, 2, 9):
