@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Print one sha256 per output surface, so two checkouts compare by diff.
+
+Each line reads `name sha256`.  A change that must leave every output
+byte-identical is checked by running this in both checkouts and diffing:
+
+    python3 scripts/output_digests.py > before.txt
+    python3 scripts/output_digests.py > after.txt   # in the other checkout
+    diff before.txt after.txt
+
+The surfaces: the battery and oracle JSON and both alpha tables over the
+acceptance corpus; gin certificates with their matrices over the corpus
+(degrevlex) and the reference ideals (all three orders); the
+verify_homology_formula reports of the reference ideals; and the stdout,
+stderr and exit code of `ginlab gin` (three orders), `betti`, `alpha`,
+`cancel`, `lex` and `check --all`, text and --json, on the reference
+ideals.  The reference ideals are the three of the acceptance suite, a
+dense corpus ideal and two exterior ideals.  Everything runs at seed 0;
+--count-scale shrinks the corpus as in corpus_battery.py.
+
+Usage: python3 scripts/output_digests.py [--count-scale S]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from ginlab import (
+    annihilators_from_gin,
+    battery,
+    generate_corpus,
+    generic_annihilators_direct,
+    gin,
+    oracle_equivalences,
+    parse_ideal,
+)
+from ginlab.annihilators import verify_homology_formula
+from ginlab.cli import main as cli_main
+from ginlab.corpus import ACCEPTANCE_SPECS
+from ginlab.rings import TERM_ORDERS
+
+REFERENCE = {
+    "staircase": "ring poly 3 QQ\nx1^2\nx2^2\nx1*x2*x3^2\nx3^5\n",
+    "cancel": (
+        "ring poly 4 QQ\nx1^3\nx1^2*x2\nx1*x2^2\nx2^3\nx1^2*x3\nx1*x3*x4\n"
+    ),
+    "strand": "ring poly 4 QQ\nx1*x4^2\nx2^3\nx2^2*x3\n",
+    "dense": (
+        "ring poly 3 QQ\n3*x2^2 + x2*x3\nx2^2 + 3*x1*x3\n"
+        "x1^2 - 4*x1*x2 - 2*x2^2 - x1*x3 + x3^2\nx1*x2^2\nx3\n"
+    ),
+    "ext3": "ring ext 3 QQ\ne1*e2\ne2*e3\n",
+    "ext4": "ring ext 4 QQ\ne1*e2 + e3*e4\ne1*e3*e4\n",
+}
+
+COMMANDS = [["gin", "--order", order] for order in TERM_ORDERS] + [
+    ["betti"],
+    ["alpha"],
+    ["cancel"],
+    ["lex"],
+    ["check", "--all"],
+]
+
+
+def digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def dumps(payload):
+    return json.dumps(payload, sort_keys=True)
+
+
+def certificate(J, cert):
+    return dumps([repr(J), cert.describe(), cert.truncated_at])
+
+
+def corpus(count_scale):
+    for base in ACCEPTANCE_SPECS:
+        count = max(1, int(base.count * count_scale))
+        yield from generate_corpus(replace(base, count=count))
+
+
+def library_surfaces(count_scale):
+    out = {"battery": [], "oracles": [], "alpha": [], "gin": []}
+    for ideal in corpus(count_scale):
+        out["battery"].append(dumps([r.to_json() for r in battery(ideal)]))
+        out["oracles"].append(dumps([
+            [o.name, o.ok, o.detail] for o in oracle_equivalences(ideal)
+        ]))
+        out["alpha"].append(dumps([
+            generic_annihilators_direct(ideal).to_json(),
+            annihilators_from_gin(ideal).to_json(),
+        ]))
+        out["gin"].append(certificate(*gin(ideal)))
+    out["gin-reference"] = []
+    out["homology-formula"] = []
+    for text in REFERENCE.values():
+        ideal = parse_ideal(text)
+        for order in TERM_ORDERS:
+            out["gin-reference"].append(certificate(*gin(ideal, order=order)))
+        report = verify_homology_formula(ideal)
+        out["homology-formula"].append(
+            dumps([report.describe(), report.window, report.recurrences_checked])
+        )
+    return out
+
+
+def cli_surfaces(workdir):
+    out = {}
+    for name, text in REFERENCE.items():
+        path = Path(workdir) / f"{name}.txt"
+        path.write_text(text)
+        for command in COMMANDS:
+            for flags in ([], ["--json"]):
+                argv = [command[0], str(path), *command[1:], "--seed", "0",
+                        *flags]
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    code = cli_main(argv)
+                surface = "cli " + " ".join(command + flags)
+                out.setdefault(surface, []).append(
+                    dumps([name, stdout.getvalue(), stderr.getvalue(), code])
+                )
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--count-scale", type=float, default=1.0)
+    args = parser.parse_args()
+
+    surfaces = library_surfaces(args.count_scale)
+    with tempfile.TemporaryDirectory() as workdir:
+        surfaces.update(cli_surfaces(workdir))
+    for name, lines in surfaces.items():
+        print(f"{name} {digest(lines)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

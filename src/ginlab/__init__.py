@@ -13,6 +13,7 @@ from .rings import (
     LEX,
     POLY,
     Element,
+    GenericityError,
     Ring,
     apply_linear_change,
     compare_monomials,
@@ -36,7 +37,6 @@ from .ideals import (
 )
 from .parsing import ParseError, parse_ideal, render_ideal
 from .groebner import (
-    GenericityError,
     GinCertificate,
     GroebnerBasis,
     buchberger,

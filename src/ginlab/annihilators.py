@@ -16,16 +16,22 @@ connecting map gamma of the Cartan long exact sequence.
 verify_homology_formula evaluates the closed formula for h_{i,i+k}(p) in
 terms of alpha and delta, and the degreewise recurrences it comes from,
 cell by cell.
+
+The certified routes (direct alpha, partial homology and delta) run on
+the two generic sequences tagged a and b of rings.certified_draw, the
+escalation loop gin uses too, and the routes along generic sequences
+read their (k_max, i_max) window from one function, _windows (the
+upper-bound check takes only its i_max).
 """
 
 import random
 from dataclasses import dataclass, field
 
 from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
-from .groebner import GenericityError, gin
+from .groebner import gin
 from .ideals import degree_rows
 from .linalg import IntRank
-from .rings import escalation_bounds, linear_form, random_invertible_matrix
+from .rings import certified_draw, linear_form, random_invertible_matrix
 
 
 @dataclass(frozen=True)
@@ -154,45 +160,44 @@ def _alpha_for_sequence(ideal, seq, degree_bound):
     return entries
 
 
-def generic_annihilators_direct(
-    ideal, seed=0, degree_bound=None, coeff_bound=1000
-):
-    """Annihilator numbers by the colon definition, two-seed certified."""
+def _windows(ideal, seed):
+    """(k_max, i_max) of the generic-sequence routes.
+
+    Over E: n and n + 2.  Over S: the top generator degree of gin(I) plus
+    2, and n.  Direct alpha, partial homology and delta and the
+    homology-formula check take both; upper_bound_check takes only i_max
+    and keeps its own degree window (n over E, max(r - 1, 0) over S, r
+    the top gin generator degree).
+    """
     ring = ideal.ring
+    if ring.is_exterior:
+        return ring.n, ring.n + 2
+    return gin(ideal, seed=seed)[0].max_gen_degree() + 2, ring.n
+
+
+def _two_sequences(ideal, seed, compute, check=None):
+    """compute(seq) on the generic sequences tagged a and b, certified by
+    the one escalation loop, rings.certified_draw."""
+    results, _, _ = certified_draw(
+        seed, 1000, "ab",
+        lambda key, bound: compute(GenericSequence.draw(ideal.ring, key, bound)),
+        check=check,
+    )
+    return results[0]
+
+
+def generic_annihilators_direct(ideal, seed=0):
+    """Annihilator numbers by the colon definition, two-sequence certified."""
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
-    if degree_bound is None:
-        if ring.is_exterior:
-            degree_bound = ring.n
-        else:
-            J, _ = gin(ideal, seed=seed)
-            degree_bound = J.max_gen_degree() + 2
-    entries = _two_seed(
-        ring, seed, coeff_bound,
-        lambda seq: _alpha_with_band(ideal, seq, degree_bound),
-        "genericity not reached for annihilator numbers",
+    kmax, _ = _windows(ideal, seed)
+    entries = _two_sequences(
+        ideal, seed, lambda seq: _alpha_with_band(ideal, seq, kmax),
+        check=lambda entries: (
+            "no zero band below the degree cap" if entries is None else None
+        ),
     )
-    return AnnihilatorTable(ring, entries, "direct", degree_bound)
-
-
-def _two_seed(ring, seed, coeff_bound, compute, failure):
-    """compute(seq) on two drawn sequences, escalating until they agree.
-
-    The rounds are those of gin (rings.escalation_bounds).  A None from
-    compute fails the round; after the last one GenericityError(failure).
-    """
-    for escalation, bound in escalation_bounds(coeff_bound):
-        results = []
-        for tag in ("a", "b"):
-            seq = GenericSequence.draw(ring, f"{seed}:{escalation}:{tag}", bound)
-            result = compute(seq)
-            if result is None:
-                break
-            results.append(result)
-        else:
-            if results[0] == results[1]:
-                return results[0]
-    raise GenericityError(failure)
+    return AnnihilatorTable(ideal.ring, entries, "direct", kmax)
 
 
 def _alpha_with_band(ideal, seq, degree_bound):
@@ -242,33 +247,19 @@ def annihilator_index_set(i, p):
     ]
 
 
-def partial_homology(ideal, p, seed=0, degree_bound=None, i_max=None, coeff_bound=1000):
-    """Slice of the homology profile at p, two-seed certified.
+def partial_homology(ideal, p, seed=0):
+    """Slice of the homology profile at p, two-sequence certified.
 
     Returns dict (i, j) -> dim H_i(first p forms; R/I)_j.
     """
-    return _two_seed(
-        ideal.ring, seed, coeff_bound,
-        lambda seq: _profile_slice(
-            HomologyWorkspace(ideal, seq), p, degree_bound, i_max, seed
-        ),
-        "genericity not reached for homology profile",
+    kmax, imax = _windows(ideal, seed)
+    return _two_sequences(
+        ideal, seed,
+        lambda seq: _profile_slice(HomologyWorkspace(ideal, seq), p, kmax, imax),
     )
 
 
-def _default_windows(ideal, degree_bound, i_max, seed):
-    ring = ideal.ring
-    if ring.is_exterior:
-        return (ring.n if degree_bound is None else degree_bound,
-                ring.n + 2 if i_max is None else i_max)
-    if degree_bound is None:
-        J, _ = gin(ideal, seed=seed)
-        degree_bound = J.max_gen_degree() + 2
-    return degree_bound, ring.n if i_max is None else i_max
-
-
-def _profile_slice(ws, p, degree_bound, i_max, seed):
-    kmax, imax = _default_windows(ws.ideal, degree_bound, i_max, seed)
+def _profile_slice(ws, p, kmax, imax):
     out = {}
     top = imax if ws.ring.is_exterior else min(p, imax)
     for i in range(0, top + 1):
@@ -279,19 +270,16 @@ def _profile_slice(ws, p, degree_bound, i_max, seed):
     return out
 
 
-def partial_delta(ideal, p, seed=0, degree_bound=None, i_max=None, coeff_bound=1000):
-    """Slice of the delta profile at p, two-seed certified: (i, k) -> delta."""
-    return _two_seed(
-        ideal.ring, seed, coeff_bound,
-        lambda seq: _delta_slice(
-            HomologyWorkspace(ideal, seq), p, degree_bound, i_max, seed
-        ),
-        "genericity not reached for delta profile",
+def partial_delta(ideal, p, seed=0):
+    """Slice of the delta profile at p, two-sequence certified: (i, k) -> delta."""
+    kmax, imax = _windows(ideal, seed)
+    return _two_sequences(
+        ideal, seed,
+        lambda seq: _delta_slice(HomologyWorkspace(ideal, seq), p, kmax, imax),
     )
 
 
-def _delta_slice(ws, p, degree_bound, i_max, seed):
-    kmax, imax = _default_windows(ws.ideal, degree_bound, i_max, seed)
+def _delta_slice(ws, p, kmax, imax):
     out = {}
     top = imax if ws.ring.is_exterior else min(p, imax)
     for i in range(1, top + 1):
@@ -327,7 +315,7 @@ class FormulaReport:
         return "\n".join([head] + [str(f) for f in self.failures])
 
 
-def verify_homology_formula(ideal, seed=0, degree_bound=None, i_max=None):
+def verify_homology_formula(ideal, seed=0):
     """Check the alpha/delta expression for h_{i,i+k}(p) on every cell.
 
     Also checks the first/higher homology recurrences the formula is
@@ -335,7 +323,7 @@ def verify_homology_formula(ideal, seed=0, degree_bound=None, i_max=None):
     the implementation, not the statement).
     """
     ring = ideal.ring
-    kmax, imax = _default_windows(ideal, degree_bound, i_max, seed)
+    kmax, imax = _windows(ideal, seed)
     seq = GenericSequence.draw(ring, f"formula:{seed}", 1000)
     ws = HomologyWorkspace(ideal, seq)
     alpha = _alpha_for_sequence(ideal, seq, kmax + 2)
@@ -443,7 +431,7 @@ class UpperBoundReport:
         return not self.failures
 
 
-def upper_bound_check(ideal, seed=0, i_max=None):
+def upper_bound_check(ideal, seed=0):
     """beta_{i,i+k}(R/I) <= sum_j C(...) alpha_{j,k}, with equality for gin.
 
     Checks the binomial upper bound cellwise, that the bound value equals
@@ -456,12 +444,8 @@ def upper_bound_check(ideal, seed=0, i_max=None):
     alpha = generic_annihilators_direct(ideal, seed=seed)
 
     r = J.max_gen_degree()
-    if ring.is_exterior:
-        imax = n + 2 if i_max is None else i_max
-        kmax = n
-    else:
-        imax = n
-        kmax = max(r - 1, 0)
+    _, imax = _windows(ideal, seed)
+    kmax = n if ring.is_exterior else max(r - 1, 0)
     bI = betti_table(ideal, QUOTIENT, seed=seed, i_max=imax, reg_bound=r)
     bG = betti_table(J.to_ideal(), QUOTIENT, seed=seed, i_max=imax, reg_bound=r)
 

@@ -493,12 +493,20 @@ def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):
     return table.as_convention(convention)
 
 
+def exterior_i_max(ring):
+    """The default homological window of exterior tables: n + 3.
+
+    Betti numbers over E live in unbounded homological degree, so every
+    exterior table, closed form and statement is cut at some i_max.
+    """
+    return ring.n + 3
+
+
 def cartan_betti(ideal, convention=QUOTIENT, i_max=None):
     """Betti table of E/J from Cartan homology, up to homological degree i_max.
 
-    Betti numbers over E live in unbounded homological degree; the window
-    in i is a parameter (default n + 3).  Internal degrees j <= n + i are
-    complete for each computed i.
+    The window in i defaults to exterior_i_max.  Internal degrees
+    j <= n + i are complete for each computed i.
     """
     ring = ideal.ring
     if not ring.is_exterior:
@@ -507,7 +515,7 @@ def cartan_betti(ideal, convention=QUOTIENT, i_max=None):
         raise ValueError("proper ideal expected")
     n = ring.n
     if i_max is None:
-        i_max = n + 3
+        i_max = exterior_i_max(ring)
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
     entries = _homology_table(ideal, i_max, n, "Cartan")
@@ -606,7 +614,7 @@ def ahh_betti(J, i_max=None, convention=QUOTIENT):
     if not ring.is_exterior:
         raise ValueError("exterior ideal expected")
     if i_max is None:
-        i_max = ring.n + 3
+        i_max = exterior_i_max(ring)
     entries = {(0, 0): 1}
     for u in J.gens:
         k = monomial_degree(ring, u) - 1
@@ -632,11 +640,11 @@ def betti_table(ideal, convention=QUOTIENT, seed=0, i_max=None, reg_bound=None):
     return koszul_betti(ideal, convention, reg_bound=reg_bound, seed=seed)
 
 
-def regularity(ideal, seed=0, i_max=None, reg_bound=None):
+def regularity(ideal, seed=0):
     """reg(I) = max{k : beta_{i,i+k}(I) != 0}, ideal convention."""
     if ideal.is_zero():
         raise ValueError("regularity of the zero ideal is undefined")
-    table = betti_table(ideal, IDEAL, seed=seed, i_max=i_max, reg_bound=reg_bound)
+    table = betti_table(ideal, IDEAL, seed=seed)
     return table.max_strand()
 
 
@@ -649,12 +657,12 @@ def has_linear_resolution(ideal, seed=0, i_max=None, reg_bound=None):
     return len(gen_degrees) == 1 and table.max_strand() == gen_degrees.pop()
 
 
-def is_componentwise_linear(ideal, seed=0, i_max=None):
+def is_componentwise_linear(ideal, seed=0):
     """Entrywise equality of the Betti tables of I and gin(I)."""
     if ideal.is_zero():
         return True
     J, _ = gin(ideal, seed=seed)
     r = J.max_gen_degree()
-    a = betti_table(ideal, QUOTIENT, seed=seed, i_max=i_max, reg_bound=r)
-    b = betti_table(J.to_ideal(), QUOTIENT, seed=seed, i_max=i_max, reg_bound=r)
+    a = betti_table(ideal, QUOTIENT, seed=seed, reg_bound=r)
+    b = betti_table(J.to_ideal(), QUOTIENT, seed=seed, reg_bound=r)
     return a.entries == b.entries

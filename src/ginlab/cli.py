@@ -15,7 +15,7 @@ import sys
 from .annihilators import annihilators_from_gin, generic_annihilators_direct
 from .betti import IDEAL, QUOTIENT, betti_table
 from .corpus import CorpusSpec, generate, ideal_digest
-from .groebner import GenericityError, gin
+from .groebner import gin
 from .ideals import ComputationLimit, ImplementationFault, lex_ideal
 from .oracles import oracle_equivalences
 from .parsing import ParseError, parse_ideal
@@ -26,7 +26,7 @@ from .rigidity import (
     battery,
     sweep,
 )
-from .rings import EXT, POLY, render_monomial
+from .rings import EXT, POLY, GenericityError, render_monomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1

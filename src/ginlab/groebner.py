@@ -11,8 +11,9 @@ coordinates.  The Buchberger initial ideal in each certified trial's
 coordinates is the tests' reference for the degreewise scan.
 
 gin draws integer change-of-coordinate matrices with entries in [-B, B],
-requires all trials to agree, and insists the result is strongly stable;
-disagreement escalates B and is never silent.
+one per trial, through the one escalation loop, rings.certified_draw: all
+trials must agree and the result must be strongly stable, otherwise B
+doubles, and after five rounds GenericityError says why.
 """
 
 import random
@@ -32,8 +33,9 @@ from .linalg import IntRank
 from .rings import (
     DEGREVLEX,
     Element,
+    GenericityError,  # re-exported: gin raises it through certified_draw
     apply_linear_change,
-    escalation_bounds,
+    certified_draw,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -41,10 +43,6 @@ from .rings import (
     order_key,
     random_invertible_matrix,
 )
-
-
-class GenericityError(Exception):
-    """Raised when gin trials keep disagreeing or the Borel check fails."""
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +297,8 @@ def gin(
 
     Draws one integer matrix per trial, transforms, takes the initial
     ideal, and accepts only if all trials agree and the result is strongly
-    stable; otherwise the coefficient bound is doubled (up to four times)
-    and the failure is loud.
+    stable; otherwise the coefficient bound is doubled (up to four times,
+    by rings.certified_draw) and the failure is loud.
 
     max_scan_degree truncates the degreewise scan: the result then holds
     exactly the generators of the gin of degree <= max_scan_degree, and
@@ -348,30 +346,25 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
                 check_scan_reach(mono.max_gen_degree(), max_scan_degree)
             stop = ("hilbert", hilbert_numerator(initial_ideal(ideal)))
 
-    failures = []
-    for escalation, bound in escalation_bounds(coeff_bound):
-        results = []
-        matrices = []
-        for t in range(trials):
-            rng = random.Random(f"gin:{seed}:{escalation}:{t}:{bound}")
-            mat = random_invertible_matrix(rng, ring.n, bound)
-            matrices.append(tuple(tuple(row) for row in mat))
-            transformed = [apply_linear_change(g, mat) for g in ideal.generators]
-            J, cut = _initial_ideal_degreewise(
-                ring, transformed, order, stop, max_scan_degree
-            )
-            results.append(J)
-        agreed = all(J == results[0] for J in results)
-        borel = agreed and is_strongly_stable(results[0])
-        if agreed and borel:
-            cert = GinCertificate(
-                order, seed, bound, trials, escalation,
-                tuple(matrices), True, cut,
-            )
-            return results[0], cert
-        failures.append(
-            "trials disagree" if not agreed else "result not strongly stable"
+    def trial(key, bound):
+        rng = random.Random(f"gin:{key}:{bound}")
+        mat = random_invertible_matrix(rng, ring.n, bound)
+        transformed = [apply_linear_change(g, mat) for g in ideal.generators]
+        J, cut = _initial_ideal_degreewise(
+            ring, transformed, order, stop, max_scan_degree
         )
-    raise GenericityError(
-        "genericity not reached after escalation: " + "; ".join(failures)
+        return J, cut, tuple(tuple(row) for row in mat)
+
+    runs, escalation, bound = certified_draw(
+        seed, coeff_bound, range(trials), trial,
+        key=lambda run: run[0],
+        check=lambda J: (
+            None if is_strongly_stable(J) else "result not strongly stable"
+        ),
     )
+    J, cut, _ = runs[0]
+    cert = GinCertificate(
+        order, seed, bound, trials, escalation,
+        tuple(run[2] for run in runs), True, cut,
+    )
+    return J, cert

@@ -80,22 +80,6 @@ class Piece:
             self.monomials[c]: -v for c, v in row.items() if c != self.index[m]
         }
 
-    def reduce_element(self, f):
-        """Class of a degree-d element in the standard monomial basis."""
-        vec = {self.index[m]: c for m, c in f.terms.items()}
-        if self.rref is not None:
-            vec = self.rref.reduce(vec)
-        else:
-            vec = {
-                c: v
-                for c, v in vec.items()
-                if self.monomials[c] not in self.pivots
-            }
-        return {self.monomials[c]: v for c, v in vec.items()}
-
-    def contains(self, f):
-        return not self.reduce_element(f)
-
     def basis_elements(self):
         """Reduced echelon basis of I_d as Elements (deterministic)."""
         ring = self.ring
@@ -185,11 +169,6 @@ class Ideal:
             return 0
         return self.piece(d).dim
 
-    def contains_element(self, f):
-        if f.is_zero():
-            return True
-        return self.piece(f.degree()).contains(f)
-
 
 def graded_piece_basis(ideal, d):
     """Row-reduced basis of I_d; deterministic reduced echelon form."""
@@ -271,17 +250,9 @@ class MonomialIdeal:
             return 0
         return len(self.monomials(d))
 
-    def gens_of_degree(self, d):
-        return [m for m in self.gens if monomial_degree(self.ring, m) == d]
-
     def max_gen_degree(self):
         return max(
             (monomial_degree(self.ring, m) for m in self.gens), default=0
-        )
-
-    def min_gen_degree(self):
-        return min(
-            (monomial_degree(self.ring, m) for m in self.gens), default=None
         )
 
     def to_ideal(self):
@@ -361,10 +332,6 @@ def _poly_add(a, b):
 
 def _poly_shift(a, k):
     return [0] * k + list(a) if a else []
-
-
-def _poly_neg(a):
-    return [-v for v in a]
 
 
 def _poly_mul(a, b):

@@ -16,6 +16,7 @@ from .betti import (
     bigatti_betti,
     cartan_betti,
     ek_betti,
+    exterior_i_max,
     koszul_betti,
 )
 from .groebner import gin
@@ -62,13 +63,12 @@ def alpha_oracle(ideal, seed=0):
     return OracleResult("alpha-two-route", ok, detail)
 
 
-def oracle_equivalences(ideal, seed=0, i_max=None):
+def oracle_equivalences(ideal, seed=0):
     """All applicable oracle equivalences for one ideal."""
     results = []
     J, _ = gin(ideal, seed=seed)
     if ideal.ring.is_exterior:
-        imax = i_max if i_max is not None else ideal.ring.n + 3
-        results.append(betti_oracle_exterior(J, imax))
+        results.append(betti_oracle_exterior(J, exterior_i_max(ideal.ring)))
     elif not ideal.is_zero():
         results.append(betti_oracle_triple(J))
     results.append(alpha_oracle(ideal, seed=seed))

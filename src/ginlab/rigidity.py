@@ -15,10 +15,8 @@ from .annihilators import (
     GenericSequence,
     HomologyWorkspace,
     annihilator_index_set,
-    annihilators_from_gin,
-    generic_annihilators_direct,
 )
-from .betti import IDEAL, QUOTIENT, betti_table, binom
+from .betti import IDEAL, QUOTIENT, betti_table, binom, exterior_i_max
 from .groebner import gin
 from .ideals import (
     Ideal,
@@ -118,7 +116,7 @@ class RigidityContext:
         if not ideal.ring.is_exterior:
             i_max = ideal.ring.n
         elif i_max is None:
-            i_max = ideal.ring.n + 3
+            i_max = exterior_i_max(ideal.ring)
         elif i_max < 0:
             raise ValueError("i_max must be nonnegative")
         self.i_max = i_max
@@ -264,20 +262,6 @@ class RigidityContext:
     @property
     def cancellation(self):
         return self._get("cancel", lambda: cancellation_numbers(self))
-
-    @property
-    def alpha_direct(self):
-        return self._get(
-            "alpha_d",
-            lambda: generic_annihilators_direct(self.ideal, seed=self.seed),
-        )
-
-    @property
-    def alpha_from_gin(self):
-        return self._get(
-            "alpha_g",
-            lambda: annihilators_from_gin(self.ideal, seed=self.seed),
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -398,10 +398,37 @@ def random_invertible_matrix(rng, n, bound):
             return mat
 
 
-def escalation_bounds(bound):
-    """(escalation, coefficient bound) for the five rounds of a certified
-    generic draw; each round doubles the bound."""
-    return [(escalation, bound << escalation) for escalation in range(5)]
+class GenericityError(Exception):
+    """A certified generic draw failed in every round of escalation."""
+
+
+def certified_draw(seed, bound, tags, draw, key=None, check=None):
+    """The one escalation loop of every certified generic computation.
+
+    Round e = 0..4 doubles the coefficient bound e times and calls
+    draw(f"{seed}:{e}:{tag}", bound_e) once per tag; each route seeds its
+    draw "{label}:{seed}:{e}:{tag}:{bound_e}" ("gin", "forms").  A round
+    succeeds, returning (results, e, bound_e), when key(result) is the
+    same for every draw and check, given that value, returns None.
+    Otherwise the round fails as "trials disagree" or with the text check
+    returned, and after the fifth GenericityError lists every round's
+    failure.
+    """
+    failures = []
+    for escalation in range(5):
+        round_bound = bound << escalation
+        results = [draw(f"{seed}:{escalation}:{tag}", round_bound) for tag in tags]
+        values = [key(r) for r in results] if key else results
+        if any(v != values[0] for v in values):
+            failure = "trials disagree"
+        else:
+            failure = check(values[0]) if check else None
+        if failure is None:
+            return results, escalation, round_bound
+        failures.append(failure)
+    raise GenericityError(
+        "genericity not reached after escalation: " + "; ".join(failures)
+    )
 
 
 def linear_form(ring, coeffs):

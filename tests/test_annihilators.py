@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -21,7 +22,12 @@ from ginlab.ideals import Ideal, degree_rows
 from ginlab.linalg import IntRank
 from ginlab.oracles import alpha_oracle
 from ginlab.parsing import parse_ideal
-from ginlab.rings import Element, exterior_ring, polynomial_ring
+from ginlab.rings import (
+    Element,
+    GenericityError,
+    exterior_ring,
+    polynomial_ring,
+)
 
 from conftest import STAIRCASE_3, STRAND_4
 
@@ -46,8 +52,6 @@ class TestDirect:
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
         with pytest.raises(ValueError, match="coefficient bound"):
             GenericSequence.draw(I.ring, 0, 0)
-        with pytest.raises(ValueError, match="coefficient bound"):
-            generic_annihilators_direct(I, seed=0, coeff_bound=-1)
 
     def test_staircase(self):
         I = parse_ideal(STAIRCASE_3)
@@ -151,7 +155,7 @@ class TestPrefixDims:
     """The pruned prefix dimensions against the unpruned reference."""
 
     def test_corpus_draws_match_reference(self, monkeypatch):
-        # every _two_seed draw and every dmax the direct route really uses
+        # every certified draw and every dmax the direct route really uses
         pruned = annihilators._prefix_dims
         calls = []
 
@@ -172,6 +176,28 @@ class TestPrefixDims:
             before = len(calls)
             generic_annihilators_direct(ideal, seed=0)
             assert {"0:0:a", "0:0:b"} <= set(calls[before:])
+
+    def test_corpus_draws_pinned(self, monkeypatch):
+        # the seed, bound and rows of every sequence the direct route draws
+        # on the 100 acceptance ideals, as drawn before the escalation
+        # loops were merged
+        pruned = annihilators._prefix_dims
+        draws = []
+
+        def recorded(ideal, seq, dmax):
+            draw = repr((seq.seed, seq.bound, seq.rows))
+            if not draws or draws[-1] != draw:
+                draws.append(draw)
+            return pruned(ideal, seq, dmax)
+
+        monkeypatch.setattr(annihilators, "_prefix_dims", recorded)
+        for spec in ACCEPTANCE_SPECS:
+            for ideal in generate(spec):
+                generic_annihilators_direct(ideal, seed=0)
+        assert len(draws) == 200
+        assert hashlib.sha256("\n".join(draws).encode()).hexdigest() == (
+            "291e1853c5dfeec5efcecc7294d39005ea92e2f70f19d0f6bca5fd9d2178f957"
+        )
 
     @pytest.mark.parametrize(
         "text",
@@ -211,15 +237,14 @@ class TestProfiles:
 
     def test_full_length_is_betti_exterior(self):
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
-        prof = partial_homology(I, 3, seed=0, i_max=4)
-        T = cartan_betti(I, i_max=4)
-        assert prof == {k: v for k, v in T.entries.items() if k[0] <= 4}
+        prof = partial_homology(I, 3, seed=0)  # window i <= n + 2
+        assert prof == cartan_betti(I, i_max=5).entries
 
     def test_exterior_first_form_is_alpha(self):
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
         alpha = generic_annihilators_direct(I, seed=0)
-        prof = partial_homology(I, 1, seed=0, i_max=4)
-        for i in range(1, 5):
+        prof = partial_homology(I, 1, seed=0)
+        for i in range(1, 6):
             for k in range(0, 3):
                 assert prof.get((i, i + k), 0) == alpha.get(1, k)
 
@@ -237,6 +262,37 @@ class TestProfiles:
         d1 = partial_delta(I, 1, seed=0)
         d2 = partial_delta(I, 1, seed=99)
         assert d1 == d2
+
+
+class TestEscalation:
+    """The failure paths of the sequence routes' certified draws."""
+
+    def test_disagreeing_draws_escalate_through_five_rounds(self, monkeypatch):
+        drawn = []
+
+        def by_seed(ws, p, kmax, imax):
+            drawn.append((ws.seq.seed, ws.seq.bound))
+            return {(0, 0): ws.seq.seed}
+
+        monkeypatch.setattr(annihilators, "_profile_slice", by_seed)
+        with pytest.raises(GenericityError) as err:
+            partial_homology(parse_ideal(STAIRCASE_3), 2, seed=7)
+        assert str(err.value) == (
+            "genericity not reached after escalation: "
+            + "; ".join(["trials disagree"] * 5)
+        )
+        assert drawn == [
+            (f"7:{e}:{tag}", 1000 << e) for e in range(5) for tag in "ab"
+        ]
+
+    def test_direct_without_a_zero_band_raises(self, monkeypatch):
+        monkeypatch.setattr(annihilators, "_alpha_with_band", lambda *args: None)
+        with pytest.raises(GenericityError) as err:
+            generic_annihilators_direct(parse_ideal(STAIRCASE_3), seed=0)
+        assert str(err.value) == (
+            "genericity not reached after escalation: "
+            + "; ".join(["no zero band below the degree cap"] * 5)
+        )
 
 
 class TestFormula:

@@ -5,7 +5,7 @@ from importlib import resources
 
 import jsonschema
 
-from ginlab import betti, groebner
+from ginlab import annihilators, betti, groebner
 from ginlab.cli import main
 from ginlab.ideals import MonomialIdeal
 from ginlab.parsing import parse_ideal
@@ -291,6 +291,18 @@ class TestErrors:
         assert code == 3 and not out
         assert err.startswith("implementation fault: ")
         assert err.rstrip().endswith("is not strongly stable")
+
+    def test_genericity_not_reached_exit_2(self, tmp_path, capsys, monkeypatch):
+        path = write(tmp_path, STAIRCASE_3)
+        monkeypatch.setattr(groebner, "is_strongly_stable", lambda J: False)
+        code, out, err = run_main(capsys, "gin", path)
+        assert code == 2 and not out
+        assert err.startswith("computation failed: genericity not reached")
+        monkeypatch.undo()
+        monkeypatch.setattr(annihilators, "_alpha_with_band", lambda *args: None)
+        code, out, err = run_main(capsys, "alpha", path)
+        assert code == 2 and not out
+        assert err.startswith("computation failed: genericity not reached")
 
     def test_nonpositive_coeff_bound_exit_1(self, tmp_path):
         path = write(tmp_path, STAIRCASE_3)

@@ -17,13 +17,15 @@ from ginlab.rings import (
     DEGREVLEX,
     LEX,
     Element,
+    GenericityError,
     apply_linear_change,
     exterior_ring,
     polynomial_ring,
+    random_invertible_matrix,
     render_monomial,
 )
 
-from conftest import CANCEL_GIN, STAIRCASE_GIN
+from conftest import CANCEL_GIN, STAIRCASE_3, STAIRCASE_GIN
 
 
 def gens_as_strings(J):
@@ -179,6 +181,74 @@ class TestGin:
     def test_trials_validation(self, staircase3):
         with pytest.raises(ValueError):
             gin(staircase3, trials=1)
+
+
+class TestEscalation:
+    """The escalation and failure paths of gin's certified draws."""
+
+    def test_one_failed_round_doubles_the_bound(self, monkeypatch):
+        stable = groebner.is_strongly_stable
+        verdicts = []
+
+        def unstable_once(J):
+            verdicts.append(bool(verdicts) and stable(J))
+            return verdicts[-1]
+
+        monkeypatch.setattr(groebner, "is_strongly_stable", unstable_once)
+        J, cert = gin(parse_ideal(STAIRCASE_3), seed=5)  # fresh: no memo
+        assert verdicts == [False, True]
+        assert (cert.escalations, cert.coeff_bound) == (1, 2000)
+        assert cert.matrices == tuple(
+            tuple(map(tuple, random_invertible_matrix(
+                random.Random(f"gin:5:1:{t}:2000"), 3, 2000
+            )))
+            for t in range(2)
+        )
+        assert gens_as_strings(J) == STAIRCASE_GIN
+
+    def test_unstable_results_raise_after_five_rounds(self, monkeypatch):
+        bounds = []
+        draw = groebner.random_invertible_matrix
+
+        def recorded(rng, n, bound):
+            bounds.append(bound)
+            return draw(rng, n, bound)
+
+        monkeypatch.setattr(groebner, "random_invertible_matrix", recorded)
+        monkeypatch.setattr(groebner, "is_strongly_stable", lambda J: False)
+        with pytest.raises(GenericityError) as err:
+            gin(parse_ideal(STAIRCASE_3), trials=3)
+        # the message is part of the CLI's output and stays as it is
+        assert str(err.value) == (
+            "genericity not reached after escalation: "
+            + "; ".join(["result not strongly stable"] * 5)
+        )
+        assert bounds == [1000 << e for e in range(5) for _ in range(3)]
+
+    def test_disagreeing_trials_raise(self, monkeypatch):
+        scan = groebner._initial_ideal_degreewise
+        calls = []
+
+        def second_trial_differs(ring, gens, order, stop, max_scan_degree=None):
+            J, cut = scan(ring, gens, order, stop, max_scan_degree)
+            calls.append(J)
+            if len(calls) % 2:
+                return J, cut
+            return groebner.MonomialIdeal(ring, J.gens[:-1]), cut
+
+        monkeypatch.setattr(
+            groebner, "_initial_ideal_degreewise", second_trial_differs
+        )
+        with pytest.raises(GenericityError, match="trials disagree"):
+            gin(parse_ideal(STAIRCASE_3))
+        assert len(calls) == 10
+
+    def test_error_class_is_shared(self):
+        import ginlab
+        from ginlab import rings
+
+        assert groebner.GenericityError is rings.GenericityError
+        assert ginlab.GenericityError is rings.GenericityError
 
 
 class TestGinMemo:

@@ -238,25 +238,41 @@ class TestLex:
 class TestDegreeScan:
     """The one degree scan behind in, gin and Lex."""
 
-    def scan_lines(self):
+    @pytest.fixture(scope="class")
+    def scans(self):
+        """One repr line per acceptance ideal, and the draws of its gins."""
+        lines, draws = [], []
         for spec in ACCEPTANCE_SPECS:
             for ideal in generate(spec):
                 cut = RigidityContext(ideal, seed=0).scan_cut
                 row = [initial_ideal(ideal), lex_ideal(ideal)]
                 row += [lex_segment_ideal(ideal, up_to) for up_to in (cut, 2)]
-                for order in (DEGREVLEX, LEX, DEGLEX):
-                    J, cert = gin(ideal, order=order, max_scan_degree=cut)
+                gins = [
+                    gin(ideal, order=order, max_scan_degree=cut)
+                    for order in (DEGREVLEX, LEX, DEGLEX)
+                ] + [gin(ideal)]
+                for J, cert in gins:
                     row.append((J, cert.truncated_at, cert.escalations))
-                J, cert = gin(ideal)
-                row.append((J, cert.truncated_at, cert.escalations))
-                yield repr(row)
+                    draws.append(
+                        repr((cert.coeff_bound, cert.escalations, cert.matrices))
+                    )
+                lines.append(repr(row))
+        return lines, draws
 
-    def test_acceptance_outputs_unchanged(self):
+    def test_acceptance_outputs_unchanged(self, scans):
         # in, Lex, truncated Lex and truncated and full gins of the 100
         # acceptance ideals, as computed before the scans were merged
-        text = "\n".join(self.scan_lines())
+        text = "\n".join(scans[0])
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "fc6d96b8def145c2ae8b1d446b5be4957b495137958c8466ecb2581df0ca8625"
+        )
+
+    def test_acceptance_gin_draws_unchanged(self, scans):
+        # the coefficient bound, escalation count and matrices of those
+        # gins, as drawn before the escalation loops were merged
+        text = "\n".join(scans[1])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "db3071de301384a313d4f981992ba41114c601599fbf34853126bfd7b9331c15"
         )
 
     def test_exterior_truncation(self):
