@@ -209,6 +209,9 @@ def cmd_corpus(args):
             raise ValueError
     except ValueError:
         raise _UsageError("--weights expects three nonnegative integers m,b,d")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise _UsageError(f"--workers expects an integer in 1..{cpus}")
     spec = CorpusSpec(
         kind=args.kind,
         n=args.n,
@@ -225,10 +228,11 @@ def cmd_corpus(args):
     any_violation = False
     if args.check_all:
         jobs = [(render_ideal(ideal), args.seed) for ideal in ideals]
-        if args.workers > 1:
+        workers = min(args.workers, len(jobs))
+        if workers > 1:
             from multiprocessing import Pool
 
-            with Pool(args.workers) as pool:
+            with Pool(workers) as pool:
                 results = pool.map(_corpus_job, jobs)
         else:
             results = [_corpus_job(j) for j in jobs]

@@ -10,12 +10,16 @@ rows: it gives the ranks of the homology and initial-ideal computations
 and, with each row augmented by a unit column, their left kernels (the
 cycle spaces).  Rref keeps a fully reduced basis (deterministic pivots,
 rational tails) for the graded pieces, where actual coordinates matter.
+
+IntRank strips a working row's content whenever its largest entry passes
+256 bits.  It decides that from an exact bound on the row's bit length,
+carried from step to step, and scans the row only when the bound passes
+256 bits; the rows it stores are those of a scan after every step.
 """
 
 import heapq
 from fractions import Fraction
-from functools import reduce
-from math import gcd
+from math import gcd, lcm
 
 
 class Rref:
@@ -83,28 +87,28 @@ class Rref:
 
 def _divide_content(row):
     """Divide an integer row by the gcd of its entries, in place."""
-    g = reduce(gcd, row.values(), 0)
+    g = gcd(*row.values())
     if g > 1:
         for c in row:
             row[c] //= g
 
 
+def _max_bits(row):
+    """Bit length of the largest absolute entry of a nonempty integer row."""
+    return max(max(row.values()), -min(row.values())).bit_length()
+
+
 def scale_to_int(row):
     """Clear denominators and strip content; returns dict col -> int."""
-    if not row:
-        return {}
     den = 1
     for v in row.values():
-        if isinstance(v, Fraction):
-            d = v.denominator
-            den = den * d // gcd(den, d)
-    out = {}
-    g = 0
-    for c, v in row.items():
-        iv = int(v * den)
-        if iv:
-            out[c] = iv
-            g = gcd(g, iv)
+        if type(v) is not int:
+            den = lcm(den, v.denominator)
+    if den == 1:
+        out = {c: v if type(v) is int else int(v) for c, v in row.items() if v}
+    else:
+        out = {c: int(v * den) for c, v in row.items() if v}
+    g = gcd(*out.values())
     if g > 1:
         for c in out:
             out[c] //= g
@@ -118,12 +122,23 @@ class IntRank:
     Those columns never become pivots, so a row whose columns below ncols
     cancel is a relation among the rows added; it lands in `kernel` as an
     integer dict over row indices (scaled by a nonzero rational).
+
+    Each reduction step replaces the working row, in place, by
+    pf * row - vf * pivot, and divides out its content when its largest
+    entry passes 256 bits.  Rather than scan the row after every step, the
+    loop carries an upper bound on that bit length: exact after a scan,
+    with the exact value stored for each pivot row, and
+    max(bits + pf.bit_length(), pivot bits + vf.bit_length()) + 1 after a
+    step.  It scans only when the bound passes 256, so the content is
+    stripped at exactly the steps where the largest entry passes 256 bits,
+    and the stored rows equal those of a scan after every step.
     """
 
     def __init__(self, ncols=None):
         self.ncols = ncols
         self.pivots = {}  # col -> row dict with that leading col
         self.kernel = []
+        self._bits = {}  # col -> bit length of the pivot row's largest entry
 
     @property
     def rank(self):
@@ -131,32 +146,55 @@ class IntRank:
 
     def add(self, row):
         """Insert a vector (int or Fraction coeffs); True if rank grew."""
-        if self.ncols is not None:
+        ncols = self.ncols
+        if ncols is not None:
             row = dict(row)
-            row[self.ncols + len(self.pivots) + len(self.kernel)] = 1
+            row[ncols + len(self.pivots) + len(self.kernel)] = 1
         out = scale_to_int(row)
-        while out:
+        if not out:
+            return False
+        pivots, pivot_bits = self.pivots, self._bits
+        get = out.get
+        bits = _max_bits(out)
+        while True:
             lead = min(out)
-            prow = self.pivots.get(lead)
+            prow = pivots.get(lead)
             if prow is None:
-                if self.ncols is not None and lead >= self.ncols:
-                    self.kernel.append({c - self.ncols: v for c, v in out.items()})
+                if ncols is not None and lead >= ncols:
+                    self.kernel.append({c - ncols: v for c, v in out.items()})
                     return False
-                _divide_content(out)
-                self.pivots[lead] = out
+                # store a compact copy with the content stripped: the
+                # in-place updates below leave slack in the working dict's
+                # table, and dict(out) would clone that table
+                g = gcd(*out.values())
+                if g > 1:
+                    out = {c: x // g for c, x in out.items()}
+                else:
+                    out = {c: x for c, x in out.items()}
+                pivots[lead] = out
+                pivot_bits[lead] = _max_bits(out)
                 return True
             p, v = prow[lead], out[lead]
             g = gcd(p, v)
             pf, vf = p // g, v // g
-            nxt = {}
-            for c in out.keys() | prow.keys():
-                s = pf * out.get(c, 0) - vf * prow.get(c, 0)
+            if pf != 1:
+                for c in out:
+                    out[c] *= pf
+            for c, x in prow.items():
+                s = get(c, 0) - vf * x
                 if s:
-                    nxt[c] = s
-            out = nxt
-            if out and max(abs(x) for x in out.values()).bit_length() > 256:
-                _divide_content(out)
-        return False
+                    out[c] = s
+                else:
+                    del out[c]
+            if not out:
+                return False
+            bits = max(bits + pf.bit_length(),
+                       pivot_bits[lead] + vf.bit_length()) + 1
+            if bits > 256:
+                bits = _max_bits(out)
+                if bits > 256:
+                    _divide_content(out)
+                    bits = _max_bits(out)
 
 
 def rank_of(vectors):

@@ -1,9 +1,12 @@
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from ginlab import annihilators, betti, groebner
 from ginlab.cli import main
@@ -351,6 +354,19 @@ class TestCorpus:
             "--seed", "1", "--check-all",
         )
         assert code == 0 and "all statements hold" in out
+
+    @pytest.mark.parametrize("workers", ["0", "-3", str(10**6)])
+    def test_workers_out_of_range_exit_1(self, capsys, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        code, out, err = run_main(
+            capsys, "corpus", "--kind", "poly", "--n", "2", "--count", "5",
+            "--check-all", "--workers", workers,
+        )
+        assert code == 1 and out == ""
+        assert f"--workers expects an integer in 1..{os.cpu_count()}" in err
 
     def test_out_of_range_spec_exit_1(self):
         # --max-complexity 0 used to redraw forever; the others died in

@@ -1,7 +1,12 @@
 from fractions import Fraction
+from functools import reduce
+from math import gcd
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginlab import linalg
 from ginlab.linalg import IntRank, Rref, left_kernel, rank_of, scale_to_int
 
 
@@ -107,9 +112,169 @@ def test_rref_pivot_normalization():
     assert row[0] == 1 and row[2] == 2
 
 
+def reference_scale_to_int(row):
+    """scale_to_int as first written: an isinstance test and v * den always."""
+    if not row:
+        return {}
+    den = 1
+    for v in row.values():
+        if isinstance(v, Fraction):
+            d = v.denominator
+            den = den * d // gcd(den, d)
+    out = {}
+    g = 0
+    for c, v in row.items():
+        iv = int(v * den)
+        if iv:
+            out[c] = iv
+            g = gcd(g, iv)
+    if g > 1:
+        for c in out:
+            out[c] //= g
+    return out
+
+
+class ReferenceIntRank:
+    """IntRank.add as first written: a fresh row over the union of columns
+    at every step, and a scan of the whole row for the 256-bit guard."""
+
+    def __init__(self, ncols=None):
+        self.ncols = ncols
+        self.pivots = {}
+        self.kernel = []
+        self.fired = []  # the rows the guard stripped, as they stood
+
+    def add(self, row):
+        if self.ncols is not None:
+            row = dict(row)
+            row[self.ncols + len(self.pivots) + len(self.kernel)] = 1
+        out = reference_scale_to_int(row)
+        while out:
+            lead = min(out)
+            prow = self.pivots.get(lead)
+            if prow is None:
+                if self.ncols is not None and lead >= self.ncols:
+                    self.kernel.append({c - self.ncols: v for c, v in out.items()})
+                    return False
+                g = reduce(gcd, out.values(), 0)
+                if g > 1:
+                    for c in out:
+                        out[c] //= g
+                self.pivots[lead] = out
+                return True
+            p, v = prow[lead], out[lead]
+            g = gcd(p, v)
+            pf, vf = p // g, v // g
+            nxt = {}
+            for c in out.keys() | prow.keys():
+                s = pf * out.get(c, 0) - vf * prow.get(c, 0)
+                if s:
+                    nxt[c] = s
+            out = nxt
+            if out and max(abs(x) for x in out.values()).bit_length() > 256:
+                self.fired.append(dict(out))
+                g = reduce(gcd, out.values(), 0)
+                if g > 1:
+                    for c in out:
+                        out[c] //= g
+        return False
+
+
+# each row, and what it scales to (as scale_to_int was first written)
+SCALE_CASES = [
+    ({0: 4, 1: 6}, {0: 2, 1: 3}),  # int-only, content 2
+    ({0: 4, 1: -6, 3: 10}, {0: 2, 1: -3, 3: 5}),
+    ({2: 7, 0: -3}, {2: 7, 0: -3}),  # int-only, content 1
+    ({0: Fraction(4), 1: Fraction(-6)}, {0: 2, 1: -3}),  # denominator 1
+    ({0: Fraction(1, 2), 1: Fraction(3, 4)}, {0: 2, 1: 3}),
+    ({1: 3, 0: Fraction(-1, 6), 2: Fraction(5)}, {1: 18, 0: -1, 2: 30}),
+    ({0: 0, 1: 4, 2: Fraction(0), 3: -2}, {1: 2, 3: -1}),  # zero entries
+    ({0: 0, 1: Fraction(0)}, {}),
+    ({}, {}),
+]
+
+
 def test_scale_to_int():
-    assert scale_to_int({0: Fraction(1, 2), 1: Fraction(3, 4)}) == {0: 2, 1: 3}
-    assert scale_to_int({0: 4, 1: 6}) == {0: 2, 1: 3}
+    for row, expected in SCALE_CASES:
+        out = scale_to_int(row)
+        assert out == expected, row
+        assert list(out.items()) == list(reference_scale_to_int(row).items())
+        assert all(type(v) is int for v in out.values())
+
+
+# integers of every bit length up to 300, so that reduction steps land on
+# both sides of the 256-bit guard
+big = st.integers(0, 300).flatmap(lambda b: st.integers(-(2**b), 2**b))
+mixed_entry = (
+    st.integers(-9, 9)
+    | big
+    | st.fractions(min_value=-9, max_value=9, max_denominator=6)
+    | big.map(lambda v: Fraction(v, 7))
+)
+
+
+@st.composite
+def mixed_rows_strategy(draw):
+    """Rows over columns 0..3, then big-integer combinations of them, so
+    that relations are common and their rows pass the 256-bit guard."""
+    base = draw(
+        st.lists(
+            st.dictionaries(st.integers(0, 3), mixed_entry, max_size=4)
+            | st.just({}),
+            max_size=5,
+        )
+    )
+    rows = list(base)
+    for _ in range(draw(st.integers(0, 4)) if base else 0):
+        k, m = draw(big), draw(big)
+        a = base[draw(st.integers(0, len(base) - 1))]
+        b = base[draw(st.integers(0, len(base) - 1))]
+        combo = {c: k * a.get(c, 0) + m * b.get(c, 0) for c in a.keys() | b.keys()}
+        rows.append({c: v for c, v in combo.items() if v})
+    return draw(st.permutations(rows))
+
+
+def run_both(rows, ncols):
+    """Feed the rows to IntRank and to the reference; compare everything,
+    including the rows at which the 256-bit guard fired."""
+    fired = []
+    strip = linalg._divide_content
+
+    def record(row):
+        fired.append(dict(row))
+        strip(row)
+
+    ref, eng = ReferenceIntRank(ncols), IntRank(ncols)
+    with mock.patch.object(linalg, "_divide_content", record):
+        for row in rows:
+            assert eng.add(row) == ref.add(row)
+    assert list(eng.pivots.items()) == list(ref.pivots.items())
+    assert eng.kernel == ref.kernel
+    assert fired == ref.fired
+    for col, prow in eng.pivots.items():
+        assert eng._bits[col] >= max(abs(v) for v in prow.values()).bit_length()
+    return fired
+
+
+@given(mixed_rows_strategy(), st.sampled_from([None, 4]))
+@settings(max_examples=200, deadline=None)
+def test_int_rank_matches_reference(rows, ncols):
+    run_both(rows, ncols)
+
+
+@pytest.mark.parametrize("ncols", [None, 3])
+def test_int_rank_guard_fires(ncols):
+    """A row that grows past 256 bits over several steps is stripped at
+    the step where it passes, as the reference does."""
+    rows = [
+        {0: 2**100 + 1, 1: 3, 2: 5},
+        {0: 3, 1: 2**100 + 7, 2: 1},
+        {0: 6 * 2**40, 1: 2**41, 2: 2**90},
+        {0: 2**70 + 5, 1: 2**60, 2: 9},
+    ]
+    fired = run_both(rows, ncols)
+    assert fired
+    assert all(max(map(abs, row.values())).bit_length() > 256 for row in fired)
 
 
 def test_int_rank_big_entries():
