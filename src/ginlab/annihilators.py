@@ -247,11 +247,18 @@ def annihilator_index_set(i, p):
     ]
 
 
+def _check_length(p, top):
+    """p counts forms of the sequence: 0 <= p <= top."""
+    if not 0 <= p <= top:
+        raise ValueError(f"p must lie in 0..{top}, got {p}")
+
+
 def partial_homology(ideal, p, seed=0):
     """Slice of the homology profile at p, two-sequence certified.
 
-    Returns dict (i, j) -> dim H_i(first p forms; R/I)_j.
+    Returns dict (i, j) -> dim H_i(first p forms; R/I)_j, 0 <= p <= n.
     """
+    _check_length(p, ideal.ring.n)
     kmax, imax = _windows(ideal, seed)
     return _two_sequences(
         ideal, seed,
@@ -271,7 +278,11 @@ def _profile_slice(ws, p, kmax, imax):
 
 
 def partial_delta(ideal, p, seed=0):
-    """Slice of the delta profile at p, two-sequence certified: (i, k) -> delta."""
+    """Slice of the delta profile at p, two-sequence certified: (i, k) -> delta.
+
+    delta at p involves the (p+1)-st form, so 0 <= p <= n - 1.
+    """
+    _check_length(p, ideal.ring.n - 1)
     kmax, imax = _windows(ideal, seed)
     return _two_sequences(
         ideal, seed,
@@ -354,63 +365,50 @@ def verify_homology_formula(ideal, seed=0):
                         report.failures.append(
                             ("formula", p, i, k, lhs, rhs)
                         )
-        # degreewise recurrences of the long exact sequence
-        for p in range(1, n):
-            for k in range(0, kmax + 2):
-                lhs = ws.h(p + 1, 1, k)
-                rhs = ws.h(p, 1, k) + a(p + 1, k - 1) - ws.delta(p, 1, k)
-                report.recurrences_checked += 1
-                if lhs != rhs:
-                    report.failures.append(("first", p + 1, k, lhs, rhs))
-            for i in range(2, imax + 1):
+    else:
+        for p in range(1, n + 1):
+            for i in range(1, p + 1):
                 for k in range(0, kmax + 1):
-                    lhs = ws.h(p + 1, i, i + k)
-                    rhs = (
-                        ws.h(p, i, i + k)
-                        + ws.h(p + 1, i - 1, i + k - 1)
-                        - ws.delta(p, i, i + k)
-                        - ws.delta(p, i - 1, i + k)
+                    lhs = ws.h(p, i, i + k)
+                    rhs = sum(
+                        binom(p - j, i - 1) * a(j, k)
+                        for j in range(1, p - i + 2)
                     )
-                    report.recurrences_checked += 1
+                    rhs -= sum(
+                        binom(p - b - 1, i - aa) * ws.delta(b, aa, aa + k)
+                        + binom(p - b - 1, i - aa - 1)
+                        * ws.delta(b, aa, aa + k + 1)
+                        for (aa, b) in annihilator_index_set(i, p)
+                    )
+                    report.cells_checked += 1
                     if lhs != rhs:
-                        report.failures.append(("second", p + 1, i, k, lhs, rhs))
-        return report
+                        report.failures.append(
+                            ("formula", p, i, k, lhs, rhs)
+                        )
 
-    for p in range(1, n + 1):
-        for i in range(1, p + 1):
-            for k in range(0, kmax + 1):
-                lhs = ws.h(p, i, i + k)
-                rhs = sum(
-                    binom(p - j, i - 1) * a(j, k)
-                    for j in range(1, p - i + 2)
-                )
-                rhs -= sum(
-                    binom(p - b - 1, i - aa) * ws.delta(b, aa, aa + k)
-                    + binom(p - b - 1, i - aa - 1) * ws.delta(b, aa, aa + k + 1)
-                    for (aa, b) in annihilator_index_set(i, p)
-                )
-                report.cells_checked += 1
-                if lhs != rhs:
-                    report.failures.append(("formula", p, i, k, lhs, rhs))
-    for p in range(2, n + 1):
+    # degreewise recurrences of the long exact sequence, from q to q + 1
+    # forms; the H_{i-1} term lives on q + 1 forms over E (Cartan) and on
+    # q forms over S (Koszul), where H_i(q + 1) vanishes for i > q + 1
+    for q in range(1, n):
         for k in range(0, kmax + 2):
-            lhs = ws.h(p, 1, k)
-            rhs = ws.h(p - 1, 1, k) + a(p, k - 1) - ws.delta(p - 1, 1, k)
+            lhs = ws.h(q + 1, 1, k)
+            rhs = ws.h(q, 1, k) + a(q + 1, k - 1) - ws.delta(q, 1, k)
             report.recurrences_checked += 1
             if lhs != rhs:
-                report.failures.append(("first", p, k, lhs, rhs))
-        for i in range(2, p + 1):
+                report.failures.append(("first", q + 1, k, lhs, rhs))
+        prev, top = (q + 1, imax) if ring.is_exterior else (q, q + 1)
+        for i in range(2, top + 1):
             for k in range(0, kmax + 1):
-                lhs = ws.h(p, i, i + k)
+                lhs = ws.h(q + 1, i, i + k)
                 rhs = (
-                    ws.h(p - 1, i, i + k)
-                    + ws.h(p - 1, i - 1, i - 1 + k)
-                    - ws.delta(p - 1, i, i + k)
-                    - ws.delta(p - 1, i - 1, i + k)
+                    ws.h(q, i, i + k)
+                    + ws.h(prev, i - 1, i - 1 + k)
+                    - ws.delta(q, i, i + k)
+                    - ws.delta(q, i - 1, i + k)
                 )
                 report.recurrences_checked += 1
                 if lhs != rhs:
-                    report.failures.append(("second", p, i, k, lhs, rhs))
+                    report.failures.append(("second", q + 1, i, k, lhs, rhs))
     return report
 
 

@@ -228,7 +228,10 @@ class HomologyWorkspace:
     seq=None stands for the coordinate forms; at p = n their homology is
     the graded Betti table.  All ranks are exact; cycle spaces come from
     kernel computations over QQ so that images of induced maps can be
-    reduced against boundaries.
+    reduced against boundaries.  Differentials are streamed, never
+    stored: each call that eliminates one feeds its columns to a fresh
+    IntRank, and the workspace keeps only the ranks, the cycle bases and
+    the delta numbers.
     """
 
     def __init__(self, ideal, seq=None):
@@ -239,7 +242,6 @@ class HomologyWorkspace:
         self._mult = {}  # (form index, degree) -> columns
         self._sets = {}
         self._rank = {}
-        self._bcols = {}
         self._delta = {}
         self._cycles = {}
 
@@ -293,24 +295,23 @@ class HomologyWorkspace:
                         col[base + v_idx] = sgn * c
                 yield col
 
-    def boundary_cols(self, p, i, j):
-        """Columns of the differential C_{i,j}(p) -> C_{i-1,j}(p), cached."""
-        key = (p, i, j)
-        if key not in self._bcols:
-            self._bcols[key] = list(self._columns(p, i, j))
-        return self._bcols[key]
+    def _eliminate(self, p, i, j, ncols=None):
+        """A fresh IntRank(ncols) fed the columns of C_{i,j}(p) -> C_{i-1,j}(p).
+
+        The first elimination of a differential records its rank.  An
+        empty column is fed only to a kernel engine, where it is a cycle.
+        """
+        eng = IntRank(ncols)
+        for col in self._columns(p, i, j):
+            if col or ncols is not None:
+                eng.add(col)
+        self._rank.setdefault((p, i, j), eng.rank)
+        return eng
 
     def boundary_rank(self, p, i, j):
         key = (p, i, j)
         if key not in self._rank:
-            cols = self._bcols.get(key)
-            if cols is None:
-                cols = self._columns(p, i, j)  # streamed, not kept
-            eng = IntRank()
-            for col in cols:
-                if col:
-                    eng.add(col)
-            self._rank[key] = eng.rank
+            self._eliminate(p, i, j)
         return self._rank[key]
 
     def h(self, p, i, j):
@@ -328,27 +329,32 @@ class HomologyWorkspace:
     def cycles(self, p, i, j):
         """Basis of Z_i(p)_j as coefficient dicts over the chain basis."""
         key = (p, i, j)
-        if key in self._cycles:
-            return self._cycles[key]
-        if i == 0:
-            out = [{t: 1} for t in range(self.qb.dim(j))]
-        else:
-            eng = IntRank(self.chain_dim(p, i - 1, j))
-            for col in self.boundary_cols(p, i, j):
-                eng.add(col)
-            out = eng.kernel
-        self._cycles[key] = out
-        return out
+        if key not in self._cycles:
+            if i == 0:
+                self._cycles[key] = [{t: 1} for t in range(self.qb.dim(j))]
+            else:
+                ncols = self.chain_dim(p, i - 1, j)
+                self._cycles[key] = self._eliminate(p, i, j, ncols).kernel
+        return self._cycles[key]
 
-    def _push_cycle(self, p, i, j, z, images_mult):
-        """Map a cycle through a degree-raising coefficient map on M."""
-        dim_src = self.qb.dim(j - i)
-        block = self.qb.dim(j - i + 1)
+    def _push(self, z, d, mt, reindex=None):
+        """Image of a chain z with coefficients in M_d under mt : M_d -> M_{d+1}.
+
+        reindex[s] is the target index of source chain s, or None to drop
+        that chain; without it every chain keeps its index.
+        """
+        dim_src = self.qb.dim(d)
+        block = self.qb.dim(d + 1)
         out = {}
         for idx, c in z.items():
             s_idx, u_idx = divmod(idx, dim_src)
-            for v_idx, mc in images_mult[u_idx].items():
-                key = s_idx * block + v_idx
+            if reindex is not None:
+                s_idx = reindex[s_idx]
+                if s_idx is None:
+                    continue
+            base = s_idx * block
+            for v_idx, mc in mt[u_idx].items():
+                key = base + v_idx
                 val = out.get(key, 0) + c * mc
                 if val:
                     out[key] = val
@@ -356,61 +362,38 @@ class HomologyWorkspace:
                     del out[key]
         return out
 
-    def _boundary_engine(self, p, i, j):
-        """IntRank holding the boundaries of C_{i,j}(p), and their rank."""
-        eng = IntRank()
-        for col in self.boundary_cols(p, i, j):
-            eng.add(col)
-        return eng, eng.rank
-
     def delta(self, p, i, k):
-        """Polynomial: rank of multiplication by y_{p+1} on H_i(p) into degree k.
+        """Rank of the map into H_i(p)_k from the long exact sequence at p.
 
-        Exterior: rank of the connecting map gamma_{i,p} : H_i(p+1)_{k-1}
-        -> H_i(p)_k (zero for i = 0 by convention).
+        Polynomial: multiplication by y_{p+1}, H_i(p)_{k-1} -> H_i(p)_k.
+        Exterior: the connecting map gamma_{i,p} : H_i(p+1)_{k-1} ->
+        H_i(p)_k, which keeps the x_{p+1}-free part of a cycle and wedges
+        its coefficients with v_{p+1} (zero for i = 0 by convention).
+        Either way the rank is what the images of the source cycles add
+        to the boundaries of C_{i+1,k}(p).
         """
-        if i < 1 or k - 1 - i < 0 or self.qb.dim(k - 1 - i) == 0:
+        d = k - 1 - i
+        if i < 1 or d < 0 or self.qb.dim(d) == 0:
             return 0
         key = (p, i, k)
-        if key in self._delta:
-            return self._delta[key]
-        if self.ring.is_exterior:
-            val = self._delta_ext(p, i, k)
-        elif i > p:
-            val = 0
-        else:
-            base, rank0 = self._boundary_engine(p, i + 1, k)
-            mt = self.mult(p, k - 1 - i)  # y_{p+1} on M in degree (k-1)-i
-            for z in self.cycles(p, i, k - 1):
-                base.add(self._push_cycle(p, i, k - 1, z, mt))
-            val = base.rank - rank0
-        self._delta[key] = val
-        return val
-
-    def _delta_ext(self, p, i, k):
-        base, rank0 = self._boundary_engine(p, i + 1, k)
-        src_sets = self.chain_sets(p + 1, i)
-        tgt_sets = {s: idx for idx, s in enumerate(self.chain_sets(p, i))}
-        dim_src = self.qb.dim(k - 1 - i)
-        block = self.qb.dim(k - i)
-        mt = self.mult(p, k - 1 - i)  # wedge with v_{p+1}
-        for z in self.cycles(p + 1, i, k - 1):
-            out = {}
-            for idx, c in z.items():
-                s_idx, u_idx = divmod(idx, dim_src)
-                a = src_sets[s_idx]
-                if a[p]:
-                    continue  # gamma keeps only the x_{p+1}-free part
-                tgt = tgt_sets[a[:p]]
-                for v_idx, mc in mt[u_idx].items():
-                    key = tgt * block + v_idx
-                    val = out.get(key, 0) + c * mc
-                    if val:
-                        out[key] = val
-                    else:
-                        del out[key]
-            base.add(out)
-        return base.rank - rank0
+        if key not in self._delta:
+            reindex = None
+            if self.ring.is_exterior:
+                tgt = {s: idx for idx, s in enumerate(self.chain_sets(p, i))}
+                reindex = [
+                    None if a[p] else tgt[a[:p]]
+                    for a in self.chain_sets(p + 1, i)
+                ]
+                src = self.cycles(p + 1, i, k - 1)
+            else:
+                src = self.cycles(p, i, k - 1)
+            mt = self.mult(p, d)  # y_{p+1}, resp. v_{p+1}, on M_d
+            eng = self._eliminate(p, i + 1, k)
+            rank0 = eng.rank
+            for z in src:
+                eng.add(self._push(z, d, mt, reindex))
+            self._delta[key] = eng.rank - rank0
+        return self._delta[key]
 
 
 def _homology_table(ideal, i_max, k_max, name, cert_strand=None):

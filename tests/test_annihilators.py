@@ -263,6 +263,24 @@ class TestProfiles:
         d2 = partial_delta(I, 1, seed=99)
         assert d1 == d2
 
+    @pytest.mark.parametrize(
+        "text", [STAIRCASE_3, "ring ext 3 QQ\ne1*e2\n"], ids=["poly", "ext"]
+    )
+    @pytest.mark.parametrize(
+        "route, p", [
+            (partial_homology, -1),
+            (partial_homology, 4),
+            (partial_delta, -1),
+            (partial_delta, 3),
+        ],
+    )
+    def test_sequence_length_out_of_range_raises(self, text, route, p,
+                                                 monkeypatch):
+        # refused before _windows computes a gin
+        monkeypatch.setattr(annihilators, "_windows", None)
+        with pytest.raises(ValueError, match="p must lie in 0.."):
+            route(parse_ideal(text), p, seed=0)
+
 
 class TestEscalation:
     """The failure paths of the sequence routes' certified draws."""
@@ -327,22 +345,16 @@ class TestFormula:
 class TestVanishingPropagation:
     def _m_annihilates(self, ws, i, p, j):
         """(m * H_i(p))_j = 0: every coordinate form maps into boundaries."""
-        from ginlab.linalg import IntRank
-
-        if ws.qb.dim(j - 1 - i) == 0:
+        d = j - 1 - i
+        if ws.qb.dim(d) == 0:
             return True
-        base = IntRank()
-        for col in ws.boundary_cols(p, i + 1, j):
-            base.add(col)
-        rank0 = base.rank
+        rank0 = ws.boundary_rank(p, i + 1, j)
         for t in range(ws.ring.n):
             coeffs = [1 if s == t else 0 for s in range(ws.ring.n)]
-            cols = ws.qb.mult_form(coeffs, j - 1 - i)
-            eng = IntRank()
-            for col in ws.boundary_cols(p, i + 1, j):
-                eng.add(col)
+            cols = ws.qb.mult_form(coeffs, d)
+            eng = ws._eliminate(p, i + 1, j)  # a fresh boundary IntRank
             for z in ws.cycles(p, i, j - 1):
-                eng.add(ws._push_cycle(p, i, j - 1, z, cols))
+                eng.add(ws._push(z, d, cols))
             if eng.rank != rank0:
                 return False
         return True
