@@ -230,8 +230,11 @@ class HomologyWorkspace:
     kernel computations over QQ so that images of induced maps can be
     reduced against boundaries.  Differentials are streamed, never
     stored: each call that eliminates one feeds its columns to a fresh
-    IntRank, and the workspace keeps only the ranks, the cycle bases and
-    the delta numbers.
+    IntRank, sparsest first, and the workspace keeps only the ranks, the
+    cycle bases and the delta numbers.  Rank, pivot columns and the span
+    of the kernel of an elimination do not depend on the order of its
+    rows, so the order changes no number.  Betti tables built on it are
+    memoized per Ideal (see _homology_table).
     """
 
     def __init__(self, ideal, seq=None):
@@ -267,7 +270,15 @@ class HomologyWorkspace:
         return len(self.chain_sets(p, i)) * self.qb.dim(j - i)
 
     def _columns(self, p, i, j):
-        """Yield the columns of the differential C_{i,j}(p) -> C_{i-1,j}(p)."""
+        """Yield (index, column) for C_{i,j}(p) -> C_{i-1,j}(p), sparsest first.
+
+        index is the column's position in the chain basis.  The terms of
+        one column land in distinct target blocks, so its length is the sum
+        of the lengths of its multiplication columns and is known before
+        the column is built; the columns come in a stable order of
+        increasing length, the fill-in rule of sparse elimination
+        (Markowitz 1957).
+        """
         src_deg = j - i
         dim_src = self.qb.dim(src_deg)
         if i < 1 or dim_src == 0 or (not self.ring.is_exterior and i > p):
@@ -275,36 +286,47 @@ class HomologyWorkspace:
         tgt_sets = {s: idx for idx, s in enumerate(self.chain_sets(p, i - 1))}
         block = self.qb.dim(src_deg + 1)
         mult = [self.mult(t, src_deg) for t in range(p)]
+        sizes = [[len(c) for c in mt] for mt in mult]
+        chain_drops = []
+        lengths = []
         for s in self.chain_sets(p, i):
-            # the terms of one column land in distinct target blocks
             drops = []
             if self.ring.is_exterior:
                 for t in range(p):
                     if s[t]:
                         down = s[:t] + (s[t] - 1,) + s[t + 1 :]
-                        drops.append((tgt_sets[down] * block, 1, mult[t]))
+                        drops.append((tgt_sets[down] * block, 1, t))
             else:
                 for pos, t in enumerate(s):
                     rest = s[:pos] + s[pos + 1 :]
                     sgn = -1 if pos % 2 else 1
-                    drops.append((tgt_sets[rest] * block, sgn, mult[t]))
-            for u_idx in range(dim_src):
-                col = {}
-                for base, sgn, mt in drops:
-                    for v_idx, c in mt[u_idx].items():
-                        col[base + v_idx] = sgn * c
-                yield col
+                    drops.append((tgt_sets[rest] * block, sgn, t))
+            chain_drops.append(drops)
+            lengths.extend(map(sum, zip(*(sizes[t] for _, _, t in drops))))
+        for idx in sorted(range(len(lengths)), key=lengths.__getitem__):
+            s_idx, u_idx = divmod(idx, dim_src)
+            col = {}
+            for base, sgn, t in chain_drops[s_idx]:
+                for v_idx, c in mult[t][u_idx].items():
+                    col[base + v_idx] = sgn * c
+            yield idx, col
 
     def _eliminate(self, p, i, j, ncols=None):
         """A fresh IntRank(ncols) fed the columns of C_{i,j}(p) -> C_{i-1,j}(p).
 
-        The first elimination of a differential records its rank.  An
-        empty column is fed only to a kernel engine, where it is a cycle.
+        The columns go in sparsest first.  Rank, pivot columns and the span
+        of the kernel do not depend on that order; each kernel relation is
+        mapped back from insertion positions to chain-basis indices.  The
+        first elimination of a differential records its rank.  An empty
+        column is fed only to a kernel engine, where it is a cycle.
         """
         eng = IntRank(ncols)
-        for col in self._columns(p, i, j):
+        order = []
+        for idx, col in self._columns(p, i, j):
             if col or ncols is not None:
                 eng.add(col)
+                order.append(idx)
+        eng.kernel = [{order[t]: v for t, v in z.items()} for z in eng.kernel]
         self._rank.setdefault((p, i, j), eng.rank)
         return eng
 
@@ -390,8 +412,9 @@ class HomologyWorkspace:
             mt = self.mult(p, d)  # y_{p+1}, resp. v_{p+1}, on M_d
             eng = self._eliminate(p, i + 1, k)
             rank0 = eng.rank
-            for z in src:
-                eng.add(self._push(z, d, mt, reindex))
+            images = [self._push(z, d, mt, reindex) for z in src]
+            for img in sorted(images, key=len):
+                eng.add(img)
             self._delta[key] = eng.rank - rank0
         return self._delta[key]
 
@@ -400,8 +423,18 @@ def _homology_table(ideal, i_max, k_max, name, cert_strand=None):
     """Entries (i, i + k) -> dim H_i(x_1..x_n; R/I)_{i+k}, the table of R/I.
 
     A nonzero entry with i >= 1 on cert_strand, or an H_0 other than K,
-    means the window was wrong.
+    means the window was wrong.  The entries are memoized on the Ideal
+    instance (Ideal._tables), keyed by every argument, so the battery and
+    the oracles of one ideal share one table; each call gets its own copy,
+    and errors are not stored.
     """
+    key = (i_max, k_max, name, cert_strand)
+    if key not in ideal._tables:
+        ideal._tables[key] = _compute_homology_table(ideal, *key)
+    return dict(ideal._tables[key])
+
+
+def _compute_homology_table(ideal, i_max, k_max, name, cert_strand):
     ws = HomologyWorkspace(ideal)
     n = ideal.ring.n
     entries = {}

@@ -114,6 +114,7 @@ class Ideal:
         self._pieces = {}
         self._gins = {}  # groebner.gin memo: argument tuple -> (gin, cert)
         self._initials = {}  # groebner.initial_ideal memo: order -> in(I)
+        self._tables = {}  # betti._homology_table memo: window -> entries
         self._monomial = None
         self._monomial_known = False
 
@@ -214,6 +215,7 @@ class MonomialIdeal:
         ordered.sort(key=lambda m: monomial_degree(ring, m))
         self.gens = tuple(ordered)
         self._degree_cache = {}
+        self._ideal = None
 
     def __eq__(self, other):
         return (
@@ -256,9 +258,13 @@ class MonomialIdeal:
         )
 
     def to_ideal(self):
-        return Ideal(
-            self.ring, [Element.monomial(self.ring, m) for m in self.gens]
-        )
+        """The Ideal with these generators, built once, so that memos kept
+        on it (gin, initial ideals, homology tables) are shared."""
+        if self._ideal is None:
+            self._ideal = Ideal(
+                self.ring, [Element.monomial(self.ring, m) for m in self.gens]
+            )
+        return self._ideal
 
 
 def minimal_generators(ring, monomials):

@@ -19,7 +19,7 @@ from ginlab.betti import cartan_betti, koszul_betti
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import Ideal, degree_rows
-from ginlab.linalg import IntRank
+from ginlab.linalg import IntRank, rank_of
 from ginlab.oracles import alpha_oracle
 from ginlab.parsing import parse_ideal
 from ginlab.rings import (
@@ -30,6 +30,7 @@ from ginlab.rings import (
 )
 
 from conftest import STAIRCASE_3, STRAND_4
+from test_homology_values import REFERENCE
 
 
 class TestDirect:
@@ -385,6 +386,37 @@ class TestVanishingPropagation:
                         assert all(
                             ws.delta(p, i + t, k + t) == 0 for p in range(1, n)
                         )
+
+
+class TestRowOrder:
+    """Sparsest-first feeding changes no rank and no cycle space."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    @pytest.mark.parametrize("drawn", [False, True], ids=["coords", "seq"])
+    def test_eliminations_match_natural_order(self, name, drawn):
+        I = parse_ideal(REFERENCE[name])
+        seq = GenericSequence.draw(I.ring, "rows", 1000) if drawn else None
+        ws = HomologyWorkspace(I, seq)
+        kmax, imax = annihilators._windows(I, 0)
+        n = I.ring.n
+        for p in range(n + 1):
+            for i in range(1, imax + 2):
+                for j in range(i, i + kmax + 2):
+                    cols = sorted(ws._columns(p, i, j), key=lambda c: c[0])
+                    natural = IntRank()
+                    for _, col in cols:
+                        natural.add(col)
+                    rank = ws._eliminate(p, i, j).rank
+                    assert rank == natural.rank, (p, i, j)
+                    cycles = ws.cycles(p, i, j)
+                    assert len(cycles) == ws.chain_dim(p, i, j) - rank
+                    assert rank_of(cycles) == len(cycles)
+                    for z in cycles:
+                        image = {}
+                        for c, zc in z.items():
+                            for r, v in cols[c][1].items():
+                                image[r] = image.get(r, 0) + zc * v
+                        assert not any(image.values()), (p, i, j)
 
 
 class TestUpperBound:

@@ -7,6 +7,7 @@ import pytest
 from ginlab.betti import (
     IDEAL,
     QUOTIENT,
+    HomologyWorkspace,
     NotStronglyStableError,
     _homology_table,
     _regular_section,
@@ -23,7 +24,9 @@ from ginlab.betti import (
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import Ideal, MonomialIdeal, is_strongly_stable
+from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
+from ginlab.rigidity import battery
 from ginlab.rings import (
     EXT,
     POLY,
@@ -33,6 +36,8 @@ from ginlab.rings import (
     matrix_det,
     polynomial_ring,
 )
+
+from test_homology_values import REFERENCE
 
 
 
@@ -322,6 +327,36 @@ class TestCartan:
         b = cartan_betti(J.to_ideal(), i_max=6)
         for (i, j), v in a.entries.items():
             assert v <= b.get(i, j)
+
+
+class TestTableMemo:
+    def test_gin_to_ideal_is_one_object(self, staircase3):
+        J, _ = gin(staircase3, seed=0)
+        assert gin(staircase3, seed=0)[0].to_ideal() is J.to_ideal()
+
+    @pytest.mark.parametrize("kind", ["poly", "ext"])
+    def test_returned_entries_are_copies(self, kind, staircase3):
+        I = staircase3 if kind == "poly" else parse_ideal(REFERENCE["ext4"])
+        first = betti_table(I)
+        expected = dict(first.entries)
+        first.entries[(0, 0)] = 7
+        first.entries[(9, 9)] = 1
+        assert betti_table(I).entries == expected
+
+    def test_battery_and_oracles_build_one_gin_table(self, monkeypatch):
+        I = parse_ideal(REFERENCE["ext4"])
+        gens = gin(I, seed=0)[0].to_ideal().generators
+        built = []
+        init = HomologyWorkspace.__init__
+
+        def counting(self, ideal, seq=None):
+            built.append((ideal.generators, seq))
+            init(self, ideal, seq)
+
+        monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
+        battery(I, seed=0)
+        oracle_equivalences(I, seed=0)
+        assert built.count((gens, None)) == 1
 
 
 class TestPredicates:
