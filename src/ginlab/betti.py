@@ -462,15 +462,24 @@ def _regular_section(ideal):
     x_m is dropped while it divides no minimal generator of in_revlex(I)
     in the given coordinates, whatever the ring's order; the dropped
     variables are set to zero in the generators.  The ideal itself comes
-    back when nothing is dropped.
+    back when nothing is dropped.  The section is built once per Ideal
+    (Ideal._section), so the memos kept on it are shared.
     """
+    if not ideal._section_known:
+        ideal._section = _drop_regular_variables(ideal)
+        ideal._section_known = True
+    return ideal if ideal._section is None else ideal._section
+
+
+def _drop_regular_variables(ideal):
+    """The section of _regular_section, or None when nothing is dropped."""
     ring = ideal.ring
     init = initial_ideal(ideal, DEGREVLEX)
     m = ring.n
     while m > 1 and not any(u[m - 1] for u in init.gens):
         m -= 1
     if m == ring.n:
-        return ideal
+        return None
     small = polynomial_ring(m, ring.order)
     gens = []
     for g in ideal.generators:

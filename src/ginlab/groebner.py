@@ -14,6 +14,18 @@ gin draws integer change-of-coordinate matrices with entries in [-B, B],
 one per trial, through the one escalation loop, rings.certified_draw: all
 trials must agree and the result must be strongly stable, otherwise B
 doubles, and after five rounds GenericityError says why.
+
+Each trial transforms all generators in one rings.change_coordinates
+call, and its scan knows its target ranks: dim (g.I)_d = dim I_d for
+every invertible g, so all trials and rounds of one gin share one
+degree -> dim I_d dict (_Ranks).  It is read off the numerator of the
+Hilbert stop or a monomial input, and otherwise recorded by the first
+full elimination of each degree.  An elimination stops once its rank
+reaches the target; a degree whose one-variable multiples of the degree
+below already number dim I_d is not eliminated, since those multiples
+lie in the initial ideal and so are all of it.  A trial that runs out of
+rows below a known target raises ImplementationFault, so every trial
+cross-checks the ranks of the others.
 """
 
 import random
@@ -21,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ideals import (
+    ImplementationFault,
     MonomialIdeal,
     check_scan_reach,
     degree_rows,
@@ -28,14 +41,15 @@ from .ideals import (
     hilbert_numerator,
     is_strongly_stable,
     minimal_generators,
+    quotient_dim_from_numerator,
 )
 from .linalg import IntRank
 from .rings import (
     DEGREVLEX,
     Element,
     GenericityError,  # re-exported: gin raises it through certified_draw
-    apply_linear_change,
     certified_draw,
+    change_coordinates,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -171,8 +185,13 @@ def buchberger(ideal, order=None):
 # initial ideals
 
 
-def _degree_pivot_monomials(ring, gens, d, key):
-    """Leading monomials of the degree-d piece of the span of gens."""
+def _degree_pivot_monomials(ring, gens, d, key, target=None):
+    """Leading monomials of the degree-d piece of the span of gens.
+
+    With target = the dimension of that piece, the elimination stops as
+    soon as the rank reaches it, and running out of rows below it is an
+    ImplementationFault.
+    """
     monos = sorted(ring.monomials(d), key=key, reverse=True)
     index = {m: i for i, m in enumerate(monos)}
     rows = list(degree_rows(ring, gens, d, index))
@@ -181,7 +200,14 @@ def _degree_pivot_monomials(ring, gens, d, key):
     rows.sort(key=len)
     eng = IntRank()
     for row in rows:
+        if eng.rank == target:
+            break
         eng.add(row)
+    if target is not None and eng.rank < target:
+        raise ImplementationFault(
+            f"degree {d} of a coordinate change has rank {eng.rank}, "
+            f"below dim I_{d} = {target}"
+        )
     return {monos[c] for c in eng.pivots}
 
 
@@ -215,7 +241,9 @@ def _initial_ideal(ideal, order):
     )
 
 
-def _initial_ideal_degreewise(ring, gens, order, stop, max_scan_degree=None):
+def _initial_ideal_degreewise(
+    ring, gens, order, stop, max_scan_degree=None, ranks=None
+):
     """in of the span of gens by degree_scan; (ideal, truncated_at) pair.
 
     Every monomial found is a true leading monomial, so the accumulating
@@ -230,6 +258,13 @@ def _initial_ideal_degreewise(ring, gens, order, stop, max_scan_degree=None):
       e > d with no new minimal generators bounds the regularity by e - 1
       and so certifies completeness (generic-coordinate assumption is
       covered by the trial-agreement and Borel certificates of gin).
+
+    ranks, a _Ranks shared by the trials of one gin, gives each degree's
+    elimination its target rank, the dimension of the degree-d piece of
+    the span, and records it after a full elimination.  A degree whose
+    one-variable multiples of the degree below already number it is all
+    multiples, since they lie in the initial ideal, and is not eliminated.
+    Without ranks every degree is eliminated in full.
     """
     key = order_key(ring, order)
     done = None
@@ -245,9 +280,20 @@ def _initial_ideal_degreewise(ring, gens, order, stop, max_scan_degree=None):
             def done(d, new, found):
                 return hilbert_numerator(minimal_generators(ring, found)) == data
 
+    def piece(d, grown):
+        if ranks is None:
+            return _degree_pivot_monomials(ring, gens, d, key)
+        target = ranks[d]
+        if target == len(grown):
+            return grown
+        span = _degree_pivot_monomials(ring, gens, d, key, target)
+        if target is None:
+            ranks[d] = len(span)
+        return span
+
     return degree_scan(
         ring,
-        lambda d: _degree_pivot_monomials(ring, gens, d, key),
+        piece,
         done,
         min(g.degree() for g in gens),
         max_scan_degree,
@@ -317,6 +363,55 @@ def gin(
     return ideal._gins[key]
 
 
+class _Ranks(dict):
+    """degree -> dim I_d, the target rank of every trial scan of one gin.
+
+    dim (g.I)_d = dim I_d for every invertible g, so all trials and rounds
+    of the call share one _Ranks.  known(d), when given, computes dim I_d
+    the first time a degree is read; otherwise a degree reads None until
+    the first full elimination records its rank.
+    """
+
+    def __init__(self, known=None):
+        super().__init__()
+        self.known = known
+
+    def __missing__(self, d):
+        if self.known is None:
+            return None
+        self[d] = self.known(d)
+        return self[d]
+
+
+def _scan_plan(ideal, order, max_scan_degree):
+    """(stop, ranks) for the trial scans of one gin call.
+
+    stop is the stopping rule of _initial_ideal_degreewise and ranks its
+    shared _Ranks: dim I_d is known from the numerator of a Hilbert stop,
+    and otherwise from a monomial input itself.  A scan that cannot reach
+    its stop is refused here, before any coordinate change.
+    """
+    ring = ideal.ring
+    mono = ideal.monomial_image()
+    ranks = _Ranks(None if mono is None else mono.dim)
+    if ring.is_exterior:
+        return None, ranks
+    if order == DEGREVLEX:
+        # the crystallization stop needs a degree above max_degree()
+        check_scan_reach(ideal.max_degree() + 1, max_scan_degree)
+        return ("crystallization", ideal.max_degree()), ranks
+    # a Groebner basis generates I, so every initial ideal has a generator
+    # of degree >= the top degree of a minimal generating set
+    if mono is not None:
+        check_scan_reach(mono.max_gen_degree(), max_scan_degree)
+    numerator = hilbert_numerator(initial_ideal(ideal))
+
+    def from_numerator(d):
+        return ring.dim(d) - quotient_dim_from_numerator(numerator, ring.n, d)
+
+    return ("hilbert", numerator), _Ranks(from_numerator)
+
+
 def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     ring = ideal.ring
     if trials < 2:
@@ -329,29 +424,14 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
         cert = GinCertificate(order, seed, coeff_bound, trials, 0, (), True)
         return MonomialIdeal(ring, []), cert
 
-    stop = None
-    if not ring.is_exterior:
-        if order == DEGREVLEX:
-            stop = ("crystallization", ideal.max_degree())
-            # the stop needs a degree above max_degree(): refuse a scan
-            # that cannot get there before any coordinate change
-            check_scan_reach(ideal.max_degree() + 1, max_scan_degree)
-        else:
-            # a Groebner basis generates I, so every initial ideal has a
-            # generator of degree >= the top degree of a minimal generating
-            # set; refuse a scan that cannot get there before any
-            # coordinate change
-            mono = ideal.monomial_image()
-            if mono is not None:
-                check_scan_reach(mono.max_gen_degree(), max_scan_degree)
-            stop = ("hilbert", hilbert_numerator(initial_ideal(ideal)))
+    stop, ranks = _scan_plan(ideal, order, max_scan_degree)
 
     def trial(key, bound):
         rng = random.Random(f"gin:{key}:{bound}")
         mat = random_invertible_matrix(rng, ring.n, bound)
-        transformed = [apply_linear_change(g, mat) for g in ideal.generators]
+        transformed = change_coordinates(ring, ideal.generators, mat)
         J, cut = _initial_ideal_degreewise(
-            ring, transformed, order, stop, max_scan_degree
+            ring, transformed, order, stop, max_scan_degree, ranks
         )
         return J, cut, tuple(tuple(row) for row in mat)
 

@@ -45,11 +45,14 @@ SCAN_CAP = 64
 
 def degree_rows(ring, gens, d, index):
     """Rows {index[t]: c} of the nonzero products g * m, deg m = d - deg g."""
+    multipliers = {}  # degree of g -> the monomials of degree d - deg g
     for g in gens:
         e = g.degree()
         if e is None or e > d:
             continue
-        for m in ring.monomials(d - e):
+        if e not in multipliers:
+            multipliers[e] = ring.monomials(d - e)
+        for m in multipliers[e]:
             prod = g.term_mul(m)
             if prod.terms:
                 yield {index[t]: c for t, c in prod.terms.items()}
@@ -115,6 +118,8 @@ class Ideal:
         self._gins = {}  # groebner.gin memo: argument tuple -> (gin, cert)
         self._initials = {}  # groebner.initial_ideal memo: order -> in(I)
         self._tables = {}  # betti._homology_table memo: window -> entries
+        self._section = None  # betti._regular_section memo, None for self
+        self._section_known = False
         self._monomial = None
         self._monomial_known = False
 
@@ -452,23 +457,23 @@ def check_scan_reach(degree, up_to=None):
 
 
 def degree_scan(ring, piece, done, start, up_to=None):
-    """The monomial ideal whose degree-d monomials are piece(d); (ideal, cut).
+    """The monomial ideal with degree-d monomials piece(d, grown); (ideal, cut).
 
-    From degree start upward, piece(d) must contain the one-variable
-    multiples of piece(d - 1); what is left are the minimal generators of
-    degree d.  The scan ends at degree n over E, and over S once
-    done(d, new, found) holds, where new holds the generators of degree d
-    and found every generator so far; cut is then None.  Past up_to the
-    scan stops with cut = d - 1: the result then holds exactly the
-    generators of degree <= cut.
+    From degree start upward, piece(d, grown) must contain grown, the
+    one-variable multiples of the degree-(d - 1) piece; what is left are
+    the minimal generators of degree d.  The scan ends at degree n over E,
+    and over S once done(d, new, found) holds, where new holds the
+    generators of degree d and found every generator so far; cut is then
+    None.  Past up_to the scan stops with cut = d - 1: the result then
+    holds exactly the generators of degree <= cut.
     """
     below, found = set(), set()
     for d in count(start):
         if up_to is not None and d > up_to:
             return minimal_generators(ring, found), d - 1
         check_scan_reach(d, up_to)
-        span = piece(d)
         grown = variable_multiples(ring, below)
+        span = piece(d, grown)
         if not grown <= span:
             raise ImplementationFault(
                 f"degree {d} of a scanned ideal misses multiples of degree {d - 1}"
@@ -524,7 +529,7 @@ def lex_segment_ideal(ideal, up_to):
                 minimal_generators(ring, found)
             ) == num
 
-    def piece(d):
+    def piece(d, grown):
         monos = sorted(ring.monomials(d), key=lexkey, reverse=True)
         return set(monos[: dim(d)])
 

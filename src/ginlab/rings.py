@@ -10,7 +10,8 @@ operations are pure functions.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, lcm
+from operator import add
 
 from .linalg import scale_to_int
 
@@ -120,7 +121,7 @@ def max_variable(ring, m):
 
 def monomial_mul(a, b):
     """Product of two polynomial-ring exponent vectors."""
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a, b):
@@ -295,11 +296,15 @@ class Element:
         return Element(ring, out)
 
     def __mul__(self, other):
-        ring = self.ring
-        out = Element.zero(ring)
+        out = {}
         for m, c in other.terms.items():
-            out = out + self.term_mul(m, c)
-        return out
+            for t, x in self.term_mul(m, c).terms.items():
+                s = out.get(t, 0) + x
+                if s:
+                    out[t] = s
+                else:
+                    del out[t]
+        return Element(self.ring, out)
 
     def leading_monomial(self, order=None):
         if not self.terms:
@@ -368,25 +373,39 @@ def render_element(f):
 
 
 def matrix_det(g):
-    """Exact determinant by fraction-free elimination."""
+    """Exact determinant by integer Bareiss elimination.
+
+    Each row is first scaled by the lcm of its denominators, so rational
+    entries work as well; the result is divided by those scales.
+    """
     n = len(g)
-    m = [[Fraction(x) for x in row] for row in g]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
+    m, scale = [], 1
+    for row in g:
+        den = 1
+        for x in row:
+            if type(x) is not int:
+                den = lcm(den, Fraction(x).denominator)
+        m.append([int(Fraction(x) * den) for x in row] if den > 1
+                 else [int(x) for x in row])
+        scale *= den
+    if not n:
+        return Fraction(1)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if not m[c][c]:
+            piv = next((r for r in range(c + 1, n) if m[r][c]), None)
+            if piv is None:
+                return Fraction(0)
             m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            if m[r][c]:
-                f = m[r][c] * inv
-                for k in range(c, n):
-                    m[r][k] -= f * m[c][k]
-    return det
+            sign = -sign
+        top = m[c]
+        p = top[c]
+        for row in m[c + 1:]:
+            f = row[c]
+            for k in range(c + 1, n):
+                row[k] = (row[k] * p - f * top[k]) // prev
+        prev = p
+    return Fraction(sign * m[-1][-1], scale)
 
 
 def random_invertible_matrix(rng, n, bound):
@@ -433,42 +452,57 @@ def certified_draw(seed, bound, tags, draw, key=None, check=None):
 
 def linear_form(ring, coeffs):
     """The linear form sum_j coeffs[j] * (variable j)."""
-    out = Element.zero(ring)
+    terms = {}
     for j, c in enumerate(coeffs):
-        out = out + ring.variable(j).scale(c)
-    return out
+        (m,) = ring.variable(j).terms
+        terms[m] = c
+    return Element(ring, terms)
 
 
-def apply_linear_change(f, g):
-    """Substitute variable i by sum_j g[j][i] * (variable j) in f.
+def change_coordinates(ring, elements, g):
+    """Substitute variable i by sum_j g[j][i] * (variable j) in every element.
 
     g must be an invertible n x n matrix over QQ.  The substitution is a
     graded ring homomorphism for both ring kinds, so degrees are preserved.
+    The determinant is checked once, and the image of each monomial is built
+    once for all the elements, as the image of the monomial with one factor
+    fewer times the image of that factor: the last variable over S, the last
+    wedge factor over E, so exterior products run left to right.
     """
-    ring = f.ring
     n = ring.n
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("matrix size does not match the ring")
     if matrix_det(g) == 0:
         raise ValueError("singular change of coordinates")
-    images = [linear_form(ring, [row[i] for row in g]) for i in range(n)]
-    out = Element.zero(ring)
-    one = Element.monomial(ring, ring.unit_monomial())
-    pow_cache = {}
-    for m, c in f.terms.items():
-        acc = one
-        if ring.is_exterior:
-            for i in m:
-                acc = acc * images[i]
-        else:
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if (i, e) not in pow_cache:
-                    p = one
-                    for _ in range(e):
-                        p = p * images[i]
-                    pow_cache[(i, e)] = p
-                acc = acc * pow_cache[(i, e)]
-        out = out + acc.scale(c)
+    linear = [linear_form(ring, [row[i] for row in g]) for i in range(n)]
+    unit = ring.unit_monomial()
+    images = {unit: Element.monomial(ring, unit)}
+
+    def image(m):
+        img = images.get(m)
+        if img is None:
+            if ring.is_exterior:
+                i, rest = m[-1], m[:-1]
+            else:
+                i = max_variable(ring, m) - 1
+                rest = m[:i] + (m[i] - 1,) + m[i + 1:]
+            img = images[m] = image(rest) * linear[i]
+        return img
+
+    out = []
+    for f in elements:
+        terms = {}
+        for m, c in f.terms.items():
+            for t, x in image(m).terms.items():
+                s = terms.get(t, 0) + c * x
+                if s:
+                    terms[t] = s
+                else:
+                    del terms[t]
+        out.append(Element(ring, terms))
     return out
+
+
+def apply_linear_change(f, g):
+    """change_coordinates for the one element f."""
+    return change_coordinates(f.ring, [f], g)[0]

@@ -358,6 +358,25 @@ class TestTableMemo:
         oracle_equivalences(I, seed=0)
         assert built.count((gens, None)) == 1
 
+    def test_regular_section_is_built_once(self, monkeypatch):
+        # x4 divides no generator: every Koszul table of I, and of gin(I),
+        # runs on a section in three variables
+        I = parse_ideal("ring poly 4 QQ\nx1^2\nx2^2\nx1*x2*x3^2\nx3^5\n")
+        assert _regular_section(I) is _regular_section(I)
+        assert _regular_section(I).ring.n == 3
+        built = []
+        init = HomologyWorkspace.__init__
+
+        def counting(self, ideal, seq=None):
+            if seq is None:
+                built.append((ideal.ring, ideal.generators))
+            init(self, ideal, seq)
+
+        monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
+        battery(I, seed=0)
+        oracle_equivalences(I, seed=0)
+        assert built and len(built) == len(set(built))
+
 
 class TestPredicates:
     def test_regularity_examples(self, strand4):

@@ -262,8 +262,8 @@ class TestErrors:
     def test_lost_multiple_exit_3(self, tmp_path, capsys, monkeypatch):
         pivots = groebner._degree_pivot_monomials
 
-        def dropping(ring, gens, d, key):
-            return {m for m in pivots(ring, gens, d, key) if m[0] < 3}
+        def dropping(ring, gens, d, key, target=None):
+            return {m for m in pivots(ring, gens, d, key, target) if m[0] < 3}
 
         monkeypatch.setattr(groebner, "_degree_pivot_monomials", dropping)
         path = write(tmp_path, STAIRCASE_3)

@@ -4,21 +4,30 @@ import pytest
 from hypothesis import strategies as st
 
 from ginlab import groebner
+from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.groebner import (
+    _initial_ideal_degreewise,
+    _scan_plan,
     buchberger,
     gin,
     initial_ideal,
 )
-from ginlab.ideals import Ideal, is_strongly_stable
+from ginlab.ideals import (
+    Ideal,
+    ImplementationFault,
+    is_strongly_stable,
+    variable_multiples,
+)
 from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
-from ginlab.rigidity import battery
+from ginlab.rigidity import RigidityContext, battery
 from ginlab.rings import (
     DEGREVLEX,
     LEX,
     Element,
     GenericityError,
     apply_linear_change,
+    change_coordinates,
     exterior_ring,
     polynomial_ring,
     random_invertible_matrix,
@@ -229,8 +238,10 @@ class TestEscalation:
         scan = groebner._initial_ideal_degreewise
         calls = []
 
-        def second_trial_differs(ring, gens, order, stop, max_scan_degree=None):
-            J, cut = scan(ring, gens, order, stop, max_scan_degree)
+        def second_trial_differs(
+            ring, gens, order, stop, max_scan_degree=None, ranks=None
+        ):
+            J, cut = scan(ring, gens, order, stop, max_scan_degree, ranks)
             calls.append(J)
             if len(calls) % 2:
                 return J, cut
@@ -265,9 +276,9 @@ class TestGinMemo:
         calls = []
         scan = groebner._initial_ideal_degreewise
 
-        def counted(ring, gens, order, stop, max_scan_degree=None):
+        def counted(ring, gens, order, stop, max_scan_degree=None, ranks=None):
             calls.append((order, len(gens)))
-            return scan(ring, gens, order, stop, max_scan_degree)
+            return scan(ring, gens, order, stop, max_scan_degree, ranks)
 
         monkeypatch.setattr(groebner, "_initial_ideal_degreewise", counted)
         return calls
@@ -362,3 +373,117 @@ def test_buchberger_route_reproduces_staircase_gin(staircase3):
     _, cert = gin(staircase3, seed=0)
     for J in _buchberger_trials(staircase3, cert):
         assert gens_as_strings(J) == STAIRCASE_GIN
+
+
+def dense_quadrics_q4():
+    """Three dense quadrics in four variables, coefficients in [-4, 4]."""
+    ring = polynomial_ring(4)
+    rng = random.Random("q4")
+    return Ideal(ring, [
+        Element(ring, {m: rng.randint(-4, 4) for m in ring.monomials(2)})
+        for _ in range(3)
+    ])
+
+
+class TestKnownRanks:
+    """The trials of one gin share dim I_d as their target ranks."""
+
+    @pytest.fixture
+    def fed(self, monkeypatch):
+        """[degree, rows built, rows fed to IntRank] per elimination, one
+        list per trial scan."""
+        trials = []
+
+        class Counting(groebner.IntRank):
+            def add(self, row):
+                trials[-1][-1][2] += 1
+                return super().add(row)
+
+        rows, scan = groebner.degree_rows, groebner._initial_ideal_degreewise
+
+        def built(ring, gens, d, index):
+            out = list(rows(ring, gens, d, index))
+            trials[-1].append([d, len(out), 0])
+            return out
+
+        def counted(*args):
+            trials.append([])
+            return scan(*args)
+
+        monkeypatch.setattr(groebner, "IntRank", Counting)
+        monkeypatch.setattr(groebner, "degree_rows", built)
+        monkeypatch.setattr(groebner, "_initial_ideal_degreewise", counted)
+        return trials
+
+    def test_second_trial_feeds_fewer_rows(self, fed):
+        # the first trial eliminates every degree in full and records its
+        # rank; the second stops at that rank, or skips the degree
+        gin(dense_quadrics_q4())
+        first, second = fed
+        assert all(n == rows for _, rows, n in first)
+        assert any(n < rows for _, rows, n in second)
+        assert sum(n for *_, n in second) < sum(n for *_, n in first)
+
+    @pytest.mark.parametrize("text", [
+        STAIRCASE_3, "ring ext 5 QQ\ne1*e2\ne3*e4\ne2*e3*e5\n",
+    ])
+    def test_monomial_input_skips_filled_degrees(self, monkeypatch, text):
+        I = parse_ideal(text)
+        ring = I.ring
+        eliminated = []
+        pivots = groebner._degree_pivot_monomials
+
+        def recorded(ring, gens, d, key, target=None):
+            eliminated.append(d)
+            return pivots(ring, gens, d, key, target)
+
+        monkeypatch.setattr(groebner, "_degree_pivot_monomials", recorded)
+        J, cert = gin(I)
+        if ring.is_exterior:
+            last = ring.n
+        else:
+            # crystallization: the first degree above the input's top
+            # degree with no new generator
+            tops = {sum(u) for u in J.gens}
+            last = I.max_degree() + 1
+            while last in tops:
+                last += 1
+        filled = {
+            d for d in range(I.min_degree() + 1, last + 1)
+            if len(variable_multiples(ring, J.monomials(d - 1)))
+            == I.dim_piece(d)
+        }
+        scanned = set(range(I.min_degree(), last + 1))
+        assert filled and filled < scanned
+        assert eliminated == sorted(scanned - filled) * cert.trials
+
+    def test_wrong_target_is_a_fault(self, monkeypatch):
+        quotient = groebner.quotient_dim_from_numerator
+
+        def one_short(num, n, d):
+            return quotient(num, n, d) - 1  # the seed reads dim I_d + 1
+
+        monkeypatch.setattr(groebner, "quotient_dim_from_numerator", one_short)
+        with pytest.raises(ImplementationFault, match="below dim I_2 = "):
+            gin(dense_quadrics_q4(), order=LEX, max_scan_degree=3)
+
+    def test_targets_leave_every_trial_scan_unchanged(self):
+        # the full elimination of every degree is the oracle: with the
+        # shared targets and skips each certified trial finds the same
+        # initial ideal and cut, under degrevlex and under lex at scan_cut
+        for spec in ACCEPTANCE_SPECS:
+            for ideal in generate(spec):
+                ring = ideal.ring
+                cut = RigidityContext(ideal, seed=0).scan_cut
+                for order, up_to in ((DEGREVLEX, None), (LEX, cut)):
+                    _, cert = gin(ideal, order=order, max_scan_degree=up_to)
+                    stop, ranks = _scan_plan(ideal, order, up_to)
+                    for mat in cert.matrices:
+                        gens = change_coordinates(ring, ideal.generators, mat)
+                        full = _initial_ideal_degreewise(
+                            ring, gens, order, stop, up_to
+                        )
+                        shared = _initial_ideal_degreewise(
+                            ring, gens, order, stop, up_to, ranks
+                        )
+                        assert shared == full, (ideal.generators, order)

@@ -311,8 +311,8 @@ class TestDegreeScan:
     def test_lost_multiple_is_a_fault(self, monkeypatch, staircase3):
         pivots = groebner._degree_pivot_monomials
 
-        def dropping(ring, gens, d, key):
-            return {m for m in pivots(ring, gens, d, key) if m[0] < 3}
+        def dropping(ring, gens, d, key, target=None):
+            return {m for m in pivots(ring, gens, d, key, target) if m[0] < 3}
 
         monkeypatch.setattr(groebner, "_degree_pivot_monomials", dropping)
         with pytest.raises(ImplementationFault, match="misses multiples"):

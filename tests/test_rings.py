@@ -5,9 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from ginlab.rings import (
     Element,
+    Ring,
     apply_linear_change,
+    change_coordinates,
     compare_monomials,
     exterior_ring,
+    linear_form,
     matrix_det,
     max_variable,
     monomial_mul,
@@ -139,6 +142,11 @@ class TestLinearChange:
         f = Element.monomial(R3, mono(1, 0, 0))
         with pytest.raises(ValueError):
             apply_linear_change(f, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match="singular"):
+            change_coordinates(R3, [f, f], [[1, 2, 0], [2, 4, 0], [0, 0, 1]])
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match="singular"):
+            change_coordinates(R3, [f], [[half, 1, 0], [1, 2, 0], [0, 0, 3]])
 
     def test_degree_preserved(self):
         ring = polynomial_ring(2)
@@ -180,3 +188,89 @@ def test_linear_change_composition_exterior(g, supp):
     if support:
         assert out.is_homogeneous()
         assert out.is_zero() or out.degree() == len(support)
+
+
+def fraction_det(g):
+    """Gaussian elimination over QQ: the reference for matrix_det."""
+    m = [[Fraction(x) for x in row] for row in g]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            for k in range(c, n):
+                m[r][k] -= f * m[c][k]
+    return det
+
+
+entries = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def square_matrices(draw, sizes=st.integers(0, 4)):
+    """Integer and rational matrices; some made singular by a scaled row."""
+    n = draw(sizes)
+    rows = draw(st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+    ))
+    if n >= 2 and draw(st.booleans()):
+        scale = draw(entries)
+        rows[0] = [scale * x for x in rows[-1]]
+    return rows
+
+
+@given(square_matrices())
+@settings(max_examples=150)
+def test_matrix_det_matches_fraction_elimination(g):
+    assert matrix_det(g) == fraction_det(g)
+
+
+def substituted(f, g):
+    """The substitution term by term, each monomial's image a product of
+    the linear images: the reference for change_coordinates."""
+    ring = f.ring
+    images = [linear_form(ring, [row[i] for row in g]) for i in range(ring.n)]
+    out = Element.zero(ring)
+    for m, c in f.terms.items():
+        acc = Element.monomial(ring, ring.unit_monomial())
+        if ring.is_exterior:
+            factors = m
+        else:
+            factors = [i for i, e in enumerate(m) for _ in range(e)]
+        for i in factors:
+            acc = acc * images[i]
+        out = out + acc.scale(c)
+    return out
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_batched_change_matches_each_element(data):
+    kind = data.draw(st.sampled_from(["poly", "ext"]))
+    n = data.draw(st.integers(2, 4))
+    ring = Ring(kind, n)
+    g = data.draw(square_matrices(st.just(n)))
+    elements = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        monos = ring.monomials(data.draw(st.integers(1, min(n, 3))))
+        support = data.draw(
+            st.lists(st.sampled_from(monos), min_size=1, max_size=4)
+        )
+        elements.append(Element(ring, {m: data.draw(entries) for m in support}))
+    if matrix_det(g) == 0:
+        with pytest.raises(ValueError, match="singular"):
+            change_coordinates(ring, elements, g)
+        return
+    batched = change_coordinates(ring, elements, g)
+    assert batched == [apply_linear_change(f, g) for f in elements]
+    assert batched == [substituted(f, g) for f in elements]
