@@ -486,7 +486,13 @@ def _drop_regular_variables(ideal):
         terms = {u[:m]: c for u, c in g.terms.items() if not any(u[m:])}
         if terms:
             gens.append(Element(small, terms))
-    return Ideal(small, gens)
+    section = Ideal(small, gens)
+    # in_revlex(I + (x_n)) = in_revlex(I) + (x_n) (Eisenbud 15.12), so the
+    # section's in_revlex is in_revlex(I) with the dropped variables cut off
+    section._initials[DEGREVLEX] = MonomialIdeal(
+        small, [u[:m] for u in init.gens]
+    )
+    return section
 
 
 def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):

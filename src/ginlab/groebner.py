@@ -4,11 +4,10 @@ Polynomial initial ideals come from a reduced Groebner basis (Buchberger,
 normal selection, criteria 1 and 2).  Exterior initial ideals and the
 per-trial initial ideals inside gin run the one degree scan of ideals.py,
 degree_scan, on the pivot monomials of the echelonized graded pieces; for
-the polynomial ring the scan stops once the candidate monomial ideal
-provably has the Hilbert series of the input, or by crystallization,
-which certifies completeness without Groebner theory in generic
-coordinates.  The Buchberger initial ideal in each certified trial's
-coordinates is the tests' reference for the degreewise scan.
+the polynomial ring the scan stops, under every term order, once the
+candidate monomial ideal has the Hilbert numerator of the input, which is
+exact.  The Buchberger initial ideal in each certified trial's coordinates
+is the tests' reference for the degreewise scan.
 
 gin draws integer change-of-coordinate matrices with entries in [-B, B],
 one per trial, through the one escalation loop, rings.certified_draw: all
@@ -16,16 +15,16 @@ trials must agree and the result must be strongly stable, otherwise B
 doubles, and after five rounds GenericityError says why.
 
 Each trial transforms all generators in one rings.change_coordinates
-call, and its scan knows its target ranks: dim (g.I)_d = dim I_d for
-every invertible g, so all trials and rounds of one gin share one
-degree -> dim I_d dict (_Ranks).  It is read off the numerator of the
-Hilbert stop or a monomial input, and otherwise recorded by the first
-full elimination of each degree.  An elimination stops once its rank
-reaches the target; a degree whose one-variable multiples of the degree
-below already number dim I_d is not eliminated, since those multiples
-lie in the initial ideal and so are all of it.  A trial that runs out of
-rows below a known target raises ImplementationFault, so every trial
-cross-checks the ranks of the others.
+call, and its scan knows its stop and its target ranks before it starts:
+in(g.I) has the Hilbert series of I for every invertible g, so all
+trials and rounds of one gin read the numerator of in_revlex(I) and
+dim I_d off it (over E, dim I_d comes from the graded pieces of I).  An
+elimination stops once its rank reaches the target; a degree whose
+one-variable multiples of the degree below already number dim I_d is not
+eliminated, since those multiples lie in the initial ideal and so are all
+of it.  A trial that runs out of rows below its target raises
+ImplementationFault, so every trial is checked against Buchberger (over
+S) or Rref (over E).
 """
 
 import random
@@ -185,14 +184,14 @@ def buchberger(ideal, order=None):
 # initial ideals
 
 
-def _degree_pivot_monomials(ring, gens, d, key, target=None):
+def _degree_pivot_monomials(ring, gens, d, order, target=None):
     """Leading monomials of the degree-d piece of the span of gens.
 
     With target = the dimension of that piece, the elimination stops as
     soon as the rank reaches it, and running out of rows below it is an
     ImplementationFault.
     """
-    monos = sorted(ring.monomials(d), key=key, reverse=True)
+    monos = ring.monomials(d, order)
     index = {m: i for i, m in enumerate(monos)}
     rows = list(degree_rows(ring, gens, d, index))
     # sparse rows first: keeps the elimination basis short and the
@@ -242,62 +241,33 @@ def _initial_ideal(ideal, order):
 
 
 def _initial_ideal_degreewise(
-    ring, gens, order, stop, max_scan_degree=None, ranks=None
+    ring, gens, order, numerator, max_scan_degree=None, dims=None
 ):
     """in of the span of gens by degree_scan; (ideal, truncated_at) pair.
 
     Every monomial found is a true leading monomial, so the accumulating
     candidate ideal sits inside the initial ideal.  Over E the scan runs
-    to degree n and stop is None; over S there are two stopping rules:
+    to degree n and numerator is None; over S it stops once the candidate
+    has the Hilbert numerator of the span, which is exact: equal Hilbert
+    series plus containment force equality in every degree.
 
-    - ("hilbert", numerator): stop once the candidate has the Hilbert
-      series of the input; equality of Hilbert series plus containment
-      forces equality in every degree, exactly.
-    - ("crystallization", d): the input is generated in degrees <= d; in
-      generic coordinates under the reverse lexicographic order, a degree
-      e > d with no new minimal generators bounds the regularity by e - 1
-      and so certifies completeness (generic-coordinate assumption is
-      covered by the trial-agreement and Borel certificates of gin).
-
-    ranks, a _Ranks shared by the trials of one gin, gives each degree's
-    elimination its target rank, the dimension of the degree-d piece of
-    the span, and records it after a full elimination.  A degree whose
-    one-variable multiples of the degree below already number it is all
-    multiples, since they lie in the initial ideal, and is not eliminated.
-    Without ranks every degree is eliminated in full.
+    dims(d), when given, is the dimension of the degree-d piece of the
+    span and the target rank of that degree's elimination.  A degree
+    whose one-variable multiples of the degree below already number it is
+    all multiples, since they lie in the initial ideal, and is not
+    eliminated.  Without dims every degree is eliminated in full.
     """
-    key = order_key(ring, order)
-    done = None
-    if stop is not None:
-        mode, data = stop
-        if mode == "crystallization":
-
-            def done(d, new, found):
-                return d > data and not new
-
-        else:
-
-            def done(d, new, found):
-                return hilbert_numerator(minimal_generators(ring, found)) == data
 
     def piece(d, grown):
-        if ranks is None:
-            return _degree_pivot_monomials(ring, gens, d, key)
-        target = ranks[d]
+        if dims is None:
+            return _degree_pivot_monomials(ring, gens, d, order)
+        target = dims(d)
         if target == len(grown):
             return grown
-        span = _degree_pivot_monomials(ring, gens, d, key, target)
-        if target is None:
-            ranks[d] = len(span)
-        return span
+        return _degree_pivot_monomials(ring, gens, d, order, target)
 
-    return degree_scan(
-        ring,
-        piece,
-        done,
-        min(g.degree() for g in gens),
-        max_scan_degree,
-    )
+    start = min(g.degree() for g in gens)
+    return degree_scan(ring, piece, start, max_scan_degree, numerator)
 
 
 # ---------------------------------------------------------------------------
@@ -363,53 +333,39 @@ def gin(
     return ideal._gins[key]
 
 
-class _Ranks(dict):
-    """degree -> dim I_d, the target rank of every trial scan of one gin.
-
-    dim (g.I)_d = dim I_d for every invertible g, so all trials and rounds
-    of the call share one _Ranks.  known(d), when given, computes dim I_d
-    the first time a degree is read; otherwise a degree reads None until
-    the first full elimination records its rank.
-    """
-
-    def __init__(self, known=None):
-        super().__init__()
-        self.known = known
-
-    def __missing__(self, d):
-        if self.known is None:
-            return None
-        self[d] = self.known(d)
-        return self[d]
-
-
 def _scan_plan(ideal, order, max_scan_degree):
-    """(stop, ranks) for the trial scans of one gin call.
+    """(numerator, dims) for the trial scans of one gin call, any order.
 
-    stop is the stopping rule of _initial_ideal_degreewise and ranks its
-    shared _Ranks: dim I_d is known from the numerator of a Hilbert stop,
-    and otherwise from a monomial input itself.  A scan that cannot reach
-    its stop is refused here, before any coordinate change.
+    For every invertible g, in(g.I) has the Hilbert series of I
+    (Bayer-Stillman; Eisenbud 15.9), so all trials and rounds share one
+    stop and one target rank dims(d) = dim I_d per degree.  Over S both
+    are read off the Hilbert numerator of in_revlex(I) in the given
+    coordinates, whatever the ring's order: the memo that the regular
+    section and Lex(I) read.  Over E there is no numerator, and dims(d)
+    comes from the graded pieces of I.  Every trial is then checked
+    against an independent route: Buchberger over S, Rref over E.
+
+    A scan that provably passes the cap is refused here, before any
+    coordinate change, by two bounds on the top generator degree of
+    in(g.I): the top degree of a minimal generating set of a monomial
+    input (a Groebner basis generates I), and ceil(deg N / n) for the
+    numerator N, since a monomial ideal generated in degrees <= e has
+    lcms, and so a numerator, of degree <= n e.
     """
     ring = ideal.ring
-    mono = ideal.monomial_image()
-    ranks = _Ranks(None if mono is None else mono.dim)
     if ring.is_exterior:
-        return None, ranks
-    if order == DEGREVLEX:
-        # the crystallization stop needs a degree above max_degree()
-        check_scan_reach(ideal.max_degree() + 1, max_scan_degree)
-        return ("crystallization", ideal.max_degree()), ranks
-    # a Groebner basis generates I, so every initial ideal has a generator
-    # of degree >= the top degree of a minimal generating set
+        return None, ideal.dim_piece
+    mono = ideal.monomial_image()
     if mono is not None:
         check_scan_reach(mono.max_gen_degree(), max_scan_degree)
-    numerator = hilbert_numerator(initial_ideal(ideal))
+    numerator = hilbert_numerator(initial_ideal(ideal, DEGREVLEX))
+    # ceil(deg N / n)
+    check_scan_reach(-(-(len(numerator) - 1) // ring.n), max_scan_degree)
 
-    def from_numerator(d):
+    def dims(d):
         return ring.dim(d) - quotient_dim_from_numerator(numerator, ring.n, d)
 
-    return ("hilbert", numerator), _Ranks(from_numerator)
+    return numerator, dims
 
 
 def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
@@ -424,14 +380,14 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
         cert = GinCertificate(order, seed, coeff_bound, trials, 0, (), True)
         return MonomialIdeal(ring, []), cert
 
-    stop, ranks = _scan_plan(ideal, order, max_scan_degree)
+    numerator, dims = _scan_plan(ideal, order, max_scan_degree)
 
     def trial(key, bound):
         rng = random.Random(f"gin:{key}:{bound}")
         mat = random_invertible_matrix(rng, ring.n, bound)
         transformed = change_coordinates(ring, ideal.generators, mat)
         J, cut = _initial_ideal_degreewise(
-            ring, transformed, order, stop, max_scan_degree, ranks
+            ring, transformed, order, numerator, max_scan_degree, dims
         )
         return J, cut, tuple(tuple(row) for row in mat)
 

@@ -10,8 +10,9 @@ arithmetic.
 Every monomial ideal built degree by degree (exterior initial ideals, the
 per-trial initial ideals inside gin, lexsegment ideals) comes from one
 scan, degree_scan: it checks the ideal property between degrees, stops at
-degree n over E or on the caller's certified stop over S, honours a
-truncation degree, and raises ComputationLimit past the one SCAN_CAP.
+degree n over E and over S once the candidate has the target's Hilbert
+numerator, honours a truncation degree, and raises ComputationLimit past
+the one SCAN_CAP.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ from math import comb
 
 from .linalg import Rref
 from .rings import (
+    DEGREVLEX,
+    LEX,
     Element,
     Ring,
     max_variable,
@@ -456,16 +459,19 @@ def check_scan_reach(degree, up_to=None):
         raise ComputationLimit(f"degree scan passed the degree cap {SCAN_CAP}")
 
 
-def degree_scan(ring, piece, done, start, up_to=None):
+def degree_scan(ring, piece, start, up_to=None, numerator=None):
     """The monomial ideal with degree-d monomials piece(d, grown); (ideal, cut).
 
     From degree start upward, piece(d, grown) must contain grown, the
     one-variable multiples of the degree-(d - 1) piece; what is left are
-    the minimal generators of degree d.  The scan ends at degree n over E,
-    and over S once done(d, new, found) holds, where new holds the
-    generators of degree d and found every generator so far; cut is then
-    None.  Past up_to the scan stops with cut = d - 1: the result then
-    holds exactly the generators of degree <= cut.
+    the minimal generators of degree d.  Every monomial found must lie in
+    the target ideal.  The scan ends at degree n over E, and over S once
+    the candidate, the ideal of the generators found so far, has Hilbert
+    numerator numerator, the target's: containment with equal Hilbert
+    series is equality.  The candidate changes only at degrees that add
+    generators, so the stop is tested there and at degree start; cut is
+    then None.  Past up_to the scan stops with cut = d - 1: the result
+    then holds exactly the generators of degree <= cut.
     """
     below, found = set(), set()
     for d in count(start):
@@ -480,7 +486,13 @@ def degree_scan(ring, piece, done, start, up_to=None):
             )
         new = span - grown
         found |= new
-        if (d >= ring.n) if ring.is_exterior else done(d, new, found):
+        if ring.is_exterior:
+            complete = d >= ring.n
+        else:
+            complete = (new or d == start) and hilbert_numerator(
+                minimal_generators(ring, found)
+            ) == numerator
+        if complete:
             return minimal_generators(ring, found), None
         below = span
 
@@ -508,30 +520,21 @@ def lex_segment_ideal(ideal, up_to):
     ring = ideal.ring
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
-    lexkey = order_key(ring, "lex")
-    dim, done = ideal.dim_piece, None
+    dim, num = ideal.dim_piece, None
     if not ring.is_exterior:
         from .groebner import initial_ideal
 
-        init = initial_ideal(ideal)
+        init = initial_ideal(ideal, DEGREVLEX)
         num = hilbert_numerator(init)
-        top = init.max_gen_degree()
-        check_scan_reach(top, up_to)
+        # Lex(I) has a generator in every degree in(I) has one
+        # (Bigatti-Hulett-Pardue)
+        check_scan_reach(init.max_gen_degree(), up_to)
 
         def dim(d):
             return ring.dim(d) - quotient_dim_from_numerator(num, ring.n, d)
 
-        def done(d, new, found):
-            # Lex(I) has a generator in every degree in(I) has one
-            # (Bigatti-Hulett-Pardue), so the guard only skips numerators
-            # that cannot match
-            return d >= top and hilbert_numerator(
-                minimal_generators(ring, found)
-            ) == num
-
     def piece(d, grown):
-        monos = sorted(ring.monomials(d), key=lexkey, reverse=True)
-        return set(monos[: dim(d)])
+        return set(ring.monomials(d, LEX)[: dim(d)])
 
-    J, cut = degree_scan(ring, piece, done, ideal.min_degree() or 1, up_to)
+    J, cut = degree_scan(ring, piece, ideal.min_degree() or 1, up_to, num)
     return J, cut is None

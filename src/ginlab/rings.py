@@ -7,7 +7,7 @@ algebra.  Elements map monomials to nonzero exact rational coefficients
 operations are pure functions.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb, lcm
@@ -32,6 +32,10 @@ class Ring:
     kind: str
     n: int
     order: str = DEGREVLEX
+    # Ring.monomials memo: (d, order) -> tuple, built once per instance
+    _monomials: dict = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self):
         if self.kind not in (POLY, EXT):
@@ -60,22 +64,23 @@ class Ring:
         exps[i] = 1
         return Element(self, {tuple(exps): 1})
 
-    def monomials(self, d):
-        """All monomials of total degree d, descending in the ring order."""
-        if self.is_exterior:
-            if d > self.n:
-                return []
-            monos = list(combinations(range(self.n), d))
-        else:
-            monos = []
-            for c in combinations_with_replacement(range(self.n), d):
-                exps = [0] * self.n
-                for i in c:
-                    exps[i] += 1
-                monos.append(tuple(exps))
-        key = order_key(self)
-        monos.sort(key=key, reverse=True)
-        return monos
+    def monomials(self, d, order=None):
+        """All monomials of total degree d, descending in order (default the
+        ring's), as a tuple built once per (d, order) on this Ring."""
+        order = order or self.order
+        if (d, order) not in self._monomials:
+            if self.is_exterior:
+                monos = list(combinations(range(self.n), d))
+            else:
+                monos = []
+                for c in combinations_with_replacement(range(self.n), d):
+                    exps = [0] * self.n
+                    for i in c:
+                        exps[i] += 1
+                    monos.append(tuple(exps))
+            monos.sort(key=order_key(self, order), reverse=True)
+            self._monomials[(d, order)] = tuple(monos)
+        return self._monomials[(d, order)]
 
     def dim(self, d):
         """Vector space dimension of the degree-d graded piece."""

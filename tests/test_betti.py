@@ -22,12 +22,13 @@ from ginlab.betti import (
     regularity,
 )
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
-from ginlab.groebner import gin
+from ginlab.groebner import gin, initial_ideal
 from ginlab.ideals import Ideal, MonomialIdeal, is_strongly_stable
 from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import battery
 from ginlab.rings import (
+    DEGREVLEX,
     EXT,
     POLY,
     Element,
@@ -156,6 +157,24 @@ class TestDepthReduction:
                 assert table.entries == full_koszul(X, r), (tag, X)
         # pinned: a lost reduction or a widened one both move these
         assert shrunk == {"input": 22, "input-gin": 42, "ref-gin": 2}
+
+    def test_seeded_section_initial_ideal(self):
+        # the section's in_revlex is seeded from in_revlex(I); Buchberger on
+        # a fresh Ideal with the section's generators is the oracle
+        seeded = 0
+        for spec in ACCEPTANCE_SPECS:
+            if spec.kind != POLY:
+                continue
+            for I in generate(spec):
+                section = _regular_section(I)
+                if section is I:
+                    continue
+                seeded += 1
+                fresh = Ideal(section.ring, section.generators)
+                assert section._initials[DEGREVLEX] == initial_ideal(
+                    fresh, DEGREVLEX
+                ), I.generators
+        assert seeded == 22
 
     def test_redundant_generator_vanishes(self):
         I = parse_ideal("ring poly 3 QQ\nx1^2\nx1^2*x3\n")

@@ -24,6 +24,7 @@ from ginlab.rigidity import RigidityContext, battery
 from ginlab.rings import (
     DEGREVLEX,
     LEX,
+    POLY,
     Element,
     GenericityError,
     apply_linear_change,
@@ -157,6 +158,15 @@ class TestGin:
                 continue
             J, cert = gin(I, seed=3)
             assert _buchberger_trials(I, cert) == [J] * cert.trials
+        # and the degrevlex gins of the polynomial acceptance corpus
+        inputs = [
+            I for spec in ACCEPTANCE_SPECS if spec.kind == POLY
+            for I in generate(spec)
+        ]
+        assert len(inputs) == 64
+        for I in inputs:
+            J, cert = gin(I)
+            assert _buchberger_trials(I, cert) == [J] * cert.trials, I
 
     def test_gin_idempotent(self, staircase3):
         J, _ = gin(staircase3, seed=0)
@@ -239,9 +249,9 @@ class TestEscalation:
         calls = []
 
         def second_trial_differs(
-            ring, gens, order, stop, max_scan_degree=None, ranks=None
+            ring, gens, order, numerator, max_scan_degree=None, dims=None
         ):
-            J, cut = scan(ring, gens, order, stop, max_scan_degree, ranks)
+            J, cut = scan(ring, gens, order, numerator, max_scan_degree, dims)
             calls.append(J)
             if len(calls) % 2:
                 return J, cut
@@ -276,9 +286,11 @@ class TestGinMemo:
         calls = []
         scan = groebner._initial_ideal_degreewise
 
-        def counted(ring, gens, order, stop, max_scan_degree=None, ranks=None):
+        def counted(
+            ring, gens, order, numerator, max_scan_degree=None, dims=None
+        ):
             calls.append((order, len(gens)))
-            return scan(ring, gens, order, stop, max_scan_degree, ranks)
+            return scan(ring, gens, order, numerator, max_scan_degree, dims)
 
         monkeypatch.setattr(groebner, "_initial_ideal_degreewise", counted)
         return calls
@@ -310,20 +322,26 @@ class TestGinMemo:
         assert not staircase3._gins
 
     def test_battery_and_oracles_run_buchberger_once(self, monkeypatch):
-        # in(I) is read by the regular section of the Betti table, by
-        # Lex(I) and by the Hilbert stop of gin under lex; one memo serves
+        # in_revlex(I) is read by the regular section of the Betti table,
+        # by Lex(I) and by the Hilbert stop of every gin of I; one memo
+        # serves, and the section's in_revlex is seeded from it.  The
+        # component gin of I_<2> scans the subideal of the generators of
+        # degree <= 2, which needs its own run
         calls = []
         run = groebner.buchberger
 
         def counted(ideal, order=None):
-            calls.append(order)
+            calls.append((ideal.generators, order))
             return run(ideal, order)
 
         monkeypatch.setattr(groebner, "buchberger", counted)
         I = parse_ideal(self.DENSE)
+        sub = tuple(g for g in I.generators if g.degree() <= 2)
         battery(I, seed=0)
         oracle_equivalences(I, seed=0)
-        assert calls == [DEGREVLEX]
+        assert len(calls) == 2
+        assert (I.generators, DEGREVLEX) in calls
+        assert (sub, DEGREVLEX) in calls
 
     def test_initial_ideal_memo_keys_the_resolved_order(self):
         I = parse_ideal(self.DENSE)
@@ -416,17 +434,25 @@ class TestKnownRanks:
         return trials
 
     def test_second_trial_feeds_fewer_rows(self, fed):
-        # the first trial eliminates every degree in full and records its
-        # rank; the second stops at that rank, or skips the degree
+        # dim I_d is known before the first trial, from the numerator of
+        # in_revlex(I), so every trial stops at that rank or skips the
+        # degree
         gin(dense_quadrics_q4())
-        first, second = fed
-        assert all(n == rows for _, rows, n in first)
-        assert any(n < rows for _, rows, n in second)
-        assert sum(n for *_, n in second) < sum(n for *_, n in first)
+        assert len(fed) == 2
+        for trial in fed:
+            assert all(n <= rows for _, rows, n in trial)
+            assert sum(n for *_, n in trial) < sum(r for _, r, _ in trial)
 
-    @pytest.mark.parametrize("text", [
-        STAIRCASE_3, "ring ext 5 QQ\ne1*e2\ne3*e4\ne2*e3*e5\n",
-    ])
+    # the degrees whose one-variable multiples already fill dim I_d: none
+    # for the staircase, whose gin adds generators in every degree up to
+    # its top, where the Hilbert stop ends the scan
+    FILLED = {
+        STAIRCASE_3: set(),
+        "ring ext 5 QQ\ne1*e2\ne3*e4\ne2*e3*e5\n": {4, 5},
+        "ring poly 2 QQ\nx1^2\nx2^5\n": {3, 4},
+    }
+
+    @pytest.mark.parametrize("text", list(FILLED))
     def test_monomial_input_skips_filled_degrees(self, monkeypatch, text):
         I = parse_ideal(text)
         ring = I.ring
@@ -442,19 +468,16 @@ class TestKnownRanks:
         if ring.is_exterior:
             last = ring.n
         else:
-            # crystallization: the first degree above the input's top
-            # degree with no new generator
-            tops = {sum(u) for u in J.gens}
-            last = I.max_degree() + 1
-            while last in tops:
-                last += 1
+            # the Hilbert stop: the candidate first has the numerator of
+            # I once it holds every generator of J
+            last = J.max_gen_degree()
         filled = {
             d for d in range(I.min_degree() + 1, last + 1)
             if len(variable_multiples(ring, J.monomials(d - 1)))
             == I.dim_piece(d)
         }
         scanned = set(range(I.min_degree(), last + 1))
-        assert filled and filled < scanned
+        assert filled == self.FILLED[text] and filled < scanned
         assert eliminated == sorted(scanned - filled) * cert.trials
 
     def test_wrong_target_is_a_fault(self, monkeypatch):
@@ -477,13 +500,13 @@ class TestKnownRanks:
                 cut = RigidityContext(ideal, seed=0).scan_cut
                 for order, up_to in ((DEGREVLEX, None), (LEX, cut)):
                     _, cert = gin(ideal, order=order, max_scan_degree=up_to)
-                    stop, ranks = _scan_plan(ideal, order, up_to)
+                    numerator, dims = _scan_plan(ideal, order, up_to)
                     for mat in cert.matrices:
                         gens = change_coordinates(ring, ideal.generators, mat)
                         full = _initial_ideal_degreewise(
-                            ring, gens, order, stop, up_to
+                            ring, gens, order, numerator, up_to
                         )
                         shared = _initial_ideal_degreewise(
-                            ring, gens, order, stop, up_to, ranks
+                            ring, gens, order, numerator, up_to, dims
                         )
                         assert shared == full, (ideal.generators, order)

@@ -30,6 +30,7 @@ from ginlab.rings import (
     DEGLEX,
     DEGREVLEX,
     LEX,
+    POLY,
     Element,
     exterior_ring,
     polynomial_ring,
@@ -261,10 +262,12 @@ class TestDegreeScan:
 
     def test_acceptance_outputs_unchanged(self, scans):
         # in, Lex, truncated Lex and truncated and full gins of the 100
-        # acceptance ideals, as computed before the scans were merged
+        # acceptance ideals, as computed before the scans were merged; the
+        # Hilbert stop changed only the truncated_at of 17 truncated
+        # degrevlex gins, which are complete at the cut (None)
         text = "\n".join(scans[0])
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "fc6d96b8def145c2ae8b1d446b5be4957b495137958c8466ecb2581df0ca8625"
+            "48aa83f2c8adb9cf6864cac0015336e6ea7a5cc1696f58a2fa498db0b2ffc7ac"
         )
 
     def test_acceptance_gin_draws_unchanged(self, scans):
@@ -274,6 +277,18 @@ class TestDegreeScan:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "db3071de301384a313d4f981992ba41114c601599fbf34853126bfd7b9331c15"
         )
+
+    def test_truncated_at_none_exactly_when_complete(self):
+        # a polynomial gin truncated at cut reports no truncation exactly
+        # when the full gin has no generator above cut
+        for spec in ACCEPTANCE_SPECS:
+            if spec.kind != POLY:
+                continue
+            for ideal in generate(spec):
+                top = gin(ideal)[0].max_gen_degree()
+                for cut in (2, 3, RigidityContext(ideal, seed=0).scan_cut):
+                    _, cert = gin(ideal, max_scan_degree=cut)
+                    assert (cert.truncated_at is None) == (top <= cut)
 
     def test_exterior_truncation(self):
         I = parse_ideal("ring ext 4 QQ\ne1*e2+e3*e4\ne1*e3*e4\n")
@@ -286,18 +301,28 @@ class TestDegreeScan:
         assert gin(I, max_scan_degree=4)[1].truncated_at is None
 
     def test_cap_refused_before_any_coordinate_change(self, monkeypatch):
+        # the Hilbert stop ends at the top generator degree, here the cap
+        at = parse_ideal(f"ring poly 2 QQ\nx1^{SCAN_CAP}\n")
+        assert gin(at)[0] == at.monomial_image()
+
         def no_draw(*args):
             raise AssertionError("matrix drawn for a scan past the cap")
 
         monkeypatch.setattr(groebner, "random_invertible_matrix", no_draw)
-        I = parse_ideal(f"ring poly 2 QQ\nx1^{SCAN_CAP}\n")
-        with pytest.raises(ComputationLimit):
-            gin(I)
-        with pytest.raises(ComputationLimit):
-            gin(I, max_scan_degree=SCAN_CAP + 1)
-        # Lex stops at the top generator degree of in(I), which may be the cap
-        assert lex_ideal(I) == I.monomial_image()
+        # a monomial input is refused by its top generator degree; the
+        # numerator 1 - t^200 of the binomial needs a generator of degree
+        # >= 200 / 2, since one generated in degrees <= e has lcms, and so
+        # a numerator, of degree <= n e
         above = parse_ideal(f"ring poly 2 QQ\nx1^{SCAN_CAP + 1}\n")
+        binomial = parse_ideal("ring poly 2 QQ\nx1^200 + x2^200\n")
+        for I in (above, binomial):
+            for order in (DEGREVLEX, LEX, DEGLEX):
+                with pytest.raises(ComputationLimit):
+                    gin(I, order=order)
+            with pytest.raises(ComputationLimit):
+                gin(I, max_scan_degree=SCAN_CAP + 1)
+        # Lex stops at the top generator degree of in(I), which may be the cap
+        assert lex_ideal(at) == at.monomial_image()
         with pytest.raises(ComputationLimit):
             lex_ideal(above)
 

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginlab.rings import (
+    TERM_ORDERS,
     Element,
     Ring,
     apply_linear_change,
@@ -14,6 +16,7 @@ from ginlab.rings import (
     matrix_det,
     max_variable,
     monomial_mul,
+    order_key,
     polynomial_ring,
     wedge_supports,
 )
@@ -69,6 +72,29 @@ def test_compare_transitive(a, b, c):
 def test_compare_multiplicative(a, b, c):
     cmp_ab = compare_monomials(R3, a, b)
     assert cmp_ab == compare_monomials(R3, monomial_mul(a, c), monomial_mul(b, c))
+
+
+class TestMonomials:
+    def test_descending_in_every_order_and_built_once(self):
+        for ring in (R3, E4, polynomial_ring(2, "lex")):
+            assert ring.monomials(2) is ring.monomials(2, ring.order)
+            for order in TERM_ORDERS:
+                for d in range(5):
+                    if ring.is_exterior:
+                        every = combinations(range(ring.n), d)
+                    else:
+                        every = (
+                            e for e in product(range(d + 1), repeat=ring.n)
+                            if sum(e) == d
+                        )
+                    want = sorted(
+                        every, key=order_key(ring, order), reverse=True
+                    )
+                    monos = ring.monomials(d, order)
+                    assert monos == tuple(want), (ring, order, d)
+                    assert ring.monomials(d, order) is monos
+        # the memo is not part of a ring's value
+        assert R3 == polynomial_ring(3) and hash(R3) == hash(polynomial_ring(3))
 
 
 class TestWedge:
