@@ -155,7 +155,7 @@ class QuotientBasis:
         self._mult = {}
 
     def basis(self, d):
-        if d < 0 or (self.ring.is_exterior and d > self.ring.n):
+        if d < 0:
             return []
         return self.ideal.piece(d).std_monomials
 
@@ -168,10 +168,8 @@ class QuotientBasis:
         if key in self._mult:
             return self._mult[key]
         ring = self.ring
-        if d < 0 or (ring.is_exterior and d + 1 > ring.n):
-            cols = [{} for _ in self.basis(d)]
-            self._mult[key] = cols
-            return cols
+        if d < 0:
+            return []
         target = self.ideal.piece(d + 1)
         tgt_index = target._std_index
         cols = []

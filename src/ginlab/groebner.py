@@ -3,11 +3,11 @@
 Polynomial initial ideals come from a reduced Groebner basis (Buchberger,
 normal selection, criteria 1 and 2).  Exterior initial ideals and the
 per-trial initial ideals inside gin run the one degree scan of ideals.py,
-degree_scan, on the pivot monomials of the echelonized graded pieces; for
-the polynomial ring the scan stops, under every term order, once the
-candidate monomial ideal has the Hilbert numerator of the input, which is
-exact.  The Buchberger initial ideal in each certified trial's coordinates
-is the tests' reference for the degreewise scan.
+degree_scan, on the pivot monomials of the echelonized graded pieces; over
+both ring kinds the scan stops, under every term order, once the candidate
+monomial ideal has the Hilbert numerator of the input, which is exact.
+The Buchberger initial ideal in each certified trial's coordinates is the
+tests' reference for the degreewise scan.
 
 gin draws integer change-of-coordinate matrices with entries in [-B, B],
 one per trial, through the one escalation loop, rings.certified_draw: all
@@ -17,12 +17,11 @@ doubles, and after five rounds GenericityError says why.
 Each trial transforms all generators in one rings.change_coordinates
 call, and its scan knows its stop and its target ranks before it starts:
 in(g.I) has the Hilbert series of I for every invertible g, so all
-trials and rounds of one gin read the numerator of in_revlex(I) and
-dim I_d off it (over E, dim I_d comes from the graded pieces of I).  An
-elimination stops once its rank reaches the target; a degree whose
-one-variable multiples of the degree below already number dim I_d is not
-eliminated, since those multiples lie in the initial ideal and so are all
-of it.  A trial that runs out of rows below its target raises
+trials and rounds of one gin read one Hilbert numerator (see _scan_plan)
+and dim I_d off it.  An elimination stops once its rank reaches the
+target; a degree whose one-variable multiples of the degree below already
+number dim I_d is not eliminated, since those multiples lie in the
+initial ideal and so are all of it.  A trial that runs out of rows below its target raises
 ImplementationFault, so every trial is checked against Buchberger (over
 S) or Rref (over E).
 """
@@ -233,7 +232,10 @@ def _initial_ideal(ideal, order):
     if mono is not None:
         return mono
     if ring.is_exterior:
-        return _initial_ideal_degreewise(ring, ideal.generators, order, None)[0]
+        numerator, dims = _scan_plan(ideal, order, None)
+        return _initial_ideal_degreewise(
+            ring, ideal.generators, order, numerator, None, dims
+        )[0]
     gb = buchberger(ideal, order)
     return minimal_generators(
         ring, [g.leading_monomial(order) for g in gb.elements]
@@ -246,10 +248,10 @@ def _initial_ideal_degreewise(
     """in of the span of gens by degree_scan; (ideal, truncated_at) pair.
 
     Every monomial found is a true leading monomial, so the accumulating
-    candidate ideal sits inside the initial ideal.  Over E the scan runs
-    to degree n and numerator is None; over S it stops once the candidate
-    has the Hilbert numerator of the span, which is exact: equal Hilbert
-    series plus containment force equality in every degree.
+    candidate ideal sits inside the initial ideal.  The scan stops, over S
+    and E alike, once the candidate has numerator, the Hilbert numerator
+    of the span, which is exact: equal Hilbert series plus containment
+    force equality in every degree.
 
     dims(d), when given, is the dimension of the degree-d piece of the
     span and the target rank of that degree's elimination.  A degree
@@ -334,15 +336,14 @@ def gin(
 
 
 def _scan_plan(ideal, order, max_scan_degree):
-    """(numerator, dims) for the trial scans of one gin call, any order.
+    """(numerator, dims) for the scans of gin, Lex(I) and exterior in(I).
 
     For every invertible g, in(g.I) has the Hilbert series of I
-    (Bayer-Stillman; Eisenbud 15.9), so all trials and rounds share one
-    stop and one target rank dims(d) = dim I_d per degree.  Over S both
-    are read off the Hilbert numerator of in_revlex(I) in the given
-    coordinates, whatever the ring's order: the memo that the regular
-    section and Lex(I) read.  Over E there is no numerator, and dims(d)
-    comes from the graded pieces of I.  Every trial is then checked
+    (Bayer-Stillman; Eisenbud 15.9; over E, Aramova-Herzog-Hibi 2000), as
+    has Lex(I), so all scans of one call share one stop and one target
+    rank dims(d) = dim I_d per degree, whatever the order, read off the
+    Hilbert numerator of an initial ideal of I: in_revlex(I) over S, and
+    over E in(I) from the Rref pieces.  Every trial is then checked
     against an independent route: Buchberger over S, Rref over E.
 
     A scan that provably passes the cap is refused here, before any
@@ -350,15 +351,22 @@ def _scan_plan(ideal, order, max_scan_degree):
     in(g.I): the top degree of a minimal generating set of a monomial
     input (a Groebner basis generates I), and ceil(deg N / n) for the
     numerator N, since a monomial ideal generated in degrees <= e has
-    lcms, and so a numerator, of degree <= n e.
+    lcms, and so a numerator, of degree <= n e.  Over E deg N <= 2n, so
+    the second bound never fires.
     """
     ring = ideal.ring
-    if ring.is_exterior:
-        return None, ideal.dim_piece
     mono = ideal.monomial_image()
     if mono is not None:
         check_scan_reach(mono.max_gen_degree(), max_scan_degree)
-    numerator = hilbert_numerator(initial_ideal(ideal, DEGREVLEX))
+    if ring.is_exterior:
+        # the initial ideal scans itself, so over E read in_<(I), < the
+        # ring's order, off the pivots of the Rref pieces of I
+        init = minimal_generators(
+            ring, [m for d in range(ring.n + 1) for m in ideal.piece(d).pivots]
+        )
+    else:
+        init = initial_ideal(ideal, DEGREVLEX)
+    numerator = hilbert_numerator(init)
     # ceil(deg N / n)
     check_scan_reach(-(-(len(numerator) - 1) // ring.n), max_scan_degree)
 

@@ -9,10 +9,10 @@ arithmetic.
 
 Every monomial ideal built degree by degree (exterior initial ideals, the
 per-trial initial ideals inside gin, lexsegment ideals) comes from one
-scan, degree_scan: it checks the ideal property between degrees, stops at
-degree n over E and over S once the candidate has the target's Hilbert
-numerator, honours a truncation degree, and raises ComputationLimit past
-the one SCAN_CAP.
+scan, degree_scan: it checks the ideal property between degrees, stops
+over S and E alike once the candidate has the target's Hilbert numerator,
+honours a truncation degree, and raises ComputationLimit past the one
+SCAN_CAP.
 """
 
 from dataclasses import dataclass
@@ -174,8 +174,6 @@ class Ideal:
         return Piece(ring, d, monos, pivots, rref)
 
     def dim_piece(self, d):
-        if self.ring.is_exterior and d > self.ring.n:
-            return 0
         return self.piece(d).dim
 
 
@@ -332,7 +330,7 @@ def m_leq(ideal, q, k):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert series of monomial quotients (polynomial ring)
+# Hilbert series of monomial quotients
 
 
 def _poly_add(a, b):
@@ -362,11 +360,21 @@ def _poly_mul(a, b):
 
 
 def hilbert_numerator(ideal):
-    """Numerator N(t) with HS_{S/J}(t) = N(t)/(1-t)^n for a monomial ideal J."""
+    """N(t) = HS_{R/J}(t) (1-t)^n for a monomial ideal J, over S or E (where
+    HS_{E/J}(t) is the polynomial sum_{d<=n} dim (E/J)_d t^d)."""
     ring = ideal.ring
-    if ring.is_exterior:
-        raise ValueError("polynomial-ring monomial ideal expected")
     n = ring.n
+    if ring.is_exterior:
+        # dim (E/J)_d counts the supports of size d that hold no generator;
+        # each is reached from its prefix without its last variable
+        masks = [sum(1 << i for i in g) for g in ideal.gens]
+        series, stack = [0] * (n + 1), [(0, 0)]
+        while stack:
+            mask, first = stack.pop()
+            if not any(g & mask == g for g in masks):
+                series[mask.bit_count()] += 1
+                stack.extend((mask | 1 << v, v + 1) for v in range(first, n))
+        return _poly_mul(series, [(-1) ** k * comb(n, k) for k in range(n + 1)])
 
     def supports_disjoint(gens):
         seen = set()
@@ -422,12 +430,10 @@ def hilbert_numerator(ideal):
 
 
 def quotient_dim_from_numerator(num, n, d):
-    """dim (S/J)_d from the Hilbert numerator over n variables."""
-    total = 0
-    for k, c in enumerate(num):
-        if c and d - k >= 0:
-            total += c * comb(d - k + n - 1, n - 1)
-    return total
+    """dim (R/J)_d from the Hilbert numerator over n variables."""
+    return sum(
+        c * comb(d - k + n - 1, n - 1) for k, c in enumerate(num) if k <= d
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +465,14 @@ def check_scan_reach(degree, up_to=None):
         raise ComputationLimit(f"degree scan passed the degree cap {SCAN_CAP}")
 
 
-def degree_scan(ring, piece, start, up_to=None, numerator=None):
+def degree_scan(ring, piece, start, up_to, numerator):
     """The monomial ideal with degree-d monomials piece(d, grown); (ideal, cut).
 
     From degree start upward, piece(d, grown) must contain grown, the
     one-variable multiples of the degree-(d - 1) piece; what is left are
     the minimal generators of degree d.  Every monomial found must lie in
-    the target ideal.  The scan ends at degree n over E, and over S once
-    the candidate, the ideal of the generators found so far, has Hilbert
+    the target ideal.  The scan ends, over S and E alike, once the
+    candidate, the ideal of the generators found so far, has Hilbert
     numerator numerator, the target's: containment with equal Hilbert
     series is equality.  The candidate changes only at degrees that add
     generators, so the stop is tested there and at degree start; cut is
@@ -486,14 +492,10 @@ def degree_scan(ring, piece, start, up_to=None, numerator=None):
             )
         new = span - grown
         found |= new
-        if ring.is_exterior:
-            complete = d >= ring.n
-        else:
-            complete = (new or d == start) and hilbert_numerator(
-                minimal_generators(ring, found)
-            ) == numerator
-        if complete:
-            return minimal_generators(ring, found), None
+        if new or d == start:
+            candidate = minimal_generators(ring, found)
+            if hilbert_numerator(candidate) == numerator:
+                return candidate, None
         below = span
 
 
@@ -512,29 +514,24 @@ def lex_ideal(ideal):
 def lex_segment_ideal(ideal, up_to):
     """The generators of Lex(I) of degree <= up_to; (ideal, complete) pair.
 
-    The degree-d piece is the lex-first dim I_d monomials.  Over the
-    polynomial ring the scan stops once the candidate, which lies inside
-    Lex(I), has the Hilbert series of I; equal series then force equality
-    in every degree.  up_to=None scans to the end.
+    The degree-d piece is the lex-first dim I_d monomials.  The scan stops
+    once the candidate, which lies inside Lex(I), has the Hilbert series
+    of I; equal series then force equality in every degree.  up_to=None
+    scans to the end.
     """
+    from .groebner import _scan_plan, initial_ideal
+
     ring = ideal.ring
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
-    dim, num = ideal.dim_piece, None
+    numerator, dims = _scan_plan(ideal, LEX, up_to)
     if not ring.is_exterior:
-        from .groebner import initial_ideal
-
-        init = initial_ideal(ideal, DEGREVLEX)
-        num = hilbert_numerator(init)
         # Lex(I) has a generator in every degree in(I) has one
         # (Bigatti-Hulett-Pardue)
-        check_scan_reach(init.max_gen_degree(), up_to)
-
-        def dim(d):
-            return ring.dim(d) - quotient_dim_from_numerator(num, ring.n, d)
+        check_scan_reach(initial_ideal(ideal, DEGREVLEX).max_gen_degree(), up_to)
 
     def piece(d, grown):
-        return set(ring.monomials(d, LEX)[: dim(d)])
+        return set(ring.monomials(d, LEX)[: dims(d)])
 
-    J, cut = degree_scan(ring, piece, ideal.min_degree() or 1, up_to, num)
+    J, cut = degree_scan(ring, piece, ideal.min_degree() or 1, up_to, numerator)
     return J, cut is None

@@ -197,14 +197,6 @@ class IntRank:
                     bits = _max_bits(out)
 
 
-def rank_of(vectors):
-    """Exact rank of the span of the given vectors."""
-    eng = IntRank()
-    for v in vectors:
-        eng.add(v)
-    return eng.rank
-
-
 def left_kernel(vectors, ncols):
     """Basis of {x : sum_i x_i * vectors[i] = 0} over QQ.
 

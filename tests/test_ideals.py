@@ -30,7 +30,6 @@ from ginlab.rings import (
     DEGLEX,
     DEGREVLEX,
     LEX,
-    POLY,
     Element,
     exterior_ring,
     polynomial_ring,
@@ -104,11 +103,35 @@ class TestHilbert:
         assert [hf[d] for d in range(5)] == [1, 3, 4, 4, 3]
 
     def test_numerator_expansion(self):
-        ring = polynomial_ring(3)
-        J = MonomialIdeal(ring, [(2, 0, 0), (0, 2, 0), (1, 0, 3)])
-        num = hilbert_numerator(J)
-        for d in range(9):
-            assert quotient_dim_from_numerator(num, 3, d) == ring.dim(d) - J.dim(d)
+        # one convention for both kinds, N(t) = HS_{R/J}(t) (1 - t)^n, so
+        # over E the expansion reads 0 past degree n; the zero and the
+        # unit ideal included
+        cases = (
+            (polynomial_ring(3), [(2, 0, 0), (0, 2, 0), (1, 0, 3)], 8),
+            (exterior_ring(5), [(0, 1), (2, 3), (1, 2, 4)], 7),
+            (exterior_ring(4), [], 6),
+            (exterior_ring(4), [()], 6),
+        )
+        for ring, gens, top in cases:
+            J = MonomialIdeal(ring, gens)
+            num = hilbert_numerator(J)
+            for d in range(top + 1):
+                assert quotient_dim_from_numerator(num, ring.n, d) == (
+                    ring.dim(d) - J.dim(d)
+                )
+
+
+@given(st.lists(st.sets(st.integers(0, 5), min_size=1), max_size=5))
+@settings(max_examples=80, deadline=None)
+def test_exterior_numerator_random(supports):
+    ring = exterior_ring(6)
+    J = minimal_generators(ring, [tuple(sorted(s)) for s in supports])
+    num = hilbert_numerator(J)
+    assert len(num) <= 2 * ring.n + 1
+    for d in range(ring.n + 3):
+        assert quotient_dim_from_numerator(num, ring.n, d) == (
+            ring.dim(d) - J.dim(d)
+        )
 
 
 class TestMinimalGenerators:
@@ -264,10 +287,11 @@ class TestDegreeScan:
         # in, Lex, truncated Lex and truncated and full gins of the 100
         # acceptance ideals, as computed before the scans were merged; the
         # Hilbert stop changed only the truncated_at of 17 truncated
-        # degrevlex gins, which are complete at the cut (None)
+        # degrevlex gins, which are complete at the cut (None), and over E
+        # the complete flag of 32 exterior Lex(I) truncated at 2 (True)
         text = "\n".join(scans[0])
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "48aa83f2c8adb9cf6864cac0015336e6ea7a5cc1696f58a2fa498db0b2ffc7ac"
+            "5da026f1a7c6a664f4a9eea92c7b7e2bc26030c85dcd892858d99a73064fc562"
         )
 
     def test_acceptance_gin_draws_unchanged(self, scans):
@@ -279,11 +303,9 @@ class TestDegreeScan:
         )
 
     def test_truncated_at_none_exactly_when_complete(self):
-        # a polynomial gin truncated at cut reports no truncation exactly
-        # when the full gin has no generator above cut
+        # a gin truncated at cut, over S or E, reports no truncation
+        # exactly when the full gin has no generator above cut
         for spec in ACCEPTANCE_SPECS:
-            if spec.kind != POLY:
-                continue
             for ideal in generate(spec):
                 top = gin(ideal)[0].max_gen_degree()
                 for cut in (2, 3, RigidityContext(ideal, seed=0).scan_cut):
@@ -295,10 +317,13 @@ class TestDegreeScan:
         full, cert = gin(I)
         assert repr(full) == "(e1*e2, e1*e3*e4, e2*e3*e4)"
         assert cert.truncated_at is None
-        for cut, want in ((1, "(0)"), (2, "(e1*e2)"), (3, repr(full))):
+        for cut, want in ((1, "(0)"), (2, "(e1*e2)")):
             J, cert = gin(I, max_scan_degree=cut)
             assert (repr(J), cert.truncated_at) == (want, cut)
-        assert gin(I, max_scan_degree=4)[1].truncated_at is None
+        # complete at its top generator degree 3, below n = 4
+        for cut in (3, 4):
+            J, cert = gin(I, max_scan_degree=cut)
+            assert (J, cert.truncated_at) == (full, None)
 
     def test_cap_refused_before_any_coordinate_change(self, monkeypatch):
         # the Hilbert stop ends at the top generator degree, here the cap
