@@ -187,36 +187,27 @@ def _two_sequences(ideal, seed, compute, check=None):
 
 
 def generic_annihilators_direct(ideal, seed=0):
-    """Annihilator numbers by the colon definition, two-sequence certified."""
+    """Annihilator numbers by the colon definition, two-sequence certified.
+
+    Over S alpha_{p,k} counts gin generators of degree k + 1 <= r, the top
+    one, so the entries at k >= k_max - 1 = r + 1 vanish for a generic
+    sequence; an entry there fails the round.
+    """
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
     kmax, _ = _windows(ideal, seed)
+
+    def band(entries):
+        hit = min((pk for pk in entries if pk[1] >= kmax - 1), default=None)
+        if hit is None or ideal.ring.is_exterior:
+            return None
+        return f"nonzero alpha_(p,k) at {hit}, in the zero band k >= {kmax - 1}"
+
     entries = _two_sequences(
-        ideal, seed, lambda seq: _alpha_with_band(ideal, seq, kmax),
-        check=lambda entries: (
-            "no zero band below the degree cap" if entries is None else None
-        ),
+        ideal, seed, lambda seq: _alpha_for_sequence(ideal, seq, kmax),
+        check=band,
     )
     return AnnihilatorTable(ideal.ring, entries, "direct", kmax)
-
-
-def _alpha_with_band(ideal, seq, degree_bound):
-    """Alpha table with a zero trailing band of width 2, raising D if needed.
-
-    None if the band does not appear below degree_bound + 8.
-    """
-    ring = ideal.ring
-    cap = degree_bound + 8
-    D = degree_bound
-    while D <= cap:
-        entries = _alpha_for_sequence(ideal, seq, D)
-        if ring.is_exterior:
-            return entries  # vanishes beyond n by dimension reasons
-        band = {k for (_, k) in entries if k >= D - 1}
-        if not band:
-            return entries
-        D += 2
-    return None
 
 
 def annihilators_from_gin(ideal, seed=0):
@@ -326,6 +317,14 @@ class FormulaReport:
         return "\n".join([head] + [str(f) for f in self.failures])
 
 
+def _alpha_sum(exterior, p, i, k, a):
+    """The alpha part of h_{i,i+k}(p): sum_j C(p - j + i - 1, i - 1) a(j, k)
+    over E, sum_j C(p - j, i - 1) a(j, k) over S; a(j, k) is alpha_{j,k}."""
+    if exterior:
+        return sum(binom(p - j + i - 1, i - 1) * a(j, k) for j in range(1, p + 1))
+    return sum(binom(p - j, i - 1) * a(j, k) for j in range(1, p - i + 2))
+
+
 def verify_homology_formula(ideal, seed=0):
     """Check the alpha/delta expression for h_{i,i+k}(p) on every cell.
 
@@ -350,10 +349,7 @@ def verify_homology_formula(ideal, seed=0):
             for i in range(1, imax + 1):
                 for k in range(0, kmax + 1):
                     lhs = ws.h(p, i, i + k)
-                    rhs = sum(
-                        binom(p - j + i - 1, i - 1) * a(j, k)
-                        for j in range(1, p + 1)
-                    )
+                    rhs = _alpha_sum(ring.is_exterior, p, i, k, a)
                     rhs -= sum(
                         binom(p - 1 - j + i - s, i - s)
                         * (ws.delta(j, s, s + k) + ws.delta(j, s - 1, s + k))
@@ -370,10 +366,7 @@ def verify_homology_formula(ideal, seed=0):
             for i in range(1, p + 1):
                 for k in range(0, kmax + 1):
                     lhs = ws.h(p, i, i + k)
-                    rhs = sum(
-                        binom(p - j, i - 1) * a(j, k)
-                        for j in range(1, p - i + 2)
-                    )
+                    rhs = _alpha_sum(ring.is_exterior, p, i, k, a)
                     rhs -= sum(
                         binom(p - b - 1, i - aa) * ws.delta(b, aa, aa + k)
                         + binom(p - b - 1, i - aa - 1)
@@ -451,16 +444,7 @@ def upper_bound_check(ideal, seed=0):
     attained = True
     for i in range(1, imax + 1):
         for k in range(0, kmax + 1):
-            if ring.is_exterior:
-                bound = sum(
-                    binom(n - j + i - 1, i - 1) * alpha.get(j, k)
-                    for j in range(1, n + 1)
-                )
-            else:
-                bound = sum(
-                    binom(n - j, i - 1) * alpha.get(j, k)
-                    for j in range(1, n - i + 2)
-                )
+            bound = _alpha_sum(ring.is_exterior, n, i, k, alpha.get)
             left = bI.get(i, i + k)
             right = bG.get(i, i + k)
             report.cells_checked += 1

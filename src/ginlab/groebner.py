@@ -1,13 +1,13 @@
 """Initial ideals and generic initial ideals.
 
 Polynomial initial ideals come from a reduced Groebner basis (Buchberger,
-normal selection, criteria 1 and 2).  Exterior initial ideals and the
+normal selection, criteria 1 and 2), exterior ones from the pivot
+monomials of the echelonized pieces I_0..I_n (E_d = 0 for d > n).  The
 per-trial initial ideals inside gin run the one degree scan of ideals.py,
-degree_scan, on the pivot monomials of the echelonized graded pieces; over
-both ring kinds the scan stops, under every term order, once the candidate
-monomial ideal has the Hilbert numerator of the input, which is exact.
-The Buchberger initial ideal in each certified trial's coordinates is the
-tests' reference for the degreewise scan.
+degree_scan, which stops over both ring kinds and under every term order
+once the candidate has the Hilbert numerator of the input, which is exact.
+Buchberger in each certified trial's coordinates, and the full degreewise
+scan of exterior inputs, are the tests' references.
 
 gin draws integer change-of-coordinate matrices with entries in [-B, B],
 one per trial, through the one escalation loop, rings.certified_draw: all
@@ -212,9 +212,10 @@ def _degree_pivot_monomials(ring, gens, d, order, target=None):
 def initial_ideal(ideal, order=None):
     """in(I): minimal monomial generators of the initial ideal.
 
-    Memoized on the Ideal instance (Ideal._initials), keyed by the resolved
-    order, so in(I) and in_{ring.order}(I) share one Buchberger run.  As
-    for gin, errors are not stored.
+    Over E the pivots of I_0..I_n: the memoized Rref pieces in the ring's
+    order, one elimination per degree in any other.  Memoized on the Ideal
+    instance (Ideal._initials), keyed by the resolved order, so in(I) and
+    in_{ring.order}(I) share one run.  As for gin, errors are not stored.
     """
     order = order or ideal.ring.order
     if order not in ideal._initials:
@@ -231,11 +232,13 @@ def _initial_ideal(ideal, order):
     mono = ideal.monomial_image()
     if mono is not None:
         return mono
-    if ring.is_exterior:
-        numerator, dims = _scan_plan(ideal, order, None)
-        return _initial_ideal_degreewise(
-            ring, ideal.generators, order, numerator, None, dims
-        )[0]
+    if ring.is_exterior:  # E_d = 0 for d > n: the pivots of I_0..I_n are in(I)
+        pivots = [
+            ideal.piece(d).pivots if order == ring.order
+            else _degree_pivot_monomials(ring, ideal.generators, d, order)
+            for d in range(ring.n + 1)
+        ]
+        return minimal_generators(ring, set().union(*pivots))
     gb = buchberger(ideal, order)
     return minimal_generators(
         ring, [g.leading_monomial(order) for g in gb.elements]
@@ -245,7 +248,7 @@ def _initial_ideal(ideal, order):
 def _initial_ideal_degreewise(
     ring, gens, order, numerator, max_scan_degree=None, dims=None
 ):
-    """in of the span of gens by degree_scan; (ideal, truncated_at) pair.
+    """A gin trial's in(span of gens) by degree_scan; (ideal, truncated_at).
 
     Every monomial found is a true leading monomial, so the accumulating
     candidate ideal sits inside the initial ideal.  The scan stops, over S
@@ -336,36 +339,28 @@ def gin(
 
 
 def _scan_plan(ideal, order, max_scan_degree):
-    """(numerator, dims) for the scans of gin, Lex(I) and exterior in(I).
+    """(numerator, dims) for the scans of gin and Lex(I).
 
     For every invertible g, in(g.I) has the Hilbert series of I
     (Bayer-Stillman; Eisenbud 15.9; over E, Aramova-Herzog-Hibi 2000), as
     has Lex(I), so all scans of one call share one stop and one target
     rank dims(d) = dim I_d per degree, whatever the order, read off the
-    Hilbert numerator of an initial ideal of I: in_revlex(I) over S, and
-    over E in(I) from the Rref pieces.  Every trial is then checked
-    against an independent route: Buchberger over S, Rref over E.
+    Hilbert numerator of the memoized in_revlex(I).  Every trial is then
+    checked against an independent route: Buchberger over S, the Rref
+    pieces over E.
 
     A scan that provably passes the cap is refused here, before any
     coordinate change, by two bounds on the top generator degree of
     in(g.I): the top degree of a minimal generating set of a monomial
-    input (a Groebner basis generates I), and ceil(deg N / n) for the
-    numerator N, since a monomial ideal generated in degrees <= e has
-    lcms, and so a numerator, of degree <= n e.  Over E deg N <= 2n, so
-    the second bound never fires.
+    input, which is its own in_revlex (a Groebner basis generates I), and
+    ceil(deg N / n) for the numerator N, since a monomial ideal generated
+    in degrees <= e has lcms, and so a numerator, of degree <= n e.  Over
+    E deg N <= 2n, so the second bound never fires.
     """
     ring = ideal.ring
-    mono = ideal.monomial_image()
-    if mono is not None:
-        check_scan_reach(mono.max_gen_degree(), max_scan_degree)
-    if ring.is_exterior:
-        # the initial ideal scans itself, so over E read in_<(I), < the
-        # ring's order, off the pivots of the Rref pieces of I
-        init = minimal_generators(
-            ring, [m for d in range(ring.n + 1) for m in ideal.piece(d).pivots]
-        )
-    else:
-        init = initial_ideal(ideal, DEGREVLEX)
+    init = initial_ideal(ideal, DEGREVLEX)
+    if ideal.monomial_image() is not None:
+        check_scan_reach(init.max_gen_degree(), max_scan_degree)
     numerator = hilbert_numerator(init)
     # ceil(deg N / n)
     check_scan_reach(-(-(len(numerator) - 1) // ring.n), max_scan_degree)

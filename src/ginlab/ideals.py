@@ -3,16 +3,15 @@
 The degreewise engine is shared by everything downstream: a graded piece
 I_d is echelonized once (columns ordered by the ring's term order,
 descending) and cached.  Pivot monomials give the degree-d part of the
-initial ideal, non-pivot monomials are a basis of (R/I)_d, and reduced
-tails give normal forms, so no Groebner machinery is needed for quotient
-arithmetic.
+initial ideal (over E, pieces 0..n give all of it), non-pivot monomials
+are a basis of (R/I)_d, and reduced tails give normal forms, so no
+Groebner machinery is needed for quotient arithmetic.
 
-Every monomial ideal built degree by degree (exterior initial ideals, the
-per-trial initial ideals inside gin, lexsegment ideals) comes from one
-scan, degree_scan: it checks the ideal property between degrees, stops
-over S and E alike once the candidate has the target's Hilbert numerator,
-honours a truncation degree, and raises ComputationLimit past the one
-SCAN_CAP.
+The per-trial initial ideals inside gin and lexsegment ideals are built
+degree by degree by one scan, degree_scan: it checks the ideal property
+between degrees, stops over S and E alike once the candidate has the
+target's Hilbert numerator, honours a truncation degree, and raises
+ComputationLimit past the one SCAN_CAP.
 """
 
 from dataclasses import dataclass
@@ -164,8 +163,7 @@ class Ideal:
         monos = ring.monomials(d)
         mono_ideal = self.monomial_image()
         if mono_ideal is not None:
-            pivots = {m for m in monos if mono_ideal.contains(m)}
-            return Piece(ring, d, monos, pivots, None)
+            return Piece(ring, d, monos, set(mono_ideal.monomials(d)), None)
         index = {m: i for i, m in enumerate(monos)}
         rref = Rref()
         for row in degree_rows(ring, self.generators, d, index):
@@ -468,16 +466,17 @@ def check_scan_reach(degree, up_to=None):
 def degree_scan(ring, piece, start, up_to, numerator):
     """The monomial ideal with degree-d monomials piece(d, grown); (ideal, cut).
 
-    From degree start upward, piece(d, grown) must contain grown, the
-    one-variable multiples of the degree-(d - 1) piece; what is left are
-    the minimal generators of degree d.  Every monomial found must lie in
-    the target ideal.  The scan ends, over S and E alike, once the
-    candidate, the ideal of the generators found so far, has Hilbert
-    numerator numerator, the target's: containment with equal Hilbert
-    series is equality.  The candidate changes only at degrees that add
-    generators, so the stop is tested there and at degree start; cut is
-    then None.  Past up_to the scan stops with cut = d - 1: the result
-    then holds exactly the generators of degree <= cut.
+    The scan of the gin trials and of Lex(I).  From degree start upward,
+    piece(d, grown) must contain grown, the one-variable multiples of the
+    degree-(d - 1) piece; what is left are the minimal generators of
+    degree d.  Every monomial found must lie in the target ideal.  The
+    scan ends, over S and E alike, once the candidate, the ideal of the
+    generators found so far, has Hilbert numerator numerator, the
+    target's: containment with equal Hilbert series is equality.  The
+    candidate changes only at degrees that add generators, so the stop is
+    tested there and at degree start; cut is then None.  Past up_to the
+    scan stops with cut = d - 1: the result then holds exactly the
+    generators of degree <= cut.
     """
     below, found = set(), set()
     for d in count(start):

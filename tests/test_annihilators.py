@@ -305,12 +305,23 @@ class TestEscalation:
         ]
 
     def test_direct_without_a_zero_band_raises(self, monkeypatch):
-        monkeypatch.setattr(annihilators, "_alpha_with_band", lambda *args: None)
+        # over S alpha_{p,k} counts gin generators of degree k + 1 <= r, so
+        # the band k >= k_max - 1 = r + 1 is zero; an entry there fails the
+        # round, and the failure names it
+        alpha = annihilators._alpha_for_sequence
+
+        def banded(ideal, seq, kmax):
+            return {**alpha(ideal, seq, kmax), (2, kmax - 1): 1}
+
+        monkeypatch.setattr(annihilators, "_alpha_for_sequence", banded)
+        I = parse_ideal(STAIRCASE_3)
+        band = gin(I, seed=0)[0].max_gen_degree() + 1
         with pytest.raises(GenericityError) as err:
-            generic_annihilators_direct(parse_ideal(STAIRCASE_3), seed=0)
+            generic_annihilators_direct(I, seed=0)
+        failure = f"nonzero alpha_(p,k) at (2, {band}), in the zero band k >= {band}"
         assert str(err.value) == (
             "genericity not reached after escalation: "
-            + "; ".join(["no zero band below the degree cap"] * 5)
+            + "; ".join([failure] * 5)
         )
 
 

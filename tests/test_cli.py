@@ -302,10 +302,15 @@ class TestErrors:
         assert code == 2 and not out
         assert err.startswith("computation failed: genericity not reached")
         monkeypatch.undo()
-        monkeypatch.setattr(annihilators, "_alpha_with_band", lambda *args: None)
+        alpha = annihilators._alpha_for_sequence
+        monkeypatch.setattr(
+            annihilators, "_alpha_for_sequence",
+            lambda ideal, seq, kmax: {**alpha(ideal, seq, kmax), (1, kmax): 1},
+        )
         code, out, err = run_main(capsys, "alpha", path)
         assert code == 2 and not out
         assert err.startswith("computation failed: genericity not reached")
+        assert "in the zero band" in err
 
     def test_nonpositive_coeff_bound_exit_1(self, tmp_path):
         path = write(tmp_path, STAIRCASE_3)

@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from ginlab.groebner import (
 from ginlab.ideals import (
     Ideal,
     ImplementationFault,
+    _poly_mul,
     is_strongly_stable,
     variable_multiples,
 )
@@ -23,8 +25,10 @@ from ginlab.parsing import parse_ideal
 from ginlab.rigidity import RigidityContext, battery
 from ginlab.rings import (
     DEGREVLEX,
+    EXT,
     LEX,
     POLY,
+    TERM_ORDERS,
     Element,
     GenericityError,
     apply_linear_change,
@@ -375,6 +379,64 @@ class TestGinExterior:
         assert is_strongly_stable(J)
         for d in range(5):
             assert J.dim(d) == I.dim_piece(d)
+
+
+class TestExteriorInitialIdeal:
+    """Over E, in(I) is read off the pivots of the graded pieces I_0..I_n."""
+
+    @staticmethod
+    def numerator(I):
+        # N(t) = HS_{E/I}(t) (1-t)^n from the dimensions of the Rref pieces
+        n = I.ring.n
+        series = [I.ring.dim(d) - I.dim_piece(d) for d in range(n + 1)]
+        return _poly_mul(series, [(-1) ** k * comb(n, k) for k in range(n + 1)])
+
+    # in_revlex differs from in_lex on these, so the ring's order matters
+    ORDER_DEPENDENT = (
+        "ring ext 4 QQ\ne1*e4 + e2*e3\n",
+        "ring ext 4 QQ lex\ne1*e4 + e2*e3\ne1*e2 - e3*e4\n",
+        "ring ext 5 QQ deglex\ne1*e5 + e2*e4\ne2*e3 - e1*e4 + 2*e3*e5\n",
+    )
+
+    def test_pivots_match_the_full_degreewise_scan(self):
+        # the degreewise scan with every degree eliminated is the oracle
+        exterior = [
+            ideal for spec in ACCEPTANCE_SPECS if spec.kind == EXT
+            for ideal in generate(spec)
+        ]
+        extra = [parse_ideal(text) for text in self.ORDER_DEPENDENT]
+        assert len(exterior) == 36
+        for ideal in exterior + extra:
+            ring, gens = ideal.ring, ideal.generators
+            numerator = self.numerator(ideal)
+            found = set()
+            for order in TERM_ORDERS:
+                scanned, cut = _initial_ideal_degreewise(
+                    ring, gens, order, numerator, None
+                )
+                assert cut is None
+                result = initial_ideal(Ideal(ring, gens), order)
+                assert result == scanned, (gens, order)
+                found.add(result)
+            assert len(found) == 2 or ideal not in extra
+
+    def test_ring_order_reads_the_pieces(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("the ring's order eliminated again")
+
+        monkeypatch.setattr(groebner, "_degree_pivot_monomials", refused)
+        for order in TERM_ORDERS:
+            I = parse_ideal(f"ring ext 4 QQ {order}\ne1*e2 + e3*e4\ne2*e3\n")
+            assert initial_ideal(I).gens
+            assert set(I._pieces) == set(range(5))
+
+    def test_gin_leaves_in_revlex_in_the_memo(self):
+        I = parse_ideal("ring ext 4 QQ\ne1*e2 + e3*e4\n")
+        assert not I._initials
+        J, _ = gin(I, seed=0)
+        assert set(I._initials) == {DEGREVLEX}
+        for d in range(5):
+            assert I._initials[DEGREVLEX].dim(d) == J.dim(d) == I.dim_piece(d)
 
 
 def _buchberger_trials(I, cert):
