@@ -163,7 +163,9 @@ class QuotientBasis:
         return len(self.basis(d))
 
     def mult_var(self, t, d):
-        """Multiplication by variable t: basis(d) -> coords in basis(d+1)."""
+        """Multiplication by variable t: basis(d) -> int coords in basis(d+1),
+        scaled by piece(d + 1).den; all columns a differential or a cycle
+        image reads land in one degree, so no rank, pivot or kernel moves."""
         key = (t, d)
         if key in self._mult:
             return self._mult[key]

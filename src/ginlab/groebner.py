@@ -23,7 +23,7 @@ target; a degree whose one-variable multiples of the degree below already
 number dim I_d is not eliminated, since those multiples lie in the
 initial ideal and so are all of it.  A trial that runs out of rows below its target raises
 ImplementationFault, so every trial is checked against Buchberger (over
-S) or Rref (over E).
+S) or the pivots of the integer Rref pieces I_0..I_n (over E).
 """
 
 import random
@@ -212,10 +212,11 @@ def _degree_pivot_monomials(ring, gens, d, order, target=None):
 def initial_ideal(ideal, order=None):
     """in(I): minimal monomial generators of the initial ideal.
 
-    Over E the pivots of I_0..I_n: the memoized Rref pieces in the ring's
-    order, one elimination per degree in any other.  Memoized on the Ideal
-    instance (Ideal._initials), keyed by the resolved order, so in(I) and
-    in_{ring.order}(I) share one run.  As for gin, errors are not stored.
+    Over E the pivots of I_0..I_n: the memoized integer Rref pieces in the
+    ring's order, one elimination per degree in any other.  Memoized on
+    the Ideal instance (Ideal._initials), keyed by the resolved order, so
+    in(I) and in_{ring.order}(I) share one run.  As for gin, errors are
+    not stored.
     """
     order = order or ideal.ring.order
     if order not in ideal._initials:
@@ -346,8 +347,8 @@ def _scan_plan(ideal, order, max_scan_degree):
     has Lex(I), so all scans of one call share one stop and one target
     rank dims(d) = dim I_d per degree, whatever the order, read off the
     Hilbert numerator of the memoized in_revlex(I).  Every trial is then
-    checked against an independent route: Buchberger over S, the Rref
-    pieces over E.
+    checked against an independent route: Buchberger over S, the pivots
+    of the integer Rref pieces I_0..I_n over E.
 
     A scan that provably passes the cap is refused here, before any
     coordinate change, by two bounds on the top generator degree of

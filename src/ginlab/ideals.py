@@ -16,7 +16,7 @@ ComputationLimit past the one SCAN_CAP.
 
 from dataclasses import dataclass
 from itertools import count
-from math import comb
+from math import comb, lcm
 
 from .linalg import Rref
 from .rings import (
@@ -70,20 +70,22 @@ class Piece:
         self.index = {m: i for i, m in enumerate(monomials)}
         self.pivots = pivot_set  # set of pivot monomials
         self.rref = rref  # None for the monomial fast path
+        # lcm of the Rref leads: den times a normal form is integer
+        self.den = lcm(*(r[c] for c, r in rref.pivots.items())) if rref else 1
         self.dim = len(pivot_set)
         self.std_monomials = [m for m in monomials if m not in pivot_set]
         self._std_index = {m: i for i, m in enumerate(self.std_monomials)}
 
     def nf_monomial(self, m):
-        """Normal form of a monomial as dict std monomial -> coefficient."""
+        """den times the normal form of a monomial: std monomial -> int."""
         if m not in self.pivots:
-            return {m: 1}
+            return {m: self.den}
         if self.rref is None:
             return {}
-        row = self.rref.rows[self.rref.pivots[self.index[m]]]
-        return {
-            self.monomials[c]: -v for c, v in row.items() if c != self.index[m]
-        }
+        col = self.index[m]
+        row = self.rref.pivots[col]
+        f = self.den // row[col]
+        return {self.monomials[c]: -f * v for c, v in row.items() if c != col}
 
     def basis_elements(self):
         """Reduced echelon basis of I_d as Elements (deterministic)."""
@@ -94,10 +96,9 @@ class Piece:
                 Element.monomial(ring, m)
                 for m in sorted(self.pivots, key=key, reverse=True)
             ]
-        rows = sorted(self.rref.rows, key=lambda r: min(r))
         return [
             Element(ring, {self.monomials[c]: v for c, v in r.items()})
-            for r in rows
+            for _, r in sorted(self.rref.pivots.items())
         ]
 
 
@@ -176,7 +177,8 @@ class Ideal:
 
 
 def graded_piece_basis(ideal, d):
-    """Row-reduced basis of I_d; deterministic reduced echelon form."""
+    """Deterministic reduced echelon basis of I_d: primitive integer rows
+    with a positive lead, the form Ideal stores its generators in."""
     return ideal.piece(d).basis_elements()
 
 

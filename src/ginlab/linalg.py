@@ -1,15 +1,15 @@
-"""Sparse exact linear algebra over QQ.
+"""Sparse exact linear algebra over QQ, on integer rows.
 
-Vectors are dicts column -> nonzero coefficient (int or Fraction).  Columns
-are plain ints; callers index them so that column 0 is the most significant
-(for monomial matrices: the largest monomial in the term order), which makes
-echelon pivots coincide with leading monomials.
+Vectors are dicts column -> nonzero coefficient.  Columns are plain ints;
+callers index them so that column 0 is the most significant (for monomial
+matrices: the largest monomial in the term order), which makes echelon
+pivots coincide with leading monomials.
 
-Two engines.  IntRank is the one fraction-free elimination on integer
-rows: it gives the ranks of the homology and initial-ideal computations
+One fraction-free step, _cancel, serves two engines keyed col -> row.
+IntRank gives the ranks of the homology and initial-ideal computations
 and, with each row augmented by a unit column, their left kernels (the
-cycle spaces).  Rref keeps a fully reduced basis (deterministic pivots,
-rational tails) for the graded pieces, where actual coordinates matter.
+cycle spaces).  Rref keeps a fully reduced basis for the graded pieces,
+where actual coordinates matter: primitive integer rows, positive lead.
 
 IntRank strips a working row's content whenever its largest entry passes
 256 bits.  It decides that from an exact bound on the row's bit length,
@@ -17,43 +17,47 @@ carried from step to step, and scans the row only when the bound passes
 256 bits; the rows it stores are those of a scan after every step.
 """
 
-import heapq
-from fractions import Fraction
 from math import gcd, lcm
 
 
+def _cancel(row, prow, col):
+    """One step, in place: row := pf * row - vf * prow cancels column col,
+    the lead of prow.  Returns the coprime (pf, vf); pf > 0 when that lead
+    is positive."""
+    p, v = prow[col], row[col]
+    g = gcd(p, v)
+    pf, vf = p // g, v // g
+    if pf != 1:
+        for c in row:
+            row[c] *= pf
+    get = row.get
+    for c, x in prow.items():
+        s = get(c, 0) - vf * x
+        if s:
+            row[c] = s
+        else:
+            del row[c]
+    return pf, vf
+
+
 class Rref:
-    """Incremental reduced row echelon basis."""
+    """Incremental reduced row echelon basis of primitive integer rows with
+    a positive lead; fully reduced, so reducing a vector never brings in a
+    new pivot column: one step per pivot column of the vector suffices."""
 
     def __init__(self):
-        self.pivots = {}  # col -> index into rows
-        self.rows = []  # each dict col -> coeff, leading coeff 1
+        self.pivots = {}  # col -> primitive row with that leading col
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self.pivots)
 
     def reduce(self, row):
-        """Fully reduce a vector against the current basis."""
-        out = {c: v for c, v in row.items() if v}
-        heap = list(out)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            v = out.get(c)
-            if not v:
-                continue
-            r = self.pivots.get(c)
-            if r is None:
-                continue
-            for cc, pv in self.rows[r].items():
-                s = out.get(cc, 0) - v * pv
-                if s:
-                    if cc not in out and cc != c:
-                        heapq.heappush(heap, cc)
-                    out[cc] = s
-                else:
-                    out.pop(cc, None)
+        """Fully reduce a vector against the current basis; the result is
+        an integer row, a positive multiple of the reduction over QQ."""
+        out = scale_to_int(row)
+        for c in [c for c in out if c in self.pivots]:
+            _cancel(out, self.pivots[c], c)
         return out
 
     def add(self, row):
@@ -63,22 +67,16 @@ class Rref:
         if not res:
             return None
         lead = min(res)
-        inv = Fraction(1, 1) / res[lead]
-        new = {c: v * inv for c, v in res.items()}
-        new[lead] = 1
-        idx = len(self.rows)
-        # keep the basis fully reduced
-        for r in self.rows:
-            v = r.get(lead)
-            if v:
-                for cc, nv in new.items():
-                    s = r.get(cc, 0) - v * nv
-                    if s:
-                        r[cc] = s
-                    else:
-                        r.pop(cc, None)
-        self.rows.append(new)
-        self.pivots[lead] = idx
+        g = gcd(*res.values())
+        if res[lead] < 0:
+            g = -g
+        new = {c: v // g for c, v in res.items()}
+        # keep the basis fully reduced; pf > 0 keeps every lead positive
+        for r in self.pivots.values():
+            if lead in r:
+                _cancel(r, new, lead)
+                _divide_content(r)
+        self.pivots[lead] = new
         return lead
 
     def contains(self, row):
@@ -123,7 +121,7 @@ class IntRank:
     cancel is a relation among the rows added; it lands in `kernel` as an
     integer dict over row indices (scaled by a nonzero rational).
 
-    Each reduction step replaces the working row, in place, by
+    Each reduction step (_cancel) replaces the working row, in place, by
     pf * row - vf * pivot, and divides out its content when its largest
     entry passes 256 bits.  Rather than scan the row after every step, the
     loop carries an upper bound on that bit length: exact after a scan,
@@ -154,7 +152,6 @@ class IntRank:
         if not out:
             return False
         pivots, pivot_bits = self.pivots, self._bits
-        get = out.get
         bits = _max_bits(out)
         while True:
             lead = min(out)
@@ -174,18 +171,7 @@ class IntRank:
                 pivots[lead] = out
                 pivot_bits[lead] = _max_bits(out)
                 return True
-            p, v = prow[lead], out[lead]
-            g = gcd(p, v)
-            pf, vf = p // g, v // g
-            if pf != 1:
-                for c in out:
-                    out[c] *= pf
-            for c, x in prow.items():
-                s = get(c, 0) - vf * x
-                if s:
-                    out[c] = s
-                else:
-                    del out[c]
+            pf, vf = _cancel(out, prow, lead)
             if not out:
                 return False
             bits = max(bits + pf.bit_length(),

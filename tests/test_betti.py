@@ -4,11 +4,13 @@ from math import comb
 
 import pytest
 
+from ginlab import betti
 from ginlab.betti import (
     IDEAL,
     QUOTIENT,
     HomologyWorkspace,
     NotStronglyStableError,
+    QuotientBasis,
     _homology_table,
     _regular_section,
     ahh_betti,
@@ -23,7 +25,8 @@ from ginlab.betti import (
 )
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin, initial_ideal
-from ginlab.ideals import Ideal, MonomialIdeal, is_strongly_stable
+from ginlab.ideals import Ideal, MonomialIdeal, degree_rows, is_strongly_stable
+from ginlab.linalg import IntRank
 from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import battery
@@ -36,9 +39,11 @@ from ginlab.rings import (
     exterior_ring,
     matrix_det,
     polynomial_ring,
+    wedge_supports,
 )
 
 from test_homology_values import REFERENCE
+from test_linalg import ReferenceRref
 
 
 
@@ -346,6 +351,78 @@ class TestCartan:
         b = cartan_betti(J.to_ideal(), i_max=6)
         for (i, j), v in a.entries.items():
             assert v <= b.get(i, j)
+
+
+def dense_exterior_quadrics_e4():
+    """Three dense quadrics in E with four variables, coefficients in [-4, 4]."""
+    ring = exterior_ring(4)
+    rng = random.Random("e4")
+    return Ideal(ring, [
+        Element(ring, {m: rng.randint(-4, 4) for m in ring.monomials(2)})
+        for _ in range(3)
+    ])
+
+
+class TestIntegerTables:
+    """Multiplication tables come out integer: the table into degree d + 1
+    is piece(d + 1).den times the normal forms over QQ, and the homology
+    engine feeds IntRank integer columns only."""
+
+    @pytest.mark.parametrize("text", [
+        "ring poly 2 QQ\nx1^2 + 1/2*x1*x2\n",
+        "ring ext 3 QQ\ne1*e2 + 2/3*e2*e3\n",
+        REFERENCE["dense"],
+    ])
+    def test_mult_var_is_den_times_reference_normal_form(self, text):
+        I = parse_ideal(text)
+        ring = I.ring
+        qb = QuotientBasis(I)
+        for d in range(4):
+            piece = I.piece(d + 1)
+            ref = ReferenceRref()
+            for row in degree_rows(ring, I.generators, d + 1, piece.index):
+                ref.add(row)
+            tgt = piece._std_index
+            for t in range(ring.n):
+                for u, col in zip(qb.basis(d), qb.mult_var(t, d)):
+                    assert all(type(v) is int for v in col.values())
+                    if ring.is_exterior:
+                        sgn, m = wedge_supports(u, (t,))
+                    else:
+                        sgn, m = 1, tuple(a + (s == t) for s, a in enumerate(u))
+                    nf = ref.reduce({piece.index[m]: sgn}) if sgn else {}
+                    assert col == {
+                        tgt[piece.monomials[c]]: piece.den * v
+                        for c, v in nf.items()
+                    }
+
+    @pytest.mark.parametrize("text, dens", [
+        ("ring poly 2 QQ\nx1^2 + 1/2*x1*x2\n", [1, 1, 2, 4, 8]),
+        ("ring ext 3 QQ\ne1*e2 + 2/3*e2*e3\n", [1, 1, 3, 1]),
+    ])
+    def test_den_is_the_lcm_of_the_leads(self, text, dens):
+        # 2*x1^2 + x1*x2 and 3*e1*e2 + 2*e2*e3: the leads pass through
+        I = parse_ideal(text)
+        assert [I.piece(d).den for d in range(len(dens))] == dens
+
+    @pytest.mark.parametrize("route", ["cartan", "koszul"])
+    def test_homology_feeds_int_columns(self, route, monkeypatch):
+        fed = []
+
+        class SpyIntRank(IntRank):
+            def add(self, row):
+                fed.append(row)
+                return super().add(row)
+
+        monkeypatch.setattr(betti, "IntRank", SpyIntRank)
+        if route == "cartan":
+            I = dense_exterior_quadrics_e4()
+            assert cartan_betti(I).entries
+            assert max(I.piece(d).den for d in range(5)) > 1
+        else:
+            assert koszul_betti(parse_ideal(REFERENCE["dense"])).entries
+        assert fed
+        assert all(type(v) is int for row in fed for v in row.values())
 
 
 class TestTableMemo:

@@ -1,3 +1,4 @@
+import heapq
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -114,8 +115,84 @@ def test_rref_reduces_members():
 def test_rref_pivot_normalization():
     eng = Rref()
     eng.add({0: 3, 2: 6})
-    row = eng.rows[eng.pivots[0]]
+    row = eng.pivots[0]
     assert row[0] == 1 and row[2] == 2
+
+
+class ReferenceRref:
+    """Rref as first written: rows over QQ with leading coefficient 1, the
+    basis kept fully reduced, and a heap of the columns still to reduce."""
+
+    def __init__(self):
+        self.pivots = {}  # col -> index into rows
+        self.rows = []  # each dict col -> coeff, leading coeff 1
+
+    def reduce(self, row):
+        out = {c: v for c, v in row.items() if v}
+        heap = list(out)
+        heapq.heapify(heap)
+        while heap:
+            c = heapq.heappop(heap)
+            v = out.get(c)
+            if not v:
+                continue
+            r = self.pivots.get(c)
+            if r is None:
+                continue
+            for cc, pv in self.rows[r].items():
+                s = out.get(cc, 0) - v * pv
+                if s:
+                    if cc not in out and cc != c:
+                        heapq.heappush(heap, cc)
+                    out[cc] = s
+                else:
+                    out.pop(cc, None)
+        return out
+
+    def add(self, row):
+        res = self.reduce(row)
+        if not res:
+            return None
+        lead = min(res)
+        inv = Fraction(1, 1) / res[lead]
+        new = {c: v * inv for c, v in res.items()}
+        new[lead] = 1
+        for r in self.rows:
+            v = r.get(lead)
+            if v:
+                for cc, nv in new.items():
+                    s = r.get(cc, 0) - v * nv
+                    if s:
+                        r[cc] = s
+                    else:
+                        r.pop(cc, None)
+        self.pivots[lead] = len(self.rows)
+        self.rows.append(new)
+        return lead
+
+    def contains(self, row):
+        return not self.reduce(row)
+
+
+@given(fraction_rows_strategy, fraction_rows_strategy)
+@settings(max_examples=200, deadline=None)
+def test_rref_matches_reference(rows, probes):
+    eng, ref = Rref(), ReferenceRref()
+    for row in rows:
+        assert eng.add(row) == ref.add(row)
+    # the same pivot columns
+    assert sorted(eng.pivots) == sorted(ref.pivots)
+    for col, row in eng.pivots.items():
+        ref_row = ref.rows[ref.pivots[col]]
+        # a primitive integer row with a positive lead ...
+        assert min(row) == col and row[col] > 0
+        assert all(type(v) is int for v in row.values())
+        assert gcd(*row.values()) == 1
+        # ... that is a positive multiple of the reference row (lead 1)
+        assert row.keys() == ref_row.keys()
+        assert all(v == row[col] * ref_row[c] for c, v in row.items())
+    for probe in rows + probes:
+        assert eng.contains(probe) == ref.contains(probe)
 
 
 def reference_scale_to_int(row):
