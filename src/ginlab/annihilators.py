@@ -8,6 +8,13 @@ annihilator numbers are the graded dimensions
 (over the exterior algebra the denominator also contains v_p).  They are
 computed directly from colon quotients, and independently from the
 max-variable statistics of the generators of gin(I); the two must agree.
+The direct route needs the Hilbert functions of the prefixes
+J_p = I + (y_1..y_p), and R/J_p is R'/I', with R' the ring in the
+variables left free by the first p forms and I' the image of I there:
+_prefix_dims eliminates each prefix on the dim R'_d columns only, through
+D^e times the quotient map in degree e (D the lcm of the leads of the
+forms' integer Rref), so its rows stay integer, and three exact stops
+skip the degrees whose answer is already known.
 
 The homology workspace (betti.HomologyWorkspace) computes
 H_i(y_1..y_p; M) per graded piece together with the delta numbers: ranks
@@ -26,12 +33,20 @@ upper-bound check takes only its i_max).
 
 import random
 from dataclasses import dataclass, field
+from math import lcm
 
 from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
-from .groebner import gin
-from .ideals import degree_rows
-from .linalg import IntRank
-from .rings import certified_draw, linear_form, random_invertible_matrix
+from .groebner import gin, initial_ideal
+from .ideals import degree_rows, hilbert_numerator, quotient_dim_from_numerator
+from .linalg import IntRank, Rref
+from .rings import (
+    DEGREVLEX,
+    Ring,
+    certified_draw,
+    linear_form,
+    random_invertible_matrix,
+    substitute,
+)
 
 
 @dataclass(frozen=True)
@@ -99,37 +114,69 @@ class AnnihilatorTable:
 
 
 def _prefix_dims(ideal, seq, dmax):
-    """dims[p][d] = dim (J_p)_d with J_p = I + (y_1..y_p).
+    """dims[p][d] = dim (J_p)_d with J_p = I + (y_1..y_p), for d <= dmax.
 
-    One elimination pass per degree, with two exact stops.  Within degree
-    d the rank only grows with p, so once it reaches dim R_d every later
-    prefix is full there too and no more rows are fed.  Across degrees,
-    (J_p)_{d-1} = R_{d-1} != 0 gives (J_p)_d = R_d with no elimination,
-    since (J_p)_d contains R_1 R_{d-1}, which is all of R_d over S and
-    over E alike.
+    p = 0 is the Hilbert function of the memoized in_revlex(I), with no
+    elimination.  For p >= 1, R/J_p = R'/I' with R' = R/(y_1..y_p), the
+    ring in the variables that lead no row of the forms' Rref (the free
+    ones), and I' the image of I in R'; so
+    dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, eliminated on the
+    dim R'_d columns only.  The Rref rows r are primitive integers with a
+    positive lead r_i; with D the lcm of the leads, the pivot variable x_i
+    goes to -sum_j (D / r_i) r_j x_j over the free j, and a free x_j to
+    D x_j.  In degree e that is D^e times the quotient map, so I' is the
+    same and every row stays integer.  At p = n, R/J_n = K.
+
+    Three exact stops skip eliminations: (J_p)_{d-1} = R_{d-1} != 0 gives
+    (J_p)_d = R_d, since (J_p)_d contains R_1 R_{d-1}, which is all of R_d
+    over S and over E alike; (J_{p-1})_d = R_d gives (J_p)_d = R_d; and
+    no more rows are fed once dim I'_d reaches dim R'_d.
     """
     ring = ideal.ring
     n = ring.n
     dims = [[0] * (dmax + 1) for _ in range(n + 1)]
-    forms = [seq.form(p) for p in range(n)]
+    numerator = hilbert_numerator(initial_ideal(ideal, DEGREVLEX))
     for d in range(dmax + 1):
-        monos = ring.monomials(d)
-        full = len(monos)
-        if not full:
-            continue
-        below = ring.dim(d - 1)
-        index = {m: i for i, m in enumerate(monos)}
-        eng = IntRank()
-        for p in range(n + 1):
-            if eng.rank == full or 0 < below == dims[p][d - 1]:
+        dims[0][d] = ring.dim(d) - quotient_dim_from_numerator(numerator, n, d)
+    forms = Rref()
+    for p in range(1, n + 1):
+        forms.add(dict(enumerate(seq.coeffs(p - 1))))
+        images = None
+        for d in range(dmax + 1):
+            full = ring.dim(d)
+            if dims[p - 1][d] == full or 0 < ring.dim(d - 1) == dims[p][d - 1]:
                 dims[p][d] = full
                 continue
-            gens = [forms[p - 1]] if p else ideal.generators
-            for row in degree_rows(ring, gens, d, index):
-                if eng.add(row) and eng.rank == full:
-                    break
-            dims[p][d] = eng.rank
+            if forms.rank == n:  # R/J_n = K, and J_{n-1} is not full at d
+                dims[p][d] = full if d else 0
+                continue
+            if images is None:
+                quotient, images = _quotient(ring, forms, ideal.generators)
+            monos = quotient.monomials(d)
+            index = {m: i for i, m in enumerate(monos)}
+            eng = IntRank()
+            if monos:  # over E, R'_d = 0 for d above the free count
+                for row in degree_rows(quotient, images, d, index):
+                    if eng.add(row) and eng.rank == len(monos):
+                        break
+            dims[p][d] = full - len(monos) + eng.rank
     return dims
+
+
+def _quotient(ring, forms, gens):
+    """(R', images of gens) for R' = R / (forms), the ring in the variables
+    that lead no row of the Rref forms, under D times the quotient map, D
+    the lcm of those leads."""
+    free = [j for j in range(ring.n) if j not in forms.pivots]
+    quotient = Ring(ring.kind, len(free))
+    den = lcm(*(row[i] for i, row in forms.pivots.items()))
+    linear = [None] * ring.n
+    for t, j in enumerate(free):
+        linear[j] = quotient.variable(t).scale(den)
+    for i, row in forms.pivots.items():
+        f = den // row[i]
+        linear[i] = linear_form(quotient, [-f * row.get(j, 0) for j in free])
+    return quotient, substitute(quotient, gens, linear)
 
 
 def _alpha_for_sequence(ideal, seq, degree_bound):

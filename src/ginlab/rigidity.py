@@ -740,8 +740,9 @@ def sweep(ctx, name, fixed=None):
     """Parameter dicts of a statement over its window, in battery order.
 
     A name in `fixed` (axes pinned to one value each) that is not one of
-    the statement's axes, or a ring kind it does not hold over, raises
-    ValueError before any window is evaluated.
+    the statement's axes, a pinned k or q below 0, or a ring kind the
+    statement does not hold over, raises ValueError before any window is
+    evaluated.
     """
     fixed = fixed or {}
     statement = STATEMENTS[name]
@@ -752,6 +753,9 @@ def sweep(ctx, name, fixed=None):
         raise ValueError(
             f"statement {name!r} takes {takes}, not {', '.join(unknown)}"
         )
+    for axis in ("k", "q"):
+        if fixed.get(axis, 0) < 0:
+            raise ValueError(f"{axis} must be nonnegative")
     if ctx.ring.kind not in statement.kinds:
         other = "exterior" if ctx.ring.kind == POLY else "polynomial-ring"
         raise ValueError(f"{other} statement")

@@ -469,10 +469,7 @@ def change_coordinates(ring, elements, g):
 
     g must be an invertible n x n matrix over QQ.  The substitution is a
     graded ring homomorphism for both ring kinds, so degrees are preserved.
-    The determinant is checked once, and the image of each monomial is built
-    once for all the elements, as the image of the monomial with one factor
-    fewer times the image of that factor: the last variable over S, the last
-    wedge factor over E, so exterior products run left to right.
+    The determinant is checked once; substitute does the rest.
     """
     n = ring.n
     if len(g) != n or any(len(row) != n for row in g):
@@ -480,16 +477,28 @@ def change_coordinates(ring, elements, g):
     if matrix_det(g) == 0:
         raise ValueError("singular change of coordinates")
     linear = [linear_form(ring, [row[i] for row in g]) for i in range(n)]
-    unit = ring.unit_monomial()
-    images = {unit: Element.monomial(ring, unit)}
+    return substitute(ring, elements, linear)
+
+
+def substitute(target, elements, linear):
+    """Images of the elements under the graded ring map that sends variable
+    i to the linear form linear[i] of target, a ring of the same kind.
+
+    The image of each monomial is built once for all the elements, as the
+    image of the monomial with one factor fewer times the image of that
+    factor: the last variable over S, the last wedge factor over E, so
+    exterior products run left to right.
+    """
+    unit = () if target.is_exterior else (0,) * len(linear)
+    images = {unit: Element.monomial(target, target.unit_monomial())}
 
     def image(m):
         img = images.get(m)
         if img is None:
-            if ring.is_exterior:
+            if target.is_exterior:
                 i, rest = m[-1], m[:-1]
             else:
-                i = max_variable(ring, m) - 1
+                i = max(j for j, e in enumerate(m) if e)
                 rest = m[:i] + (m[i] - 1,) + m[i + 1:]
             img = images[m] = image(rest) * linear[i]
         return img
@@ -504,7 +513,7 @@ def change_coordinates(ring, elements, g):
                     terms[t] = s
                 else:
                     del terms[t]
-        out.append(Element(ring, terms))
+        out.append(Element(target, terms))
     return out
 
 

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +31,7 @@ from ginlab.rings import (
     polynomial_ring,
 )
 
-from conftest import STAIRCASE_3, STRAND_4
+from conftest import CANCEL_4, STAIRCASE_3, STRAND_4
 from test_homology_values import REFERENCE
 
 
@@ -139,6 +141,15 @@ def _reference_prefix_dims(ideal, seq, dmax):
     return dims
 
 
+def _load_perfbench(name):
+    """A module of the benchmark harness, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _counting_intrank(monkeypatch):
     """Count every row fed to IntRank.add from here on."""
     rows = [0]
@@ -219,15 +230,56 @@ class TestPrefixDims:
         assert dims == _reference_prefix_dims(I, seq, 6)
         assert pruned_rows < rows[0] - pruned_rows  # a stop cut rows
 
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            # leads in columns 2, 1, 0, 3 and 3, 0, 2, 1: the free
+            # variables of a prefix are not its last ones
+            (STRAND_4, ((0, 0, 3, -2), (0, 5, 1, 0), (2, 0, 0, 7), (1, 1, 1, 1))),
+            (CANCEL_4, ((0, 0, 0, 4), (-3, 2, 0, 1), (0, 0, 1, 5), (0, 6, -1, 0))),
+            ("ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n",
+             ((0, 0, 3, -2), (0, 5, 1, 0), (2, 0, 0, 7), (1, 1, 1, 1))),
+            ("ring ext 5 QQ\ne1*e3 - e2*e5\ne4*e5 + 2*e1*e2\ne1*e2*e3\n",
+             ((0, 0, 0, 0, 1), (0, 2, 0, -1, 3), (1, 0, 0, 0, 0),
+              (0, 0, 4, 1, 0), (0, 1, 1, 1, 1))),
+            # y_1 divides the generator, so it vanishes modulo y_1 only if
+            # the free variable is scaled by D = 3, resp. 2, too
+            ("ring poly 3 QQ\n9*x2^2 - x3^2\n",
+             ((0, 3, -1), (1, 0, 0), (0, 0, 1))),
+            ("ring ext 3 QQ\n2*e1*e3 - e2*e3\n",
+             ((2, -1, 0), (0, 0, 1), (0, 1, 0))),
+        ],
+        ids=["poly4-strand", "poly4-cancel", "ext4", "ext5", "poly3-special",
+             "ext3-special"],
+    )
+    def test_pivots_off_the_leading_columns(self, text, rows):
+        I = parse_ideal(text)
+        seq = GenericSequence(I.ring, rows, "hand", 7)
+        dims = annihilators._prefix_dims(I, seq, 7)
+        assert dims == _reference_prefix_dims(I, seq, 7)
+
+    @pytest.mark.parametrize("tag", ["q4", "e5"])
+    def test_dense_quadrics_of_the_generic_workload(self, tag):
+        workloads = _load_perfbench("workloads")
+        kind, n, count = workloads.QUADRICS[tag]
+        I = workloads.dense_quadrics(kind, n, count, tag)
+        seq = GenericSequence.draw(I.ring, "0:0:a", 1000)
+        dmax = annihilators._windows(I, 0)[0] + 1  # as _alpha_for_sequence
+        dims = annihilators._prefix_dims(I, seq, dmax)
+        assert dims == _reference_prefix_dims(I, seq, dmax)
+
     def test_rows_fed_on_the_two_variable_corpus(self, monkeypatch):
-        # pins both stops: without them the same oracle feeds 1,338 rows
+        # pins the stops: p = 0 comes from the Hilbert numerator of in(I),
+        # and each p >= 1 eliminates only over the free variables of its
+        # prefix, so only 10 rows are fed (170 on all dim R_d columns,
+        # 1,338 with no stop at all)
         ideals = generate(ACCEPTANCE_SPECS[0])
         for ideal in ideals:
             gin(ideal, seed=0)  # memoized: gin's own rows stay out of the count
         rows = _counting_intrank(monkeypatch)
         for ideal in ideals:
             assert alpha_oracle(ideal, seed=0).ok
-        assert rows[0] == 170
+        assert rows[0] == 10
 
 
 class TestProfiles:

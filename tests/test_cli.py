@@ -212,6 +212,29 @@ class TestCheck:
             assert code == 1, argv
             assert message in err and out == "", argv
 
+    def test_negative_strand_or_prefix_exit_1(self, tmp_path, capsys):
+        # linear-component, dlinear and clinear printed VIOLATED (exit 3)
+        # at --k -1, and the other statements "held"
+        for text in ("ring poly 3 QQ\nx1^2\nx1*x2\nx2^2\n",
+                     "ring ext 3 QQ\ne1*e2\ne2*e3\n"):
+            path = write(tmp_path, text)
+            kind = parse_ideal(text).ring.kind
+            pins = [
+                (name, axis)
+                for name, statement in STATEMENTS.items()
+                if kind in statement.kinds
+                for axis, _ in statement.axes
+                if axis in ("k", "q")
+            ]
+            assert ("dlinear", "k") in pins
+            for name, axis in pins:
+                code, out, err = run_main(
+                    capsys, "check", path, "--statement", name,
+                    f"--{axis}", "-1",
+                )
+                assert code == 1, (kind, name, axis)
+                assert f"{axis} must be nonnegative" in err and out == ""
+
     def test_unknown_statement(self, tmp_path, capsys):
         path = write(tmp_path, STAIRCASE_3)
         code, _, err = run_main(capsys, "check", path, "--statement", "nope")
