@@ -8,6 +8,10 @@ byte-identical is checked by running this in both checkouts and diffing:
     python3 scripts/output_digests.py > after.txt   # in the other checkout
     diff before.txt after.txt
 
+tests/data/output_digests.txt holds the full-scale lines of the tree it
+ships in, and tier-1 compares them (tests/test_scripts.py); a change
+that moves an output edits that file.
+
 The surfaces: the battery and oracle JSON and both alpha tables over the
 acceptance corpus; gin certificates with their matrices over the corpus
 (degrevlex) and the reference ideals (all three orders); the

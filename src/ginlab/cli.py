@@ -345,6 +345,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "imax", None) is not None and args.imax < 0:
+            raise _UsageError("i_max must be nonnegative")
         return args.fn(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -105,7 +105,11 @@ class CancellationTable:
 
 class RigidityContext:
     """The one input of every statement check: the ideal, the seed, the
-    homological window, and the tables the checks keep reusing, cached."""
+    homological window, and the tables the checks keep reusing, cached.
+
+    The table of I is homological; every strongly stable ideal the checks
+    compare it with, gin(I) included, gets its table from stable_table.
+    """
 
     def __init__(self, ideal, seed=0, i_max=None):
         self.ideal = ideal
@@ -146,24 +150,18 @@ class RigidityContext:
             return self.ring.n
         return max(self.reg_bound, 1)
 
-    def _table(self, ideal_obj):
-        return betti_table(
-            ideal_obj,
-            QUOTIENT,
-            seed=self.seed,
-            i_max=self.i_max,
-            reg_bound=self.reg_bound,
-        )
-
     @property
     def table(self):
-        return self._get("table", lambda: self._table(self.ideal))
+        return self._get(
+            "table",
+            lambda: betti_table(
+                self.ideal, QUOTIENT, self.seed, self.i_max, self.reg_bound
+            ),
+        )
 
     @property
     def gin_table(self):
-        return self._get(
-            "gin_table", lambda: self._table(self.gin_ideal.to_ideal())
-        )
+        return self.stable_table(self.gin_ideal)
 
     @property
     def table_ideal_conv(self):
@@ -206,9 +204,10 @@ class RigidityContext:
     def stable_table(self, J):
         """Quotient-convention table of a strongly stable monomial ideal.
 
-        Uses the Eliahou-Kervaire (resp. Aramova-Herzog-Hibi) closed form;
-        both are cross-validated against the homological route by the
-        oracle suite.
+        The one route to the tables of gin(I), Lex(I) and gin_lex(I): the
+        Eliahou-Kervaire (resp. Aramova-Herzog-Hibi) closed form, cut at
+        i_max over E.  oracle_equivalences checks it against the Koszul
+        (resp. Cartan) homology of gin(I) on every corpus ideal.
         """
         from .betti import ahh_betti, ek_betti
 
@@ -326,26 +325,39 @@ def _agreement(statement, params, hypothesis, conclusion, witness=None, window=N
     )
 
 
-def _strand_persists(ctx, statement, i, k, qs, conclusion):
-    """Equality of beta_{i,i+k} of I and gin(I) forces it at every q in qs."""
-    bI, bG = ctx.table, ctx.gin_table
-    hyp = bI.get(i, i + k) == bG.get(i, i + k)
-    report = RigidityReport(
-        statement,
-        {"i": i, "k": k},
-        "holds",
-        hypothesis={"cell": (i, i + k), "equal": hyp},
-        window={"q_max": ctx.i_max},
-    )
+def _persists(ctx, report, bJ, i, k, key, conclusion):
+    """The paper's conclusion: an equal cell beta_{i,i+k} of I and J forces
+    equality along strand k at every q >= i over S, at every q >= 1 over E.
+
+    Records the cell hypothesis under `key`; a report whose cell differs is
+    vacuous, the first mismatch in the q-window is the witness of a
+    violation, and otherwise `conclusion` is recorded.
+    """
+    bI = ctx.table
+    hyp = bI.get(i, i + k) == bJ.get(i, i + k)
+    report.hypothesis[key] = hyp
     if not hyp:
         report.vacuous = True
         return report
-    report.witness = _strand_mismatch(bI, bG, k, qs)
+    qs = range(1 if ctx.ring.is_exterior else i, ctx.i_max + 1)
+    report.witness = _strand_mismatch(bI, bJ, k, qs)
     if report.witness:
         report.verdict = "violated"
     else:
         report.conclusion = conclusion
     return report
+
+
+def _rigidity(ctx, statement, i, k, conclusion):
+    """Persistence of an equal cell of I and gin(I) (both rigidity theorems)."""
+    report = RigidityReport(
+        statement,
+        {"i": i, "k": k},
+        "holds",
+        hypothesis={"cell": (i, i + k)},
+        window={"q_max": ctx.i_max},
+    )
+    return _persists(ctx, report, ctx.gin_table, i, k, "equal", conclusion)
 
 
 def rigidity_poly(ctx, i, k):
@@ -354,10 +366,7 @@ def rigidity_poly(ctx, i, k):
         raise ValueError("the statement requires i > 1")
     if ctx.ring.is_exterior:
         raise ValueError("polynomial-ring statement")
-    return _strand_persists(
-        ctx, "rigidity-poly", i, k, range(i, ctx.i_max + 1),
-        {"equal_for_q_geq": i},
-    )
+    return _rigidity(ctx, "rigidity-poly", i, k, {"equal_for_q_geq": i})
 
 
 def rigidity_ext(ctx, i, k):
@@ -366,10 +375,7 @@ def rigidity_ext(ctx, i, k):
         raise ValueError("the statement requires i > 1")
     if not ctx.ring.is_exterior:
         raise ValueError("exterior statement")
-    return _strand_persists(
-        ctx, "rigidity-ext", i, k, range(1, ctx.i_max + 1),
-        {"equal_for_all_q": True},
-    )
+    return _rigidity(ctx, "rigidity-ext", i, k, {"equal_for_all_q": True})
 
 
 def first_strand_criterion(ctx, k):
@@ -562,21 +568,11 @@ def trans_check(ctx, target, i, k):
         report.witness = dict(witness)
         return report
     report.hypothesis["domination"] = True
-
-    bI = ctx.table
-    bJ = ctx.stable_table(J)
-    hyp = bI.get(i, i + k) == bJ.get(i, i + k)
-    report.hypothesis["cell_equal"] = hyp
-    if not hyp:
-        report.vacuous = True
-        return report
-    first_q = 1 if ctx.ring.is_exterior else i
-    report.witness = _strand_mismatch(bI, bJ, k, range(first_q, ctx.i_max + 1))
-    if report.witness:
-        report.verdict = "violated"
+    _persists(
+        ctx, report, ctx.stable_table(J), i, k, "cell_equal", {"transfer": True}
+    )
+    if not report.holds:
         report.details = "rigidity transfer fails"
-    else:
-        report.conclusion = {"transfer": True}
     return report
 
 

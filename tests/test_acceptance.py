@@ -14,7 +14,7 @@ import time
 import pytest
 
 from ginlab.annihilators import verify_homology_formula
-from ginlab.betti import has_linear_resolution
+from ginlab.betti import has_linear_resolution, koszul_betti
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import component_ideal
@@ -83,6 +83,9 @@ def test_criterion_2_cancellation_example():
         (2, 6): 1,
     }
     assert ctx.cancellation.entries == {(1, 4): 1, (2, 5): 1}
+    assert koszul_betti(
+        ctx.gin_ideal.to_ideal(), reg_bound=ctx.reg_bound
+    ).entries == ctx.gin_table.entries
     _report("criterion 2 (4-variable cancellation example)", t0, 30)
 
 
@@ -95,6 +98,9 @@ def test_criterion_3_strand_example():
     assert bI.get(2, 6) == bG.get(2, 6) == 2
     assert bI.get(3, 7) == bG.get(3, 7) == 1
     assert bI.get(1, 5) == 0 and bG.get(1, 5) == 1
+    assert koszul_betti(
+        ctx.gin_ideal.to_ideal(), reg_bound=ctx.reg_bound
+    ).entries == bG.entries
     r = rigidity_poly(ctx, 2, 4)
     assert r.holds and not r.vacuous
     _report("criterion 3 (first-strand counterexample ideal)", t0, 60)

@@ -454,6 +454,24 @@ class TestTableMemo:
         oracle_equivalences(I, seed=0)
         assert built.count((gens, None)) == 1
 
+    @pytest.mark.parametrize("name", ["cancel", "ext4"])
+    def test_battery_builds_no_workspace_on_gin(self, name, monkeypatch):
+        # the statements read the table of gin(I) from the closed forms, so
+        # the only coordinate complex the battery builds is the one of I
+        I = parse_ideal(REFERENCE[name])
+        built = []
+        init = HomologyWorkspace.__init__
+
+        def counting(self, ideal, seq=None):
+            if seq is None:
+                built.append(ideal)
+            init(self, ideal, seq)
+
+        monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
+        battery(I, seed=0)
+        own = I if I.ring.is_exterior else _regular_section(I)
+        assert len(built) == 1 and built[0] is own
+
     def test_regular_section_is_built_once(self, monkeypatch):
         # x4 divides no generator: every Koszul table of I, and of gin(I),
         # runs on a section in three variables

@@ -365,6 +365,16 @@ class TestErrors:
             assert "i_max must be nonnegative" in run.stderr
             assert "Traceback" not in run.stderr
 
+    def test_negative_imax_polynomial_exit_1(self, tmp_path, capsys):
+        # refused before the file is read, so a missing file says the same
+        path = write(tmp_path, STAIRCASE_3)
+        missing = str(tmp_path / "missing.txt")
+        for command in ("betti", "check"):
+            for target in (path, missing):
+                code, out, err = run_main(capsys, command, target, "--imax", "-1")
+                assert code == 1, (command, target, err)
+                assert (out, err) == ("", "error: i_max must be nonnegative\n")
+
 
 class TestCorpus:
     def test_listing_sorted_by_digest(self, capsys):

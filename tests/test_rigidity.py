@@ -26,6 +26,7 @@ from ginlab.rigidity import (
 from ginlab.rings import exterior_ring, polynomial_ring
 
 from conftest import CANCEL_4, STAIRCASE_3, STRAND_4
+from test_homology_values import REFERENCE
 
 
 @pytest.fixture(scope="module")
@@ -223,6 +224,21 @@ class TestTransfer:
         for target in ("lex", "gin_lex"):
             for k in range(0, 3):
                 assert trans_check(ctx, target, 2, k).holds
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_gin_target_agrees_with_rigidity(self, name):
+        # gin(I) is its own degrevlex target, and both statements draw the
+        # one conclusion from the one table of gin(I)
+        ctx = RigidityContext(parse_ideal(REFERENCE[name]), seed=0)
+        statement = "rigidity-ext" if ctx.ring.is_exterior else "rigidity-poly"
+        runs = sweep(ctx, statement)
+        assert runs
+        for params in runs:
+            rigid = rigidity.STATEMENTS[statement].check(ctx, **params)
+            moved = trans_check(ctx, "gin_degrevlex", **params)
+            assert (moved.vacuous, moved.verdict) == (
+                rigid.vacuous, rigid.verdict
+            ), params
 
     def test_unknown_target(self, ctx_staircase):
         with pytest.raises(ValueError):

@@ -40,3 +40,12 @@ def test_output_digests_at_small_scale():
     ]
     assert "cli check --all --json" in names and len(names) == 22
     assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
+
+
+def test_output_digests_match_the_pinned_file():
+    # every output surface at full scale; a change that moves one must
+    # update tests/data/output_digests.txt
+    r = run_script("output_digests.py")
+    assert r.returncode == 0, r.stderr
+    pinned = (ROOT / "tests" / "data" / "output_digests.txt").read_text()
+    assert r.stdout.splitlines() == pinned.splitlines()
