@@ -8,9 +8,9 @@ byte-identical is checked by running this in both checkouts and diffing:
     python3 scripts/output_digests.py > after.txt   # in the other checkout
     diff before.txt after.txt
 
-tests/data/output_digests.txt holds the full-scale lines of the tree it
-ships in, and tier-1 compares them (tests/test_scripts.py); a change
-that moves an output edits that file.
+tests/data/output_digests.txt holds the lines of the tree it ships in,
+and tier-1 compares them (tests/test_scripts.py); a change that moves an
+output edits that file.
 
 The surfaces: the battery and oracle JSON and both alpha tables over the
 acceptance corpus; gin certificates with their matrices over the corpus
@@ -19,10 +19,9 @@ verify_homology_formula reports of the reference ideals; and the stdout,
 stderr and exit code of `ginlab gin` (three orders), `betti`, `alpha`,
 `cancel`, `lex` and `check --all`, text and --json, on the reference
 ideals.  The reference ideals are the three of the acceptance suite, a
-dense corpus ideal and two exterior ideals.  Everything runs at seed 0;
---count-scale shrinks the corpus as in corpus_battery.py.
+dense corpus ideal and two exterior ideals.  Everything runs at seed 0.
 
-Usage: python3 scripts/output_digests.py [--count-scale S]
+Usage: python3 scripts/output_digests.py
 """
 
 import argparse
@@ -32,7 +31,6 @@ import io
 import json
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -86,15 +84,10 @@ def certificate(J, cert):
     return dumps([repr(J), cert.describe(), cert.truncated_at])
 
 
-def corpus(count_scale):
-    for base in ACCEPTANCE_SPECS:
-        count = max(1, int(base.count * count_scale))
-        yield from generate_corpus(replace(base, count=count))
-
-
-def library_surfaces(count_scale):
+def library_surfaces():
     out = {"battery": [], "oracles": [], "alpha": [], "gin": []}
-    for ideal in corpus(count_scale):
+    corpus = (I for spec in ACCEPTANCE_SPECS for I in generate_corpus(spec))
+    for ideal in corpus:
         out["battery"].append(dumps([r.to_json() for r in battery(ideal)]))
         out["oracles"].append(dumps([
             [o.name, o.ok, o.detail] for o in oracle_equivalences(ideal)
@@ -138,11 +131,8 @@ def cli_surfaces(workdir):
 
 
 def main():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--count-scale", type=float, default=1.0)
-    args = parser.parse_args()
-
-    surfaces = library_surfaces(args.count_scale)
+    argparse.ArgumentParser().parse_args()  # takes no options
+    surfaces = library_surfaces()
     with tempfile.TemporaryDirectory() as workdir:
         surfaces.update(cli_surfaces(workdir))
     for name, lines in surfaces.items():

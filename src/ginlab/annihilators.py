@@ -36,11 +36,11 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
-from .groebner import gin, initial_ideal
-from .ideals import degree_rows, hilbert_numerator, quotient_dim_from_numerator
+from .groebner import _scan_plan, gin
+from .ideals import degree_rows
 from .linalg import IntRank, Rref
 from .rings import (
-    DEGREVLEX,
+    COEFF_BOUND,
     Ring,
     certified_draw,
     linear_form,
@@ -59,7 +59,7 @@ class GenericSequence:
     bound: int
 
     @classmethod
-    def draw(cls, ring, seed, bound=1000):
+    def draw(cls, ring, seed, bound=COEFF_BOUND):
         if bound < 1:
             raise ValueError("coefficient bound must be at least 1")
         rng = random.Random(f"forms:{seed}:{bound}")
@@ -116,10 +116,10 @@ class AnnihilatorTable:
 def _prefix_dims(ideal, seq, dmax):
     """dims[p][d] = dim (J_p)_d with J_p = I + (y_1..y_p), for d <= dmax.
 
-    p = 0 is the Hilbert function of the memoized in_revlex(I), with no
-    elimination.  For p >= 1, R/J_p = R'/I' with R' = R/(y_1..y_p), the
-    ring in the variables that lead no row of the forms' Rref (the free
-    ones), and I' the image of I in R'; so
+    p = 0 is dim I_d as the gin scans read it off in_revlex(I)
+    (groebner._scan_plan), with no elimination.  For p >= 1, R/J_p = R'/I'
+    with R' = R/(y_1..y_p), the ring in the variables that lead no row of
+    the forms' Rref (the free ones), and I' the image of I in R'; so
     dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, eliminated on the
     dim R'_d columns only.  The Rref rows r are primitive integers with a
     positive lead r_i; with D the lcm of the leads, the pivot variable x_i
@@ -135,9 +135,8 @@ def _prefix_dims(ideal, seq, dmax):
     ring = ideal.ring
     n = ring.n
     dims = [[0] * (dmax + 1) for _ in range(n + 1)]
-    numerator = hilbert_numerator(initial_ideal(ideal, DEGREVLEX))
-    for d in range(dmax + 1):
-        dims[0][d] = ring.dim(d) - quotient_dim_from_numerator(numerator, n, d)
+    _, hilbert = _scan_plan(ideal, None)
+    dims[0] = [hilbert(d) for d in range(dmax + 1)]
     forms = Rref()
     for p in range(1, n + 1):
         forms.add(dict(enumerate(seq.coeffs(p - 1))))
@@ -226,7 +225,7 @@ def _two_sequences(ideal, seed, compute, check=None):
     """compute(seq) on the generic sequences tagged a and b, certified by
     the one escalation loop, rings.certified_draw."""
     results, _, _ = certified_draw(
-        seed, 1000, "ab",
+        seed, COEFF_BOUND, "ab",
         lambda key, bound: compute(GenericSequence.draw(ideal.ring, key, bound)),
         check=check,
     )
@@ -398,7 +397,7 @@ def verify_homology_formula(ideal, seed=0):
     """
     ring = ideal.ring
     kmax, imax = _windows(ideal, seed)
-    seq = GenericSequence.draw(ring, f"formula:{seed}", 1000)
+    seq = GenericSequence.draw(ring, f"formula:{seed}")
     ws = HomologyWorkspace(ideal, seq)
     alpha = _alpha_for_sequence(ideal, seq, kmax + 2)
 

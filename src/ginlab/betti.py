@@ -233,8 +233,7 @@ class HomologyWorkspace:
     IntRank, sparsest first, and the workspace keeps only the ranks, the
     cycle bases and the delta numbers.  Rank, pivot columns and the span
     of the kernel of an elimination do not depend on the order of its
-    rows, so the order changes no number.  Betti tables built on it are
-    memoized per Ideal (see _homology_table).
+    rows, so the order changes no number.
     """
 
     def __init__(self, ideal, seq=None):
@@ -419,22 +418,20 @@ class HomologyWorkspace:
         return self._delta[key]
 
 
-def _homology_table(ideal, i_max, k_max, name, cert_strand=None):
+def _homology_table(ideal, i_max, k_max, cert_strand=None):
     """Entries (i, i + k) -> dim H_i(x_1..x_n; R/I)_{i+k}, the table of R/I.
 
     A nonzero entry with i >= 1 on cert_strand, or an H_0 other than K,
-    means the window was wrong.  The entries are memoized on the Ideal
-    instance (Ideal._tables), keyed by every argument, so the battery and
-    the oracles of one ideal share one table; each call gets its own copy,
-    and errors are not stored.
+    means the window was wrong.  The entries are kept in Ideal.memo under
+    the window; each call gets its own copy.
     """
-    key = (i_max, k_max, name, cert_strand)
-    if key not in ideal._tables:
-        ideal._tables[key] = _compute_homology_table(ideal, *key)
-    return dict(ideal._tables[key])
+    key = ("table", i_max, k_max, cert_strand)
+    entries = ideal.memo(key, lambda: _compute_homology_table(ideal, *key[1:]))
+    return dict(entries)
 
 
-def _compute_homology_table(ideal, i_max, k_max, name, cert_strand):
+def _compute_homology_table(ideal, i_max, k_max, cert_strand):
+    name = "Cartan" if ideal.ring.is_exterior else "Koszul"
     ws = HomologyWorkspace(ideal)
     n = ideal.ring.n
     entries = {}
@@ -462,13 +459,10 @@ def _regular_section(ideal):
     x_m is dropped while it divides no minimal generator of in_revlex(I)
     in the given coordinates, whatever the ring's order; the dropped
     variables are set to zero in the generators.  The ideal itself comes
-    back when nothing is dropped.  The section is built once per Ideal
-    (Ideal._section), so the memos kept on it are shared.
+    back when nothing is dropped; Ideal.memo then holds None.
     """
-    if not ideal._section_known:
-        ideal._section = _drop_regular_variables(ideal)
-        ideal._section_known = True
-    return ideal if ideal._section is None else ideal._section
+    section = ideal.memo(("section",), lambda: _drop_regular_variables(ideal))
+    return ideal if section is None else section
 
 
 def _drop_regular_variables(ideal):
@@ -489,9 +483,8 @@ def _drop_regular_variables(ideal):
     section = Ideal(small, gens)
     # in_revlex(I + (x_n)) = in_revlex(I) + (x_n) (Eisenbud 15.12), so the
     # section's in_revlex is in_revlex(I) with the dropped variables cut off
-    section._initials[DEGREVLEX] = MonomialIdeal(
-        small, [u[:m] for u in init.gens]
-    )
+    cut = MonomialIdeal(small, [u[:m] for u in init.gens])
+    section.memo(("initial", DEGREVLEX), lambda: cut)
     return section
 
 
@@ -515,9 +508,7 @@ def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):
     section = _regular_section(ideal)
     if reg_bound is None:
         reg_bound = gin(section, seed=seed)[0].max_gen_degree()
-    entries = _homology_table(
-        section, section.ring.n, reg_bound, "Koszul", reg_bound
-    )
+    entries = _homology_table(section, section.ring.n, reg_bound, reg_bound)
     table = BettiTable(
         ring, QUOTIENT, entries, {"strand_max": reg_bound - 1, "i_max": ring.n}
     )
@@ -549,7 +540,7 @@ def cartan_betti(ideal, convention=QUOTIENT, i_max=None):
         i_max = exterior_i_max(ring)
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
-    entries = _homology_table(ideal, i_max, n, "Cartan")
+    entries = _homology_table(ideal, i_max, n)
     table = BettiTable(
         ring, QUOTIENT, entries, {"strand_max": n, "i_max": i_max}
     )

@@ -26,7 +26,7 @@ from .rigidity import (
     battery,
     sweep,
 )
-from .rings import EXT, POLY, GenericityError, render_monomial
+from .rings import COEFF_BOUND, EXT, POLY, GenericityError, render_monomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -290,7 +290,7 @@ def build_parser():
     p.add_argument(
         "--order", choices=["degrevlex", "deglex", "lex"], default="degrevlex"
     )
-    p.add_argument("--coeff-bound", type=int, default=1000)
+    p.add_argument("--coeff-bound", type=int, default=COEFF_BOUND)
     p.add_argument("--trials", type=int, default=2)
     common(p, imax=False)
     p.set_defaults(fn=cmd_gin)

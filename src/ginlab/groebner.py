@@ -15,15 +15,13 @@ trials must agree and the result must be strongly stable, otherwise B
 doubles, and after five rounds GenericityError says why.
 
 Each trial transforms all generators in one rings.change_coordinates
-call, and its scan knows its stop and its target ranks before it starts:
-in(g.I) has the Hilbert series of I for every invertible g, so all
-trials and rounds of one gin read one Hilbert numerator (see _scan_plan)
-and dim I_d off it.  An elimination stops once its rank reaches the
-target; a degree whose one-variable multiples of the degree below already
-number dim I_d is not eliminated, since those multiples lie in the
-initial ideal and so are all of it.  A trial that runs out of rows below its target raises
-ImplementationFault, so every trial is checked against Buchberger (over
-S) or the pivots of the integer Rref pieces I_0..I_n (over E).
+call, and its scan reads its stop and its target ranks dim I_d off one
+Hilbert numerator, which every trial and every gin of I share (see
+_scan_plan).  A degree whose one-variable multiples of the degree below
+already number dim I_d is not eliminated, and a trial that runs out of
+rows below its target raises ImplementationFault, so every trial is
+checked against Buchberger (over S) or the pivots of the integer Rref
+pieces I_0..I_n (over E).
 """
 
 import random
@@ -43,6 +41,7 @@ from .ideals import (
 )
 from .linalg import IntRank
 from .rings import (
+    COEFF_BOUND,
     DEGREVLEX,
     Element,
     GenericityError,  # re-exported: gin raises it through certified_draw
@@ -213,15 +212,11 @@ def initial_ideal(ideal, order=None):
     """in(I): minimal monomial generators of the initial ideal.
 
     Over E the pivots of I_0..I_n: the memoized integer Rref pieces in the
-    ring's order, one elimination per degree in any other.  Memoized on
-    the Ideal instance (Ideal._initials), keyed by the resolved order, so
-    in(I) and in_{ring.order}(I) share one run.  As for gin, errors are
-    not stored.
+    ring's order, one elimination per degree in any other.  Kept in
+    Ideal.memo under the resolved order.
     """
     order = order or ideal.ring.order
-    if order not in ideal._initials:
-        ideal._initials[order] = _initial_ideal(ideal, order)
-    return ideal._initials[order]
+    return ideal.memo(("initial", order), lambda: _initial_ideal(ideal, order))
 
 
 def _initial_ideal(ideal, order):
@@ -311,7 +306,7 @@ def gin(
     ideal,
     order=None,
     seed=0,
-    coeff_bound=1000,
+    coeff_bound=COEFF_BOUND,
     trials=2,
     max_scan_degree=None,
 ):
@@ -324,31 +319,25 @@ def gin(
 
     max_scan_degree truncates the degreewise scan: the result then holds
     exactly the generators of the gin of degree <= max_scan_degree, and
-    the certificate records the truncation.
-
-    The pair is memoized on the Ideal instance (Ideal._gins), keyed by
-    every argument that affects it, so the statement battery, the oracles
-    and the default windows of one ideal share one set of trials.  Errors
-    are not stored, and a new Ideal with the same generators computes its
-    gin anew.
+    the certificate records the truncation.  The pair is kept in
+    Ideal.memo under every argument.
     """
     order = order or DEGREVLEX
-    key = (order, seed, coeff_bound, trials, max_scan_degree)
-    if key not in ideal._gins:
-        ideal._gins[key] = _certified_gin(ideal, *key)
-    return ideal._gins[key]
+    key = ("gin", order, seed, coeff_bound, trials, max_scan_degree)
+    return ideal.memo(key, lambda: _certified_gin(ideal, *key[1:]))
 
 
-def _scan_plan(ideal, order, max_scan_degree):
-    """(numerator, dims) for the scans of gin and Lex(I).
+def _scan_plan(ideal, max_scan_degree):
+    """(numerator, dims) for the scans of gin and Lex(I); dims(d) = dim I_d
+    is also the p = 0 row of annihilators._prefix_dims.
 
     For every invertible g, in(g.I) has the Hilbert series of I
     (Bayer-Stillman; Eisenbud 15.9; over E, Aramova-Herzog-Hibi 2000), as
-    has Lex(I), so all scans of one call share one stop and one target
-    rank dims(d) = dim I_d per degree, whatever the order, read off the
-    Hilbert numerator of the memoized in_revlex(I).  Every trial is then
-    checked against an independent route: Buchberger over S, the pivots
-    of the integer Rref pieces I_0..I_n over E.
+    has Lex(I), so all scans of one ideal share one stop and one target
+    rank dims(d) per degree, whatever the order, read off the Hilbert
+    numerator of in_revlex(I), both kept in Ideal.memo.  Every trial is
+    then checked against an independent route: Buchberger over S, the
+    pivots of the integer Rref pieces I_0..I_n over E.
 
     A scan that provably passes the cap is refused here, before any
     coordinate change, by two bounds on the top generator degree of
@@ -362,7 +351,7 @@ def _scan_plan(ideal, order, max_scan_degree):
     init = initial_ideal(ideal, DEGREVLEX)
     if ideal.monomial_image() is not None:
         check_scan_reach(init.max_gen_degree(), max_scan_degree)
-    numerator = hilbert_numerator(init)
+    numerator = ideal.memo(("numerator",), lambda: hilbert_numerator(init))
     # ceil(deg N / n)
     check_scan_reach(-(-(len(numerator) - 1) // ring.n), max_scan_degree)
 
@@ -384,7 +373,7 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
         cert = GinCertificate(order, seed, coeff_bound, trials, 0, (), True)
         return MonomialIdeal(ring, []), cert
 
-    numerator, dims = _scan_plan(ideal, order, max_scan_degree)
+    numerator, dims = _scan_plan(ideal, max_scan_degree)
 
     def trial(key, bound):
         rng = random.Random(f"gin:{key}:{bound}")

@@ -117,14 +117,8 @@ class Ideal:
                 raise ValueError(f"inhomogeneous generator: {g}")
             gens.append(g.normalized_integer())
         self.generators = tuple(gens)
-        self._pieces = {}
-        self._gins = {}  # groebner.gin memo: argument tuple -> (gin, cert)
-        self._initials = {}  # groebner.initial_ideal memo: order -> in(I)
-        self._tables = {}  # betti._homology_table memo: window -> entries
-        self._section = None  # betti._regular_section memo, None for self
-        self._section_known = False
-        self._monomial = None
-        self._monomial_known = False
+        self._pieces = {}  # piece(d), the hot path, keeps its own dict
+        self._memo = {}
 
     @classmethod
     def zero(cls, ring):
@@ -142,15 +136,27 @@ class Ideal:
     def contains_unit(self):
         return any(g.degree() == 0 for g in self.generators)
 
+    def memo(self, key, build):
+        """build() once per key, the one memo of what is derived from I.
+
+        A key is a tuple of a name and every argument that affects the
+        value, as ("initial", order), so all callers share one result.
+        Nothing is stored when build raises.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def monomial_image(self):
         """The same ideal as a MonomialIdeal if all generators are monomials."""
-        if not self._monomial_known:
-            self._monomial_known = True
+
+        def build():
             if all(len(g.terms) == 1 for g in self.generators):
-                self._monomial = minimal_generators(
-                    self.ring, [next(iter(g.terms)) for g in self.generators]
-                )
-        return self._monomial
+                gens = [next(iter(g.terms)) for g in self.generators]
+                return minimal_generators(self.ring, gens)
+            return None
+
+        return self.memo(("monomial",), build)
 
     def piece(self, d):
         if d < 0:
@@ -264,8 +270,7 @@ class MonomialIdeal:
         )
 
     def to_ideal(self):
-        """The Ideal with these generators, built once, so that memos kept
-        on it (gin, initial ideals, homology tables) are shared."""
+        """The Ideal of these generators, built once: its memo is shared."""
         if self._ideal is None:
             self._ideal = Ideal(
                 self.ring, [Element.monomial(self.ring, m) for m in self.gens]
@@ -525,7 +530,7 @@ def lex_segment_ideal(ideal, up_to):
     ring = ideal.ring
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
-    numerator, dims = _scan_plan(ideal, LEX, up_to)
+    numerator, dims = _scan_plan(ideal, up_to)
     if not ring.is_exterior:
         # Lex(I) has a generator in every degree in(I) has one
         # (Bigatti-Hulett-Pardue)

@@ -133,11 +133,11 @@ class RigidityContext:
 
     @property
     def gin_ideal(self):
-        return self._get("gin", lambda: gin(self.ideal, seed=self.seed))[0]
+        return gin(self.ideal, seed=self.seed)[0]
 
     @property
     def gin_certificate(self):
-        return self._get("gin", lambda: gin(self.ideal, seed=self.seed))[1]
+        return gin(self.ideal, seed=self.seed)[1]
 
     @property
     def reg_bound(self):
@@ -191,15 +191,9 @@ class RigidityContext:
 
     @property
     def gin_lex(self):
-        return self._get(
-            "gin_lex",
-            lambda: gin(
-                self.ideal,
-                order=LEX,
-                seed=self.seed,
-                max_scan_degree=self.scan_cut,
-            )[0],
-        )
+        return gin(
+            self.ideal, order=LEX, seed=self.seed, max_scan_degree=self.scan_cut
+        )[0]
 
     def stable_table(self, J):
         """Quotient-convention table of a strongly stable monomial ideal.
@@ -637,7 +631,7 @@ def lemma_can_check(ctx):
         raise ValueError("polynomial-ring statement")
     n = ctx.ring.n
     c = ctx.cancellation
-    seq = GenericSequence.draw(ctx.ring, f"can:{ctx.seed}", 1000)
+    seq = GenericSequence.draw(ctx.ring, f"can:{ctx.seed}")
     ws = HomologyWorkspace(ctx.ideal, seq)
     kmax = ctx.reg_bound + 1
     mismatches = []

@@ -24,6 +24,8 @@ LEX = "lex"
 
 TERM_ORDERS = (DEGREVLEX, DEGLEX, LEX)
 
+COEFF_BOUND = 1000  # the entry bound of a certified draw's first round
+
 
 @dataclass(frozen=True)
 class Ring:

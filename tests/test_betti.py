@@ -11,6 +11,7 @@ from ginlab.betti import (
     HomologyWorkspace,
     NotStronglyStableError,
     QuotientBasis,
+    WindowError,
     _homology_table,
     _regular_section,
     ahh_betti,
@@ -131,7 +132,7 @@ class TestKoszul:
 
 def full_koszul(ideal, r):
     """The table of R/I from the Koszul complex on all n variables."""
-    return _homology_table(ideal, ideal.ring.n, r, "Koszul", r)
+    return _homology_table(ideal, ideal.ring.n, r, r)
 
 
 class TestDepthReduction:
@@ -176,7 +177,7 @@ class TestDepthReduction:
                     continue
                 seeded += 1
                 fresh = Ideal(section.ring, section.generators)
-                assert section._initials[DEGREVLEX] == initial_ideal(
+                assert section._memo[("initial", DEGREVLEX)] == initial_ideal(
                     fresh, DEGREVLEX
                 ), I.generators
         assert seeded == 22
@@ -490,6 +491,44 @@ class TestTableMemo:
         battery(I, seed=0)
         oracle_equivalences(I, seed=0)
         assert built and len(built) == len(set(built))
+
+    def test_window_error_stores_nothing(self, monkeypatch):
+        # strand 1 holds the quadrics, so reg_bound=1 certifies a wrong
+        # window: each such call builds the table anew and fails, and the
+        # right window then builds its table once
+        I = parse_ideal("ring poly 3 QQ\nx1^2\nx2^2\n")
+        built = []
+        compute = betti._compute_homology_table
+
+        def counting(*args):
+            built.append(args)
+            return compute(*args)
+
+        monkeypatch.setattr(betti, "_compute_homology_table", counting)
+        for _ in range(2):
+            with pytest.raises(WindowError, match="strand 1 is nonzero at i=1"):
+                koszul_betti(I, reg_bound=1)
+        assert len(built) == 2
+        table = koszul_betti(I)
+        assert koszul_betti(I) == table and len(built) == 3
+        assert table.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
+
+    def test_nothing_dropped_is_remembered(self, monkeypatch):
+        # x3 divides a generator, so the section is I itself; that answer
+        # is stored too, and later tables do not look for a section again
+        I = parse_ideal("ring poly 3 QQ\nx1^2\nx3^2\n")
+        calls = []
+        drop = betti._drop_regular_variables
+
+        def counting(ideal):
+            calls.append(ideal)
+            return drop(ideal)
+
+        monkeypatch.setattr(betti, "_drop_regular_variables", counting)
+        for reg_bound in (None, None, 3, 4):
+            koszul_betti(I, reg_bound=reg_bound)
+        assert _regular_section(I) is I
+        assert calls == [I]
 
 
 class TestPredicates:

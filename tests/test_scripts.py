@@ -30,21 +30,9 @@ def test_corpus_battery_at_small_scale():
     assert ", 0 violations, " in r.stdout.splitlines()[-1]
 
 
-def test_output_digests_at_small_scale():
-    r = run_script("output_digests.py", "--count-scale", "0.05")
-    assert r.returncode == 0, r.stderr
-    lines = r.stdout.splitlines()
-    names = [line.rsplit(" ", 1)[0] for line in lines]
-    assert names[:6] == [
-        "battery", "oracles", "alpha", "gin", "gin-reference", "homology-formula"
-    ]
-    assert "cli check --all --json" in names and len(names) == 22
-    assert all(len(line.rsplit(" ", 1)[1]) == 64 for line in lines)
-
-
 def test_output_digests_match_the_pinned_file():
-    # every output surface at full scale; a change that moves one must
-    # update tests/data/output_digests.txt
+    # every output surface; a change that moves one must update
+    # tests/data/output_digests.txt
     r = run_script("output_digests.py")
     assert r.returncode == 0, r.stderr
     pinned = (ROOT / "tests" / "data" / "output_digests.txt").read_text()
