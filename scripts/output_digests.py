@@ -14,7 +14,9 @@ output edits that file.
 
 The surfaces: the battery and oracle JSON and both alpha tables over the
 acceptance corpus; gin certificates with their matrices over the corpus
-(degrevlex) and the reference ideals (all three orders); the
+(degrevlex) and the reference ideals (all three orders), and the
+generators and truncation of those gins alone (gin-generators: a change
+of the random draws moves the certificates but not this line); the
 verify_homology_formula reports of the reference ideals; and the stdout,
 stderr and exit code of `ginlab gin` (three orders), `betti`, `alpha`,
 `cancel`, `lex` and `check --all`, text and --json, on the reference
@@ -84,8 +86,13 @@ def certificate(J, cert):
     return dumps([repr(J), cert.describe(), cert.truncated_at])
 
 
+def generators(J, cert):
+    return dumps([repr(J), cert.truncated_at])
+
+
 def library_surfaces():
     out = {"battery": [], "oracles": [], "alpha": [], "gin": []}
+    gins = []
     corpus = (I for spec in ACCEPTANCE_SPECS for I in generate_corpus(spec))
     for ideal in corpus:
         out["battery"].append(dumps([r.to_json() for r in battery(ideal)]))
@@ -96,17 +103,20 @@ def library_surfaces():
             generic_annihilators_direct(ideal).to_json(),
             annihilators_from_gin(ideal).to_json(),
         ]))
-        out["gin"].append(certificate(*gin(ideal)))
+        gins.append(gin(ideal))
+        out["gin"].append(certificate(*gins[-1]))
     out["gin-reference"] = []
     out["homology-formula"] = []
     for text in REFERENCE.values():
         ideal = parse_ideal(text)
         for order in TERM_ORDERS:
-            out["gin-reference"].append(certificate(*gin(ideal, order=order)))
+            gins.append(gin(ideal, order=order))
+            out["gin-reference"].append(certificate(*gins[-1]))
         report = verify_homology_formula(ideal)
         out["homology-formula"].append(
             dumps([report.describe(), report.window, report.recurrences_checked])
         )
+    out["gin-generators"] = [generators(*pair) for pair in gins]
     return out
 
 

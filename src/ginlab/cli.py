@@ -15,7 +15,7 @@ import sys
 from .annihilators import annihilators_from_gin, generic_annihilators_direct
 from .betti import IDEAL, QUOTIENT, betti_table
 from .corpus import CorpusSpec, generate, ideal_digest
-from .groebner import gin
+from .groebner import PRIME_BOUND, gin
 from .ideals import ComputationLimit, ImplementationFault, lex_ideal
 from .oracles import oracle_equivalences
 from .parsing import ParseError, parse_ideal
@@ -26,7 +26,7 @@ from .rigidity import (
     battery,
     sweep,
 )
-from .rings import COEFF_BOUND, EXT, POLY, GenericityError, render_monomial
+from .rings import EXT, POLY, GenericityError, render_monomial
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,7 +74,10 @@ def _gin_json(ring, J, cert):
             "trials": cert.trials,
             "escalations": cert.escalations,
             "strongly_stable": cert.strongly_stable,
-            "matrices": [[list(row) for row in m] for m in cert.matrices],
+            "matrices": [
+                {"prime": p, "rows": [list(row) for row in rows]}
+                for p, rows in cert.matrices
+            ],
         },
     }
 
@@ -290,7 +293,13 @@ def build_parser():
     p.add_argument(
         "--order", choices=["degrevlex", "deglex", "lex"], default="degrevlex"
     )
-    p.add_argument("--coeff-bound", type=int, default=COEFF_BOUND)
+    p.add_argument(
+        "--coeff-bound",
+        type=int,
+        default=PRIME_BOUND,
+        help="B, at least 2: the trials of round e run mod one prime drawn "
+        "from [B*2^e, B*2^(e+1)) (default 2^60)",
+    )
     p.add_argument("--trials", type=int, default=2)
     common(p, imax=False)
     p.set_defaults(fn=cmd_gin)

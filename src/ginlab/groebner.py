@@ -2,34 +2,48 @@
 
 Polynomial initial ideals come from a reduced Groebner basis (Buchberger,
 normal selection, criteria 1 and 2), exterior ones from the pivot
-monomials of the echelonized pieces I_0..I_n (E_d = 0 for d > n).  The
-per-trial initial ideals inside gin run the one degree scan of ideals.py,
-degree_scan, which stops over both ring kinds and under every term order
-once the candidate has the Hilbert numerator of the input, which is exact.
-Buchberger in each certified trial's coordinates, and the full degreewise
-scan of exterior inputs, are the tests' references.
+monomials of the echelonized pieces I_0..I_n (E_d = 0 for d > n).  Both
+are exact over QQ.  The per-trial initial ideals inside gin run the one
+degree scan of ideals.py, degree_scan, which stops over both ring kinds
+and under every term order once the candidate has the Hilbert numerator
+of the input, which is exact.
 
-gin draws integer change-of-coordinate matrices with entries in [-B, B],
-one per trial, through the one escalation loop, rings.certified_draw: all
-trials must agree and the result must be strongly stable, otherwise B
-doubles, and after five rounds GenericityError says why.
+gin runs its trials over F_p through the one escalation loop,
+rings.certified_draw.  Round e draws one odd prime p from
+[B 2^e, B 2^(e+1)), B the coefficient bound, shared by its trials and,
+through Ring.memo, by every gin over the ring with the same seed and B
+(a prime test costs more than a small gin); each trial draws a matrix
+uniformly from GL_n(F_p), changes the coordinates of the primitive
+integer generators, reduces them mod p and eliminates each degree mod p.
+All trials must agree and the result must be strongly stable, otherwise
+the next round runs, and after five rounds GenericityError says why.
 
-Each trial transforms all generators in one rings.change_coordinates
-call, and its scan reads its stop and its target ranks dim I_d off one
-Hilbert numerator, which every trial and every gin of I share (see
-_scan_plan).  A degree whose one-variable multiples of the degree below
-already number dim I_d is not eliminated, and a trial that runs out of
-rows below its target raises ImplementationFault, so every trial is
-checked against Buchberger (over S) or the pivots of the integer Rref
-pieces I_0..I_n (over E).
+A trial is wrong only one way.  For V = g.I_d the Pluecker coordinate
+p_S(V) of a monomial set S is a polynomial of degree at most d dim I_d in
+the entries of g, and gin(I)_d is the largest S with p_S nonzero; a trial
+finds the largest S with p_S(g) nonzero mod p, so S <= gin(I)_d.  Unless
+p divides every coefficient of p_gin (a bad prime; there are finitely
+many), S < gin(I)_d has probability at most d dim I_d / p over all g by
+Schwartz-Zippel, so at most d dim I_d / (p - n) over the invertible g
+that are kept.  Only the degrees where gin(I) has generators can differ
+(see GinCertificate).
+
+Each trial's scan reads its stop and its target ranks dim I_d off one
+Hilbert numerator over QQ, which every trial and every gin of I share
+(see _scan_plan).  A degree whose one-variable multiples of the degree
+below already number dim I_d is not eliminated.  A trial whose rank mod p
+falls short of dim I_d met a bad prime or point and fails its round.
+Buchberger over QQ in each certified trial's coordinates, an integer
+trial over QQ, and the full degreewise scan of exterior inputs are the
+tests' references.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .ideals import (
-    ImplementationFault,
     MonomialIdeal,
     check_scan_reach,
     degree_rows,
@@ -39,21 +53,27 @@ from .ideals import (
     minimal_generators,
     quotient_dim_from_numerator,
 )
-from .linalg import IntRank
+from .linalg import IntRank, ModRank
 from .rings import (
-    COEFF_BOUND,
     DEGREVLEX,
+    PRIME_LIMIT,
+    ROUNDS,
     Element,
     GenericityError,  # re-exported: gin raises it through certified_draw
     certified_draw,
-    change_coordinates,
+    linear_form,
+    monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
     order_key,
-    random_invertible_matrix,
+    random_invertible_matrix_mod,
+    random_prime,
+    substitute,
 )
+
+PRIME_BOUND = 1 << 60  # gin's default B: round 0 draws its prime from [B, 2B)
 
 
 # ---------------------------------------------------------------------------
@@ -182,12 +202,17 @@ def buchberger(ideal, order=None):
 # initial ideals
 
 
-def _degree_pivot_monomials(ring, gens, d, order, target=None):
-    """Leading monomials of the degree-d piece of the span of gens.
+class RankShortfall(Exception):
+    """A degree of a gin trial eliminated mod p stopped below dim I_d."""
 
-    With target = the dimension of that piece, the elimination stops as
-    soon as the rank reaches it, and running out of rows below it is an
-    ImplementationFault.
+
+def _degree_pivot_monomials(ring, gens, d, order, target=None, engine=IntRank):
+    """Leading monomials of the degree-d piece of the span of gens, from
+    the elimination engine() (IntRank over QQ, ModRank over F_p).
+
+    With target = the dimension of that piece over QQ, the elimination
+    stops as soon as the rank reaches it, and running out of rows below it
+    raises RankShortfall.
     """
     monos = ring.monomials(d, order)
     index = {m: i for i, m in enumerate(monos)}
@@ -195,15 +220,14 @@ def _degree_pivot_monomials(ring, gens, d, order, target=None):
     # sparse rows first: keeps the elimination basis short and the
     # integer growth down when monomial and dense generators mix
     rows.sort(key=len)
-    eng = IntRank()
+    eng = engine()
     for row in rows:
         if eng.rank == target:
             break
         eng.add(row)
     if target is not None and eng.rank < target:
-        raise ImplementationFault(
-            f"degree {d} of a coordinate change has rank {eng.rank}, "
-            f"below dim I_{d} = {target}"
+        raise RankShortfall(
+            f"degree {d} has rank {eng.rank}, below dim I_{d} = {target}"
         )
     return {monos[c] for c in eng.pivots}
 
@@ -242,7 +266,8 @@ def _initial_ideal(ideal, order):
 
 
 def _initial_ideal_degreewise(
-    ring, gens, order, numerator, max_scan_degree=None, dims=None
+    ring, gens, order, numerator, max_scan_degree=None, dims=None,
+    engine=IntRank,
 ):
     """A gin trial's in(span of gens) by degree_scan; (ideal, truncated_at).
 
@@ -250,7 +275,9 @@ def _initial_ideal_degreewise(
     candidate ideal sits inside the initial ideal.  The scan stops, over S
     and E alike, once the candidate has numerator, the Hilbert numerator
     of the span, which is exact: equal Hilbert series plus containment
-    force equality in every degree.
+    force equality in every degree.  engine is the elimination of
+    _degree_pivot_monomials: IntRank over QQ, or ModRank over F_p for
+    generators reduced mod p.
 
     dims(d), when given, is the dimension of the degree-d piece of the
     span and the target rank of that degree's elimination.  A degree
@@ -261,11 +288,11 @@ def _initial_ideal_degreewise(
 
     def piece(d, grown):
         if dims is None:
-            return _degree_pivot_monomials(ring, gens, d, order)
+            return _degree_pivot_monomials(ring, gens, d, order, engine=engine)
         target = dims(d)
         if target == len(grown):
             return grown
-        return _degree_pivot_monomials(ring, gens, d, order, target)
+        return _degree_pivot_monomials(ring, gens, d, order, target, engine)
 
     start = min(g.degree() for g in gens)
     return degree_scan(ring, piece, start, max_scan_degree, numerator)
@@ -277,6 +304,16 @@ def _initial_ideal_degreewise(
 
 @dataclass(frozen=True)
 class GinCertificate:
+    """How a gin was certified.
+
+    matrices holds one (p, rows) pair per trial: the prime of the round
+    and the matrix, entries in [0, p), invertible mod p.  failure_bound
+    bounds the probability that one trial of the round returns less than
+    the gin: sum d dim I_d / p over the degrees d where the (possibly
+    truncated) gin has generators, divided by 1 - n/p because singular
+    draws are rejected.
+    """
+
     order: str
     seed: object
     coeff_bound: int
@@ -285,6 +322,7 @@ class GinCertificate:
     matrices: tuple
     strongly_stable: bool
     truncated_at: int = None  # generators above this degree were not scanned
+    failure_bound: Fraction = Fraction(0)
 
     def describe(self):
         lines = [
@@ -294,11 +332,12 @@ class GinCertificate:
             f"trials agreeing: {self.trials}",
             f"escalations:     {self.escalations}",
             f"strongly stable: {'yes' if self.strongly_stable else 'no'}",
+            f"failure bound:   {float(self.failure_bound):.3g} per trial",
         ]
         if self.truncated_at is not None:
             lines.append(f"truncated at:    degree {self.truncated_at}")
-        for t, mat in enumerate(self.matrices):
-            lines.append(f"matrix {t}: {list(map(list, mat))}")
+        for t, (p, rows) in enumerate(self.matrices):
+            lines.append(f"matrix {t} mod {p}: {list(map(list, rows))}")
         return "\n".join(lines)
 
 
@@ -306,16 +345,17 @@ def gin(
     ideal,
     order=None,
     seed=0,
-    coeff_bound=COEFF_BOUND,
+    coeff_bound=PRIME_BOUND,
     trials=2,
     max_scan_degree=None,
 ):
     """Generic initial ideal with a reproducible certificate.
 
-    Draws one integer matrix per trial, transforms, takes the initial
-    ideal, and accepts only if all trials agree and the result is strongly
-    stable; otherwise the coefficient bound is doubled (up to four times,
-    by rings.certified_draw) and the failure is loud.
+    Runs the trials of a round over F_p for one odd prime p drawn from
+    [B 2^e, B 2^(e+1)), e the round and B = coeff_bound, and accepts only
+    if all trials agree and the result is strongly stable; otherwise the
+    next round runs (up to five, by rings.certified_draw) and the failure
+    is loud.
 
     max_scan_degree truncates the degreewise scan: the result then holds
     exactly the generators of the gin of degree <= max_scan_degree, and
@@ -335,9 +375,9 @@ def _scan_plan(ideal, max_scan_degree):
     (Bayer-Stillman; Eisenbud 15.9; over E, Aramova-Herzog-Hibi 2000), as
     has Lex(I), so all scans of one ideal share one stop and one target
     rank dims(d) per degree, whatever the order, read off the Hilbert
-    numerator of in_revlex(I), both kept in Ideal.memo.  Every trial is
-    then checked against an independent route: Buchberger over S, the
-    pivots of the integer Rref pieces I_0..I_n over E.
+    numerator of in_revlex(I), both kept in Ideal.memo.  Both are exact
+    over QQ, so a trial mod p that stops below dims(d) met a bad prime or
+    point, and the certificate's failure bound reads dims(d).
 
     A scan that provably passes the cap is refused here, before any
     coordinate change, by two bounds on the top generator degree of
@@ -361,12 +401,32 @@ def _scan_plan(ideal, max_scan_degree):
     return numerator, dims
 
 
+def _trial_generators(ring, gens, mat, p):
+    """gens in the coordinates of mat (x_i -> sum_j mat[j][i] x_j), reduced
+    mod p."""
+    linear = [linear_form(ring, [row[i] for row in mat]) for i in range(ring.n)]
+    return [
+        Element(ring, {m: c % p for m, c in f.terms.items()})
+        for f in substitute(ring, gens, linear)
+    ]
+
+
 def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     ring = ideal.ring
     if trials < 2:
         raise ValueError("at least two trials are required")
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be at least 1")
+    if coeff_bound == 1:
+        raise ValueError(
+            "coefficient bound 1: round 0 draws its prime from [1, 2), "
+            "which holds none"
+        )
+    if coeff_bound << ROUNDS > PRIME_LIMIT:
+        raise ValueError(
+            f"coefficient bound must be at most {PRIME_LIMIT >> ROUNDS}: "
+            f"the primes of all {ROUNDS} rounds are certified below {PRIME_LIMIT}"
+        )
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
     if ideal.is_zero():
@@ -374,26 +434,47 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
         return MonomialIdeal(ring, []), cert
 
     numerator, dims = _scan_plan(ideal, max_scan_degree)
+    # primitive integer generators: none vanishes mod p
+    gens = [g.normalized_integer() for g in ideal.generators]
+    shortfalls = {}  # prime -> why a trial of its round fell short
 
     def trial(key, bound):
+        # the round's prime depends on seed and bound alone, so every gin
+        # over the ring shares it: a draw costs more than a small gin
+        p = ring.memo(("prime", seed, bound), lambda: random_prime(
+            random.Random(f"gin-prime:{seed}:{bound}"), bound
+        ))
         rng = random.Random(f"gin:{key}:{bound}")
-        mat = random_invertible_matrix(rng, ring.n, bound)
-        transformed = change_coordinates(ring, ideal.generators, mat)
-        J, cut = _initial_ideal_degreewise(
-            ring, transformed, order, numerator, max_scan_degree, dims
-        )
-        return J, cut, tuple(tuple(row) for row in mat)
+        mat = random_invertible_matrix_mod(rng, ring.n, p)
+        draw = (p, tuple(map(tuple, mat)))
+        try:
+            J, cut = _initial_ideal_degreewise(
+                ring, _trial_generators(ring, gens, mat, p), order, numerator,
+                max_scan_degree, dims, partial(ModRank, p),
+            )
+        except RankShortfall as exc:
+            shortfalls.setdefault(p, f"prime {p}: {exc}")
+            return None, None, draw
+        return J, cut, draw
 
+    # a shortfall is the verdict of every trial of its round
     runs, escalation, bound = certified_draw(
         seed, coeff_bound, range(trials), trial,
-        key=lambda run: run[0],
+        key=lambda run: shortfalls.get(run[2][0], run[0]),
         check=lambda J: (
-            None if is_strongly_stable(J) else "result not strongly stable"
+            J if isinstance(J, str)
+            else None if is_strongly_stable(J) else "result not strongly stable"
         ),
     )
-    J, cut, _ = runs[0]
+    J, cut, (p, _) = runs[0]
+    weight = sum(d * dims(d) for d in {monomial_degree(ring, m) for m in J.gens})
+    # a probability: 1 when p <= n leaves no bound on the singular draws
+    failure_bound = (
+        min(Fraction(1), Fraction(weight, p - ring.n)) if p > ring.n
+        else Fraction(1)
+    )
     cert = GinCertificate(
         order, seed, bound, trials, escalation,
-        tuple(run[2] for run in runs), True, cut,
+        tuple(run[2] for run in runs), True, cut, failure_bound,
     )
     return J, cert

@@ -1,4 +1,4 @@
-"""Sparse exact linear algebra over QQ, on integer rows.
+"""Sparse exact linear algebra over QQ, on integer rows, and over F_p.
 
 Vectors are dicts column -> nonzero coefficient.  Columns are plain ints;
 callers index them so that column 0 is the most significant (for monomial
@@ -15,6 +15,10 @@ IntRank strips a working row's content whenever its largest entry passes
 256 bits.  It decides that from an exact bound on the row's bit length,
 carried from step to step, and scans the row only when the bound passes
 256 bits; the rows it stores are those of a scan after every step.
+
+ModRank has IntRank's add/rank/pivots over F_p, for the gin trials; its
+pivot rows have lead 1 and entries below p, so nothing grows and no
+content is stripped.
 """
 
 from math import gcd, lcm
@@ -181,6 +185,45 @@ class IntRank:
                 if bits > 256:
                     _divide_content(out)
                     bits = _max_bits(out)
+
+
+class ModRank:
+    """Gaussian elimination over F_p, p prime: IntRank's add, rank and
+    pivots on integer rows, reduced mod p.
+
+    A pivot row is scaled to lead 1 and stored without its lead, reduced
+    mod p, so a reduction step is one multiply-subtract per entry.  The
+    working row is reduced mod p lazily: an entry only when it becomes
+    the lead, so a lead is always a unit mod p, and one divisible by p is
+    dropped.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.pivots = {}  # col -> {c: x} with c > col: the row is 1 at col
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def add(self, row):
+        """Insert a vector of integers; True if the rank mod p grew."""
+        p, pivots = self.p, self.pivots
+        out = dict(row)
+        while out:
+            lead = min(out)
+            f = out.pop(lead) % p
+            if not f:
+                continue
+            prow = pivots.get(lead)
+            if prow is None:
+                inv = pow(f, -1, p)
+                pivots[lead] = {c: y for c, x in out.items() if (y := x * inv % p)}
+                return True
+            get = out.get
+            for c, x in prow.items():
+                out[c] = get(c, 0) - f * x
+        return False
 
 
 def left_kernel(vectors, ncols):

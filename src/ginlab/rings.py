@@ -5,15 +5,19 @@ a strictly increasing tuple of 0-based variable indices for the exterior
 algebra.  Elements map monomials to nonzero exact rational coefficients
 (int or Fraction).  Everything is immutable after construction and all
 operations are pure functions.
+
+The random draws of the certified generic computations live here too:
+integer matrices for the generic sequences, and primes with matrices
+invertible mod p for the gin trials.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, lcm
+from math import comb, gcd, lcm, prod
 from operator import add
 
-from .linalg import scale_to_int
+from .linalg import ModRank, scale_to_int
 
 POLY = "poly"
 EXT = "ext"
@@ -24,7 +28,8 @@ LEX = "lex"
 
 TERM_ORDERS = (DEGREVLEX, DEGLEX, LEX)
 
-COEFF_BOUND = 1000  # the entry bound of a certified draw's first round
+COEFF_BOUND = 1000  # the entry bound of a generic sequence's first round
+ROUNDS = 5  # rounds of certified_draw; round e doubles the bound e times
 
 
 @dataclass(frozen=True)
@@ -34,8 +39,8 @@ class Ring:
     kind: str
     n: int
     order: str = DEGREVLEX
-    # Ring.monomials memo: (d, order) -> tuple, built once per instance
-    _monomials: dict = field(
+    # Ring.memo, and the hot path of Ring.monomials: (d, order) -> tuple
+    _memo: dict = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -66,11 +71,20 @@ class Ring:
         exps[i] = 1
         return Element(self, {tuple(exps): 1})
 
+    def memo(self, key, build):
+        """build() once per key on this Ring, for what depends only on the
+        ring and key: the monomials of a degree, gin's round primes.
+        Nothing is stored when build raises."""
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
+
     def monomials(self, d, order=None):
         """All monomials of total degree d, descending in order (default the
-        ring's), as a tuple built once per (d, order) on this Ring."""
+        ring's), as a tuple built once per (d, order) on this Ring (Ring.memo
+        under the key (d, order), inlined: this is a hot path)."""
         order = order or self.order
-        if (d, order) not in self._monomials:
+        if (d, order) not in self._memo:
             if self.is_exterior:
                 monos = list(combinations(range(self.n), d))
             else:
@@ -81,8 +95,8 @@ class Ring:
                         exps[i] += 1
                     monos.append(tuple(exps))
             monos.sort(key=order_key(self, order), reverse=True)
-            self._monomials[(d, order)] = tuple(monos)
-        return self._monomials[(d, order)]
+            self._memo[(d, order)] = tuple(monos)
+        return self._memo[(d, order)]
 
     def dim(self, d):
         """Vector space dimension of the degree-d graded piece."""
@@ -424,6 +438,63 @@ def random_invertible_matrix(rng, n, bound):
             return mat
 
 
+def random_invertible_matrix_mod(rng, n, p):
+    """An n x n matrix with entries in [0, p), invertible mod the prime p,
+    drawn uniformly from the random.Random rng by rejection."""
+    while True:
+        mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+        eng = ModRank(p)
+        if all(eng.add(dict(enumerate(row))) for row in mat):
+            return mat
+
+
+_SMALL_PRIMES = tuple(
+    q for q in range(2, 256) if all(q % r for r in range(2, int(q**0.5) + 1))
+)
+_SCREEN = prod(_SMALL_PRIMES)  # a candidate sharing a factor with it is composite
+# Miller-Rabin bases that decide primality: seven below 2^64 (Sinclair
+# 2011), the first thirteen primes below PRIME_LIMIT (Sorenson and
+# Webster, Math. Comp. 86, 2017)
+_BASES_64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+PRIME_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n):
+    """Whether 0 <= n < PRIME_LIMIT is prime: a gcd screen against the
+    primes below 256, then a deterministic Miller-Rabin test."""
+    if n < 256:
+        return n in _SMALL_PRIMES
+    if gcd(n, _SCREEN) != 1:
+        return False
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"primality is certified below {PRIME_LIMIT} only")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d, d odd
+    d = (n - 1) >> s
+    for a in _BASES_64 if n < 1 << 64 else _SMALL_PRIMES[:13]:
+        if a % n == 0:  # n divides the base, which then proves nothing
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def random_prime(rng, lo):
+    """An odd prime drawn uniformly from [lo, 2 lo) by rejection, for
+    2 <= lo and 2 lo <= PRIME_LIMIT; by Bertrand's postulate the range
+    holds one (for lo = 2 it is 3)."""
+    while True:
+        n = rng.randrange(lo | 1, 2 * lo, 2)
+        if is_prime(n):
+            return n
+
+
 class GenericityError(Exception):
     """A certified generic draw failed in every round of escalation."""
 
@@ -441,7 +512,7 @@ def certified_draw(seed, bound, tags, draw, key=None, check=None):
     failure.
     """
     failures = []
-    for escalation in range(5):
+    for escalation in range(ROUNDS):
         round_bound = bound << escalation
         results = [draw(f"{seed}:{escalation}:{tag}", round_bound) for tag in tags]
         values = [key(r) for r in results] if key else results

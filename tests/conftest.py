@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from ginlab.parsing import parse_ideal
@@ -30,3 +33,12 @@ def cancel4():
 @pytest.fixture
 def strand4():
     return parse_ideal(STRAND_4)
+
+
+def load_perfbench(name):
+    """A module of the benchmark harness, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

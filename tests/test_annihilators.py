@@ -1,7 +1,5 @@
 import hashlib
-import importlib.util
 import random
-from pathlib import Path
 
 import pytest
 
@@ -31,7 +29,7 @@ from ginlab.rings import (
     polynomial_ring,
 )
 
-from conftest import CANCEL_4, STAIRCASE_3, STRAND_4
+from conftest import CANCEL_4, STAIRCASE_3, STRAND_4, load_perfbench
 from test_homology_values import REFERENCE
 
 
@@ -139,15 +137,6 @@ def _reference_prefix_dims(ideal, seq, dmax):
                 eng.add(row)
             dims[p][d] = eng.rank
     return dims
-
-
-def _load_perfbench(name):
-    """A module of the benchmark harness, loaded from its file."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _counting_intrank(monkeypatch):
@@ -260,7 +249,7 @@ class TestPrefixDims:
 
     @pytest.mark.parametrize("tag", ["q4", "e5"])
     def test_dense_quadrics_of_the_generic_workload(self, tag):
-        workloads = _load_perfbench("workloads")
+        workloads = load_perfbench("workloads")
         kind, n, count = workloads.QUADRICS[tag]
         I = workloads.dense_quadrics(kind, n, count, tag)
         seq = GenericSequence.draw(I.ring, "0:0:a", 1000)

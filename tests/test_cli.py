@@ -285,8 +285,8 @@ class TestErrors:
     def test_lost_multiple_exit_3(self, tmp_path, capsys, monkeypatch):
         pivots = groebner._degree_pivot_monomials
 
-        def dropping(ring, gens, d, key, target=None):
-            return {m for m in pivots(ring, gens, d, key, target) if m[0] < 3}
+        def dropping(*args):
+            return {m for m in pivots(*args) if m[0] < 3}
 
         monkeypatch.setattr(groebner, "_degree_pivot_monomials", dropping)
         path = write(tmp_path, STAIRCASE_3)
@@ -348,6 +348,18 @@ class TestErrors:
             assert run.returncode == 1, (bound, run.stderr)
             assert "coefficient bound must be at least 1" in run.stderr
             assert "Traceback" not in run.stderr
+
+    def test_coeff_bound_without_certified_primes_exit_1(self, tmp_path, capsys):
+        # round e draws its prime from [B 2^e, B 2^(e+1)): [1, 2) holds
+        # none, and primality is certified below 2^81.4 only
+        path = write(tmp_path, STAIRCASE_3)
+        for bound, text in (
+            ("1", "[1, 2), which holds none"),
+            (str(1 << 77), "coefficient bound must be at most"),
+        ):
+            code, out, err = run_main(capsys, "gin", path, "--coeff-bound", bound)
+            assert code == 1 and not out, bound
+            assert err.startswith("error: coefficient bound") and text in err
 
     def test_negative_imax_exterior_exit_1(self, tmp_path):
         path = write(tmp_path, "ring ext 3 QQ\ne1*e2\ne2*e3\n")

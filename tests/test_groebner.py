@@ -1,4 +1,6 @@
 import random
+from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -7,23 +9,26 @@ from hypothesis import strategies as st
 from ginlab import groebner
 from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.groebner import (
+    PRIME_BOUND,
     _initial_ideal_degreewise,
     _scan_plan,
+    _trial_generators,
     buchberger,
     gin,
     initial_ideal,
 )
 from ginlab.ideals import (
     Ideal,
-    ImplementationFault,
     _poly_mul,
     is_strongly_stable,
     variable_multiples,
 )
+from ginlab.linalg import IntRank, ModRank
 from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import RigidityContext, battery
 from ginlab.rings import (
+    COEFF_BOUND,
     DEGREVLEX,
     EXT,
     LEX,
@@ -32,14 +37,17 @@ from ginlab.rings import (
     Element,
     GenericityError,
     apply_linear_change,
+    certified_draw,
     change_coordinates,
     exterior_ring,
     polynomial_ring,
     random_invertible_matrix,
+    random_invertible_matrix_mod,
+    random_prime,
     render_monomial,
 )
 
-from conftest import CANCEL_GIN, STAIRCASE_3, STAIRCASE_GIN
+from conftest import CANCEL_GIN, STAIRCASE_3, STAIRCASE_GIN, load_perfbench
 
 
 def initial_orders(I):
@@ -225,24 +233,32 @@ class TestEscalation:
         monkeypatch.setattr(groebner, "is_strongly_stable", unstable_once)
         J, cert = gin(parse_ideal(STAIRCASE_3), seed=5)  # fresh: no memo
         assert verdicts == [False, True]
-        assert (cert.escalations, cert.coeff_bound) == (1, 2000)
+        bound = PRIME_BOUND << 1
+        assert (cert.escalations, cert.coeff_bound) == (1, bound)
+        p = random_prime(random.Random(f"gin-prime:5:{bound}"), bound)
+        assert bound <= p < 2 * bound
         assert cert.matrices == tuple(
-            tuple(map(tuple, random_invertible_matrix(
-                random.Random(f"gin:5:1:{t}:2000"), 3, 2000
-            )))
+            (p, tuple(map(tuple, random_invertible_matrix_mod(
+                random.Random(f"gin:5:1:{t}:{bound}"), 3, p
+            ))))
             for t in range(2)
         )
         assert gens_as_strings(J) == STAIRCASE_GIN
 
     def test_unstable_results_raise_after_five_rounds(self, monkeypatch):
-        bounds = []
-        draw = groebner.random_invertible_matrix
+        bounds, primes = [], []
+        prime, draw = groebner.random_prime, groebner.random_invertible_matrix_mod
 
-        def recorded(rng, n, bound):
-            bounds.append(bound)
-            return draw(rng, n, bound)
+        def recorded_prime(rng, lo):
+            bounds.append(lo)
+            return prime(rng, lo)
 
-        monkeypatch.setattr(groebner, "random_invertible_matrix", recorded)
+        def recorded(rng, n, p):
+            primes.append(p)
+            return draw(rng, n, p)
+
+        monkeypatch.setattr(groebner, "random_prime", recorded_prime)
+        monkeypatch.setattr(groebner, "random_invertible_matrix_mod", recorded)
         monkeypatch.setattr(groebner, "is_strongly_stable", lambda J: False)
         with pytest.raises(GenericityError) as err:
             gin(parse_ideal(STAIRCASE_3), trials=3)
@@ -251,16 +267,24 @@ class TestEscalation:
             "genericity not reached after escalation: "
             + "; ".join(["result not strongly stable"] * 5)
         )
-        assert bounds == [1000 << e for e in range(5) for _ in range(3)]
+        # one prime per round, shared by the round's three trials
+        assert bounds == [PRIME_BOUND << e for e in range(5)]
+        assert len(set(primes)) == 5
+        for e, p in enumerate(primes[::3]):
+            assert primes[3 * e:3 * e + 3] == [p] * 3
+            assert PRIME_BOUND << e <= p < PRIME_BOUND << (e + 1)
 
     def test_disagreeing_trials_raise(self, monkeypatch):
         scan = groebner._initial_ideal_degreewise
         calls = []
 
         def second_trial_differs(
-            ring, gens, order, numerator, max_scan_degree=None, dims=None
+            ring, gens, order, numerator, max_scan_degree=None, dims=None,
+            engine=IntRank,
         ):
-            J, cut = scan(ring, gens, order, numerator, max_scan_degree, dims)
+            J, cut = scan(
+                ring, gens, order, numerator, max_scan_degree, dims, engine
+            )
             calls.append(J)
             if len(calls) % 2:
                 return J, cut
@@ -296,10 +320,13 @@ class TestGinMemo:
         scan = groebner._initial_ideal_degreewise
 
         def counted(
-            ring, gens, order, numerator, max_scan_degree=None, dims=None
+            ring, gens, order, numerator, max_scan_degree=None, dims=None,
+            engine=IntRank,
         ):
             calls.append((order, len(gens)))
-            return scan(ring, gens, order, numerator, max_scan_degree, dims)
+            return scan(
+                ring, gens, order, numerator, max_scan_degree, dims, engine
+            )
 
         monkeypatch.setattr(groebner, "_initial_ideal_degreewise", counted)
         return calls
@@ -446,13 +473,54 @@ class TestExteriorInitialIdeal:
 
 
 def _buchberger_trials(I, cert):
-    """The Buchberger initial ideal of I in each certified trial's coordinates."""
+    """The Buchberger initial ideal over QQ of I in each certified trial's
+    coordinates: the trial's matrix mod p, lifted to integers in [0, p)."""
     return [
         initial_ideal(
-            Ideal(I.ring, [apply_linear_change(g, M) for g in I.generators])
+            Ideal(I.ring, [apply_linear_change(g, rows) for g in I.generators])
         )
-        for M in cert.matrices
+        for _, rows in cert.matrices
     ]
+
+
+def _integer_gin(ideal, order, max_scan_degree=None, seed=0):
+    """(gin, truncated_at) from integer trials over QQ: matrices with
+    entries in [-COEFF_BOUND, COEFF_BOUND] and exact integer elimination,
+    with gin's scan plan, escalation loop and strong-stability check."""
+    ring = ideal.ring
+    numerator, dims = _scan_plan(ideal, max_scan_degree)
+
+    def trial(key, bound):
+        rng = random.Random(f"gin:{key}:{bound}")
+        mat = random_invertible_matrix(rng, ring.n, bound)
+        gens = change_coordinates(ring, ideal.generators, mat)
+        return _initial_ideal_degreewise(
+            ring, gens, order, numerator, max_scan_degree, dims
+        )
+
+    runs, _, _ = certified_draw(
+        seed, COEFF_BOUND, range(2), trial,
+        check=lambda run: (
+            None if is_strongly_stable(run[0]) else "result not strongly stable"
+        ),
+    )
+    return runs[0]
+
+
+def test_integer_trials_give_the_same_gins():
+    # the integer trial is the reference of the trials mod p: the same
+    # gin and truncation on the 100 acceptance ideals, under degrevlex
+    # and under lex at scan_cut
+    count = 0
+    for spec in ACCEPTANCE_SPECS:
+        for ideal in generate(spec):
+            cut = RigidityContext(ideal, seed=0).scan_cut
+            for order, up_to in ((DEGREVLEX, None), (LEX, cut)):
+                J, cert = gin(ideal, order=order, max_scan_degree=up_to)
+                want = _integer_gin(ideal, order, up_to)
+                assert (J, cert.truncated_at) == want, (ideal, order)
+                count += 1
+    assert count == 200
 
 
 def test_buchberger_route_reproduces_staircase_gin(staircase3):
@@ -476,11 +544,11 @@ class TestKnownRanks:
 
     @pytest.fixture
     def fed(self, monkeypatch):
-        """[degree, rows built, rows fed to IntRank] per elimination, one
+        """[degree, rows built, rows fed to ModRank] per elimination, one
         list per trial scan."""
         trials = []
 
-        class Counting(groebner.IntRank):
+        class Counting(groebner.ModRank):
             def add(self, row):
                 trials[-1][-1][2] += 1
                 return super().add(row)
@@ -496,7 +564,7 @@ class TestKnownRanks:
             trials.append([])
             return scan(*args)
 
-        monkeypatch.setattr(groebner, "IntRank", Counting)
+        monkeypatch.setattr(groebner, "ModRank", Counting)
         monkeypatch.setattr(groebner, "degree_rows", built)
         monkeypatch.setattr(groebner, "_initial_ideal_degreewise", counted)
         return trials
@@ -527,9 +595,9 @@ class TestKnownRanks:
         eliminated = []
         pivots = groebner._degree_pivot_monomials
 
-        def recorded(ring, gens, d, key, target=None):
+        def recorded(ring, gens, d, key, target=None, engine=IntRank):
             eliminated.append(d)
-            return pivots(ring, gens, d, key, target)
+            return pivots(ring, gens, d, key, target, engine)
 
         monkeypatch.setattr(groebner, "_degree_pivot_monomials", recorded)
         J, cert = gin(I)
@@ -548,15 +616,22 @@ class TestKnownRanks:
         assert filled == self.FILLED[text] and filled < scanned
         assert eliminated == sorted(scanned - filled) * cert.trials
 
-    def test_wrong_target_is_a_fault(self, monkeypatch):
+    def test_wrong_target_fails_every_round(self, monkeypatch):
+        # a rank mod p below dim I_d is a bad prime or point for the
+        # round; a target no trial can reach fails all five
         quotient = groebner.quotient_dim_from_numerator
 
         def one_short(num, n, d):
             return quotient(num, n, d) - 1  # the seed reads dim I_d + 1
 
         monkeypatch.setattr(groebner, "quotient_dim_from_numerator", one_short)
-        with pytest.raises(ImplementationFault, match="below dim I_2 = "):
+        with pytest.raises(GenericityError) as err:
             gin(dense_quadrics_q4(), order=LEX, max_scan_degree=3)
+        failures = str(err.value).split(": ", 1)[1].split("; ")
+        assert len(failures) == 5
+        for failure in failures:
+            assert failure.startswith("prime ")
+            assert failure.endswith(": degree 2 has rank 3, below dim I_2 = 4")
 
     def test_targets_leave_every_trial_scan_unchanged(self):
         # the full elimination of every degree is the oracle: with the
@@ -569,12 +644,97 @@ class TestKnownRanks:
                 for order, up_to in ((DEGREVLEX, None), (LEX, cut)):
                     _, cert = gin(ideal, order=order, max_scan_degree=up_to)
                     numerator, dims = _scan_plan(ideal, up_to)
-                    for mat in cert.matrices:
-                        gens = change_coordinates(ring, ideal.generators, mat)
+                    primitive = [g.normalized_integer() for g in ideal.generators]
+                    for p, rows in cert.matrices:
+                        gens = _trial_generators(ring, primitive, rows, p)
+                        engine = partial(ModRank, p)
                         full = _initial_ideal_degreewise(
-                            ring, gens, order, numerator, up_to
+                            ring, gens, order, numerator, up_to, engine=engine
                         )
                         shared = _initial_ideal_degreewise(
-                            ring, gens, order, numerator, up_to, dims
+                            ring, gens, order, numerator, up_to, dims, engine
                         )
                         assert shared == full, (ideal.generators, order)
+
+
+class TestModularTrials:
+    """Bad and tiny primes fail rounds; the certificate bounds a trial."""
+
+    BAD_AT_3 = "ring poly 2 QQ\nx1^2 + 3*x2^2\nx1^2\n"
+
+    def test_bad_prime_fails_its_round(self, monkeypatch):
+        # mod 3 the two generators agree, so degree 2 stops at rank 1 in
+        # every trial of a round with p = 3; coefficient bound 2 makes
+        # round 0 draw its odd prime from [2, 4)
+        verdicts = []
+
+        def recorded(seed, bound, tags, draw, key=None, check=None):
+            def checked(value):
+                verdicts.append(check(value))
+                return verdicts[-1]
+
+            return certified_draw(seed, bound, tags, draw, key, checked)
+
+        monkeypatch.setattr(groebner, "certified_draw", recorded)
+        J, cert = gin(parse_ideal(self.BAD_AT_3), coeff_bound=2)
+        assert verdicts[0] == "prime 3: degree 2 has rank 1, below dim I_2 = 2"
+        assert verdicts[-1] is None and cert.escalations >= 1
+        assert J == gin(parse_ideal(self.BAD_AT_3))[0]
+
+    def test_one_prime_per_ring(self, monkeypatch):
+        # a round's prime depends on seed and bound alone: the gins over
+        # one ring share it, and a freshly parsed input draws it anew
+        drawn = []
+        prime = groebner.random_prime
+
+        def recorded(rng, lo):
+            drawn.append(lo)
+            return prime(rng, lo)
+
+        monkeypatch.setattr(groebner, "random_prime", recorded)
+        I = parse_ideal(STAIRCASE_3)
+        certs = [
+            gin(I)[1], gin(I, order=LEX)[1],
+            gin(Ideal(I.ring, I.generators[:2]))[1],
+        ]
+        assert len({cert.matrices[0][0] for cert in certs}) == 1
+        assert drawn == [PRIME_BOUND]
+        gin(parse_ideal(STAIRCASE_3))
+        assert drawn == [PRIME_BOUND] * 2
+
+    def test_tiny_primes_fail_rounds_not_the_program(self):
+        # with B = 2 the rounds run mod primes below 64: trials fall short
+        # of rank, are not strongly stable (p = 3) or disagree.  Each is
+        # a failed round; no ValueError, which the CLI reports as a usage
+        # error, escapes the arithmetic mod p
+        ideals = [I for spec in ACCEPTANCE_SPECS for I in generate(spec)]
+        ideals.append(parse_ideal(self.BAD_AT_3))
+        escalations = 0
+        for ideal in ideals:
+            try:
+                J, cert = gin(ideal, coeff_bound=2)
+            except GenericityError:
+                continue
+            assert is_strongly_stable(J)
+            escalations += cert.escalations
+        assert escalations > 0
+
+    def test_failure_bound(self, staircase3):
+        # sum d dim I_d / (p - n) over the generator degrees of the gin
+        J, cert = gin(staircase3)
+        ((p, _), _) = cert.matrices
+        degrees = {sum(m) for m in J.gens}
+        want = Fraction(sum(d * staircase3.dim_piece(d) for d in degrees), p - 3)
+        assert cert.failure_bound == want
+        assert f"failure bound:   {float(want):.3g} per trial" in cert.describe()
+
+    def test_failure_bound_of_the_q5_lex_gin(self):
+        # the gin check --all builds for transfer on the generic workload's
+        # q5; at the integer bound 1000 the same sum was 0.83
+        workloads = load_perfbench("workloads")
+        kind, n, count = workloads.QUADRICS["q5"]
+        I = workloads.dense_quadrics(kind, n, count, "q5")
+        cut = RigidityContext(I, seed=0).scan_cut
+        _, cert = gin(I, order=LEX, max_scan_degree=cut)
+        assert cert.truncated_at == cut
+        assert 0 < cert.failure_bound <= Fraction(1, 1 << 40)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginlab import linalg
-from ginlab.linalg import IntRank, Rref, left_kernel, scale_to_int
+from ginlab.linalg import IntRank, ModRank, Rref, left_kernel, scale_to_int
 
 
 def brute_rank(rows, ncols):
@@ -45,6 +45,39 @@ def test_int_rank_matches_brute_force(rows):
     for r in rows:
         eng.add(r)
     assert eng.rank == brute_rank(rows, 6)
+
+
+def brute_pivots_mod(rows, ncols, p):
+    """Reference pivot columns of the row space mod p, by dense
+    elimination (the leading columns of its reduced echelon form)."""
+    mat = [[r.get(c, 0) % p for c in range(ncols)] for r in rows]
+    pivots, rank = [], 0
+    for col in range(ncols):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                f = mat[i][col] * inv
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    return pivots
+
+
+@given(rows_strategy, st.sampled_from([2, 3, 5, 7, (1 << 61) - 1]))
+@settings(max_examples=300)
+def test_mod_rank_matches_brute_force(rows, p):
+    # entries divisible by p (zeros mod p, rows that vanish) and negative
+    # entries included: a lead is always a unit, so nothing raises
+    eng = ModRank(p)
+    grew = [eng.add(r) for r in rows]
+    assert sorted(eng.pivots) == brute_pivots_mod(rows, 6, p)
+    assert sum(grew) == eng.rank
+    for col, rest in eng.pivots.items():  # the row is 1 at col
+        assert all(c > col and 0 < x < p for c, x in rest.items())
 
 
 @given(rows_strategy)

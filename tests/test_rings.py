@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ginlab.rings import (
+    PRIME_LIMIT,
     TERM_ORDERS,
     Element,
     Ring,
@@ -12,12 +14,15 @@ from ginlab.rings import (
     change_coordinates,
     compare_monomials,
     exterior_ring,
+    is_prime,
     linear_form,
     matrix_det,
     max_variable,
     monomial_mul,
     order_key,
     polynomial_ring,
+    random_invertible_matrix_mod,
+    random_prime,
     wedge_supports,
 )
 
@@ -300,3 +305,48 @@ def test_batched_change_matches_each_element(data):
     batched = change_coordinates(ring, elements, g)
     assert batched == [apply_linear_change(f, g) for f in elements]
     assert batched == [substituted(f, g) for f in elements]
+
+
+class TestPrimes:
+    """The primes of the gin rounds and their matrices mod p."""
+
+    def test_small_numbers_match_trial_division(self):
+        def trial_division(n):
+            return n > 1 and all(n % q for q in range(2, int(n**0.5) + 1))
+
+        assert [n for n in range(20000) if is_prime(n)] == [
+            n for n in range(20000) if trial_division(n)
+        ]
+
+    def test_known_primes_and_strong_pseudoprimes(self):
+        for n in ((1 << 61) - 1, (1 << 64) - 59, (1 << 64) + 13):
+            assert is_prime(n), n
+        for n in (
+            3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+            3825123056546413051,  # ... to the primes up to 23, below 2^64
+            318665857834031151167461,  # ... to the primes up to 37
+            ((1 << 31) - 1) ** 2,
+            ((1 << 61) - 1) * ((1 << 19) - 1),
+        ):
+            assert not is_prime(n), n
+        with pytest.raises(ValueError, match="certified below"):
+            is_prime(PRIME_LIMIT)
+
+    def test_random_prime_range(self):
+        for lo in (2, 3, 100, 1 << 60, 1 << 64):
+            rng = random.Random(f"primes:{lo}")
+            for _ in range(5):
+                p = random_prime(rng, lo)
+                assert lo <= p < 2 * lo and is_prime(p)
+        # odd primes only: [2, 4) gives 3, [3, 6) both of its primes
+        assert {random_prime(random.Random(s), 2) for s in range(20)} == {3}
+        assert {random_prime(random.Random(s), 3) for s in range(20)} == {3, 5}
+
+    @pytest.mark.parametrize("p", [2, 3, (1 << 61) - 1])
+    def test_matrices_invertible_mod_p(self, p):
+        rng = random.Random(p)
+        for n in range(1, 5):
+            for _ in range(10):
+                mat = random_invertible_matrix_mod(rng, n, p)
+                assert all(0 <= x < p for row in mat for x in row)
+                assert matrix_det(mat) % p != 0
