@@ -17,7 +17,10 @@ acceptance corpus; gin certificates with their matrices over the corpus
 (degrevlex) and the reference ideals (all three orders), and the
 generators and truncation of those gins alone (gin-generators: a change
 of the random draws moves the certificates but not this line); the
-verify_homology_formula reports of the reference ideals; and the stdout,
+verify_homology_formula reports, partial_homology at every p and
+partial_delta at every p < n (partial-homology), and upper_bound_check
+(upper-bound) on the reference ideals, and lemma_can_check on the
+polynomial ones (cancellation-delta); and the stdout,
 stderr and exit code of `ginlab gin` (three orders), `betti`, `alpha`,
 `cancel`, `lex` and `check --all`, text and --json, on the reference
 ideals.  The reference ideals are the three of the acceptance suite, a
@@ -46,9 +49,15 @@ from ginlab import (
     oracle_equivalences,
     parse_ideal,
 )
-from ginlab.annihilators import verify_homology_formula
+from ginlab.annihilators import (
+    partial_delta,
+    partial_homology,
+    upper_bound_check,
+    verify_homology_formula,
+)
 from ginlab.cli import main as cli_main
 from ginlab.corpus import ACCEPTANCE_SPECS
+from ginlab.rigidity import RigidityContext, lemma_can_check
 from ginlab.rings import TERM_ORDERS
 
 REFERENCE = {
@@ -90,6 +99,11 @@ def generators(J, cert):
     return dumps([repr(J), cert.truncated_at])
 
 
+def items(table):
+    """A dict keyed by tuples as a sorted JSON-ready list."""
+    return sorted(map(list, table.items()))
+
+
 def library_surfaces():
     out = {"battery": [], "oracles": [], "alpha": [], "gin": []}
     gins = []
@@ -107,6 +121,9 @@ def library_surfaces():
         out["gin"].append(certificate(*gins[-1]))
     out["gin-reference"] = []
     out["homology-formula"] = []
+    out["partial-homology"] = []
+    out["cancellation-delta"] = []
+    out["upper-bound"] = []
     for text in REFERENCE.values():
         ideal = parse_ideal(text)
         for order in TERM_ORDERS:
@@ -116,6 +133,19 @@ def library_surfaces():
         out["homology-formula"].append(
             dumps([report.describe(), report.window, report.recurrences_checked])
         )
+        n = ideal.ring.n
+        out["partial-homology"].append(dumps(
+            [items(partial_homology(ideal, p)) for p in range(n + 1)]
+            + [items(partial_delta(ideal, p)) for p in range(n)]
+        ))
+        if not ideal.ring.is_exterior:
+            report = lemma_can_check(RigidityContext(ideal, seed=0))
+            out["cancellation-delta"].append(dumps(report.to_json()))
+        report = upper_bound_check(ideal)
+        out["upper-bound"].append(dumps([
+            report.window, report.cells_checked, report.failures,
+            report.attained_everywhere,
+        ]))
     out["gin-generators"] = [generators(*pair) for pair in gins]
     return out
 
