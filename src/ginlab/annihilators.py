@@ -11,10 +11,8 @@ max-variable statistics of the generators of gin(I); the two must agree.
 The direct route needs the Hilbert functions of the prefixes
 J_p = I + (y_1..y_p), and R/J_p is R'/I', with R' the ring in the
 variables left free by the first p forms and I' the image of I there:
-_prefix_dims eliminates each prefix on the dim R'_d columns only, through
-D^e times the quotient map in degree e (D the lcm of the leads of the
-forms' integer Rref), so its rows stay integer, and three exact stops
-skip the degrees whose answer is already known.
+_prefix_dims eliminates each prefix on the dim R'_d columns only, and
+three exact stops skip the degrees whose answer is already known.
 
 The homology workspace (betti.HomologyWorkspace) computes
 H_i(y_1..y_p; M) per graded piece together with the delta numbers: ranks
@@ -24,54 +22,56 @@ verify_homology_formula evaluates the closed formula for h_{i,i+k}(p) in
 terms of alpha and delta, and the degreewise recurrences it comes from,
 cell by cell.
 
-The certified routes (direct alpha, partial homology and delta) run on
-the two generic sequences tagged a and b of rings.certified_draw, the
-escalation loop gin uses too, and the routes along generic sequences
-read their (k_max, i_max) window from one function, _windows (the
-upper-bound check takes only its i_max).
+The forms are uniform in GL_n(F_p) for the round prime gin shares
+(rings.round_prime), and every rank along them, lower-semicontinuous in
+the forms, is taken mod p (linalg.ModRank): it can only fall below its
+value over QQ, for a minor of degree D with probability at most
+D / (p - n) (Schwartz-Zippel), unless p is bad.  A p that divides a lead
+of the forms' Rref or a Piece.den the workspace reads raises
+rings.BadPrime.  The certified routes (direct alpha, partial homology
+and delta) run on the sequences a and b of rings.certified_draw; all
+read their (k_max, i_max) window from _windows (the upper-bound check
+takes only its i_max).
 """
 
 import random
 from dataclasses import dataclass, field
-from math import lcm
 
 from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
 from .groebner import _scan_plan, gin
 from .ideals import degree_rows
-from .linalg import IntRank, Rref
+from .linalg import ModRank, Rref
 from .rings import (
-    COEFF_BOUND,
+    PRIME_BOUND,
+    BadPrime,
     Ring,
     certified_draw,
+    check_bound,
     linear_form,
-    random_invertible_matrix,
+    random_invertible_matrix_mod,
+    round_prime,
     substitute,
 )
 
 
 @dataclass(frozen=True)
 class GenericSequence:
-    """Linear forms y_1..y_n given by integer coefficient rows (invertible)."""
+    """Linear forms y_1..y_n: coefficient rows invertible mod the prime."""
 
     ring: object
     rows: tuple
-    seed: object
+    key: object
     bound: int
+    prime: int
 
     @classmethod
-    def draw(cls, ring, seed, bound=COEFF_BOUND):
-        if bound < 1:
-            raise ValueError("coefficient bound must be at least 1")
-        rng = random.Random(f"forms:{seed}:{bound}")
-        rows = random_invertible_matrix(rng, ring.n, bound)
-        return cls(ring, tuple(tuple(r) for r in rows), seed, bound)
-
-    def coeffs(self, p):
-        """Coefficient row of the (p+1)-st form (0-based p)."""
-        return self.rows[p]
-
-    def form(self, p):
-        return linear_form(self.ring, self.rows[p])
+    def draw(cls, ring, seed, key, bound=PRIME_BOUND):
+        """The forms of key mod round_prime(ring, seed, bound), as gin draws."""
+        check_bound(bound)
+        p = round_prime(ring, seed, bound)
+        rng = random.Random(f"forms:{key}:{bound}")
+        rows = random_invertible_matrix_mod(rng, ring.n, p)
+        return cls(ring, tuple(map(tuple, rows)), key, bound, p)
 
 
 @dataclass
@@ -120,12 +120,9 @@ def _prefix_dims(ideal, seq, dmax):
     (groebner._scan_plan), with no elimination.  For p >= 1, R/J_p = R'/I'
     with R' = R/(y_1..y_p), the ring in the variables that lead no row of
     the forms' Rref (the free ones), and I' the image of I in R'; so
-    dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, eliminated on the
-    dim R'_d columns only.  The Rref rows r are primitive integers with a
-    positive lead r_i; with D the lcm of the leads, the pivot variable x_i
-    goes to -sum_j (D / r_i) r_j x_j over the free j, and a free x_j to
-    D x_j.  In degree e that is D^e times the quotient map, so I' is the
-    same and every row stays integer.  At p = n, R/J_n = K.
+    dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, with dim I'_d eliminated
+    mod the sequence's prime on the dim R'_d columns only (_quotient).
+    At p = n, R/J_n = K.
 
     Three exact stops skip eliminations: (J_p)_{d-1} = R_{d-1} != 0 gives
     (J_p)_d = R_d, since (J_p)_d contains R_1 R_{d-1}, which is all of R_d
@@ -137,9 +134,10 @@ def _prefix_dims(ideal, seq, dmax):
     dims = [[0] * (dmax + 1) for _ in range(n + 1)]
     _, hilbert = _scan_plan(ideal, None)
     dims[0] = [hilbert(d) for d in range(dmax + 1)]
+    gens = [g.normalized_integer() for g in ideal.generators]
     forms = Rref()
     for p in range(1, n + 1):
-        forms.add(dict(enumerate(seq.coeffs(p - 1))))
+        forms.add(dict(enumerate(seq.rows[p - 1])))
         images = None
         for d in range(dmax + 1):
             full = ring.dim(d)
@@ -150,10 +148,10 @@ def _prefix_dims(ideal, seq, dmax):
                 dims[p][d] = full if d else 0
                 continue
             if images is None:
-                quotient, images = _quotient(ring, forms, ideal.generators)
+                quotient, images = _quotient(ring, forms, gens, seq.prime)
             monos = quotient.monomials(d)
             index = {m: i for i, m in enumerate(monos)}
-            eng = IntRank()
+            eng = ModRank(seq.prime)
             if monos:  # over E, R'_d = 0 for d above the free count
                 for row in degree_rows(quotient, images, d, index):
                     if eng.add(row) and eng.rank == len(monos):
@@ -162,20 +160,21 @@ def _prefix_dims(ideal, seq, dmax):
     return dims
 
 
-def _quotient(ring, forms, gens):
-    """(R', images of gens) for R' = R / (forms), the ring in the variables
-    that lead no row of the Rref forms, under D times the quotient map, D
-    the lcm of those leads."""
+def _quotient(ring, forms, gens, p):
+    """(R', images of the integer gens mod p) for R' = R / (forms) over F_p,
+    in the variables that lead no row of the Rref forms: the pivot x_i of
+    the row r goes to -sum_j r_j x_j / r_i over the free j, mod p."""
     free = [j for j in range(ring.n) if j not in forms.pivots]
     quotient = Ring(ring.kind, len(free))
-    den = lcm(*(row[i] for i, row in forms.pivots.items()))
     linear = [None] * ring.n
     for t, j in enumerate(free):
-        linear[j] = quotient.variable(t).scale(den)
+        linear[j] = quotient.variable(t)
     for i, row in forms.pivots.items():
-        f = den // row[i]
-        linear[i] = linear_form(quotient, [-f * row.get(j, 0) for j in free])
-    return quotient, substitute(quotient, gens, linear)
+        if not row[i] % p:
+            raise BadPrime(p, f"it divides the lead {row[i]} of the forms' Rref")
+        inv = -pow(row[i], -1, p)
+        linear[i] = linear_form(quotient, [inv * row.get(j, 0) % p for j in free])
+    return quotient, substitute(quotient, gens, linear, p)
 
 
 def _alpha_for_sequence(ideal, seq, degree_bound):
@@ -225,8 +224,10 @@ def _two_sequences(ideal, seed, compute, check=None):
     """compute(seq) on the generic sequences tagged a and b, certified by
     the one escalation loop, rings.certified_draw."""
     results, _, _ = certified_draw(
-        seed, COEFF_BOUND, "ab",
-        lambda key, bound: compute(GenericSequence.draw(ideal.ring, key, bound)),
+        seed, PRIME_BOUND, "ab",
+        lambda key, bound: compute(
+            GenericSequence.draw(ideal.ring, seed, key, bound)
+        ),
         check=check,
     )
     return results[0]
@@ -397,7 +398,7 @@ def verify_homology_formula(ideal, seed=0):
     """
     ring = ideal.ring
     kmax, imax = _windows(ideal, seed)
-    seq = GenericSequence.draw(ring, f"formula:{seed}")
+    seq = GenericSequence.draw(ring, seed, f"formula:{seed}")
     ws = HomologyWorkspace(ideal, seq)
     alpha = _alpha_for_sequence(ideal, seq, kmax + 2)
 

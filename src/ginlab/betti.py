@@ -3,8 +3,9 @@
 Homological route: Koszul complex on the coordinate forms over S (Cartan
 complex over E), exact ranks of the differentials per internal degree.
 HomologyWorkspace builds that complex on any sequence of linear forms; a
-Betti table is its homology on all n coordinates, and the partial
-homology of generic sequences in annihilators.py runs on the same engine.
+Betti table is its homology on all n coordinates, exact over QQ, and the
+partial homology of generic sequences in annihilators.py runs on the same
+workspace over F_p, where a rank can only fall below its generic value.
 Closed forms for strongly stable monomial ideals: Eliahou-Kervaire,
 Bigatti's count in terms of m_<=q, and the Aramova-Herzog-Hibi formula
 over the exterior algebra.  The homological and combinatorial routes stay
@@ -36,9 +37,10 @@ from .ideals import (
     is_strongly_stable,
     m_leq,
 )
-from .linalg import IntRank
+from .linalg import IntRank, ModRank
 from .rings import (
     DEGREVLEX,
+    BadPrime,
     Element,
     binom,
     max_variable,
@@ -191,19 +193,28 @@ class QuotientBasis:
         self._mult[key] = cols
         return cols
 
-    def mult_form(self, coeffs, d):
-        """Multiplication by the linear form sum_t coeffs[t] * var_t."""
+    def mult_form(self, coeffs, d, p):
+        """Multiplication by the linear form sum_t coeffs[t] * var_t, mod the
+        prime p, built once; a p that divides the scale piece(d + 1).den
+        is bad."""
+        key = (tuple(coeffs), d, p)
+        if key in self._mult:
+            return self._mult[key]
+        den = self.ideal.piece(d + 1).den
+        if not den % p:
+            raise BadPrime(p, f"it divides the denominator {den} of I_{d + 1}")
         out = [dict() for _ in self.basis(d)]
         for t, c in enumerate(coeffs):
             if not c:
                 continue
             for col, add in zip(out, self.mult_var(t, d)):
                 for idx, v in add.items():
-                    s = col.get(idx, 0) + c * v
+                    s = (col.get(idx, 0) + c * v) % p
                     if s:
                         col[idx] = s
                     else:
                         del col[idx]
+        self._mult[key] = out
         return out
 
 
@@ -225,12 +236,13 @@ def divided_power_multiindices(n, i):
 class HomologyWorkspace:
     """Koszul (or Cartan) homology of partial sequences of linear forms on R/I.
 
-    seq=None stands for the coordinate forms; at p = n their homology is
-    the graded Betti table.  All ranks are exact; cycle spaces come from
-    kernel computations over QQ so that images of induced maps can be
-    reduced against boundaries.  Differentials are streamed, never
+    seq=None stands for the coordinate forms, eliminated over QQ
+    (IntRank); at p = n their homology is the graded Betti table.  Along
+    a GenericSequence everything runs mod its prime (ModRank).  Cycle
+    spaces come from kernel computations so that images of induced maps
+    can be reduced against boundaries.  Differentials are streamed, never
     stored: each call that eliminates one feeds its columns to a fresh
-    IntRank, sparsest first, and the workspace keeps only the ranks, the
+    engine, sparsest first, and the workspace keeps only the ranks, the
     cycle bases and the delta numbers.  Rank, pivot columns and the span
     of the kernel of an elimination do not depend on the order of its
     rows, so the order changes no number.
@@ -241,7 +253,6 @@ class HomologyWorkspace:
         self.ring = ideal.ring
         self.seq = seq
         self.qb = QuotientBasis(ideal)
-        self._mult = {}  # (form index, degree) -> columns
         self._sets = {}
         self._rank = {}
         self._delta = {}
@@ -250,10 +261,7 @@ class HomologyWorkspace:
     def mult(self, t, d):
         if self.seq is None:
             return self.qb.mult_var(t, d)
-        key = (t, d)
-        if key not in self._mult:
-            self._mult[key] = self.qb.mult_form(self.seq.coeffs(t), d)
-        return self._mult[key]
+        return self.qb.mult_form(self.seq.rows[t], d, self.seq.prime)
 
     def chain_sets(self, p, i):
         """Index sets for C_i on the first p forms."""
@@ -311,7 +319,7 @@ class HomologyWorkspace:
             yield idx, col
 
     def _eliminate(self, p, i, j, ncols=None):
-        """A fresh IntRank(ncols) fed the columns of C_{i,j}(p) -> C_{i-1,j}(p).
+        """A fresh engine(ncols) fed the columns of C_{i,j}(p) -> C_{i-1,j}(p).
 
         The columns go in sparsest first.  Rank, pivot columns and the span
         of the kernel do not depend on that order; each kernel relation is
@@ -319,7 +327,8 @@ class HomologyWorkspace:
         first elimination of a differential records its rank.  An empty
         column is fed only to a kernel engine, where it is a cycle.
         """
-        eng = IntRank(ncols)
+        seq = self.seq
+        eng = IntRank(ncols) if seq is None else ModRank(seq.prime, ncols)
         order = []
         for idx, col in self._columns(p, i, j):
             if col or ncols is not None:

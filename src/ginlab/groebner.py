@@ -11,8 +11,8 @@ of the input, which is exact.
 gin runs its trials over F_p through the one escalation loop,
 rings.certified_draw.  Round e draws one odd prime p from
 [B 2^e, B 2^(e+1)), B the coefficient bound, shared by its trials and,
-through Ring.memo, by every gin over the ring with the same seed and B
-(a prime test costs more than a small gin); each trial draws a matrix
+through rings.round_prime, by every gin and generic sequence over the
+ring with the same seed and B; each trial draws a matrix
 uniformly from GL_n(F_p), changes the coordinates of the primitive
 integer generators, reduces them mod p and eliminates each degree mod p.
 All trials must agree and the result must be strongly stable, otherwise
@@ -32,7 +32,8 @@ Each trial's scan reads its stop and its target ranks dim I_d off one
 Hilbert numerator over QQ, which every trial and every gin of I share
 (see _scan_plan).  A degree whose one-variable multiples of the degree
 below already number dim I_d is not eliminated.  A trial whose rank mod p
-falls short of dim I_d met a bad prime or point and fails its round.
+falls short of dim I_d met a bad prime or point and raises BadPrime,
+which fails its round.
 Buchberger over QQ in each certified trial's coordinates, an integer
 trial over QQ, and the full degreewise scan of exterior inputs are the
 tests' references.
@@ -56,11 +57,12 @@ from .ideals import (
 from .linalg import IntRank, ModRank
 from .rings import (
     DEGREVLEX,
-    PRIME_LIMIT,
-    ROUNDS,
+    PRIME_BOUND,
+    BadPrime,
     Element,
     GenericityError,  # re-exported: gin raises it through certified_draw
     certified_draw,
+    check_bound,
     linear_form,
     monomial_degree,
     monomial_div,
@@ -69,11 +71,9 @@ from .rings import (
     monomial_mul,
     order_key,
     random_invertible_matrix_mod,
-    random_prime,
+    round_prime,
     substitute,
 )
-
-PRIME_BOUND = 1 << 60  # gin's default B: round 0 draws its prime from [B, 2B)
 
 
 # ---------------------------------------------------------------------------
@@ -202,17 +202,13 @@ def buchberger(ideal, order=None):
 # initial ideals
 
 
-class RankShortfall(Exception):
-    """A degree of a gin trial eliminated mod p stopped below dim I_d."""
-
-
 def _degree_pivot_monomials(ring, gens, d, order, target=None, engine=IntRank):
     """Leading monomials of the degree-d piece of the span of gens, from
     the elimination engine() (IntRank over QQ, ModRank over F_p).
 
     With target = the dimension of that piece over QQ, the elimination
-    stops as soon as the rank reaches it, and running out of rows below it
-    raises RankShortfall.
+    stops as soon as the rank reaches it; running out of rows below it
+    mod p (over QQ the target is reached) raises BadPrime.
     """
     monos = ring.monomials(d, order)
     index = {m: i for i, m in enumerate(monos)}
@@ -226,8 +222,8 @@ def _degree_pivot_monomials(ring, gens, d, order, target=None, engine=IntRank):
             break
         eng.add(row)
     if target is not None and eng.rank < target:
-        raise RankShortfall(
-            f"degree {d} has rank {eng.rank}, below dim I_{d} = {target}"
+        raise BadPrime(
+            eng.p, f"degree {d} has rank {eng.rank}, below dim I_{d} = {target}"
         )
     return {monos[c] for c in eng.pivots}
 
@@ -405,28 +401,14 @@ def _trial_generators(ring, gens, mat, p):
     """gens in the coordinates of mat (x_i -> sum_j mat[j][i] x_j), reduced
     mod p."""
     linear = [linear_form(ring, [row[i] for row in mat]) for i in range(ring.n)]
-    return [
-        Element(ring, {m: c % p for m, c in f.terms.items()})
-        for f in substitute(ring, gens, linear)
-    ]
+    return substitute(ring, gens, linear, p)
 
 
 def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     ring = ideal.ring
     if trials < 2:
         raise ValueError("at least two trials are required")
-    if coeff_bound < 1:
-        raise ValueError("coefficient bound must be at least 1")
-    if coeff_bound == 1:
-        raise ValueError(
-            "coefficient bound 1: round 0 draws its prime from [1, 2), "
-            "which holds none"
-        )
-    if coeff_bound << ROUNDS > PRIME_LIMIT:
-        raise ValueError(
-            f"coefficient bound must be at most {PRIME_LIMIT >> ROUNDS}: "
-            f"the primes of all {ROUNDS} rounds are certified below {PRIME_LIMIT}"
-        )
+    check_bound(coeff_bound)
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
     if ideal.is_zero():
@@ -436,34 +418,22 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     numerator, dims = _scan_plan(ideal, max_scan_degree)
     # primitive integer generators: none vanishes mod p
     gens = [g.normalized_integer() for g in ideal.generators]
-    shortfalls = {}  # prime -> why a trial of its round fell short
 
     def trial(key, bound):
-        # the round's prime depends on seed and bound alone, so every gin
-        # over the ring shares it: a draw costs more than a small gin
-        p = ring.memo(("prime", seed, bound), lambda: random_prime(
-            random.Random(f"gin-prime:{seed}:{bound}"), bound
-        ))
-        rng = random.Random(f"gin:{key}:{bound}")
-        mat = random_invertible_matrix_mod(rng, ring.n, p)
-        draw = (p, tuple(map(tuple, mat)))
-        try:
-            J, cut = _initial_ideal_degreewise(
-                ring, _trial_generators(ring, gens, mat, p), order, numerator,
-                max_scan_degree, dims, partial(ModRank, p),
-            )
-        except RankShortfall as exc:
-            shortfalls.setdefault(p, f"prime {p}: {exc}")
-            return None, None, draw
-        return J, cut, draw
+        p = round_prime(ring, seed, bound)
+        mat = random_invertible_matrix_mod(
+            random.Random(f"gin:{key}:{bound}"), ring.n, p
+        )
+        J, cut = _initial_ideal_degreewise(
+            ring, _trial_generators(ring, gens, mat, p), order, numerator,
+            max_scan_degree, dims, partial(ModRank, p),
+        )
+        return J, cut, (p, tuple(map(tuple, mat)))
 
-    # a shortfall is the verdict of every trial of its round
     runs, escalation, bound = certified_draw(
-        seed, coeff_bound, range(trials), trial,
-        key=lambda run: shortfalls.get(run[2][0], run[0]),
+        seed, coeff_bound, range(trials), trial, key=lambda run: run[0],
         check=lambda J: (
-            J if isinstance(J, str)
-            else None if is_strongly_stable(J) else "result not strongly stable"
+            None if is_strongly_stable(J) else "result not strongly stable"
         ),
     )
     J, cut, (p, _) = runs[0]

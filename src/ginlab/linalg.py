@@ -6,19 +6,20 @@ matrices: the largest monomial in the term order), which makes echelon
 pivots coincide with leading monomials.
 
 One fraction-free step, _cancel, serves two engines keyed col -> row.
-IntRank gives the ranks of the homology and initial-ideal computations
-and, with each row augmented by a unit column, their left kernels (the
-cycle spaces).  Rref keeps a fully reduced basis for the graded pieces,
-where actual coordinates matter: primitive integer rows, positive lead.
+IntRank gives exact ranks over QQ and, with each row augmented by a unit
+column, left kernels.  Rref keeps a fully reduced basis for the graded
+pieces, where coordinates matter: primitive integer rows, positive lead.
 
 IntRank strips a working row's content whenever its largest entry passes
 256 bits.  It decides that from an exact bound on the row's bit length,
 carried from step to step, and scans the row only when the bound passes
 256 bits; the rows it stores are those of a scan after every step.
 
-ModRank has IntRank's add/rank/pivots over F_p, for the gin trials; its
-pivot rows have lead 1 and entries below p, so nothing grows and no
-content is stripped.
+ModRank, IntRank's interface over F_p, runs what is drawn mod a round
+prime (gin trials, generic sequences); its pivot rows have lead 1 and
+entries below p, so nothing grows and no content is stripped.  Its rank
+of integer rows is at most their rank over QQ, since a minor that
+vanishes over QQ vanishes mod p: a route mod p errs one way only.
 """
 
 from math import gcd, lcm
@@ -188,19 +189,21 @@ class IntRank:
 
 
 class ModRank:
-    """Gaussian elimination over F_p, p prime: IntRank's add, rank and
-    pivots on integer rows, reduced mod p.
+    """Gaussian elimination over F_p, p prime: IntRank's add, rank, pivots
+    and ncols unit-column kernel on integer rows, reduced mod p.
 
     A pivot row is scaled to lead 1 and stored without its lead, reduced
     mod p, so a reduction step is one multiply-subtract per entry.  The
     working row is reduced mod p lazily: an entry only when it becomes
     the lead, so a lead is always a unit mod p, and one divisible by p is
-    dropped.
+    dropped.  A kernel relation is stored reduced mod p.
     """
 
-    def __init__(self, p):
+    def __init__(self, p, ncols=None):
         self.p = p
+        self.ncols = ncols
         self.pivots = {}  # col -> {c: x} with c > col: the row is 1 at col
+        self.kernel = []
 
     @property
     def rank(self):
@@ -208,13 +211,19 @@ class ModRank:
 
     def add(self, row):
         """Insert a vector of integers; True if the rank mod p grew."""
-        p, pivots = self.p, self.pivots
+        p, pivots, ncols = self.p, self.pivots, self.ncols
         out = dict(row)
+        if ncols is not None:
+            out[ncols + len(pivots) + len(self.kernel)] = 1
         while out:
             lead = min(out)
             f = out.pop(lead) % p
             if not f:
                 continue
+            if ncols is not None and lead >= ncols:
+                out[lead] = f
+                self.kernel.append({c - ncols: x % p for c, x in out.items() if x % p})
+                return False
             prow = pivots.get(lead)
             if prow is None:
                 inv = pow(f, -1, p)

@@ -631,7 +631,7 @@ def lemma_can_check(ctx):
         raise ValueError("polynomial-ring statement")
     n = ctx.ring.n
     c = ctx.cancellation
-    seq = GenericSequence.draw(ctx.ring, f"can:{ctx.seed}")
+    seq = GenericSequence.draw(ctx.ring, ctx.seed, f"can:{ctx.seed}")
     ws = HomologyWorkspace(ctx.ideal, seq)
     kmax = ctx.reg_bound + 1
     mismatches = []

@@ -7,17 +7,18 @@ algebra.  Elements map monomials to nonzero exact rational coefficients
 operations are pure functions.
 
 The random draws of the certified generic computations live here too:
-integer matrices for the generic sequences, and primes with matrices
-invertible mod p for the gin trials.
+one prime per round and seed, and matrices invertible mod that prime, for
+the gin trials and the generic sequences alike.
 """
 
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, gcd, lcm, prod
+from math import comb, gcd, prod
 from operator import add
 
-from .linalg import ModRank, scale_to_int
+from .linalg import IntRank, ModRank, scale_to_int
 
 POLY = "poly"
 EXT = "ext"
@@ -28,8 +29,8 @@ LEX = "lex"
 
 TERM_ORDERS = (DEGREVLEX, DEGLEX, LEX)
 
-COEFF_BOUND = 1000  # the entry bound of a generic sequence's first round
 ROUNDS = 5  # rounds of certified_draw; round e doubles the bound e times
+PRIME_BOUND = 1 << 60  # the default B: round 0 draws its prime from [B, 2B)
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class Ring:
 
     def memo(self, key, build):
         """build() once per key on this Ring, for what depends only on the
-        ring and key: the monomials of a degree, gin's round primes.
+        ring and key: the monomials of a degree, the round primes.
         Nothing is stored when build raises."""
         if key not in self._memo:
             self._memo[key] = build()
@@ -393,51 +394,6 @@ def render_element(f):
 # linear changes of coordinates
 
 
-def matrix_det(g):
-    """Exact determinant by integer Bareiss elimination.
-
-    Each row is first scaled by the lcm of its denominators, so rational
-    entries work as well; the result is divided by those scales.
-    """
-    n = len(g)
-    m, scale = [], 1
-    for row in g:
-        den = 1
-        for x in row:
-            if type(x) is not int:
-                den = lcm(den, Fraction(x).denominator)
-        m.append([int(Fraction(x) * den) for x in row] if den > 1
-                 else [int(x) for x in row])
-        scale *= den
-    if not n:
-        return Fraction(1)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        if not m[c][c]:
-            piv = next((r for r in range(c + 1, n) if m[r][c]), None)
-            if piv is None:
-                return Fraction(0)
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        top = m[c]
-        p = top[c]
-        for row in m[c + 1:]:
-            f = row[c]
-            for k in range(c + 1, n):
-                row[k] = (row[k] * p - f * top[k]) // prev
-        prev = p
-    return Fraction(sign * m[-1][-1], scale)
-
-
-def random_invertible_matrix(rng, n, bound):
-    """An invertible n x n integer matrix with entries in [-bound, bound],
-    drawn from the random.Random rng by rejection."""
-    while True:
-        mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
-        if matrix_det(mat) != 0:
-            return mat
-
-
 def random_invertible_matrix_mod(rng, n, p):
     """An n x n matrix with entries in [0, p), invertible mod the prime p,
     drawn uniformly from the random.Random rng by rejection."""
@@ -495,8 +451,42 @@ def random_prime(rng, lo):
             return n
 
 
+def check_bound(bound):
+    """Refuse a bound B unless every round draws a certified prime:
+    B >= 2 and B 2^ROUNDS <= PRIME_LIMIT."""
+    if bound < 1:
+        raise ValueError("coefficient bound must be at least 1")
+    if bound == 1:
+        raise ValueError(
+            "coefficient bound 1: round 0 draws its prime from [1, 2), "
+            "which holds none"
+        )
+    if bound << ROUNDS > PRIME_LIMIT:
+        raise ValueError(
+            f"coefficient bound must be at most {PRIME_LIMIT >> ROUNDS}: "
+            f"the primes of all {ROUNDS} rounds are certified below {PRIME_LIMIT}"
+        )
+
+
+def round_prime(ring, seed, bound):
+    """The odd prime of bound B under seed, uniform in [B, 2B), drawn once
+    per (seed, B) on the ring (Ring.memo): the gin trials and generic
+    sequences of a seed and round share it, as it costs more than a gin."""
+    return ring.memo(("prime", seed, bound), lambda: random_prime(
+        random.Random(f"gin-prime:{seed}:{bound}"), bound
+    ))
+
+
 class GenericityError(Exception):
     """A certified generic draw failed in every round of escalation."""
+
+
+class BadPrime(GenericityError):
+    """A draw mod p met a bad prime or point (a rank fell short of its exact
+    value, or p divides a lead or denominator the reduction needs)."""
+
+    def __init__(self, p, why):
+        super().__init__(f"prime {p}: {why}")
 
 
 def certified_draw(seed, bound, tags, draw, key=None, check=None):
@@ -507,14 +497,18 @@ def certified_draw(seed, bound, tags, draw, key=None, check=None):
     draw "{label}:{seed}:{e}:{tag}:{bound_e}" ("gin", "forms").  A round
     succeeds, returning (results, e, bound_e), when key(result) is the
     same for every draw and check, given that value, returns None.
-    Otherwise the round fails as "trials disagree" or with the text check
-    returned, and after the fifth GenericityError lists every round's
-    failure.
+    Otherwise the round fails with a draw's BadPrime, as "trials
+    disagree" or with the text check returned, and after the fifth
+    GenericityError lists every round's failure.
     """
     failures = []
     for escalation in range(ROUNDS):
         round_bound = bound << escalation
-        results = [draw(f"{seed}:{escalation}:{tag}", round_bound) for tag in tags]
+        try:
+            results = [draw(f"{seed}:{escalation}:{tag}", round_bound) for tag in tags]
+        except BadPrime as exc:
+            failures.append(str(exc))
+            continue
         values = [key(r) for r in results] if key else results
         if any(v != values[0] for v in values):
             failure = "trials disagree"
@@ -542,20 +536,22 @@ def change_coordinates(ring, elements, g):
 
     g must be an invertible n x n matrix over QQ.  The substitution is a
     graded ring homomorphism for both ring kinds, so degrees are preserved.
-    The determinant is checked once; substitute does the rest.
+    The rank of g over QQ is checked once; substitute does the rest.
     """
     n = ring.n
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("matrix size does not match the ring")
-    if matrix_det(g) == 0:
+    eng = IntRank()
+    if not all(eng.add(dict(enumerate(row))) for row in g):
         raise ValueError("singular change of coordinates")
     linear = [linear_form(ring, [row[i] for row in g]) for i in range(n)]
     return substitute(ring, elements, linear)
 
 
-def substitute(target, elements, linear):
+def substitute(target, elements, linear, p=None):
     """Images of the elements under the graded ring map that sends variable
-    i to the linear form linear[i] of target, a ring of the same kind.
+    i to the linear form linear[i] of target, a ring of the same kind;
+    with p, of integer elements, reduced mod p.
 
     The image of each monomial is built once for all the elements, as the
     image of the monomial with one factor fewer times the image of that
@@ -586,6 +582,8 @@ def substitute(target, elements, linear):
                     terms[t] = s
                 else:
                     del terms[t]
+        if p:
+            terms = {t: c % p for t, c in terms.items()}
         out.append(Element(target, terms))
     return out
 

@@ -1,8 +1,11 @@
 import importlib.util
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from ginlab.annihilators import GenericSequence
 from ginlab.parsing import parse_ideal
 
 # The three reference ideals every suite keeps coming back to: a
@@ -42,3 +45,46 @@ def load_perfbench(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def fraction_det(g):
+    """Determinant by Gaussian elimination over QQ."""
+    m = [[Fraction(x) for x in row] for row in g]
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] / m[c][c]
+            for k in range(c, n):
+                m[r][k] -= f * m[c][k]
+    return det
+
+
+# The integer draws over QQ, the references of the draws mod p: the entry
+# bound of their first round, doubled in each round after it.
+COEFF_BOUND = 1000
+
+
+def random_invertible_matrix(rng, n, bound):
+    """An invertible n x n integer matrix with entries in [-bound, bound],
+    drawn from the random.Random rng by rejection."""
+    while True:
+        mat = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if fraction_det(mat):
+            return mat
+
+
+def integer_sequence(ring, key, bound=COEFF_BOUND):
+    """Generic forms over QQ with integer entries in [-bound, bound], drawn
+    under key; prime None marks the rows as integers, not residues."""
+    rows = random_invertible_matrix(
+        random.Random(f"forms:{key}:{bound}"), ring.n, bound
+    )
+    return GenericSequence(ring, tuple(map(tuple, rows)), key, bound, None)

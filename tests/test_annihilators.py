@@ -1,5 +1,7 @@
 import hashlib
 import random
+from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -19,17 +21,28 @@ from ginlab.betti import cartan_betti, koszul_betti
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import Ideal, degree_rows
-from ginlab.linalg import IntRank
+from ginlab.linalg import IntRank, ModRank, Rref
 from ginlab.oracles import alpha_oracle
 from ginlab.parsing import parse_ideal
+from ginlab.rigidity import RigidityContext, lemma_can_check
 from ginlab.rings import (
+    PRIME_BOUND,
+    BadPrime,
     Element,
     GenericityError,
+    change_coordinates,
     exterior_ring,
+    linear_form,
     polynomial_ring,
 )
 
-from conftest import CANCEL_4, STAIRCASE_3, STRAND_4, load_perfbench
+from conftest import (
+    CANCEL_4,
+    STAIRCASE_3,
+    STRAND_4,
+    integer_sequence,
+    load_perfbench,
+)
 from test_homology_values import REFERENCE
 
 
@@ -50,9 +63,15 @@ class TestDirect:
         assert t.entries == {(2, 1): 1}
 
     def test_coeff_bound_below_one_raises(self):
+        # the sequences and gin share one bound check; [1, 2) holds no
+        # prime, so bound 1 is refused too
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
-        with pytest.raises(ValueError, match="coefficient bound"):
-            GenericSequence.draw(I.ring, 0, 0)
+        for bound in (-3, 0, 1, PRIME_BOUND << 17):
+            with pytest.raises(ValueError, match="coefficient bound") as err:
+                GenericSequence.draw(I.ring, 0, "0:0:a", bound)
+            with pytest.raises(ValueError) as same:
+                gin(I, coeff_bound=bound)
+            assert str(err.value) == str(same.value)
 
     def test_staircase(self):
         I = parse_ideal(STAIRCASE_3)
@@ -117,19 +136,33 @@ def test_direct_equals_from_gin_random():
             )
 
 
+# the exterior corpora of acceptance criterion 6
+CRITERION_6 = (
+    CorpusSpec(kind="ext", n=3, count=10, seed=601, max_degree=3),
+    CorpusSpec(kind="ext", n=4, count=10, seed=602, max_degree=4),
+)
+
+
 def _reference_prefix_dims(ideal, seq, dmax):
-    """The unpruned prefix dimensions: every row of every degree."""
+    """The unpruned prefix dimensions: every row of every degree, mod the
+    sequence's prime, or over QQ for integer forms (prime None)."""
     ring = ideal.ring
     n = ring.n
+    # annihilators.ModRank: the engine _prefix_dims feeds, and counts
+    engine = (
+        IntRank if seq.prime is None
+        else partial(annihilators.ModRank, seq.prime)
+    )
+    gens = [g.normalized_integer() for g in ideal.generators]
     dims = [[0] * (dmax + 1) for _ in range(n + 1)]
-    forms = [seq.form(p) for p in range(n)]
+    forms = [linear_form(ring, row) for row in seq.rows]
     for d in range(dmax + 1):
         monos = ring.monomials(d)
         if not monos:
             continue
         index = {m: i for i, m in enumerate(monos)}
-        eng = IntRank()
-        for row in degree_rows(ring, ideal.generators, d, index):
+        eng = engine()
+        for row in degree_rows(ring, gens, d, index):
             eng.add(row)
         dims[0][d] = eng.rank
         for p in range(1, n + 1):
@@ -139,16 +172,18 @@ def _reference_prefix_dims(ideal, seq, dmax):
     return dims
 
 
-def _counting_intrank(monkeypatch):
-    """Count every row fed to IntRank.add from here on."""
+def _counting_rows(monkeypatch):
+    """Count every row fed to the ModRank of annihilators from here on:
+    the rows of _prefix_dims and of the reference mod p, not those of the
+    draws or of gin."""
     rows = [0]
-    add = IntRank.add
 
-    def counted(self, row):
-        rows[0] += 1
-        return add(self, row)
+    class Counting(ModRank):
+        def add(self, row):
+            rows[0] += 1
+            return super().add(row)
 
-    monkeypatch.setattr(IntRank, "add", counted)
+    monkeypatch.setattr(annihilators, "ModRank", Counting)
     return rows
 
 
@@ -163,14 +198,11 @@ class TestPrefixDims:
         def checked(ideal, seq, dmax):
             dims = pruned(ideal, seq, dmax)
             assert dims == _reference_prefix_dims(ideal, seq, dmax), (ideal, dmax)
-            calls.append(seq.seed)
+            calls.append(seq.key)
             return dims
 
         monkeypatch.setattr(annihilators, "_prefix_dims", checked)
-        specs = ACCEPTANCE_SPECS + (
-            CorpusSpec(kind="ext", n=3, count=10, seed=601, max_degree=3),
-            CorpusSpec(kind="ext", n=4, count=10, seed=602, max_degree=4),
-        )
+        specs = ACCEPTANCE_SPECS + CRITERION_6
         ideals = [ideal for spec in specs for ideal in generate(spec)]
         assert len(ideals) == 120
         for ideal in ideals:
@@ -179,14 +211,13 @@ class TestPrefixDims:
             assert {"0:0:a", "0:0:b"} <= set(calls[before:])
 
     def test_corpus_draws_pinned(self, monkeypatch):
-        # the seed, bound and rows of every sequence the direct route draws
-        # on the 100 acceptance ideals, as drawn before the escalation
-        # loops were merged
+        # the key, bound, prime and rows of every sequence the direct
+        # route draws on the 100 acceptance ideals
         pruned = annihilators._prefix_dims
         draws = []
 
         def recorded(ideal, seq, dmax):
-            draw = repr((seq.seed, seq.bound, seq.rows))
+            draw = repr((seq.key, seq.bound, seq.prime, seq.rows))
             if not draws or draws[-1] != draw:
                 draws.append(draw)
             return pruned(ideal, seq, dmax)
@@ -197,7 +228,7 @@ class TestPrefixDims:
                 generic_annihilators_direct(ideal, seed=0)
         assert len(draws) == 200
         assert hashlib.sha256("\n".join(draws).encode()).hexdigest() == (
-            "291e1853c5dfeec5efcecc7294d39005ea92e2f70f19d0f6bca5fd9d2178f957"
+            "c6c7bdbbace249ab69c942dbcea53278ad50690edd8be408c1e77220e72da087"
         )
 
     @pytest.mark.parametrize(
@@ -212,8 +243,8 @@ class TestPrefixDims:
     )
     def test_hand_cases_match_reference(self, text, monkeypatch):
         I = parse_ideal(text)
-        seq = GenericSequence.draw(I.ring, "0:0:a", 1000)
-        rows = _counting_intrank(monkeypatch)
+        seq = GenericSequence.draw(I.ring, 0, "0:0:a")
+        rows = _counting_rows(monkeypatch)
         dims = annihilators._prefix_dims(I, seq, 6)
         pruned_rows = rows[0]
         assert dims == _reference_prefix_dims(I, seq, 6)
@@ -232,7 +263,8 @@ class TestPrefixDims:
              ((0, 0, 0, 0, 1), (0, 2, 0, -1, 3), (1, 0, 0, 0, 0),
               (0, 0, 4, 1, 0), (0, 1, 1, 1, 1))),
             # y_1 divides the generator, so it vanishes modulo y_1 only if
-            # the free variable is scaled by D = 3, resp. 2, too
+            # the pivot variable goes through the inverse of the lead 3,
+            # resp. 2, mod p
             ("ring poly 3 QQ\n9*x2^2 - x3^2\n",
              ((0, 3, -1), (1, 0, 0), (0, 0, 1))),
             ("ring ext 3 QQ\n2*e1*e3 - e2*e3\n",
@@ -243,7 +275,9 @@ class TestPrefixDims:
     )
     def test_pivots_off_the_leading_columns(self, text, rows):
         I = parse_ideal(text)
-        seq = GenericSequence(I.ring, rows, "hand", 7)
+        p = (1 << 61) - 1
+        rows = tuple(tuple(x % p for x in row) for row in rows)
+        seq = GenericSequence(I.ring, rows, "hand", PRIME_BOUND, p)
         dims = annihilators._prefix_dims(I, seq, 7)
         assert dims == _reference_prefix_dims(I, seq, 7)
 
@@ -252,7 +286,7 @@ class TestPrefixDims:
         workloads = load_perfbench("workloads")
         kind, n, count = workloads.QUADRICS[tag]
         I = workloads.dense_quadrics(kind, n, count, tag)
-        seq = GenericSequence.draw(I.ring, "0:0:a", 1000)
+        seq = GenericSequence.draw(I.ring, 0, "0:0:a")
         dmax = annihilators._windows(I, 0)[0] + 1  # as _alpha_for_sequence
         dims = annihilators._prefix_dims(I, seq, dmax)
         assert dims == _reference_prefix_dims(I, seq, dmax)
@@ -260,12 +294,12 @@ class TestPrefixDims:
     def test_rows_fed_on_the_two_variable_corpus(self, monkeypatch):
         # pins the stops: p = 0 comes from the Hilbert numerator of in(I),
         # and each p >= 1 eliminates only over the free variables of its
-        # prefix, so only 10 rows are fed (170 on all dim R_d columns,
-        # 1,338 with no stop at all)
+        # prefix, so only 10 rows are fed to ModRank (170 on all dim R_d
+        # columns, 1,338 with no stop at all)
         ideals = generate(ACCEPTANCE_SPECS[0])
         for ideal in ideals:
             gin(ideal, seed=0)  # memoized: gin's own rows stay out of the count
-        rows = _counting_intrank(monkeypatch)
+        rows = _counting_rows(monkeypatch)
         for ideal in ideals:
             assert alpha_oracle(ideal, seed=0).ok
         assert rows[0] == 10
@@ -331,8 +365,8 @@ class TestEscalation:
         drawn = []
 
         def by_seed(ws, p, kmax, imax):
-            drawn.append((ws.seq.seed, ws.seq.bound))
-            return {(0, 0): ws.seq.seed}
+            drawn.append((ws.seq.key, ws.seq.bound))
+            return {(0, 0): ws.seq.key}
 
         monkeypatch.setattr(annihilators, "_profile_slice", by_seed)
         with pytest.raises(GenericityError) as err:
@@ -342,7 +376,7 @@ class TestEscalation:
             + "; ".join(["trials disagree"] * 5)
         )
         assert drawn == [
-            (f"7:{e}:{tag}", 1000 << e) for e in range(5) for tag in "ab"
+            (f"7:{e}:{tag}", PRIME_BOUND << e) for e in range(5) for tag in "ab"
         ]
 
     def test_direct_without_a_zero_band_raises(self, monkeypatch):
@@ -404,7 +438,7 @@ class TestVanishingPropagation:
         rank0 = ws.boundary_rank(p, i + 1, j)
         for t in range(ws.ring.n):
             coeffs = [1 if s == t else 0 for s in range(ws.ring.n)]
-            cols = ws.qb.mult_form(coeffs, d)
+            cols = ws.qb.mult_form(coeffs, d, ws.seq.prime)
             eng = ws._eliminate(p, i + 1, j)  # a fresh boundary IntRank
             for z in ws.cycles(p, i, j - 1):
                 eng.add(ws._push(z, d, cols))
@@ -415,7 +449,7 @@ class TestVanishingPropagation:
     def test_koszul_propagation(self):
         # socle-degree vanishing propagates one homological step up
         I = parse_ideal("ring poly 3 QQ\nx1^2\nx1*x2\nx2^2\n")
-        seq = GenericSequence.draw(I.ring, "prop", 1000)
+        seq = GenericSequence.draw(I.ring, 0, "prop")
         ws = HomologyWorkspace(I, seq)
         n = 3
         for k in range(0, 4):
@@ -428,7 +462,7 @@ class TestVanishingPropagation:
 
     def test_exterior_delta_propagation(self):
         I = parse_ideal("ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n")
-        seq = GenericSequence.draw(I.ring, "prop", 1000)
+        seq = GenericSequence.draw(I.ring, 0, "prop")
         ws = HomologyWorkspace(I, seq)
         n = 4
         for k in range(0, 5):
@@ -441,13 +475,16 @@ class TestVanishingPropagation:
 
 
 class TestRowOrder:
-    """Sparsest-first feeding changes no rank and no cycle space."""
+    """Sparsest-first feeding changes no rank and no cycle space, over QQ
+    on the coordinates and mod p along a sequence."""
 
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     @pytest.mark.parametrize("drawn", [False, True], ids=["coords", "seq"])
     def test_eliminations_match_natural_order(self, name, drawn):
         I = parse_ideal(REFERENCE[name])
-        seq = GenericSequence.draw(I.ring, "rows", 1000) if drawn else None
+        seq = GenericSequence.draw(I.ring, 0, "rows") if drawn else None
+        prime = seq.prime if drawn else None
+        engine = partial(ModRank, prime) if drawn else IntRank
         ws = HomologyWorkspace(I, seq)
         kmax, imax = annihilators._windows(I, 0)
         n = I.ring.n
@@ -455,14 +492,14 @@ class TestRowOrder:
             for i in range(1, imax + 2):
                 for j in range(i, i + kmax + 2):
                     cols = sorted(ws._columns(p, i, j), key=lambda c: c[0])
-                    natural = IntRank()
+                    natural = engine()
                     for _, col in cols:
                         natural.add(col)
                     rank = ws._eliminate(p, i, j).rank
                     assert rank == natural.rank, (p, i, j)
                     cycles = ws.cycles(p, i, j)
                     assert len(cycles) == ws.chain_dim(p, i, j) - rank
-                    independent = IntRank()
+                    independent = engine()
                     for z in cycles:
                         independent.add(z)
                     assert independent.rank == len(cycles)
@@ -471,7 +508,9 @@ class TestRowOrder:
                         for c, zc in z.items():
                             for r, v in cols[c][1].items():
                                 image[r] = image.get(r, 0) + zc * v
-                        assert not any(image.values()), (p, i, j)
+                        assert not any(
+                            v % prime if drawn else v for v in image.values()
+                        ), (p, i, j)
 
 
 class TestUpperBound:
@@ -497,7 +536,7 @@ def test_ungraded_totals_from_graded_cells():
     from ginlab.betti import binom
 
     I = parse_ideal("ring poly 3 QQ\nx1^2\nx1*x2\nx2^3\n")
-    seq = GenericSequence.draw(I.ring, "totals", 1000)
+    seq = GenericSequence.draw(I.ring, 0, "totals")
     ws = HomologyWorkspace(I, seq)
     from ginlab.annihilators import _alpha_for_sequence
 
@@ -518,3 +557,145 @@ def test_ungraded_totals_from_graded_cells():
                 for k in range(kk + 1)
             )
             assert total_h == total_alpha - total_delta
+
+
+# ---------------------------------------------------------------------------
+# the integer draws over QQ, the reference of the routes mod p
+
+
+def _inverse(rows):
+    """The inverse of an invertible square matrix over QQ (Gauss-Jordan)."""
+    n = len(rows)
+    m = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for c in range(n):
+        piv = next(r for r in range(c, n) if m[r][c])
+        m[c], m[piv] = m[piv], m[c]
+        m[c] = [x / m[c][c] for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def _coordinate_image(ideal, seq):
+    """phi(I) for the change of coordinates phi that sends each form y_i of
+    seq to x_i: on R/phi(I) the first p coordinates have the Koszul
+    (Cartan) homology of y_1..y_p on R/I, exactly over QQ."""
+    inv = _inverse(seq.rows)
+    # phi(x_i) = sum_j inv[i][j] x_j; change_coordinates reads the transpose
+    g = [list(col) for col in zip(*inv)]
+    return Ideal(ideal.ring, change_coordinates(ideal.ring, ideal.generators, g))
+
+
+def _integer_routes(ideal, monkeypatch):
+    """(alpha entries, partial homology at each p, delta at each p < n)
+    along the integer sequence of round 0's draw a over QQ: alpha from the
+    unpruned prefix dimensions, homology and delta from the coordinate
+    workspace of phi(I), exact over QQ (IntRank)."""
+    kmax, imax = annihilators._windows(ideal, 0)
+    n = ideal.ring.n
+    seq = integer_sequence(ideal.ring, "0:0:a")
+    with monkeypatch.context() as m:
+        m.setattr(annihilators, "_prefix_dims", _reference_prefix_dims)
+        alpha = annihilators._alpha_for_sequence(ideal, seq, kmax)
+    ws = HomologyWorkspace(_coordinate_image(ideal, seq))
+    return (
+        alpha,
+        [annihilators._profile_slice(ws, p, kmax, imax) for p in range(n + 1)],
+        [annihilators._delta_slice(ws, p, kmax, imax) for p in range(n)],
+    )
+
+
+def test_routes_mod_p_equal_the_integer_routes_over_QQ(monkeypatch):
+    # the certified routes mod p against one integer draw over QQ, with
+    # entries in [-1000, 1000], on the reference ideals and the exterior
+    # corpora of acceptance criterion 6
+    ideals = [parse_ideal(text) for text in REFERENCE.values()]
+    ideals += [ideal for spec in CRITERION_6 for ideal in generate(spec)]
+    assert len(ideals) == 26
+    for ideal in ideals:
+        alpha, homology, delta = _integer_routes(ideal, monkeypatch)
+        n = ideal.ring.n
+        assert generic_annihilators_direct(ideal, seed=0).entries == alpha
+        assert [partial_homology(ideal, p) for p in range(n + 1)] == homology
+        assert [partial_delta(ideal, p) for p in range(n)] == delta
+
+
+class TestBadPrimes:
+    """A round prime that divides a lead of the forms' echelon basis, or a
+    Piece.den the workspace reads, fails its round; a single draw raises
+    GenericityError.  No ValueError of pow(x, -1, p) escapes."""
+
+    # 3*e1*e2 + 2*e2*e3 leads I_2: its normal forms have denominator 3
+    DEN_3 = "ring ext 3 QQ\ne1*e2 + 2/3*e2*e3\n"
+    DEN_3_POLY = "ring poly 3 QQ\n3*x1^2 + x2^2\nx2*x3\n"
+
+    @staticmethod
+    def force(monkeypatch, prime, rounds=5):
+        """The sequences of the first rounds draw mod prime."""
+        real = annihilators.round_prime
+
+        def forced(ring, seed, bound):
+            if bound < PRIME_BOUND << rounds:
+                return prime
+            return real(ring, seed, bound)
+
+        monkeypatch.setattr(annihilators, "round_prime", forced)
+
+    @staticmethod
+    def failures(monkeypatch):
+        """The BadPrime texts of the sequence routes' draws from here on."""
+        out = []
+        loop = annihilators.certified_draw
+
+        def recorded(seed, bound, tags, draw, key=None, check=None):
+            def recording(tag, round_bound):
+                try:
+                    return draw(tag, round_bound)
+                except BadPrime as exc:
+                    out.append(str(exc))
+                    raise
+
+            return loop(seed, bound, tags, recording, key, check)
+
+        monkeypatch.setattr(annihilators, "certified_draw", recorded)
+        return out
+
+    def test_bad_lead_fails_the_round(self, monkeypatch):
+        # at seed 5 the first draw mod 5 has its first two forms
+        # (3, 2, 0) and (4, 1, 2): invertible mod 5, but over QQ their
+        # minor on the first two columns is -5, the lead of both rows of
+        # their echelon basis
+        want = generic_annihilators_direct(parse_ideal(STAIRCASE_3), seed=5)
+        I = parse_ideal(STAIRCASE_3)
+        self.force(monkeypatch, 5, rounds=1)
+        forms = Rref()
+        for row in GenericSequence.draw(I.ring, 5, "5:0:a").rows[:2]:
+            forms.add(dict(enumerate(row)))
+        assert [r[c] for c, r in forms.pivots.items()] == [5, 5]
+        failures = self.failures(monkeypatch)
+        assert generic_annihilators_direct(I, seed=5).entries == want.entries
+        assert failures == [
+            "prime 5: it divides the lead 5 of the forms' Rref"
+        ]
+
+    def test_bad_denominator_fails_the_round(self, monkeypatch):
+        want = partial_homology(parse_ideal(self.DEN_3), 2)
+        I = parse_ideal(self.DEN_3)
+        assert I.piece(2).den == 3
+        self.force(monkeypatch, 3, rounds=1)
+        failures = self.failures(monkeypatch)
+        assert partial_homology(I, 2) == want
+        assert failures[0] == "prime 3: it divides the denominator 3 of I_2"
+
+    def test_single_draws_raise_genericity_error(self, monkeypatch):
+        self.force(monkeypatch, 3)
+        with pytest.raises(GenericityError, match="^prime 3: "):
+            verify_homology_formula(parse_ideal(self.DEN_3))
+        ctx = RigidityContext(parse_ideal(self.DEN_3_POLY), seed=0)
+        with pytest.raises(GenericityError, match="^prime 3: "):
+            lemma_can_check(ctx)

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import strategies as st
 
-from ginlab import groebner
+from ginlab import groebner, rings
 from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.groebner import (
     PRIME_BOUND,
@@ -28,12 +28,12 @@ from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import RigidityContext, battery
 from ginlab.rings import (
-    COEFF_BOUND,
     DEGREVLEX,
     EXT,
     LEX,
     POLY,
     TERM_ORDERS,
+    BadPrime,
     Element,
     GenericityError,
     apply_linear_change,
@@ -41,13 +41,19 @@ from ginlab.rings import (
     change_coordinates,
     exterior_ring,
     polynomial_ring,
-    random_invertible_matrix,
     random_invertible_matrix_mod,
     random_prime,
     render_monomial,
 )
 
-from conftest import CANCEL_GIN, STAIRCASE_3, STAIRCASE_GIN, load_perfbench
+from conftest import (
+    CANCEL_GIN,
+    COEFF_BOUND,
+    STAIRCASE_3,
+    STAIRCASE_GIN,
+    load_perfbench,
+    random_invertible_matrix,
+)
 
 
 def initial_orders(I):
@@ -247,7 +253,7 @@ class TestEscalation:
 
     def test_unstable_results_raise_after_five_rounds(self, monkeypatch):
         bounds, primes = [], []
-        prime, draw = groebner.random_prime, groebner.random_invertible_matrix_mod
+        prime, draw = rings.random_prime, groebner.random_invertible_matrix_mod
 
         def recorded_prime(rng, lo):
             bounds.append(lo)
@@ -257,7 +263,7 @@ class TestEscalation:
             primes.append(p)
             return draw(rng, n, p)
 
-        monkeypatch.setattr(groebner, "random_prime", recorded_prime)
+        monkeypatch.setattr(rings, "random_prime", recorded_prime)
         monkeypatch.setattr(groebner, "random_invertible_matrix_mod", recorded)
         monkeypatch.setattr(groebner, "is_strongly_stable", lambda J: False)
         with pytest.raises(GenericityError) as err:
@@ -666,32 +672,35 @@ class TestModularTrials:
         # mod 3 the two generators agree, so degree 2 stops at rank 1 in
         # every trial of a round with p = 3; coefficient bound 2 makes
         # round 0 draw its odd prime from [2, 4)
-        verdicts = []
+        failures = []
 
         def recorded(seed, bound, tags, draw, key=None, check=None):
-            def checked(value):
-                verdicts.append(check(value))
-                return verdicts[-1]
+            def recording(tag, round_bound):
+                try:
+                    return draw(tag, round_bound)
+                except BadPrime as exc:
+                    failures.append(str(exc))
+                    raise
 
-            return certified_draw(seed, bound, tags, draw, key, checked)
+            return certified_draw(seed, bound, tags, recording, key, check)
 
         monkeypatch.setattr(groebner, "certified_draw", recorded)
         J, cert = gin(parse_ideal(self.BAD_AT_3), coeff_bound=2)
-        assert verdicts[0] == "prime 3: degree 2 has rank 1, below dim I_2 = 2"
-        assert verdicts[-1] is None and cert.escalations >= 1
+        assert failures[0] == "prime 3: degree 2 has rank 1, below dim I_2 = 2"
+        assert cert.escalations >= 1
         assert J == gin(parse_ideal(self.BAD_AT_3))[0]
 
     def test_one_prime_per_ring(self, monkeypatch):
         # a round's prime depends on seed and bound alone: the gins over
         # one ring share it, and a freshly parsed input draws it anew
         drawn = []
-        prime = groebner.random_prime
+        prime = rings.random_prime
 
         def recorded(rng, lo):
             drawn.append(lo)
             return prime(rng, lo)
 
-        monkeypatch.setattr(groebner, "random_prime", recorded)
+        monkeypatch.setattr(rings, "random_prime", recorded)
         I = parse_ideal(STAIRCASE_3)
         certs = [
             gin(I)[1], gin(I, order=LEX)[1],

@@ -333,7 +333,7 @@ class TestDegreeScan:
         def no_draw(*args):
             raise AssertionError("prime or matrix drawn for a scan past the cap")
 
-        monkeypatch.setattr(groebner, "random_prime", no_draw)
+        monkeypatch.setattr(groebner, "round_prime", no_draw)
         monkeypatch.setattr(groebner, "random_invertible_matrix_mod", no_draw)
         # a monomial input is refused by its top generator degree; the
         # numerator 1 - t^200 of the binomial needs a generator of degree

@@ -16,7 +16,6 @@ from ginlab.rings import (
     exterior_ring,
     is_prime,
     linear_form,
-    matrix_det,
     max_variable,
     monomial_mul,
     order_key,
@@ -25,6 +24,8 @@ from ginlab.rings import (
     random_prime,
     wedge_supports,
 )
+
+from conftest import fraction_det
 
 R3 = polynomial_ring(3)
 E4 = exterior_ring(4)
@@ -194,7 +195,7 @@ small_matrix = st.lists(
 @given(small_matrix, small_matrix, st.tuples(st.integers(0, 2), st.integers(0, 2)))
 @settings(max_examples=60)
 def test_linear_change_composition(g1, g2, exps):
-    if matrix_det(g1) == 0 or matrix_det(g2) == 0:
+    if fraction_det(g1) == 0 or fraction_det(g2) == 0:
         return
     ring = polynomial_ring(2)
     f = Element.monomial(ring, exps)
@@ -210,7 +211,7 @@ def test_linear_change_composition(g1, g2, exps):
 @given(small_matrix, st.tuples(st.integers(0, 1), st.integers(0, 1)))
 @settings(max_examples=60)
 def test_linear_change_composition_exterior(g, supp):
-    if matrix_det(g) == 0:
+    if fraction_det(g) == 0:
         return
     ring = exterior_ring(2)
     support = tuple(sorted(set(i for i, flag in enumerate(supp) if flag)))
@@ -219,26 +220,6 @@ def test_linear_change_composition_exterior(g, supp):
     if support:
         assert out.is_homogeneous()
         assert out.is_zero() or out.degree() == len(support)
-
-
-def fraction_det(g):
-    """Gaussian elimination over QQ: the reference for matrix_det."""
-    m = [[Fraction(x) for x in row] for row in g]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] / m[c][c]
-            for k in range(c, n):
-                m[r][k] -= f * m[c][k]
-    return det
 
 
 entries = st.one_of(
@@ -258,12 +239,6 @@ def square_matrices(draw, sizes=st.integers(0, 4)):
         scale = draw(entries)
         rows[0] = [scale * x for x in rows[-1]]
     return rows
-
-
-@given(square_matrices())
-@settings(max_examples=150)
-def test_matrix_det_matches_fraction_elimination(g):
-    assert matrix_det(g) == fraction_det(g)
 
 
 def substituted(f, g):
@@ -298,7 +273,7 @@ def test_batched_change_matches_each_element(data):
             st.lists(st.sampled_from(monos), min_size=1, max_size=4)
         )
         elements.append(Element(ring, {m: data.draw(entries) for m in support}))
-    if matrix_det(g) == 0:
+    if fraction_det(g) == 0:
         with pytest.raises(ValueError, match="singular"):
             change_coordinates(ring, elements, g)
         return
@@ -349,4 +324,4 @@ class TestPrimes:
             for _ in range(10):
                 mat = random_invertible_matrix_mod(rng, n, p)
                 assert all(0 <= x < p for row in mat for x in row)
-                assert matrix_det(mat) % p != 0
+                assert fraction_det(mat) % p != 0
