@@ -29,9 +29,12 @@ value over QQ, for a minor of degree D with probability at most
 D / (p - n) (Schwartz-Zippel), unless p is bad.  A p that divides a lead
 of the forms' Rref or a Piece.den the workspace reads raises
 rings.BadPrime.  The certified routes (direct alpha, partial homology
-and delta) run on the sequences a and b of rings.certified_draw; all
-read their (k_max, i_max) window from _windows (the upper-bound check
-takes only its i_max).
+and delta) run on the sequences a and b of rings.certified_draw, and the
+single-draw routes (verify_homology_formula, rigidity.lemma_can_check)
+on round 0's sequence a alone (GenericSequence.first).  The homology
+state of a sequence lives on the ideal, so every route along it shares
+one.  All read their (k_max, i_max) window from _windows (the
+upper-bound check takes only its i_max).
 """
 
 import random
@@ -72,6 +75,12 @@ class GenericSequence:
         rng = random.Random(f"forms:{key}:{bound}")
         rows = random_invertible_matrix_mod(rng, ring.n, p)
         return cls(ring, tuple(map(tuple, rows)), key, bound, p)
+
+    @classmethod
+    def first(cls, ring, seed):
+        """Round 0's sequence a of _two_sequences, the one draw of the
+        single-draw routes, whose homology state they share with it."""
+        return cls.draw(ring, seed, f"{seed}:0:a")
 
 
 @dataclass
@@ -398,7 +407,7 @@ def verify_homology_formula(ideal, seed=0):
     """
     ring = ideal.ring
     kmax, imax = _windows(ideal, seed)
-    seq = GenericSequence.draw(ring, seed, f"formula:{seed}")
+    seq = GenericSequence.first(ring, seed)
     ws = HomologyWorkspace(ideal, seq)
     alpha = _alpha_for_sequence(ideal, seq, kmax + 2)
 

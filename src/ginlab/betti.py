@@ -6,6 +6,10 @@ HomologyWorkspace builds that complex on any sequence of linear forms; a
 Betti table is its homology on all n coordinates, exact over QQ, and the
 partial homology of generic sequences in annihilators.py runs on the same
 workspace over F_p, where a rank can only fall below its generic value.
+What a workspace computes is kept on the ideal (Ideal.memo), one state
+per set of forms, beside the coordinate multiplication tables (mult_var)
+that every workspace on the ideal reads.
+
 Closed forms for strongly stable monomial ideals: Eliahou-Kervaire,
 Bigatti's count in terms of m_<=q, and the Aramova-Herzog-Hibi formula
 over the exterior algebra.  The homological and combinatorial routes stay
@@ -145,40 +149,24 @@ class BettiTable:
 
 
 # ---------------------------------------------------------------------------
-# quotient-ring bases and multiplication tables
+# multiplication tables
 
 
-class QuotientBasis:
-    """Standard monomial bases of (R/I)_d with coordinate multiplication."""
+def mult_var(ideal, t, d):
+    """Multiplication by variable t on (R/I)_d, in the standard monomial
+    bases of ideal.piece(d) and piece(d + 1): int coordinates scaled by
+    piece(d + 1).den, so all columns a differential or a cycle image reads
+    land in one degree and no rank, pivot or kernel moves.  Built once per
+    ideal (Ideal.memo), for the coordinate workspace and every sequence."""
+    if d < 0:
+        return []
 
-    def __init__(self, ideal):
-        self.ideal = ideal
-        self.ring = ideal.ring
-        self._mult = {}
-
-    def basis(self, d):
-        if d < 0:
-            return []
-        return self.ideal.piece(d).std_monomials
-
-    def dim(self, d):
-        return len(self.basis(d))
-
-    def mult_var(self, t, d):
-        """Multiplication by variable t: basis(d) -> int coords in basis(d+1),
-        scaled by piece(d + 1).den; all columns a differential or a cycle
-        image reads land in one degree, so no rank, pivot or kernel moves."""
-        key = (t, d)
-        if key in self._mult:
-            return self._mult[key]
-        ring = self.ring
-        if d < 0:
-            return []
-        target = self.ideal.piece(d + 1)
+    def build():
+        target = ideal.piece(d + 1)
         tgt_index = target._std_index
         cols = []
-        for u in self.basis(d):
-            if ring.is_exterior:
+        for u in ideal.piece(d).std_monomials:
+            if ideal.ring.is_exterior:
                 sgn, merged = wedge_supports(u, (t,))
                 if not sgn:
                     cols.append({})
@@ -190,32 +178,9 @@ class QuotientBasis:
                 up[t] += 1
                 nf = target.nf_monomial(tuple(up))
                 cols.append({tgt_index[m]: c for m, c in nf.items()})
-        self._mult[key] = cols
         return cols
 
-    def mult_form(self, coeffs, d, p):
-        """Multiplication by the linear form sum_t coeffs[t] * var_t, mod the
-        prime p, built once; a p that divides the scale piece(d + 1).den
-        is bad."""
-        key = (tuple(coeffs), d, p)
-        if key in self._mult:
-            return self._mult[key]
-        den = self.ideal.piece(d + 1).den
-        if not den % p:
-            raise BadPrime(p, f"it divides the denominator {den} of I_{d + 1}")
-        out = [dict() for _ in self.basis(d)]
-        for t, c in enumerate(coeffs):
-            if not c:
-                continue
-            for col, add in zip(out, self.mult_var(t, d)):
-                for idx, v in add.items():
-                    s = (col.get(idx, 0) + c * v) % p
-                    if s:
-                        col[idx] = s
-                    else:
-                        del col[idx]
-        self._mult[key] = out
-        return out
+    return ideal.memo(("mult", t, d), build)
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +207,54 @@ class HomologyWorkspace:
     spaces come from kernel computations so that images of induced maps
     can be reduced against boundaries.  Differentials are streamed, never
     stored: each call that eliminates one feeds its columns to a fresh
-    engine, sparsest first, and the workspace keeps only the ranks, the
-    cycle bases and the delta numbers.  Rank, pivot columns and the span
-    of the kernel of an elimination do not depend on the order of its
-    rows, so the order changes no number.
+    engine, sparsest first.  Rank, pivot columns and the span of the
+    kernel of an elimination do not depend on the order of its rows, so
+    the order changes no number.  The ranks, cycle bases, delta numbers
+    and mod-p multiplication columns depend on I and the forms alone, so
+    they live in Ideal.memo under the forms' prime and rows (("workspace",)
+    on the coordinates), shared by every workspace on the same ideal and
+    forms; that state holds no reference back to the ideal.
     """
 
     def __init__(self, ideal, seq=None):
         self.ideal = ideal
         self.ring = ideal.ring
         self.seq = seq
-        self.qb = QuotientBasis(ideal)
+        key = ("workspace",) if seq is None else ("workspace", seq.prime, seq.rows)
+        self._rank, self._delta, self._cycles, self._mult = ideal.memo(
+            key, lambda: ({}, {}, {}, {})
+        )
         self._sets = {}
-        self._rank = {}
-        self._delta = {}
-        self._cycles = {}
+
+    def dim(self, d):
+        """dim (R/I)_d, the standard monomials of ideal.piece(d)."""
+        return len(self.ideal.piece(d).std_monomials) if d >= 0 else 0
 
     def mult(self, t, d):
+        """Multiplication by the form t on M_d: mult_var on the coordinates,
+        its combination mod p along a sequence, where p | piece(d + 1).den
+        is bad."""
         if self.seq is None:
-            return self.qb.mult_var(t, d)
-        return self.qb.mult_form(self.seq.rows[t], d, self.seq.prime)
+            return mult_var(self.ideal, t, d)
+        key = (t, d)
+        if key not in self._mult:
+            p = self.seq.prime
+            den = self.ideal.piece(d + 1).den
+            if not den % p:
+                raise BadPrime(p, f"it divides the denominator {den} of I_{d + 1}")
+            out = [{} for _ in range(self.dim(d))]
+            for s, c in enumerate(self.seq.rows[t]):
+                if not c:
+                    continue
+                for col, add in zip(out, mult_var(self.ideal, s, d)):
+                    for idx, v in add.items():
+                        val = (col.get(idx, 0) + c * v) % p
+                        if val:
+                            col[idx] = val
+                        else:
+                            del col[idx]
+            self._mult[key] = out
+        return self._mult[key]
 
     def chain_sets(self, p, i):
         """Index sets for C_i on the first p forms."""
@@ -274,7 +267,7 @@ class HomologyWorkspace:
         return self._sets[key]
 
     def chain_dim(self, p, i, j):
-        return len(self.chain_sets(p, i)) * self.qb.dim(j - i)
+        return len(self.chain_sets(p, i)) * self.dim(j - i)
 
     def _columns(self, p, i, j):
         """Yield (index, column) for C_{i,j}(p) -> C_{i-1,j}(p), sparsest first.
@@ -287,11 +280,11 @@ class HomologyWorkspace:
         (Markowitz 1957).
         """
         src_deg = j - i
-        dim_src = self.qb.dim(src_deg)
+        dim_src = self.dim(src_deg)
         if i < 1 or dim_src == 0 or (not self.ring.is_exterior and i > p):
             return
         tgt_sets = {s: idx for idx, s in enumerate(self.chain_sets(p, i - 1))}
-        block = self.qb.dim(src_deg + 1)
+        block = self.dim(src_deg + 1)
         mult = [self.mult(t, src_deg) for t in range(p)]
         sizes = [[len(c) for c in mt] for mt in mult]
         chain_drops = []
@@ -349,7 +342,7 @@ class HomologyWorkspace:
         if i < 0:
             return 0
         if i == 0:
-            return self.qb.dim(j) - self.boundary_rank(p, 1, j)
+            return self.dim(j) - self.boundary_rank(p, 1, j)
         return (
             self.chain_dim(p, i, j)
             - self.boundary_rank(p, i, j)
@@ -361,7 +354,7 @@ class HomologyWorkspace:
         key = (p, i, j)
         if key not in self._cycles:
             if i == 0:
-                self._cycles[key] = [{t: 1} for t in range(self.qb.dim(j))]
+                self._cycles[key] = [{t: 1} for t in range(self.dim(j))]
             else:
                 ncols = self.chain_dim(p, i - 1, j)
                 self._cycles[key] = self._eliminate(p, i, j, ncols).kernel
@@ -373,8 +366,8 @@ class HomologyWorkspace:
         reindex[s] is the target index of source chain s, or None to drop
         that chain; without it every chain keeps its index.
         """
-        dim_src = self.qb.dim(d)
-        block = self.qb.dim(d + 1)
+        dim_src = self.dim(d)
+        block = self.dim(d + 1)
         out = {}
         for idx, c in z.items():
             s_idx, u_idx = divmod(idx, dim_src)
@@ -403,7 +396,7 @@ class HomologyWorkspace:
         to the boundaries of C_{i+1,k}(p).
         """
         d = k - 1 - i
-        if i < 1 or d < 0 or self.qb.dim(d) == 0:
+        if i < 1 or d < 0 or self.dim(d) == 0:
             return 0
         key = (p, i, k)
         if key not in self._delta:
@@ -431,15 +424,9 @@ def _homology_table(ideal, i_max, k_max, cert_strand=None):
     """Entries (i, i + k) -> dim H_i(x_1..x_n; R/I)_{i+k}, the table of R/I.
 
     A nonzero entry with i >= 1 on cert_strand, or an H_0 other than K,
-    means the window was wrong.  The entries are kept in Ideal.memo under
-    the window; each call gets its own copy.
+    means the window was wrong.  The coordinate workspace keeps the ranks,
+    so reading a window again costs only lookups.
     """
-    key = ("table", i_max, k_max, cert_strand)
-    entries = ideal.memo(key, lambda: _compute_homology_table(ideal, *key[1:]))
-    return dict(entries)
-
-
-def _compute_homology_table(ideal, i_max, k_max, cert_strand):
     name = "Cartan" if ideal.ring.is_exterior else "Koszul"
     ws = HomologyWorkspace(ideal)
     n = ideal.ring.n

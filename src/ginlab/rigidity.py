@@ -247,10 +247,9 @@ class RigidityContext:
         resolution, so I_<k> is linear exactly when gin(I_<k>), whose
         generators all have degree >= k, is generated in degree k.
         """
-        key = ("complin", k)
-        if key not in self._cache:
-            self._cache[key] = self.component_gin(k).max_gen_degree() <= k
-        return self._cache[key]
+        return self._get(
+            ("complin", k), lambda: self.component_gin(k).max_gen_degree() <= k
+        )
 
     @property
     def cancellation(self):
@@ -631,8 +630,7 @@ def lemma_can_check(ctx):
         raise ValueError("polynomial-ring statement")
     n = ctx.ring.n
     c = ctx.cancellation
-    seq = GenericSequence.draw(ctx.ring, ctx.seed, f"can:{ctx.seed}")
-    ws = HomologyWorkspace(ctx.ideal, seq)
+    ws = HomologyWorkspace(ctx.ideal, GenericSequence.first(ctx.ring, ctx.seed))
     kmax = ctx.reg_bound + 1
     mismatches = []
     for i in range(0, n):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import random
+import weakref
 from fractions import Fraction
 from functools import partial
 
@@ -17,14 +19,14 @@ from ginlab.annihilators import (
     upper_bound_check,
     verify_homology_formula,
 )
-from ginlab.betti import cartan_betti, koszul_betti
+from ginlab.betti import cartan_betti, koszul_betti, mult_var
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import Ideal, degree_rows
 from ginlab.linalg import IntRank, ModRank, Rref
-from ginlab.oracles import alpha_oracle
+from ginlab.oracles import alpha_oracle, oracle_equivalences
 from ginlab.parsing import parse_ideal
-from ginlab.rigidity import RigidityContext, lemma_can_check
+from ginlab.rigidity import RigidityContext, battery, lemma_can_check
 from ginlab.rings import (
     PRIME_BOUND,
     BadPrime,
@@ -433,12 +435,15 @@ class TestVanishingPropagation:
     def _m_annihilates(self, ws, i, p, j):
         """(m * H_i(p))_j = 0: every coordinate form maps into boundaries."""
         d = j - 1 - i
-        if ws.qb.dim(d) == 0:
+        if ws.dim(d) == 0:
             return True
         rank0 = ws.boundary_rank(p, i + 1, j)
+        prime = ws.seq.prime
         for t in range(ws.ring.n):
-            coeffs = [1 if s == t else 0 for s in range(ws.ring.n)]
-            cols = ws.qb.mult_form(coeffs, d, ws.seq.prime)
+            cols = [
+                {idx: v % prime for idx, v in col.items() if v % prime}
+                for col in mult_var(ws.ideal, t, d)
+            ]
             eng = ws._eliminate(p, i + 1, j)  # a fresh boundary IntRank
             for z in ws.cycles(p, i, j - 1):
                 eng.add(ws._push(z, d, cols))
@@ -699,3 +704,78 @@ class TestBadPrimes:
         ctx = RigidityContext(parse_ideal(self.DEN_3_POLY), seed=0)
         with pytest.raises(GenericityError, match="^prime 3: "):
             lemma_can_check(ctx)
+
+
+# ---------------------------------------------------------------------------
+# one homology state per ideal and set of forms
+
+
+class TestSharedState:
+    """Every HomologyWorkspace on one ideal and set of forms reads one state
+    in Ideal.memo, so a route run again eliminates nothing, and the
+    single-draw routes share round 0's sequence a; no memo entry refers
+    back to its ideal."""
+
+    @staticmethod
+    def eliminations(monkeypatch):
+        """The argument tuples of HomologyWorkspace._eliminate from here on."""
+        calls = []
+        real = HomologyWorkspace._eliminate
+
+        def counted(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(HomologyWorkspace, "_eliminate", counted)
+        return calls
+
+    ROUTES = {
+        "formula": lambda I: verify_homology_formula(I, seed=0),
+        "partial": lambda I: (
+            [partial_homology(I, p) for p in range(I.ring.n + 1)],
+            [partial_delta(I, p) for p in range(I.ring.n)],
+        ),
+        "lemma": lambda I: lemma_can_check(RigidityContext(I, seed=0)),
+    }
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_a_repeated_route_eliminates_nothing(self, route, monkeypatch):
+        I = parse_ideal(CANCEL_4)
+        first = self.ROUTES[route](I)
+        calls = self.eliminations(monkeypatch)
+        assert self.ROUTES[route](I) == first
+        assert calls == []
+
+    def test_the_lemma_reads_the_formula_state(self, monkeypatch):
+        calls = self.eliminations(monkeypatch)
+        lemma_can_check(RigidityContext(parse_ideal(CANCEL_4), seed=0))
+        alone = len(calls)
+        I = parse_ideal(CANCEL_4)
+        verify_homology_formula(I, seed=0)
+        calls.clear()
+        lemma_can_check(RigidityContext(I, seed=0))
+        assert len(calls) < alone
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE))
+    def test_no_memo_entry_refers_back_to_its_ideal(self, name):
+        # with the cycle collector off, the ideal dies with its last
+        # reference only if nothing it holds refers back to it
+        gc.disable()
+        try:
+            ideal = parse_ideal(REFERENCE[name])
+            battery(ideal)
+            oracle_equivalences(ideal)
+            verify_homology_formula(ideal)
+            n = ideal.ring.n
+            for p in range(n + 1):
+                partial_homology(ideal, p)
+            for p in range(n):
+                partial_delta(ideal, p)
+            if not ideal.ring.is_exterior:
+                lemma_can_check(RigidityContext(ideal, seed=0))
+            upper_bound_check(ideal)
+            ref = weakref.ref(ideal)
+            del ideal
+            assert ref() is None
+        finally:
+            gc.enable()

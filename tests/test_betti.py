@@ -10,7 +10,6 @@ from ginlab.betti import (
     QUOTIENT,
     HomologyWorkspace,
     NotStronglyStableError,
-    QuotientBasis,
     WindowError,
     _homology_table,
     _regular_section,
@@ -22,6 +21,7 @@ from ginlab.betti import (
     has_linear_resolution,
     is_componentwise_linear,
     koszul_betti,
+    mult_var,
     regularity,
 )
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
@@ -377,7 +377,6 @@ class TestIntegerTables:
     def test_mult_var_is_den_times_reference_normal_form(self, text):
         I = parse_ideal(text)
         ring = I.ring
-        qb = QuotientBasis(I)
         for d in range(4):
             piece = I.piece(d + 1)
             ref = ReferenceRref()
@@ -385,7 +384,7 @@ class TestIntegerTables:
                 ref.add(row)
             tgt = piece._std_index
             for t in range(ring.n):
-                for u, col in zip(qb.basis(d), qb.mult_var(t, d)):
+                for u, col in zip(I.piece(d).std_monomials, mult_var(I, t, d)):
                     assert all(type(v) is int for v in col.values())
                     if ring.is_exterior:
                         sgn, m = wedge_supports(u, (t,))
@@ -494,23 +493,23 @@ class TestTableMemo:
 
     def test_window_error_stores_nothing(self, monkeypatch):
         # strand 1 holds the quadrics, so reg_bound=1 certifies a wrong
-        # window: each such call builds the table anew and fails, and the
-        # right window then builds its table once
+        # window: each such call fails, no table is kept for it, and the
+        # right window then reads the ranks the workspace kept, eliminating
+        # nothing when it is read again
         I = parse_ideal("ring poly 3 QQ\nx1^2\nx2^2\n")
-        built = []
-        compute = betti._compute_homology_table
-
-        def counting(*args):
-            built.append(args)
-            return compute(*args)
-
-        monkeypatch.setattr(betti, "_compute_homology_table", counting)
         for _ in range(2):
             with pytest.raises(WindowError, match="strand 1 is nonzero at i=1"):
                 koszul_betti(I, reg_bound=1)
-        assert len(built) == 2
         table = koszul_betti(I)
-        assert koszul_betti(I) == table and len(built) == 3
+        built = []
+        eliminate = HomologyWorkspace._eliminate
+
+        def counting(self, *args):
+            built.append(args)
+            return eliminate(self, *args)
+
+        monkeypatch.setattr(HomologyWorkspace, "_eliminate", counting)
+        assert koszul_betti(I) == table and built == []
         assert table.entries == {(0, 0): 1, (1, 2): 2, (2, 4): 1}
 
     def test_nothing_dropped_is_remembered(self, monkeypatch):
