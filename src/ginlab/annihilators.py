@@ -26,15 +26,15 @@ The forms are uniform in GL_n(F_p) for the round prime gin shares
 (rings.round_prime), and every rank along them, lower-semicontinuous in
 the forms, is taken mod p (linalg.ModRank): it can only fall below its
 value over QQ, for a minor of degree D with probability at most
-D / (p - n) (Schwartz-Zippel), unless p is bad.  A p that divides a lead
-of the forms' Rref or a Piece.den the workspace reads raises
-rings.BadPrime.  The certified routes (direct alpha, partial homology
-and delta) run on the sequences a and b of rings.certified_draw, and the
-single-draw routes (verify_homology_formula, rigidity.lemma_can_check)
-on round 0's sequence a alone (GenericSequence.first).  The homology
-state of a sequence lives on the ideal, so every route along it shares
-one.  All read their (k_max, i_max) window from _windows (the
-upper-bound check takes only its i_max).
+D / (p - n) (Schwartz-Zippel), unless p is bad.  The forms are
+echelonized mod p, so only a Piece.den the workspace reads can make p
+bad: it raises rings.BadPrime.  The certified routes (direct alpha,
+partial homology and delta) run on the sequences a and b of
+rings.certified_draw, the single-draw routes (verify_homology_formula,
+rigidity.lemma_can_check) on round 0's sequence a (GenericSequence.first).
+The homology state and prefix dimensions of a sequence live on the ideal,
+so every route along it shares them.  All read their (k_max, i_max)
+window from _windows (the upper-bound check takes only its i_max).
 """
 
 import random
@@ -43,10 +43,9 @@ from dataclasses import dataclass, field
 from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
 from .groebner import _scan_plan, gin
 from .ideals import degree_rows
-from .linalg import ModRank, Rref
+from .linalg import ModRank
 from .rings import (
     PRIME_BOUND,
-    BadPrime,
     Ring,
     certified_draw,
     check_bound,
@@ -128,62 +127,66 @@ def _prefix_dims(ideal, seq, dmax):
     p = 0 is dim I_d as the gin scans read it off in_revlex(I)
     (groebner._scan_plan), with no elimination.  For p >= 1, R/J_p = R'/I'
     with R' = R/(y_1..y_p), the ring in the variables that lead no row of
-    the forms' Rref (the free ones), and I' the image of I in R'; so
-    dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, with dim I'_d eliminated
-    mod the sequence's prime on the dim R'_d columns only (_quotient).
-    At p = n, R/J_n = K.
+    the forms' echelon basis mod p (the free ones), and I' the image of I
+    in R'; so dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, with dim I'_d
+    eliminated mod the sequence's prime on the dim R'_d columns only
+    (_quotient).  At p = n, R/J_n = K.
 
     Three exact stops skip eliminations: (J_p)_{d-1} = R_{d-1} != 0 gives
     (J_p)_d = R_d, since (J_p)_d contains R_1 R_{d-1}, which is all of R_d
     over S and over E alike; (J_{p-1})_d = R_d gives (J_p)_d = R_d; and
-    no more rows are fed once dim I'_d reaches dim R'_d.
+    no more rows are fed once dim I'_d reaches dim R'_d.  The dims, filled
+    degree by degree, and the quotients live in Ideal.memo under the
+    forms' prime and rows, so each (p, d) is eliminated once per ideal.
     """
     ring = ideal.ring
     n = ring.n
-    dims = [[0] * (dmax + 1) for _ in range(n + 1)]
+    dims, quotients = ideal.memo(
+        ("prefix", seq.prime, seq.rows), lambda: ([[] for _ in range(n + 1)], {})
+    )
     _, hilbert = _scan_plan(ideal, None)
-    dims[0] = [hilbert(d) for d in range(dmax + 1)]
-    gens = [g.normalized_integer() for g in ideal.generators]
-    forms = Rref()
-    for p in range(1, n + 1):
-        forms.add(dict(enumerate(seq.rows[p - 1])))
-        images = None
-        for d in range(dmax + 1):
-            full = ring.dim(d)
-            if dims[p - 1][d] == full or 0 < ring.dim(d - 1) == dims[p][d - 1]:
-                dims[p][d] = full
-                continue
-            if forms.rank == n:  # R/J_n = K, and J_{n-1} is not full at d
-                dims[p][d] = full if d else 0
-                continue
-            if images is None:
-                quotient, images = _quotient(ring, forms, gens, seq.prime)
-            monos = quotient.monomials(d)
-            index = {m: i for i, m in enumerate(monos)}
-            eng = ModRank(seq.prime)
-            if monos:  # over E, R'_d = 0 for d above the free count
-                for row in degree_rows(quotient, images, d, index):
-                    if eng.add(row) and eng.rank == len(monos):
-                        break
-            dims[p][d] = full - len(monos) + eng.rank
-    return dims
+    for d in range(len(dims[0]), dmax + 1):
+        full = ring.dim(d)
+        column = [hilbert(d)]
+        for p in range(1, n + 1):
+            if column[p - 1] == full or 0 < ring.dim(d - 1) == dims[p][d - 1]:
+                column.append(full)
+            elif p == n:  # R/J_n = K, and J_{n-1} is not full at d
+                column.append(full if d else 0)
+            else:
+                if p not in quotients:
+                    quotients[p] = _quotient(ideal, seq.rows[:p], seq.prime)
+                quotient, images = quotients[p]
+                monos = quotient.monomials(d)
+                index = {m: i for i, m in enumerate(monos)}
+                eng = ModRank(seq.prime)
+                if monos:  # over E, R'_d = 0 for d above the free count
+                    for row in degree_rows(quotient, images, d, index):
+                        if eng.add(row) and eng.rank == len(monos):
+                            break
+                column.append(full - len(monos) + eng.rank)
+        for row, value in zip(dims, column):
+            row.append(value)
+    return [row[: dmax + 1] for row in dims]
 
 
-def _quotient(ring, forms, gens, p):
-    """(R', images of the integer gens mod p) for R' = R / (forms) over F_p,
-    in the variables that lead no row of the Rref forms: the pivot x_i of
-    the row r goes to -sum_j r_j x_j / r_i over the free j, mod p."""
+def _quotient(ideal, rows, p):
+    """(R', images of the gens of I mod p) for R' = R / (forms) over F_p,
+    in the variables that lead no row of the forms' echelon basis mod p:
+    back-substituted from the last lead, the pivot x_i of the row
+    x_i + sum_{c > i} r_c x_c goes to -sum_c r_c x_c over the free ones."""
+    ring = ideal.ring
+    forms = ModRank(p)
+    for row in rows:
+        forms.add(dict(enumerate(row)))
     free = [j for j in range(ring.n) if j not in forms.pivots]
+    form = {j: [int(j == f) for f in free] for j in free}
+    for i in sorted(forms.pivots, reverse=True):
+        row = forms.pivots[i].items()
+        form[i] = [-sum(r * form[c][t] for c, r in row) % p for t in range(len(free))]
     quotient = Ring(ring.kind, len(free))
-    linear = [None] * ring.n
-    for t, j in enumerate(free):
-        linear[j] = quotient.variable(t)
-    for i, row in forms.pivots.items():
-        if not row[i] % p:
-            raise BadPrime(p, f"it divides the lead {row[i]} of the forms' Rref")
-        inv = -pow(row[i], -1, p)
-        linear[i] = linear_form(quotient, [inv * row.get(j, 0) % p for j in free])
-    return quotient, substitute(quotient, gens, linear, p)
+    linear = [linear_form(quotient, form[j]) for j in range(ring.n)]
+    return quotient, substitute(quotient, ideal.generators, linear, p)
 
 
 def _alpha_for_sequence(ideal, seq, degree_bound):
@@ -223,6 +226,8 @@ def _windows(ideal, seed):
     and keeps its own degree window (n over E, max(r - 1, 0) over S, r
     the top gin generator degree).
     """
+    if ideal.contains_unit():
+        raise ValueError("proper ideal expected")
     ring = ideal.ring
     if ring.is_exterior:
         return ring.n, ring.n + 2
@@ -249,8 +254,6 @@ def generic_annihilators_direct(ideal, seed=0):
     one, so the entries at k >= k_max - 1 = r + 1 vanish for a generic
     sequence; an entry there fails the round.
     """
-    if ideal.contains_unit():
-        raise ValueError("proper ideal expected")
     kmax, _ = _windows(ideal, seed)
 
     def band(entries):

@@ -84,9 +84,6 @@ class Rref:
         self.pivots[lead] = new
         return lead
 
-    def contains(self, row):
-        return not self.reduce(row)
-
 
 def _divide_content(row):
     """Divide an integer row by the gcd of its entries, in place."""

@@ -482,8 +482,8 @@ class GenericityError(Exception):
 
 
 class BadPrime(GenericityError):
-    """A draw mod p met a bad prime or point (a rank fell short of its exact
-    value, or p divides a lead or denominator the reduction needs)."""
+    """A draw mod p met a bad prime or point: a rank fell short of its exact
+    value, or p divides a Piece.den that a reduction along a sequence needs."""
 
     def __init__(self, p, why):
         super().__init__(f"prime {p}: {why}")

@@ -23,7 +23,7 @@ from ginlab.betti import cartan_betti, koszul_betti, mult_var
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import Ideal, degree_rows
-from ginlab.linalg import IntRank, ModRank, Rref
+from ginlab.linalg import IntRank, ModRank
 from ginlab.oracles import alpha_oracle, oracle_equivalences
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import RigidityContext, battery, lemma_can_check
@@ -74,6 +74,23 @@ class TestDirect:
             with pytest.raises(ValueError) as same:
                 gin(I, coeff_bound=bound)
             assert str(err.value) == str(same.value)
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            generic_annihilators_direct,
+            upper_bound_check,
+            verify_homology_formula,
+            lambda I: partial_homology(I, 1),
+            lambda I: partial_delta(I, 1),
+        ],
+        ids=["direct", "upper-bound", "formula", "partial", "delta"],
+    )
+    def test_exterior_unit_ideal_raises(self, route):
+        # every generic-sequence route reads its window from _windows,
+        # which refuses the unit ideal over E as gin does over S
+        with pytest.raises(ValueError, match="^proper ideal expected$"):
+            route(parse_ideal("ring ext 3 QQ\n1\n"))
 
     def test_staircase(self):
         I = parse_ideal(STAIRCASE_3)
@@ -176,8 +193,9 @@ def _reference_prefix_dims(ideal, seq, dmax):
 
 def _counting_rows(monkeypatch):
     """Count every row fed to the ModRank of annihilators from here on:
-    the rows of _prefix_dims and of the reference mod p, not those of the
-    draws or of gin."""
+    the prefix eliminations of _prefix_dims and the rows of the reference
+    mod p, not the forms _quotient echelonizes, nor the rows of the draws
+    or of gin."""
     rows = [0]
 
     class Counting(ModRank):
@@ -185,7 +203,15 @@ def _counting_rows(monkeypatch):
             rows[0] += 1
             return super().add(row)
 
+    quotient = annihilators._quotient
+
+    def uncounted(*args):
+        with monkeypatch.context() as m:
+            m.setattr(annihilators, "ModRank", ModRank)
+            return quotient(*args)
+
     monkeypatch.setattr(annihilators, "ModRank", Counting)
+    monkeypatch.setattr(annihilators, "_quotient", uncounted)
     return rows
 
 
@@ -631,9 +657,10 @@ def test_routes_mod_p_equal_the_integer_routes_over_QQ(monkeypatch):
 
 
 class TestBadPrimes:
-    """A round prime that divides a lead of the forms' echelon basis, or a
-    Piece.den the workspace reads, fails its round; a single draw raises
-    GenericityError.  No ValueError of pow(x, -1, p) escapes."""
+    """A round prime that divides a Piece.den the workspace reads fails its
+    round; a single draw raises GenericityError.  The forms are echelonized
+    mod p, so a prime that divides a lead of their echelon basis over QQ is
+    not bad.  No ValueError of pow(x, -1, p) escapes."""
 
     # 3*e1*e2 + 2*e2*e3 leads I_2: its normal forms have denominator 3
     DEN_3 = "ring ext 3 QQ\ne1*e2 + 2/3*e2*e3\n"
@@ -670,23 +697,30 @@ class TestBadPrimes:
         monkeypatch.setattr(annihilators, "certified_draw", recorded)
         return out
 
-    def test_bad_lead_fails_the_round(self, monkeypatch):
+    def test_lead_divisible_by_p_over_QQ_is_no_bad_prime(self, monkeypatch):
         # at seed 5 the first draw mod 5 has its first two forms
-        # (3, 2, 0) and (4, 1, 2): invertible mod 5, but over QQ their
+        # (3, 2, 0) and (4, 1, 2): invertible mod 5, though over QQ their
         # minor on the first two columns is -5, the lead of both rows of
-        # their echelon basis
-        want = generic_annihilators_direct(parse_ideal(STAIRCASE_3), seed=5)
+        # their echelon basis; echelonized mod 5, round 0 runs through
+        pruned = annihilators._prefix_dims
+        keys = []
+
+        def checked(ideal, seq, dmax):
+            dims = pruned(ideal, seq, dmax)
+            assert dims == _reference_prefix_dims(ideal, seq, dmax), seq.key
+            keys.append(seq.key)
+            return dims
+
         I = parse_ideal(STAIRCASE_3)
         self.force(monkeypatch, 5, rounds=1)
-        forms = Rref()
-        for row in GenericSequence.draw(I.ring, 5, "5:0:a").rows[:2]:
-            forms.add(dict(enumerate(row)))
-        assert [r[c] for c, r in forms.pivots.items()] == [5, 5]
+        assert GenericSequence.draw(I.ring, 5, "5:0:a").rows[:2] == (
+            (3, 2, 0), (4, 1, 2)
+        )
+        monkeypatch.setattr(annihilators, "_prefix_dims", checked)
         failures = self.failures(monkeypatch)
-        assert generic_annihilators_direct(I, seed=5).entries == want.entries
-        assert failures == [
-            "prime 5: it divides the lead 5 of the forms' Rref"
-        ]
+        generic_annihilators_direct(I, seed=5)
+        assert keys[:2] == ["5:0:a", "5:0:b"]
+        assert failures == []
 
     def test_bad_denominator_fails_the_round(self, monkeypatch):
         want = partial_homology(parse_ideal(self.DEN_3), 2)
@@ -712,9 +746,9 @@ class TestBadPrimes:
 
 class TestSharedState:
     """Every HomologyWorkspace on one ideal and set of forms reads one state
-    in Ideal.memo, so a route run again eliminates nothing, and the
-    single-draw routes share round 0's sequence a; no memo entry refers
-    back to its ideal."""
+    in Ideal.memo, and so does every _prefix_dims, so a route run again
+    eliminates nothing, and the single-draw routes share round 0's
+    sequence a; no memo entry refers back to its ideal."""
 
     @staticmethod
     def eliminations(monkeypatch):
@@ -755,6 +789,24 @@ class TestSharedState:
         calls.clear()
         lemma_can_check(RigidityContext(I, seed=0))
         assert len(calls) < alone
+
+    def test_a_repeated_alpha_route_feeds_no_prefix_rows(self, monkeypatch):
+        I = parse_ideal(CANCEL_4)
+        first = generic_annihilators_direct(I, seed=0)
+        rows = _counting_rows(monkeypatch)
+        assert generic_annihilators_direct(I, seed=0) == first
+        assert upper_bound_check(I, seed=0).ok
+        assert rows[0] == 0
+
+    def test_the_formula_reads_the_direct_prefix_state(self, monkeypatch):
+        rows = _counting_rows(monkeypatch)
+        verify_homology_formula(parse_ideal(CANCEL_4), seed=0)
+        alone = rows[0]
+        I = parse_ideal(CANCEL_4)
+        generic_annihilators_direct(I, seed=0)
+        rows[0] = 0
+        verify_homology_formula(I, seed=0)
+        assert rows[0] < alone
 
     @pytest.mark.parametrize("name", sorted(REFERENCE))
     def test_no_memo_entry_refers_back_to_its_ideal(self, name):

@@ -335,26 +335,21 @@ class TestErrors:
         assert err.startswith("computation failed: genericity not reached")
         assert "in the zero band" in err
 
-    def test_bad_prime_in_every_round_exit_2(self, tmp_path, capsys,
-                                             monkeypatch):
-        # every round draws the forms (1, 2, 0), (3, 1, 1), (0, 1, 0) mod
-        # 5: invertible mod 5, but the echelon basis of the first two over
-        # QQ has the lead 5, so the direct route meets a bad prime in
-        # every round: a computation failure, not a ValueError of pow
+    def test_bad_prime_of_a_single_draw_exit_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        # the sequence of cancellation-delta draws mod 3, which divides
+        # the denominator 3 of the normal forms of I_2 that the workspace
+        # reads: a computation failure, not a ValueError of pow
         monkeypatch.setattr(
-            annihilators, "round_prime", lambda ring, seed, bound: 5
+            annihilators, "round_prime", lambda ring, seed, bound: 3
         )
-        monkeypatch.setattr(
-            annihilators, "random_invertible_matrix_mod",
-            lambda rng, n, p: [[1, 2, 0], [3, 1, 1], [0, 1, 0]],
+        path = write(tmp_path, "ring poly 3 QQ\n3*x1^2 + x2^2\nx2*x3\n")
+        code, out, err = run_main(
+            capsys, "check", path, "--statement", "cancellation-delta"
         )
-        path = write(tmp_path, STAIRCASE_3)
-        code, out, err = run_main(capsys, "alpha", path)
         assert code == 2 and not out
-        failure = "prime 5: it divides the lead 5 of the forms' Rref"
         assert err == (
-            "computation failed: genericity not reached after escalation: "
-            + "; ".join([failure] * 5) + "\n"
+            "computation failed: prime 3: it divides the denominator 3 of I_2\n"
         )
 
     def test_nonpositive_coeff_bound_exit_1(self, tmp_path):

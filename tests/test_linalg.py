@@ -140,9 +140,9 @@ def test_rref_reduces_members():
     eng = Rref()
     eng.add({0: 2, 1: 4})
     eng.add({1: 1, 2: 1})
-    assert eng.contains({0: 1, 1: 2})
-    assert eng.contains({0: 1, 1: 3, 2: 1})
-    assert not eng.contains({2: 1})
+    assert not eng.reduce({0: 1, 1: 2})
+    assert not eng.reduce({0: 1, 1: 3, 2: 1})
+    assert eng.reduce({2: 1})
 
 
 def test_rref_pivot_normalization():
@@ -225,7 +225,7 @@ def test_rref_matches_reference(rows, probes):
         assert row.keys() == ref_row.keys()
         assert all(v == row[col] * ref_row[c] for c, v in row.items())
     for probe in rows + probes:
-        assert eng.contains(probe) == ref.contains(probe)
+        assert (not eng.reduce(probe)) == ref.contains(probe)
 
 
 def reference_scale_to_int(row):
