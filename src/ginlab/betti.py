@@ -49,6 +49,7 @@ from .rings import (
     binom,
     max_variable,
     monomial_degree,
+    monomial_mul,
     polynomial_ring,
     wedge_supports,
 )
@@ -164,20 +165,15 @@ def mult_var(ideal, t, d):
     def build():
         target = ideal.piece(d + 1)
         tgt_index = target._std_index
+        (var,) = ideal.ring.variable(t).terms
         cols = []
         for u in ideal.piece(d).std_monomials:
             if ideal.ring.is_exterior:
-                sgn, merged = wedge_supports(u, (t,))
-                if not sgn:
-                    cols.append({})
-                    continue
-                nf = target.nf_monomial(merged)
-                cols.append({tgt_index[m]: sgn * c for m, c in nf.items()})
+                sgn, up = wedge_supports(u, var)
             else:
-                up = list(u)
-                up[t] += 1
-                nf = target.nf_monomial(tuple(up))
-                cols.append({tgt_index[m]: c for m, c in nf.items()})
+                sgn, up = 1, monomial_mul(u, var)
+            nf = target.nf_monomial(up) if sgn else {}
+            cols.append({tgt_index[m]: sgn * c for m, c in nf.items()})
         return cols
 
     return ideal.memo(("mult", t, d), build)

@@ -81,7 +81,8 @@ def taylor_regularity_bound(J):
 
 def _random_monomial(ring, d, rng):
     if ring.is_exterior:
-        return tuple(sorted(rng.sample(range(ring.n), d)))
+        chosen = set(rng.sample(range(ring.n), d))
+        return tuple(int(i in chosen) for i in range(ring.n))
     exps = [0] * ring.n
     for _ in range(d):
         exps[rng.randrange(ring.n)] += 1

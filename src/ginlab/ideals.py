@@ -29,7 +29,6 @@ from .rings import (
     monomial_divides,
     order_key,
     render_monomial,
-    support_divides,
 )
 
 
@@ -247,8 +246,6 @@ class MonomialIdeal:
         return not self.gens
 
     def contains(self, m):
-        if self.ring.is_exterior:
-            return any(support_divides(g, m) for g in self.gens)
         return any(monomial_divides(g, m) for g in self.gens)
 
     def monomials(self, d):
@@ -280,14 +277,13 @@ class MonomialIdeal:
 
 def minimal_generators(ring, monomials):
     """Inclusion-minimal generating set of the monomial ideal they span."""
-    divides = support_divides if ring.is_exterior else monomial_divides
     key = order_key(ring)
     by_degree = sorted(
         set(monomials), key=lambda m: (monomial_degree(ring, m), key(m))
     )
     minimal = []
     for m in by_degree:
-        if not any(divides(g, m) for g in minimal):
+        if not any(monomial_divides(g, m) for g in minimal):
             minimal.append(m)
     return MonomialIdeal(ring, minimal)
 
@@ -296,25 +292,16 @@ def is_strongly_stable(ideal):
     """Borel exchange test: replacing a variable by any earlier one stays inside.
 
     For monomial ideals it suffices to test the exchanges on minimal
-    generators.
+    generators; over E only with a variable the generator lacks.
     """
     ring = ideal.ring
-    if ring.is_exterior:
-        for g in ideal.gens:
-            sup = set(g)
-            for j in g:
-                for i in range(j):
-                    if i in sup:
-                        continue
-                    swapped = tuple(sorted((sup - {j}) | {i}))
-                    if not ideal.contains(swapped):
-                        return False
-        return True
     for g in ideal.gens:
         for j in range(ring.n):
             if not g[j]:
                 continue
             for i in range(j):
+                if ring.is_exterior and g[i]:
+                    continue
                 moved = list(g)
                 moved[j] -= 1
                 moved[i] += 1
@@ -372,7 +359,7 @@ def hilbert_numerator(ideal):
     if ring.is_exterior:
         # dim (E/J)_d counts the supports of size d that hold no generator;
         # each is reached from its prefix without its last variable
-        masks = [sum(1 << i for i in g) for g in ideal.gens]
+        masks = [sum(e << i for i, e in enumerate(g)) for g in ideal.gens]
         series, stack = [0] * (n + 1), [(0, 0)]
         while stack:
             mask, first = stack.pop()
@@ -450,13 +437,11 @@ def variable_multiples(ring, monomials):
     out = set()
     for m in monomials:
         for i in range(ring.n):
-            if ring.is_exterior:
-                if i not in m:
-                    out.add(tuple(sorted(m + (i,))))
-            else:
-                up = list(m)
-                up[i] += 1
-                out.add(tuple(up))
+            if ring.is_exterior and m[i]:
+                continue
+            up = list(m)
+            up[i] += 1
+            out.add(tuple(up))
     return out
 
 

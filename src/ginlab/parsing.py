@@ -152,14 +152,10 @@ class _TermParser:
             raise ParseError(
                 f"variable {name!r} out of range 1..{ring.n}", self.lineno, col
             )
-        if ring.is_exterior and exp != 1:
-            if exp == 0:
-                return Element.monomial(ring, ())
+        if ring.is_exterior and exp > 1:
             raise ParseError(
                 "exterior variables square to zero", self.lineno, col
             )
-        if ring.is_exterior:
-            return ring.variable(idx - 1)
         exps = [0] * ring.n
         exps[idx - 1] = exp
         return Element.monomial(ring, tuple(exps))

@@ -1,9 +1,11 @@
 """Exact arithmetic in polynomial rings and exterior algebras over QQ.
 
-Monomials are plain tuples: an exponent vector for the polynomial ring,
-a strictly increasing tuple of 0-based variable indices for the exterior
-algebra.  Elements map monomials to nonzero exact rational coefficients
-(int or Fraction).  Everything is immutable after construction and all
+Monomials are exponent vectors of length n over both ring kinds; over
+the exterior algebra the entries are 0 or 1, so a squarefree monomial is
+the same tuple in S and in E.  Only the multiplication rule tells the
+rings apart: e_i ^ e_i = 0, and a sign for reordering the factors.
+Elements map monomials to nonzero exact rational coefficients (int or
+Fraction).  Everything is immutable after construction and all
 operations are pure functions.
 
 The random draws of the certified generic computations live here too:
@@ -62,12 +64,10 @@ class Ring:
         return ("e" if self.is_exterior else "x") + str(i + 1)
 
     def unit_monomial(self):
-        return () if self.is_exterior else (0,) * self.n
+        return (0,) * self.n
 
     def variable(self, i):
         """The i-th variable (0-based) as an Element."""
-        if self.is_exterior:
-            return Element(self, {(i,): 1})
         exps = [0] * self.n
         exps[i] = 1
         return Element(self, {tuple(exps): 1})
@@ -83,18 +83,17 @@ class Ring:
     def monomials(self, d, order=None):
         """All monomials of total degree d, descending in order (default the
         ring's), as a tuple built once per (d, order) on this Ring (Ring.memo
-        under the key (d, order), inlined: this is a hot path)."""
+        under the key (d, order), inlined: this is a hot path).  Over E the
+        variables of a monomial are distinct."""
         order = order or self.order
         if (d, order) not in self._memo:
-            if self.is_exterior:
-                monos = list(combinations(range(self.n), d))
-            else:
-                monos = []
-                for c in combinations_with_replacement(range(self.n), d):
-                    exps = [0] * self.n
-                    for i in c:
-                        exps[i] += 1
-                    monos.append(tuple(exps))
+            pick = combinations if self.is_exterior else combinations_with_replacement
+            monos = []
+            for c in pick(range(self.n), d):
+                exps = [0] * self.n
+                for i in c:
+                    exps[i] += 1
+                monos.append(tuple(exps))
             monos.sort(key=order_key(self, order), reverse=True)
             self._memo[(d, order)] = tuple(monos)
         return self._memo[(d, order)]
@@ -128,13 +127,11 @@ def binom(a, b):
 
 
 def monomial_degree(ring, m):
-    return len(m) if ring.is_exterior else sum(m)
+    return sum(m)
 
 
 def max_variable(ring, m):
     """m(u): the largest 1-based variable index dividing u, 0 for the unit."""
-    if ring.is_exterior:
-        return m[-1] + 1 if m else 0
     for i in range(ring.n - 1, -1, -1):
         if m[i]:
             return i + 1
@@ -160,62 +157,43 @@ def monomial_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
 
-def support_divides(s, t):
-    """Whether exterior monomial e_s divides e_t, i.e. s is a subset of t."""
-    return set(s) <= set(t)
-
-
 def wedge_supports(s, t):
-    """Wedge e_s ^ e_t: (sign, merged support), or (0, None) if they meet.
+    """Wedge e_s ^ e_t of two 0/1 exponent vectors: (sign, product), or
+    (0, None) if they share a variable.
 
-    The sign is (-1)^inversions for interleaving the two sorted supports.
-    Every other exterior sign in the package is derived from this one
-    normalization point.
+    The sign is (-1)^inversions, the pairs i in s, j in t with j < i, for
+    interleaving the two increasing products of variables.  Every other
+    exterior sign in the package is derived from this one normalization
+    point.
     """
-    if set(s) & set(t):
-        return 0, None
-    merged = sorted(s + t)
-    inv = 0
-    for i in s:
-        for j in t:
-            if j < i:
-                inv += 1
-    return (-1) ** (inv & 1), tuple(merged)
+    inv = seen = 0  # seen: the variables of t below the current one
+    for a, b in zip(s, t):
+        if b:
+            if a:
+                return 0, None
+            seen += 1
+        elif a:
+            inv += seen
+    return -1 if inv & 1 else 1, tuple(map(add, s, t))
 
 
 def order_key(ring, order=None):
     """Sort key: larger key means larger monomial in the term order."""
     order = order or ring.order
-    n = ring.n
-    if ring.is_exterior:
-
-        def exps(m):
-            v = [0] * n
-            for i in m:
-                v[i] = 1
-            return v
-
-    else:
-
-        def exps(m):
-            return m
-
     if order == DEGREVLEX:
 
         def key(m):
-            e = exps(m)
-            return (sum(e), tuple(-x for x in reversed(e)))
+            return (sum(m), tuple(-x for x in reversed(m)))
 
     elif order == DEGLEX:
 
         def key(m):
-            e = exps(m)
-            return (sum(e), tuple(e))
+            return (sum(m), m)
 
     elif order == LEX:
 
         def key(m):
-            return tuple(exps(m))
+            return m
 
     else:
         raise ValueError(f"unknown term order {order!r}")
@@ -224,7 +202,7 @@ def order_key(ring, order=None):
 
 def compare_monomials(ring, a, b, order=None):
     """Total multiplicative order; returns -1, 0 or 1 for a <, =, > b."""
-    if not ring.is_exterior and (len(a) != ring.n or len(b) != ring.n):
+    if len(a) != ring.n or len(b) != ring.n:
         raise ValueError("monomials from a different ring")
     k = order_key(ring, order)
     ka, kb = k(a), k(b)
@@ -354,10 +332,6 @@ class Element:
 
 
 def render_monomial(ring, m):
-    if ring.is_exterior:
-        if not m:
-            return "1"
-        return "*".join(ring.variable_name(i) for i in m)
     parts = []
     for i, e in enumerate(m):
         if e == 1:
@@ -555,20 +529,16 @@ def substitute(target, elements, linear, p=None):
 
     The image of each monomial is built once for all the elements, as the
     image of the monomial with one factor fewer times the image of that
-    factor: the last variable over S, the last wedge factor over E, so
-    exterior products run left to right.
+    factor, its last variable, so exterior products run left to right.
     """
-    unit = () if target.is_exterior else (0,) * len(linear)
+    unit = (0,) * len(linear)
     images = {unit: Element.monomial(target, target.unit_monomial())}
 
     def image(m):
         img = images.get(m)
         if img is None:
-            if target.is_exterior:
-                i, rest = m[-1], m[:-1]
-            else:
-                i = max(j for j, e in enumerate(m) if e)
-                rest = m[:i] + (m[i] - 1,) + m[i + 1:]
+            i = max(j for j, e in enumerate(m) if e)
+            rest = m[:i] + (m[i] - 1,) + m[i + 1:]
             img = images[m] = image(rest) * linear[i]
         return img
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ginlab.annihilators import GenericSequence
+from ginlab.corpus import CorpusSpec
 from ginlab.parsing import parse_ideal
 
 # The three reference ideals every suite keeps coming back to: a
@@ -22,6 +23,12 @@ STRAND_4 = "ring poly 4 QQ\nx1*x4^2\nx2^3\nx2^2*x3\n"
 STAIRCASE_GIN = ["x1^2", "x1*x2", "x2^3", "x2^2*x3^2", "x1*x3^4", "x2*x3^5", "x3^6"]
 CANCEL_GIN = ["x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3", "x1*x2*x3", "x1*x3^3"]
 
+# the exterior corpora of acceptance criterion 6
+CRITERION_6 = (
+    CorpusSpec(kind="ext", n=3, count=10, seed=601, max_degree=3),
+    CorpusSpec(kind="ext", n=4, count=10, seed=602, max_degree=4),
+)
+
 
 @pytest.fixture
 def staircase3():
@@ -36,6 +43,13 @@ def cancel4():
 @pytest.fixture
 def strand4():
     return parse_ideal(STRAND_4)
+
+
+def ext(n, *indices):
+    """The exterior monomial of the 0-based variable indices, as the
+    length-n 0/1 exponent vector that ginlab stores for it."""
+    assert all(0 <= i < n for i in indices) and len(set(indices)) == len(indices)
+    return tuple(int(i in indices) for i in range(n))
 
 
 def load_perfbench(name):

@@ -20,7 +20,7 @@ from ginlab.annihilators import (
     verify_homology_formula,
 )
 from ginlab.betti import cartan_betti, koszul_betti, mult_var
-from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
+from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.groebner import gin
 from ginlab.ideals import Ideal, degree_rows
 from ginlab.linalg import IntRank, ModRank
@@ -32,6 +32,7 @@ from ginlab.rings import (
     BadPrime,
     Element,
     GenericityError,
+    Ring,
     change_coordinates,
     exterior_ring,
     linear_form,
@@ -40,6 +41,7 @@ from ginlab.rings import (
 
 from conftest import (
     CANCEL_4,
+    CRITERION_6,
     STAIRCASE_3,
     STRAND_4,
     integer_sequence,
@@ -153,13 +155,6 @@ def test_direct_equals_from_gin_random():
             assert generic_annihilators_direct(I, seed=1).same_numbers(
                 annihilators_from_gin(I, seed=1)
             )
-
-
-# the exterior corpora of acceptance criterion 6
-CRITERION_6 = (
-    CorpusSpec(kind="ext", n=3, count=10, seed=601, max_degree=3),
-    CorpusSpec(kind="ext", n=4, count=10, seed=602, max_degree=4),
-)
 
 
 def _reference_prefix_dims(ideal, seq, dmax):
@@ -308,6 +303,21 @@ class TestPrefixDims:
         seq = GenericSequence(I.ring, rows, "hand", PRIME_BOUND, p)
         dims = annihilators._prefix_dims(I, seq, 7)
         assert dims == _reference_prefix_dims(I, seq, 7)
+
+    @pytest.mark.parametrize("kind", ["poly", "ext"])
+    def test_forms_vanish_in_their_quotient(self, kind):
+        # pins the map R -> R' = R/(y_1..y_p), not only the dimensions:
+        # any p independent forms give the same dimensions on a generic
+        # ideal, but only y_1..y_p themselves have zero images
+        for n in range(2, 7):
+            ring = Ring(kind, n)
+            for seed in range(10):
+                seq = GenericSequence.first(ring, seed)
+                for p in range(1, n):
+                    forms = seq.rows[:p]
+                    ideal = Ideal(ring, [linear_form(ring, r) for r in forms])
+                    _, images = annihilators._quotient(ideal, forms, seq.prime)
+                    assert all(f.is_zero() for f in images), (kind, n, seed, p)
 
     @pytest.mark.parametrize("tag", ["q4", "e5"])
     def test_dense_quadrics_of_the_generic_workload(self, tag):

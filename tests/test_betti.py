@@ -42,7 +42,7 @@ from ginlab.rings import (
     wedge_supports,
 )
 
-from conftest import fraction_det
+from conftest import ext, fraction_det
 from test_homology_values import REFERENCE
 from test_linalg import ReferenceRref
 
@@ -338,7 +338,7 @@ class TestCartan:
 
     def test_ahh_two_variables(self):
         ring = exterior_ring(2)
-        J = MonomialIdeal(ring, [(0,), (1,)])
+        J = MonomialIdeal(ring, [ext(2, 0), ext(2, 1)])
         A = ahh_betti(J, i_max=5)
         C = cartan_betti(J.to_ideal(), i_max=5)
         assert A.entries == C.entries
@@ -387,7 +387,7 @@ class TestIntegerTables:
                 for u, col in zip(I.piece(d).std_monomials, mult_var(I, t, d)):
                     assert all(type(v) is int for v in col.values())
                     if ring.is_exterior:
-                        sgn, m = wedge_supports(u, (t,))
+                        sgn, m = wedge_supports(u, ext(ring.n, t))
                     else:
                         sgn, m = 1, tuple(a + (s == t) for s, a in enumerate(u))
                     nf = ref.reduce({piece.index[m]: sgn}) if sgn else {}

@@ -35,7 +35,7 @@ from ginlab.rings import (
     polynomial_ring,
 )
 
-from conftest import CANCEL_GIN, STAIRCASE_3
+from conftest import CANCEL_GIN, STAIRCASE_3, ext
 
 
 def brute_ideal_monomials(gens, n, d):
@@ -108,9 +108,9 @@ class TestHilbert:
         # unit ideal included
         cases = (
             (polynomial_ring(3), [(2, 0, 0), (0, 2, 0), (1, 0, 3)], 8),
-            (exterior_ring(5), [(0, 1), (2, 3), (1, 2, 4)], 7),
+            (exterior_ring(5), [ext(5, 0, 1), ext(5, 2, 3), ext(5, 1, 2, 4)], 7),
             (exterior_ring(4), [], 6),
-            (exterior_ring(4), [()], 6),
+            (exterior_ring(4), [ext(4)], 6),
         )
         for ring, gens, top in cases:
             J = MonomialIdeal(ring, gens)
@@ -125,7 +125,7 @@ class TestHilbert:
 @settings(max_examples=80, deadline=None)
 def test_exterior_numerator_random(supports):
     ring = exterior_ring(6)
-    J = minimal_generators(ring, [tuple(sorted(s)) for s in supports])
+    J = minimal_generators(ring, [ext(ring.n, *s) for s in supports])
     num = hilbert_numerator(J)
     assert len(num) <= 2 * ring.n + 1
     for d in range(ring.n + 3):
@@ -147,8 +147,8 @@ class TestMinimalGenerators:
 
     def test_exterior(self):
         ring = exterior_ring(3)
-        J = minimal_generators(ring, [(0, 1), (0, 1, 2)])
-        assert J.gens == ((0, 1),)
+        J = minimal_generators(ring, [ext(3, 0, 1), ext(3, 0, 1, 2)])
+        assert J.gens == (ext(3, 0, 1),)
 
 
 class TestStronglyStable:
@@ -168,8 +168,8 @@ class TestStronglyStable:
 
     def test_exterior(self):
         ring = exterior_ring(3)
-        assert is_strongly_stable(MonomialIdeal(ring, [(0, 1)]))
-        assert not is_strongly_stable(MonomialIdeal(ring, [(1, 2)]))
+        assert is_strongly_stable(MonomialIdeal(ring, [ext(3, 0, 1)]))
+        assert not is_strongly_stable(MonomialIdeal(ring, [ext(3, 1, 2)]))
 
     def test_generator_test_matches_full_membership(self):
         # exchange closure checked monomial by monomial in low degrees
@@ -235,7 +235,7 @@ class TestLex:
 
     def test_exterior(self):
         I = parse_ideal("ring ext 3 QQ\ne2*e3\n")
-        assert lex_ideal(I).gens == ((0, 1),)
+        assert lex_ideal(I).gens == (ext(3, 0, 1),)
 
     def test_idempotent_and_stable(self):
         I = parse_ideal(STAIRCASE_3)

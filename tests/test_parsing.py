@@ -3,6 +3,8 @@ import pytest
 
 from ginlab.parsing import ParseError, parse_ideal, render_ideal
 
+from conftest import ext
+
 
 def test_basic_poly():
     I = parse_ideal("ring poly 3 QQ\nx1^2\nx2^2, x1*x2*x3^2\nx3^5\n")
@@ -22,18 +24,21 @@ def test_powers():
     assert I.generators[0].terms == {(200000, 0): 1}
     assert I.generators[1].terms == {(4, 2): 1}
     I = parse_ideal("ring ext 3 QQ\ne3^1*e1^0*e2\n")
-    assert I.generators[0].terms == {(1, 2): -1}
+    assert I.generators[0].terms == {ext(3, 1, 2): -1}
+    with pytest.raises(ParseError, match="square to zero"):
+        parse_ideal("ring ext 3 QQ\ne2^2\n")
 
 
 def test_exterior():
     I = parse_ideal("ring ext 4 QQ\ne1*e2\ne2*e3 - e1*e4\n")
     assert I.ring.is_exterior
-    assert I.generators[0].terms == {(0, 1): 1}
+    assert I.generators[0].terms == {ext(4, 0, 1): 1}
+    assert I.generators[1].terms == {ext(4, 1, 2): 1, ext(4, 0, 3): -1}
 
 
 def test_exterior_sign_normalization():
     I = parse_ideal("ring ext 3 QQ\ne2*e1\n")
-    assert I.generators[0].terms == {(0, 1): -1}
+    assert I.generators[0].terms == {ext(3, 0, 1): -1}
 
 
 def test_comments_and_blanks():

@@ -25,7 +25,7 @@ from ginlab.rigidity import (
 )
 from ginlab.rings import exterior_ring, polynomial_ring
 
-from conftest import CANCEL_4, STAIRCASE_3, STRAND_4
+from conftest import CANCEL_4, STAIRCASE_3, STRAND_4, ext
 from test_homology_values import REFERENCE
 
 
@@ -306,7 +306,7 @@ class TestExterior:
 
     def test_strongly_stable_fixed(self):
         ctx = RigidityContext(parse_ideal("ring ext 3 QQ\ne1*e2\n"), seed=0)
-        assert ctx.gin_ideal.gens == ((0, 1),)
+        assert ctx.gin_ideal.gens == (ext(3, 0, 1),)
         for i in range(2, 5):
             for k in range(0, 3):
                 r = rigidity_ext(ctx, i, k)

@@ -5,6 +5,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginlab.corpus import ACCEPTANCE_SPECS, generate
+from ginlab.groebner import gin, initial_ideal
+from ginlab.ideals import MonomialIdeal, lex_ideal
 from ginlab.rings import (
     PRIME_LIMIT,
     TERM_ORDERS,
@@ -25,7 +28,7 @@ from ginlab.rings import (
     wedge_supports,
 )
 
-from conftest import fraction_det
+from conftest import CRITERION_6, ext, fraction_det
 
 R3 = polynomial_ring(3)
 E4 = exterior_ring(4)
@@ -55,6 +58,20 @@ class TestCompare:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             compare_monomials(R3, mono(1, 0), mono(0, 1, 0))
+
+    def test_exterior(self):
+        # e1*e2 beats e1*e3 in degrevlex, and e2 loses to e1 in lex
+        assert compare_monomials(E4, ext(4, 0, 1), ext(4, 0, 2)) == 1
+        assert compare_monomials(E4, ext(4, 1), ext(4, 0), "lex") == -1
+
+    def test_exterior_dimension_mismatch(self):
+        # a tuple of length 2 is no monomial of E in three variables,
+        # whatever its entries
+        E3 = exterior_ring(3)
+        with pytest.raises(ValueError, match="different ring"):
+            compare_monomials(E3, (1, 0), (1, 0, 0))
+        with pytest.raises(ValueError, match="different ring"):
+            compare_monomials(E3, (0, 5), (0, 1))
 
 
 exps3 = st.tuples(*[st.integers(0, 4)] * 3)
@@ -87,7 +104,10 @@ class TestMonomials:
             for order in TERM_ORDERS:
                 for d in range(5):
                     if ring.is_exterior:
-                        every = combinations(range(ring.n), d)
+                        every = (
+                            ext(ring.n, *c)
+                            for c in combinations(range(ring.n), d)
+                        )
                     else:
                         every = (
                             e for e in product(range(d + 1), repeat=ring.n)
@@ -105,21 +125,21 @@ class TestMonomials:
 
 class TestWedge:
     def test_disjoint(self):
-        assert wedge_supports((0, 1), (2,)) == (1, (0, 1, 2))
+        assert wedge_supports(ext(3, 0, 1), ext(3, 2)) == (1, ext(3, 0, 1, 2))
 
     def test_transposition_sign(self):
-        assert wedge_supports((1,), (0,)) == (-1, (0, 1))
+        assert wedge_supports(ext(2, 1), ext(2, 0)) == (-1, ext(2, 0, 1))
 
     def test_square_zero(self):
-        assert wedge_supports((0,), (0,)) == (0, None)
+        assert wedge_supports(ext(2, 0), ext(2, 0)) == (0, None)
 
     def test_anticommutative(self):
         for i in range(4):
             for j in range(4):
                 if i == j:
                     continue
-                s1, m1 = wedge_supports((i,), (j,))
-                s2, m2 = wedge_supports((j,), (i,))
+                s1, m1 = wedge_supports(ext(4, i), ext(4, j))
+                s2, m2 = wedge_supports(ext(4, j), ext(4, i))
                 assert m1 == m2 and s1 == -s2
 
 
@@ -128,15 +148,52 @@ class TestWedge:
 def test_wedge_associative_signs(perm):
     # multiply e_{perm} one factor at a time; sign must match parity
     sign = 1
-    support = ()
+    support = ext(4)
     for i in perm:
-        s, support = wedge_supports(support, (i,))
+        s, support = wedge_supports(support, ext(4, i))
         sign *= s
     inversions = sum(
         1 for a in range(4) for b in range(a + 1, 4) if perm[a] > perm[b]
     )
     assert sign == (-1) ** (inversions % 2)
-    assert support == (0, 1, 2, 3)
+    assert support == ext(4, 0, 1, 2, 3)
+
+
+class TestOneFormat:
+    """Exterior monomials are 0/1 exponent vectors of length n wherever
+    they are handed out, so a squarefree monomial is one tuple in S and E."""
+
+    def test_exterior_corpora_hand_out_vectors(self):
+        ideals = [
+            ideal
+            for spec in ACCEPTANCE_SPECS + CRITERION_6
+            if spec.kind == "ext"
+            for ideal in generate(spec)
+        ]
+        assert len(ideals) == 56
+        for ideal in ideals:
+            ring = ideal.ring
+            monos = [m for g in ideal.generators for m in g.terms]
+            for order in TERM_ORDERS:
+                for d in range(ring.n + 1):
+                    monos += ring.monomials(d, order)
+            for J in (gin(ideal)[0], initial_ideal(ideal), lex_ideal(ideal)):
+                monos += J.gens
+            assert all(
+                len(m) == ring.n and set(m) <= {0, 1} for m in monos
+            ), ideal
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_squarefree_ideals_agree_over_S_and_E(self, data):
+        n = data.draw(st.integers(1, 6))
+        supports = data.draw(st.lists(st.sets(st.integers(0, n - 1)), max_size=5))
+        gens = [ext(n, *s) for s in supports]
+        S = MonomialIdeal(polynomial_ring(n), gens)
+        E = MonomialIdeal(exterior_ring(n), gens)
+        assert S.gens == E.gens
+        for m in product((0, 1), repeat=n):
+            assert S.contains(m) == E.contains(m), (gens, m)
 
 
 class TestMaxVariable:
@@ -144,11 +201,11 @@ class TestMaxVariable:
         assert max_variable(R3, mono(1, 0, 2)) == 3
 
     def test_ext(self):
-        assert max_variable(E4, (0, 3)) == 4
+        assert max_variable(E4, ext(4, 0, 3)) == 4
 
     def test_unit(self):
         assert max_variable(R3, mono(0, 0, 0)) == 0
-        assert max_variable(E4, ()) == 0
+        assert max_variable(E4, ext(4)) == 0
 
 
 class TestLinearChange:
@@ -160,15 +217,15 @@ class TestLinearChange:
         assert out.terms == {(2, 0): 1, (1, 1): 2, (0, 2): 1}
 
     def test_identity_exterior(self):
-        f = Element.monomial(E4, (0, 1))
+        f = Element.monomial(E4, ext(4, 0, 1))
         out = apply_linear_change(f, [[int(i == j) for j in range(4)] for i in range(4)])
         assert out == f
 
     def test_swap_exterior(self):
         ring = exterior_ring(2)
-        f = Element.monomial(ring, (0,))
+        f = Element.monomial(ring, ext(2, 0))
         out = apply_linear_change(f, [[0, 1], [1, 0]])
-        assert out.terms == {(1,): 1}
+        assert out.terms == {ext(2, 1): 1}
 
     def test_singular_rejected(self):
         f = Element.monomial(R3, mono(1, 0, 0))
@@ -208,14 +265,13 @@ def test_linear_change_composition(g1, g2, exps):
     )
 
 
-@given(small_matrix, st.tuples(st.integers(0, 1), st.integers(0, 1)))
+@given(small_matrix, st.sets(st.integers(0, 1)))
 @settings(max_examples=60)
-def test_linear_change_composition_exterior(g, supp):
+def test_linear_change_composition_exterior(g, support):
     if fraction_det(g) == 0:
         return
     ring = exterior_ring(2)
-    support = tuple(sorted(set(i for i, flag in enumerate(supp) if flag)))
-    f = Element.monomial(ring, support)
+    f = Element.monomial(ring, ext(2, *support))
     out = apply_linear_change(f, g)
     if support:
         assert out.is_homogeneous()
@@ -249,10 +305,7 @@ def substituted(f, g):
     out = Element.zero(ring)
     for m, c in f.terms.items():
         acc = Element.monomial(ring, ring.unit_monomial())
-        if ring.is_exterior:
-            factors = m
-        else:
-            factors = [i for i, e in enumerate(m) for _ in range(e)]
+        factors = [i for i, e in enumerate(m) for _ in range(e)]
         for i in factors:
             acc = acc * images[i]
         out = out + acc.scale(c)
