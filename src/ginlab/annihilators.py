@@ -15,8 +15,8 @@ _prefix_dims eliminates each prefix on the dim R'_d columns only, and
 three exact stops skip the degrees whose answer is already known.
 
 The homology workspace (betti.HomologyWorkspace) computes
-H_i(y_1..y_p; M) per graded piece together with the delta numbers: ranks
-of multiplication by the next form on Koszul homology, resp. of the
+H_i(y_1..y_p; M) over a window (profile) together with the delta numbers:
+ranks of multiplication by the next form on Koszul homology, resp. of the
 connecting map gamma of the Cartan long exact sequence.
 verify_homology_formula evaluates the closed formula for h_{i,i+k}(p) in
 terms of alpha and delta, and the degreewise recurrences it comes from,
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
 from .groebner import _scan_plan, gin
-from .ideals import degree_rows
+from .ideals import eliminate_degree
 from .linalg import ModRank
 from .rings import (
     PRIME_BOUND,
@@ -50,6 +50,8 @@ from .rings import (
     certified_draw,
     check_bound,
     linear_form,
+    max_variable,
+    monomial_degree,
     random_invertible_matrix_mod,
     round_prime,
     substitute,
@@ -130,12 +132,13 @@ def _prefix_dims(ideal, seq, dmax):
     the forms' echelon basis mod p (the free ones), and I' the image of I
     in R'; so dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, with dim I'_d
     eliminated mod the sequence's prime on the dim R'_d columns only
-    (_quotient).  At p = n, R/J_n = K.
+    (_quotient, then ideals.eliminate_degree).  At p = n, R/J_n = K.
 
     Three exact stops skip eliminations: (J_p)_{d-1} = R_{d-1} != 0 gives
     (J_p)_d = R_d, since (J_p)_d contains R_1 R_{d-1}, which is all of R_d
     over S and over E alike; (J_{p-1})_d = R_d gives (J_p)_d = R_d; and
-    no more rows are fed once dim I'_d reaches dim R'_d.  The dims, filled
+    eliminate_degree feeds no more rows once dim I'_d reaches dim R'_d, at
+    once when R'_d = 0 (over E, d above the free count).  The dims, filled
     degree by degree, and the quotients live in Ideal.memo under the
     forms' prime and rows, so each (p, d) is eliminated once per ideal.
     """
@@ -157,13 +160,9 @@ def _prefix_dims(ideal, seq, dmax):
                 if p not in quotients:
                     quotients[p] = _quotient(ideal, seq.rows[:p], seq.prime)
                 quotient, images = quotients[p]
-                monos = quotient.monomials(d)
-                index = {m: i for i, m in enumerate(monos)}
-                eng = ModRank(seq.prime)
-                if monos:  # over E, R'_d = 0 for d above the free count
-                    for row in degree_rows(quotient, images, d, index):
-                        if eng.add(row) and eng.rank == len(monos):
-                            break
+                monos, eng = eliminate_degree(
+                    quotient, images, d, ModRank(seq.prime)
+                )
                 column.append(full - len(monos) + eng.rank)
         for row, value in zip(dims, column):
             row.append(value)
@@ -273,8 +272,6 @@ def annihilators_from_gin(ideal, seed=0):
     """alpha_{p,k} = #{u in G(gin I) of degree k+1 with m(u) = n-p+1}."""
     ring = ideal.ring
     J, _ = gin(ideal, seed=seed)
-    from .rings import max_variable, monomial_degree
-
     entries = {}
     for u in J.gens:
         p = ring.n - max_variable(ring, u) + 1
@@ -312,19 +309,8 @@ def partial_homology(ideal, p, seed=0):
     kmax, imax = _windows(ideal, seed)
     return _two_sequences(
         ideal, seed,
-        lambda seq: _profile_slice(HomologyWorkspace(ideal, seq), p, kmax, imax),
+        lambda seq: HomologyWorkspace(ideal, seq).profile(p, imax, kmax),
     )
-
-
-def _profile_slice(ws, p, kmax, imax):
-    out = {}
-    top = imax if ws.ring.is_exterior else min(p, imax)
-    for i in range(0, top + 1):
-        for k in range(0, kmax + 1):
-            val = ws.h(p, i, i + k)
-            if val:
-                out[(i, i + k)] = val
-    return out
 
 
 def partial_delta(ideal, p, seed=0):
@@ -341,14 +327,9 @@ def partial_delta(ideal, p, seed=0):
 
 
 def _delta_slice(ws, p, kmax, imax):
-    out = {}
-    top = imax if ws.ring.is_exterior else min(p, imax)
-    for i in range(1, top + 1):
-        for k in range(0, i + kmax + 2):
-            val = ws.delta(p, i, k)
-            if val:
-                out[(i, k)] = val
-    return out
+    # over S, i > p reads empty eliminations, as in HomologyWorkspace.profile
+    cells = [(i, k) for i in range(1, imax + 1) for k in range(i + kmax + 2)]
+    return {c: v for c in cells if (v := ws.delta(p, *c))}
 
 
 # ---------------------------------------------------------------------------

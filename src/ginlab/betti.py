@@ -345,6 +345,13 @@ class HomologyWorkspace:
             - self.boundary_rank(p, i + 1, j)
         )
 
+    def profile(self, p, i_max, k_max):
+        """The nonzero h(p, i, i + k), i <= i_max and k <= k_max, keyed
+        (i, i + k): the one sweep of a window, for Betti tables and partial
+        homology.  Over S, i > p reads empty eliminations (_columns)."""
+        cells = [(i, i + k) for i in range(i_max + 1) for k in range(k_max + 1)]
+        return {c: v for c in cells if (v := self.h(p, *c))}
+
     def cycles(self, p, i, j):
         """Basis of Z_i(p)_j as coefficient dicts over the chain basis."""
         key = (p, i, j)
@@ -406,10 +413,10 @@ class HomologyWorkspace:
                 src = self.cycles(p + 1, i, k - 1)
             else:
                 src = self.cycles(p, i, k - 1)
-            mt = self.mult(p, d)  # y_{p+1}, resp. v_{p+1}, on M_d
             eng = self._eliminate(p, i + 1, k)
             rank0 = eng.rank
-            images = [self._push(z, d, mt, reindex) for z in src]
+            # y_{p+1}, resp. v_{p+1}, on M_d; read only when a cycle exists
+            images = [self._push(z, d, self.mult(p, d), reindex) for z in src]
             for img in sorted(images, key=len):
                 eng.add(img)
             self._delta[key] = eng.rank - rank0
@@ -417,30 +424,23 @@ class HomologyWorkspace:
 
 
 def _homology_table(ideal, i_max, k_max, cert_strand=None):
-    """Entries (i, i + k) -> dim H_i(x_1..x_n; R/I)_{i+k}, the table of R/I.
+    """Entries (i, i + k) -> dim H_i(x_1..x_n; R/I)_{i+k}, the table of R/I:
+    the profile of the coordinate workspace at p = n.
 
-    A nonzero entry with i >= 1 on cert_strand, or an H_0 other than K,
-    means the window was wrong.  The coordinate workspace keeps the ranks,
-    so reading a window again costs only lookups.
+    A negative entry, a nonzero entry with i >= 1 on cert_strand, or an H_0
+    other than K means the window was wrong.  The coordinate workspace keeps
+    the ranks, so reading a window again costs only lookups.
     """
     name = "Cartan" if ideal.ring.is_exterior else "Koszul"
-    ws = HomologyWorkspace(ideal)
-    n = ideal.ring.n
-    entries = {}
-    for i in range(i_max + 1):
-        for k in range(k_max + 1):
-            b = ws.h(n, i, i + k)
-            if b < 0:
-                raise WindowError("negative homology dimension")
-            if b:
-                if i >= 1 and k == cert_strand:
-                    raise WindowError(
-                        f"certification strand {k} is nonzero at i={i}"
-                    )
-                entries[(i, i + k)] = b
-    if entries.get((0, 0)) != 1 or any(
-        i == 0 and j != 0 for (i, j) in entries
-    ):
+    entries = HomologyWorkspace(ideal).profile(ideal.ring.n, i_max, k_max)
+    for (i, j), b in entries.items():
+        if b < 0:
+            raise WindowError("negative homology dimension")
+        if i >= 1 and j - i == cert_strand:
+            raise WindowError(
+                f"certification strand {j - i} is nonzero at i={i}"
+            )
+    if {c: b for c, b in entries.items() if c[0] == 0} != {(0, 0): 1}:
         raise WindowError(f"H_0 of the {name} complex is not K")
     return entries
 

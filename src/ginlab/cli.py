@@ -18,7 +18,7 @@ from .corpus import CorpusSpec, generate, ideal_digest
 from .groebner import PRIME_BOUND, gin
 from .ideals import ComputationLimit, ImplementationFault, lex_ideal
 from .oracles import oracle_equivalences
-from .parsing import ParseError, parse_ideal
+from .parsing import ParseError, parse_ideal, render_ideal
 from .rigidity import (
     STATEMENTS,
     RigidityContext,
@@ -204,8 +204,6 @@ def _corpus_job(payload):
 
 
 def cmd_corpus(args):
-    from .parsing import render_ideal
-
     try:
         weights = tuple(int(w) for w in args.weights.split(","))
         if len(weights) != 3 or sum(weights) <= 0 or min(weights) < 0:

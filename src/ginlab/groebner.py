@@ -14,7 +14,8 @@ rings.certified_draw.  Round e draws one odd prime p from
 through rings.round_prime, by every gin and generic sequence over the
 ring with the same seed and B; each trial draws a matrix
 uniformly from GL_n(F_p), changes the coordinates of the primitive
-integer generators, reduces them mod p and eliminates each degree mod p.
+integer generators, reduces them mod p and eliminates each degree mod p
+(ideals.eliminate_degree).
 All trials must agree and the result must be strongly stable, otherwise
 the next round runs, and after five rounds GenericityError says why.
 
@@ -39,6 +40,7 @@ trial over QQ, and the full degreewise scan of exterior inputs are the
 tests' references.
 """
 
+import heapq
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +49,8 @@ from functools import partial
 from .ideals import (
     MonomialIdeal,
     check_scan_reach,
-    degree_rows,
     degree_scan,
+    eliminate_degree,
     hilbert_numerator,
     is_strongly_stable,
     minimal_generators,
@@ -127,8 +129,6 @@ def _normal_form(f, basis, lms, key):
 
 def buchberger(ideal, order=None):
     """Reduced Groebner basis of a homogeneous polynomial ideal."""
-    import heapq
-
     ring = ideal.ring
     if ring.is_exterior:
         raise ValueError("Buchberger runs over the polynomial ring only")
@@ -147,8 +147,7 @@ def buchberger(ideal, order=None):
                 heap, (key(monomial_lcm(lms[i], lms[idx])), (i, idx))
             )
 
-    for g in ideal.generators:
-        f = g.normalized_integer()
+    for f in ideal.generators:
         basis.append(f)
         lms.append(f.leading_monomial(order))
         push_pairs(len(basis) - 1)
@@ -204,23 +203,13 @@ def buchberger(ideal, order=None):
 
 def _degree_pivot_monomials(ring, gens, d, order, target=None, engine=IntRank):
     """Leading monomials of the degree-d piece of the span of gens, from
-    the elimination engine() (IntRank over QQ, ModRank over F_p).
+    ideals.eliminate_degree on engine() (IntRank over QQ, ModRank over F_p).
 
     With target = the dimension of that piece over QQ, the elimination
     stops as soon as the rank reaches it; running out of rows below it
     mod p (over QQ the target is reached) raises BadPrime.
     """
-    monos = ring.monomials(d, order)
-    index = {m: i for i, m in enumerate(monos)}
-    rows = list(degree_rows(ring, gens, d, index))
-    # sparse rows first: keeps the elimination basis short and the
-    # integer growth down when monomial and dense generators mix
-    rows.sort(key=len)
-    eng = engine()
-    for row in rows:
-        if eng.rank == target:
-            break
-        eng.add(row)
+    monos, eng = eliminate_degree(ring, gens, d, engine(), order, target)
     if target is not None and eng.rank < target:
         raise BadPrime(
             eng.p, f"degree {d} has rank {eng.rank}, below dim I_{d} = {target}"
@@ -283,9 +272,7 @@ def _initial_ideal_degreewise(
     """
 
     def piece(d, grown):
-        if dims is None:
-            return _degree_pivot_monomials(ring, gens, d, order, engine=engine)
-        target = dims(d)
+        target = dims(d) if dims else None
         if target == len(grown):
             return grown
         return _degree_pivot_monomials(ring, gens, d, order, target, engine)
@@ -416,8 +403,6 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
         return MonomialIdeal(ring, []), cert
 
     numerator, dims = _scan_plan(ideal, max_scan_degree)
-    # primitive integer generators: none vanishes mod p
-    gens = [g.normalized_integer() for g in ideal.generators]
 
     def trial(key, bound):
         p = round_prime(ring, seed, bound)
@@ -425,8 +410,8 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
             random.Random(f"gin:{key}:{bound}"), ring.n, p
         )
         J, cut = _initial_ideal_degreewise(
-            ring, _trial_generators(ring, gens, mat, p), order, numerator,
-            max_scan_degree, dims, partial(ModRank, p),
+            ring, _trial_generators(ring, ideal.generators, mat, p), order,
+            numerator, max_scan_degree, dims, partial(ModRank, p),
         )
         return J, cut, (p, tuple(map(tuple, mat)))
 

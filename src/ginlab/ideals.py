@@ -1,11 +1,11 @@
 """Graded ideals, their degreewise linear algebra and monomial combinatorics.
 
-The degreewise engine is shared by everything downstream: a graded piece
-I_d is echelonized once (columns ordered by the ring's term order,
-descending) and cached.  Pivot monomials give the degree-d part of the
-initial ideal (over E, pieces 0..n give all of it), non-pivot monomials
-are a basis of (R/I)_d, and reduced tails give normal forms, so no
-Groebner machinery is needed for quotient arithmetic.
+The degreewise engine, eliminate_degree, is shared by everything
+downstream: a graded piece I_d is echelonized once (columns ordered by the
+ring's term order, descending) and cached.  Pivot monomials give the
+degree-d part of the initial ideal (over E, pieces 0..n give all of it),
+non-pivot monomials are a basis of (R/I)_d, and reduced tails give normal
+forms, so no Groebner machinery is needed for quotient arithmetic.
 
 The per-trial initial ideals inside gin and lexsegment ideals are built
 degree by degree by one scan, degree_scan: it checks the ideal property
@@ -24,6 +24,7 @@ from .rings import (
     LEX,
     Element,
     Ring,
+    check_monomials,
     max_variable,
     monomial_degree,
     monomial_divides,
@@ -46,17 +47,33 @@ SCAN_CAP = 64
 
 def degree_rows(ring, gens, d, index):
     """Rows {index[t]: c} of the nonzero products g * m, deg m = d - deg g."""
-    multipliers = {}  # degree of g -> the monomials of degree d - deg g
     for g in gens:
         e = g.degree()
         if e is None or e > d:
             continue
-        if e not in multipliers:
-            multipliers[e] = ring.monomials(d - e)
-        for m in multipliers[e]:
+        for m in ring.monomials(d - e):
             prod = g.term_mul(m)
             if prod.terms:
                 yield {index[t]: c for t, c in prod.terms.items()}
+
+
+def eliminate_degree(ring, gens, d, engine, order=None, target=None):
+    """Feed engine the degree-d rows of gens, sparsest first, until its rank
+    is target (default dim R_d, past which no row adds a pivot); returns
+    (monomials, engine), the columns indexing ring.monomials(d, order).
+
+    Sparse rows first keep the elimination basis short and the integer
+    growth down when monomial and dense generators mix.  Rank, pivots and
+    Rref's fully reduced basis depend only on the span and the column
+    order, so neither the row order nor the stop moves them."""
+    monos = ring.monomials(d, order)
+    stop = len(monos) if target is None else target
+    index = {m: i for i, m in enumerate(monos)}
+    for row in sorted(degree_rows(ring, gens, d, index), key=len):
+        if engine.rank == stop:
+            break
+        engine.add(row)
+    return monos, engine
 
 
 class Piece:
@@ -102,7 +119,8 @@ class Piece:
 
 
 class Ideal:
-    """A graded ideal given by homogeneous generators with exact coefficients."""
+    """A graded ideal given by homogeneous generators with exact coefficients,
+    stored primitive integer, so that none vanishes mod a prime."""
 
     def __init__(self, ring, generators):
         self.ring = ring
@@ -112,6 +130,7 @@ class Ideal:
                 raise ValueError("generator from a different ring")
             if g.is_zero():
                 raise ValueError("zero generator")
+            check_monomials(ring, g.terms)
             if not g.is_homogeneous():
                 raise ValueError(f"inhomogeneous generator: {g}")
             gens.append(g.normalized_integer())
@@ -170,12 +189,8 @@ class Ideal:
         mono_ideal = self.monomial_image()
         if mono_ideal is not None:
             return Piece(ring, d, monos, set(mono_ideal.monomials(d)), None)
-        index = {m: i for i, m in enumerate(monos)}
-        rref = Rref()
-        for row in degree_rows(ring, self.generators, d, index):
-            rref.add(row)
-        pivots = {monos[c] for c in rref.pivots}
-        return Piece(ring, d, monos, pivots, rref)
+        _, rref = eliminate_degree(ring, self.generators, d, Rref())
+        return Piece(ring, d, monos, {monos[c] for c in rref.pivots}, rref)
 
     def dim_piece(self, d):
         return self.piece(d).dim
@@ -221,8 +236,10 @@ class MonomialIdeal:
 
     def __init__(self, ring, gens):
         self.ring = ring
+        gens = set(gens)
+        check_monomials(ring, gens)
         key = order_key(ring)
-        ordered = sorted(set(gens), key=key, reverse=True)
+        ordered = sorted(gens, key=key, reverse=True)
         ordered.sort(key=lambda m: monomial_degree(ring, m))
         self.gens = tuple(ordered)
         self._degree_cache = {}

@@ -16,15 +16,25 @@ from .annihilators import (
     HomologyWorkspace,
     annihilator_index_set,
 )
-from .betti import IDEAL, QUOTIENT, betti_table, binom, exterior_i_max
+from .betti import (
+    IDEAL,
+    QUOTIENT,
+    ahh_betti,
+    betti_table,
+    binom,
+    ek_betti,
+    exterior_i_max,
+)
 from .groebner import gin
 from .ideals import (
     Ideal,
+    MonomialIdeal,
     is_strongly_stable,
     lex_segment_ideal,
     m_leq,
+    minimal_generators,
 )
-from .rings import EXT, LEX, POLY
+from .rings import EXT, LEX, POLY, monomial_degree
 
 
 class TheoremViolationError(Exception):
@@ -203,8 +213,6 @@ class RigidityContext:
         i_max over E.  oracle_equivalences checks it against the Koszul
         (resp. Cartan) homology of gin(I) on every corpus ideal.
         """
-        from .betti import ahh_betti, ek_betti
-
         key = ("stable_table", J.gens)
         if self.ring.is_exterior:
             return self._get(key, lambda: ahh_betti(J, i_max=self.i_max))
@@ -218,9 +226,6 @@ class RigidityContext:
         gin(I_<k>) is generated by the degree-k monomials of gin(I')
         together with its generators of higher degree.
         """
-        from .ideals import MonomialIdeal, minimal_generators
-        from .rings import monomial_degree
-
         gens = [g for g in self.ideal.generators if g.degree() <= k]
         if not gens:
             return MonomialIdeal(self.ring, [])

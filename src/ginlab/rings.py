@@ -200,10 +200,21 @@ def order_key(ring, order=None):
     return key
 
 
+def check_monomials(ring, monomials):
+    """Raise ValueError unless each is a monomial of ring: a tuple of n
+    nonnegative ints, at most 1 over E.  The entry points check; products
+    of checked monomials are not checked again."""
+    top = 1 if ring.is_exterior else float("inf")
+    for m in monomials:
+        if type(m) is not tuple or len(m) != ring.n:
+            raise ValueError("monomials from a different ring")
+        if not all(type(e) is int and 0 <= e <= top for e in m):
+            raise ValueError(f"{m} is not a monomial of the {ring.kind} ring")
+
+
 def compare_monomials(ring, a, b, order=None):
     """Total multiplicative order; returns -1, 0 or 1 for a <, =, > b."""
-    if len(a) != ring.n or len(b) != ring.n:
-        raise ValueError("monomials from a different ring")
+    check_monomials(ring, (a, b))
     k = order_key(ring, order)
     ka, kb = k(a), k(b)
     return (ka > kb) - (ka < kb)

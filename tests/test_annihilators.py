@@ -402,11 +402,11 @@ class TestEscalation:
     def test_disagreeing_draws_escalate_through_five_rounds(self, monkeypatch):
         drawn = []
 
-        def by_seed(ws, p, kmax, imax):
+        def by_seed(ws, p, imax, kmax):
             drawn.append((ws.seq.key, ws.seq.bound))
             return {(0, 0): ws.seq.key}
 
-        monkeypatch.setattr(annihilators, "_profile_slice", by_seed)
+        monkeypatch.setattr(HomologyWorkspace, "profile", by_seed)
         with pytest.raises(GenericityError) as err:
             partial_homology(parse_ideal(STAIRCASE_3), 2, seed=7)
         assert str(err.value) == (
@@ -646,7 +646,7 @@ def _integer_routes(ideal, monkeypatch):
     ws = HomologyWorkspace(_coordinate_image(ideal, seq))
     return (
         alpha,
-        [annihilators._profile_slice(ws, p, kmax, imax) for p in range(n + 1)],
+        [ws.profile(p, imax, kmax) for p in range(n + 1)],
         [annihilators._delta_slice(ws, p, kmax, imax) for p in range(n)],
     )
 

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 from hypothesis import strategies as st
 
-from ginlab import groebner, rings
+from ginlab import groebner, ideals, rings
 from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.groebner import (
     PRIME_BOUND,
@@ -560,7 +560,7 @@ class TestKnownRanks:
                 trials[-1][-1][2] += 1
                 return super().add(row)
 
-        rows, scan = groebner.degree_rows, groebner._initial_ideal_degreewise
+        rows, scan = ideals.degree_rows, groebner._initial_ideal_degreewise
 
         def built(ring, gens, d, index):
             out = list(rows(ring, gens, d, index))
@@ -572,7 +572,7 @@ class TestKnownRanks:
             return scan(*args)
 
         monkeypatch.setattr(groebner, "ModRank", Counting)
-        monkeypatch.setattr(groebner, "degree_rows", built)
+        monkeypatch.setattr(ideals, "degree_rows", built)
         monkeypatch.setattr(groebner, "_initial_ideal_degreewise", counted)
         return trials
 

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginlab import groebner
+from ginlab import groebner, linalg
 from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.groebner import gin, initial_ideal
 from ginlab.ideals import (
@@ -78,6 +78,37 @@ class TestGradedPieces:
         for f in basis:
             tail = {m for m in f.terms if m != f.leading_monomial()}
             assert not (tail & set(leads))
+
+    def test_full_piece_stops_feeding_rows(self, monkeypatch):
+        # the 6 monomial rows x1*m, x2*m fill R_3 (dim 4), so the 3 rows
+        # of x1 + x2 are never fed
+        rows = []
+        add = linalg.Rref.add
+
+        def counted(self, row):
+            rows.append(row)
+            return add(self, row)
+
+        monkeypatch.setattr(linalg.Rref, "add", counted)
+        piece = parse_ideal("ring poly 2 QQ\nx1 + x2\nx1\nx2\n").piece(3)
+        assert len(rows) == 6
+        assert (piece.dim, piece.den) == (4, 1)
+
+
+class TestMonomialsChecked:
+    """The entry points take only monomials of their ring: n nonnegative
+    ints, each at most 1 over E."""
+
+    def test_exterior_square_refused(self):
+        E3 = exterior_ring(3)
+        with pytest.raises(ValueError, match="not a monomial of the ext ring"):
+            MonomialIdeal(E3, [(2, 0, 0)])
+        with pytest.raises(ValueError, match="not a monomial of the ext ring"):
+            Ideal(E3, [Element(E3, {(2, 0, 0): 1})])
+
+    def test_negative_exponent_refused(self):
+        with pytest.raises(ValueError, match="not a monomial of the poly ring"):
+            MonomialIdeal(polynomial_ring(2), [(-1, 3)])
 
 
 class TestHilbert:

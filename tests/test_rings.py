@@ -73,6 +73,10 @@ class TestCompare:
         with pytest.raises(ValueError, match="different ring"):
             compare_monomials(E3, (0, 5), (0, 1))
 
+    def test_exterior_exponent_above_one(self):
+        with pytest.raises(ValueError, match="not a monomial of the ext ring"):
+            compare_monomials(exterior_ring(3), (0, 2, 0), (1, 0, 0))
+
 
 exps3 = st.tuples(*[st.integers(0, 4)] * 3)
 
@@ -265,17 +269,31 @@ def test_linear_change_composition(g1, g2, exps):
     )
 
 
-@given(small_matrix, st.sets(st.integers(0, 1)))
+@st.composite
+def exterior_changes(draw):
+    """Two n x n integer matrices and a 0/1 exponent vector, n = 2 or 3."""
+    n = draw(st.sampled_from([2, 3]))
+    row = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    matrix = st.lists(row, min_size=n, max_size=n)
+    support = draw(st.sets(st.integers(0, n - 1)))
+    return draw(matrix), draw(matrix), ext(n, *support)
+
+
+@given(exterior_changes())
 @settings(max_examples=60)
-def test_linear_change_composition_exterior(g, support):
-    if fraction_det(g) == 0:
+def test_linear_change_composition_exterior(changes):
+    g1, g2, exps = changes
+    if fraction_det(g1) == 0 or fraction_det(g2) == 0:
         return
-    ring = exterior_ring(2)
-    f = Element.monomial(ring, ext(2, *support))
-    out = apply_linear_change(f, g)
-    if support:
-        assert out.is_homogeneous()
-        assert out.is_zero() or out.degree() == len(support)
+    n = len(exps)
+    f = Element.monomial(exterior_ring(n), exps)
+    prod = [
+        [sum(g1[i][t] * g2[t][j] for t in range(n)) for j in range(n)]
+        for i in range(n)
+    ]
+    assert apply_linear_change(f, prod) == apply_linear_change(
+        apply_linear_change(f, g2), g1
+    )
 
 
 entries = st.one_of(
