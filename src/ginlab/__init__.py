@@ -14,6 +14,7 @@ from .rings import (
     POLY,
     Element,
     GenericityError,
+    GenericSequence,
     Ring,
     apply_linear_change,
     compare_monomials,
@@ -57,7 +58,6 @@ from .betti import (
 )
 from .annihilators import (
     AnnihilatorTable,
-    GenericSequence,
     annihilators_from_gin,
     generic_annihilators_direct,
     partial_delta,

@@ -22,22 +22,21 @@ verify_homology_formula evaluates the closed formula for h_{i,i+k}(p) in
 terms of alpha and delta, and the degreewise recurrences it comes from,
 cell by cell.
 
-The forms are uniform in GL_n(F_p) for the round prime gin shares
-(rings.round_prime), and every rank along them, lower-semicontinuous in
-the forms, is taken mod p (linalg.ModRank): it can only fall below its
-value over QQ, for a minor of degree D with probability at most
-D / (p - n) (Schwartz-Zippel), unless p is bad.  The forms are
-echelonized mod p, so only a Piece.den the workspace reads can make p
-bad: it raises rings.BadPrime.  The certified routes (direct alpha,
-partial homology and delta) run on the sequences a and b of
-rings.certified_draw, the single-draw routes (verify_homology_formula,
-rigidity.lemma_can_check) on round 0's sequence a (GenericSequence.first).
+The forms are the draws of rings.certified_draw (rings.GenericSequence),
+and every rank along them, lower-semicontinuous in the forms, is taken
+mod their prime p (linalg.ModRank): it can only fall below its value over
+QQ, for a minor of degree D with probability at most D / (p - n)
+(Schwartz-Zippel), unless p is bad.  The forms are echelonized mod p, so
+only a Piece.den the workspace reads can make p bad: it raises
+rings.BadPrime.  The certified routes (direct alpha, partial homology and
+delta) run on the sequences a and b of one certified_draw, the
+single-draw routes (verify_homology_formula, rigidity.lemma_can_check) on
+round 0's sequence a (GenericSequence.first).
 The homology state and prefix dimensions of a sequence live on the ideal,
 so every route along it shares them.  All read their (k_max, i_max)
 window from _windows (the upper-bound check takes only its i_max).
 """
 
-import random
 from dataclasses import dataclass, field
 
 from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
@@ -46,42 +45,13 @@ from .ideals import eliminate_degree
 from .linalg import ModRank
 from .rings import (
     PRIME_BOUND,
+    GenericSequence,
     Ring,
     certified_draw,
-    check_bound,
     linear_form,
     max_variable,
-    monomial_degree,
-    random_invertible_matrix_mod,
-    round_prime,
     substitute,
 )
-
-
-@dataclass(frozen=True)
-class GenericSequence:
-    """Linear forms y_1..y_n: coefficient rows invertible mod the prime."""
-
-    ring: object
-    rows: tuple
-    key: object
-    bound: int
-    prime: int
-
-    @classmethod
-    def draw(cls, ring, seed, key, bound=PRIME_BOUND):
-        """The forms of key mod round_prime(ring, seed, bound), as gin draws."""
-        check_bound(bound)
-        p = round_prime(ring, seed, bound)
-        rng = random.Random(f"forms:{key}:{bound}")
-        rows = random_invertible_matrix_mod(rng, ring.n, p)
-        return cls(ring, tuple(map(tuple, rows)), key, bound, p)
-
-    @classmethod
-    def first(cls, ring, seed):
-        """Round 0's sequence a of _two_sequences, the one draw of the
-        single-draw routes, whose homology state they share with it."""
-        return cls.draw(ring, seed, f"{seed}:0:a")
 
 
 @dataclass
@@ -237,11 +207,7 @@ def _two_sequences(ideal, seed, compute, check=None):
     """compute(seq) on the generic sequences tagged a and b, certified by
     the one escalation loop, rings.certified_draw."""
     results, _, _ = certified_draw(
-        seed, PRIME_BOUND, "ab",
-        lambda key, bound: compute(
-            GenericSequence.draw(ideal.ring, seed, key, bound)
-        ),
-        check=check,
+        ideal.ring, seed, PRIME_BOUND, "forms", "ab", compute, check=check
     )
     return results[0]
 
@@ -275,7 +241,7 @@ def annihilators_from_gin(ideal, seed=0):
     entries = {}
     for u in J.gens:
         p = ring.n - max_variable(ring, u) + 1
-        k = monomial_degree(ring, u) - 1
+        k = sum(u) - 1
         entries[(p, k)] = entries.get((p, k), 0) + 1
     bound = J.max_gen_degree() + 2
     return AnnihilatorTable(ring, entries, "from-gin", bound)
@@ -402,7 +368,7 @@ def verify_homology_formula(ideal, seed=0):
     report = FormulaReport(ring, {"k_max": kmax, "i_max": imax, "n": n})
 
     for p in range(1, n + 1):
-        for i in range(1, (imax if ring.is_exterior else p) + 1):
+        for i in range(1, min(imax, ws.top(p)) + 1):
             for k in range(0, kmax + 1):
                 lhs = ws.h(p, i, i + k)
                 rhs = _alpha_sum(ring.is_exterior, p, i, k, a)
@@ -413,7 +379,7 @@ def verify_homology_formula(ideal, seed=0):
 
     # degreewise recurrences of the long exact sequence, from q to q + 1
     # forms; the H_{i-1} term lives on q + 1 forms over E (Cartan) and on
-    # q forms over S (Koszul), where H_i(q + 1) vanishes for i > q + 1
+    # q forms over S (Koszul); i stops at the top of the complex on q + 1
     for q in range(1, n):
         for k in range(0, kmax + 2):
             lhs = ws.h(q + 1, 1, k)
@@ -421,8 +387,8 @@ def verify_homology_formula(ideal, seed=0):
             report.recurrences_checked += 1
             if lhs != rhs:
                 report.failures.append(("first", q + 1, k, lhs, rhs))
-        prev, top = (q + 1, imax) if ring.is_exterior else (q, q + 1)
-        for i in range(2, top + 1):
+        prev = q + 1 if ring.is_exterior else q
+        for i in range(2, min(imax, ws.top(q + 1)) + 1):
             for k in range(0, kmax + 1):
                 lhs = ws.h(q + 1, i, i + k)
                 rhs = (

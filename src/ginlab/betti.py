@@ -32,6 +32,7 @@ n variables.
 
 from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
+from math import inf
 
 from .groebner import gin, initial_ideal
 from .ideals import (
@@ -48,7 +49,6 @@ from .rings import (
     Element,
     binom,
     max_variable,
-    monomial_degree,
     monomial_mul,
     polynomial_ring,
     wedge_supports,
@@ -265,6 +265,11 @@ class HomologyWorkspace:
     def chain_dim(self, p, i, j):
         return len(self.chain_sets(p, i)) * self.dim(j - i)
 
+    def top(self, p):
+        """The top i of the complex on p forms: p over S, where C_i(p) = 0
+        for i > p, unbounded (inf) over E."""
+        return inf if self.ring.is_exterior else p
+
     def _columns(self, p, i, j):
         """Yield (index, column) for C_{i,j}(p) -> C_{i-1,j}(p), sparsest first.
 
@@ -277,7 +282,7 @@ class HomologyWorkspace:
         """
         src_deg = j - i
         dim_src = self.dim(src_deg)
-        if i < 1 or dim_src == 0 or (not self.ring.is_exterior and i > p):
+        if i < 1 or dim_src == 0 or i > self.top(p):
             return
         tgt_sets = {s: idx for idx, s in enumerate(self.chain_sets(p, i - 1))}
         block = self.dim(src_deg + 1)
@@ -558,7 +563,7 @@ def ek_betti(J, convention=IDEAL):
         raise ValueError("polynomial-ring ideal expected")
     entries = {}
     for u in J.gens:
-        d = monomial_degree(ring, u)
+        d = sum(u)
         m = max_variable(ring, u)
         for i in range(m):
             entries[(i, i + d)] = entries.get((i, i + d), 0) + binom(m - 1, i)
@@ -631,7 +636,7 @@ def ahh_betti(J, i_max=None, convention=QUOTIENT):
         i_max = exterior_i_max(ring)
     entries = {(0, 0): 1}
     for u in J.gens:
-        k = monomial_degree(ring, u) - 1
+        k = sum(u) - 1
         m = max_variable(ring, u)
         for i in range(1, i_max + 1):
             c = binom(m + i - 2, i - 1)

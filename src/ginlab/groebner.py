@@ -8,16 +8,12 @@ degree scan of ideals.py, degree_scan, which stops over both ring kinds
 and under every term order once the candidate has the Hilbert numerator
 of the input, which is exact.
 
-gin runs its trials over F_p through the one escalation loop,
-rings.certified_draw.  Round e draws one odd prime p from
-[B 2^e, B 2^(e+1)), B the coefficient bound, shared by its trials and,
-through rings.round_prime, by every gin and generic sequence over the
-ring with the same seed and B; each trial draws a matrix
-uniformly from GL_n(F_p), changes the coordinates of the primitive
-integer generators, reduces them mod p and eliminates each degree mod p
-(ideals.eliminate_degree).
-All trials must agree and the result must be strongly stable, otherwise
-the next round runs, and after five rounds GenericityError says why.
+gin runs its trials over F_p on the matrices of rings.certified_draw,
+which draws them and their prime p: each trial sends x_i to column i of
+its matrix mod p and eliminates each degree mod p
+(ideals.eliminate_degree).  All trials must agree and the result must be
+strongly stable, otherwise the next round runs, and after five rounds
+GenericityError says why.
 
 A trial is wrong only one way.  For V = g.I_d the Pluecker coordinate
 p_S(V) of a monomial set S is a polynomial of degree at most d dim I_d in
@@ -41,7 +37,6 @@ tests' references.
 """
 
 import heapq
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -64,17 +59,13 @@ from .rings import (
     Element,
     GenericityError,  # re-exported: gin raises it through certified_draw
     certified_draw,
+    change_coordinates,
     check_bound,
-    linear_form,
-    monomial_degree,
     monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
     order_key,
-    random_invertible_matrix_mod,
-    round_prime,
-    substitute,
 )
 
 
@@ -334,11 +325,9 @@ def gin(
 ):
     """Generic initial ideal with a reproducible certificate.
 
-    Runs the trials of a round over F_p for one odd prime p drawn from
-    [B 2^e, B 2^(e+1)), e the round and B = coeff_bound, and accepts only
-    if all trials agree and the result is strongly stable; otherwise the
-    next round runs (up to five, by rings.certified_draw) and the failure
-    is loud.
+    Runs its trials on the draws of rings.certified_draw from the bound
+    coeff_bound, and accepts only if all trials agree and the result is
+    strongly stable; otherwise the next round runs and the failure is loud.
 
     max_scan_degree truncates the degreewise scan: the result then holds
     exactly the generators of the gin of degree <= max_scan_degree, and
@@ -384,13 +373,6 @@ def _scan_plan(ideal, max_scan_degree):
     return numerator, dims
 
 
-def _trial_generators(ring, gens, mat, p):
-    """gens in the coordinates of mat (x_i -> sum_j mat[j][i] x_j), reduced
-    mod p."""
-    linear = [linear_form(ring, [row[i] for row in mat]) for i in range(ring.n)]
-    return substitute(ring, gens, linear, p)
-
-
 def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     ring = ideal.ring
     if trials < 2:
@@ -404,25 +386,23 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
 
     numerator, dims = _scan_plan(ideal, max_scan_degree)
 
-    def trial(key, bound):
-        p = round_prime(ring, seed, bound)
-        mat = random_invertible_matrix_mod(
-            random.Random(f"gin:{key}:{bound}"), ring.n, p
-        )
+    def trial(seq):
+        p = seq.prime
         J, cut = _initial_ideal_degreewise(
-            ring, _trial_generators(ring, ideal.generators, mat, p), order,
-            numerator, max_scan_degree, dims, partial(ModRank, p),
+            ring, change_coordinates(ring, ideal.generators, seq.rows, p),
+            order, numerator, max_scan_degree, dims, partial(ModRank, p),
         )
-        return J, cut, (p, tuple(map(tuple, mat)))
+        return J, cut, (p, seq.rows)
 
     runs, escalation, bound = certified_draw(
-        seed, coeff_bound, range(trials), trial, key=lambda run: run[0],
+        ring, seed, coeff_bound, "gin", range(trials), trial,
+        key=lambda run: run[0],
         check=lambda J: (
             None if is_strongly_stable(J) else "result not strongly stable"
         ),
     )
     J, cut, (p, _) = runs[0]
-    weight = sum(d * dims(d) for d in {monomial_degree(ring, m) for m in J.gens})
+    weight = sum(d * dims(d) for d in {sum(m) for m in J.gens})
     # a probability: 1 when p <= n leaves no bound on the singular draws
     failure_bound = (
         min(Fraction(1), Fraction(weight, p - ring.n)) if p > ring.n

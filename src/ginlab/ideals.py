@@ -26,7 +26,6 @@ from .rings import (
     Ring,
     check_monomials,
     max_variable,
-    monomial_degree,
     monomial_divides,
     order_key,
     render_monomial,
@@ -240,7 +239,7 @@ class MonomialIdeal:
         check_monomials(ring, gens)
         key = order_key(ring)
         ordered = sorted(gens, key=key, reverse=True)
-        ordered.sort(key=lambda m: monomial_degree(ring, m))
+        ordered.sort(key=sum)
         self.gens = tuple(ordered)
         self._degree_cache = {}
         self._ideal = None
@@ -279,9 +278,7 @@ class MonomialIdeal:
         return len(self.monomials(d))
 
     def max_gen_degree(self):
-        return max(
-            (monomial_degree(self.ring, m) for m in self.gens), default=0
-        )
+        return max((sum(m) for m in self.gens), default=0)
 
     def to_ideal(self):
         """The Ideal of these generators, built once: its memo is shared."""
@@ -295,9 +292,7 @@ class MonomialIdeal:
 def minimal_generators(ring, monomials):
     """Inclusion-minimal generating set of the monomial ideal they span."""
     key = order_key(ring)
-    by_degree = sorted(
-        set(monomials), key=lambda m: (monomial_degree(ring, m), key(m))
-    )
+    by_degree = sorted(set(monomials), key=lambda m: (sum(m), key(m)))
     minimal = []
     for m in by_degree:
         if not any(monomial_divides(g, m) for g in minimal):

@@ -11,11 +11,7 @@ are theorems), and carries a reproducible witness.
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .annihilators import (
-    GenericSequence,
-    HomologyWorkspace,
-    annihilator_index_set,
-)
+from .annihilators import HomologyWorkspace, annihilator_index_set
 from .betti import (
     IDEAL,
     QUOTIENT,
@@ -34,7 +30,7 @@ from .ideals import (
     m_leq,
     minimal_generators,
 )
-from .rings import EXT, LEX, POLY, monomial_degree
+from .rings import EXT, LEX, POLY, GenericSequence
 
 
 class TheoremViolationError(Exception):
@@ -237,9 +233,7 @@ class RigidityContext:
                 ("subgin", cut),
                 lambda: gin(Ideal(self.ring, gens), seed=self.seed)[0],
             )
-        monos = list(J.monomials(k)) + [
-            m for m in J.gens if monomial_degree(self.ring, m) > k
-        ]
+        monos = list(J.monomials(k)) + [m for m in J.gens if sum(m) > k]
         return minimal_generators(self.ring, monos)
 
     def component_linear(self, k):

@@ -9,8 +9,9 @@ Fraction).  Everything is immutable after construction and all
 operations are pure functions.
 
 The random draws of the certified generic computations live here too:
-one prime per round and seed, and matrices invertible mod that prime, for
-the gin trials and the generic sequences alike.
+certified_draw draws one prime per round and seed, and for each trial a
+matrix invertible mod that prime (GenericSequence), and hands it to the
+route, a gin trial or a generic sequence.
 """
 
 import random
@@ -124,10 +125,6 @@ def binom(a, b):
 
 # ---------------------------------------------------------------------------
 # monomial helpers
-
-
-def monomial_degree(ring, m):
-    return sum(m)
 
 
 def max_variable(ring, m):
@@ -248,13 +245,13 @@ class Element:
         """Total degree of a homogeneous element; None for zero."""
         if not self.terms:
             return None
-        degs = {monomial_degree(self.ring, m) for m in self.terms}
+        degs = {sum(m) for m in self.terms}
         if len(degs) > 1:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
     def is_homogeneous(self):
-        degs = {monomial_degree(self.ring, m) for m in self.terms}
+        degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
     def __eq__(self, other):
@@ -474,23 +471,68 @@ class BadPrime(GenericityError):
         super().__init__(f"prime {p}: {why}")
 
 
-def certified_draw(seed, bound, tags, draw, key=None, check=None):
+@dataclass(frozen=True)
+class GenericSequence:
+    """A drawn matrix: n x n rows, entries in [0, prime), invertible mod the
+    prime.  Its rows are the forms y_1..y_n of a generic sequence; a gin
+    trial sends x_i to column i (change_coordinates mod the prime)."""
+
+    ring: object
+    rows: tuple
+    key: object
+    bound: int
+    prime: int
+
+    @classmethod
+    def draw(cls, ring, seed, key, bound=PRIME_BOUND, label="forms"):
+        """The matrix of label and key: uniform in GL_n(F_p) from the stream
+        "{label}:{key}:{bound}", p = round_prime(ring, seed, bound), after
+        check_bound(bound)."""
+        check_bound(bound)
+        return cls._draw(ring, seed, key, bound, label)
+
+    @classmethod
+    def _draw(cls, ring, seed, key, bound, label):
+        # certified_draw checks its base bound once: a later round's bound
+        # may pass the check's headroom and still draw a certified prime
+        p = round_prime(ring, seed, bound)
+        rows = random_invertible_matrix_mod(
+            random.Random(f"{label}:{key}:{bound}"), ring.n, p
+        )
+        return cls(ring, tuple(map(tuple, rows)), key, bound, p)
+
+    @classmethod
+    def first(cls, ring, seed):
+        """Round 0's forms a of certified_draw, the one draw of the
+        single-draw routes, whose homology state they share with it."""
+        return cls.draw(ring, seed, f"{seed}:0:a")
+
+
+def certified_draw(ring, seed, bound, label, tags, compute, key=None, check=None):
     """The one escalation loop of every certified generic computation.
 
-    Round e = 0..4 doubles the coefficient bound e times and calls
-    draw(f"{seed}:{e}:{tag}", bound_e) once per tag; each route seeds its
-    draw "{label}:{seed}:{e}:{tag}:{bound_e}" ("gin", "forms").  A round
-    succeeds, returning (results, e, bound_e), when key(result) is the
-    same for every draw and check, given that value, returns None.
-    Otherwise the round fails with a draw's BadPrime, as "trials
+    Round e = 0..4 doubles the coefficient bound e times and, once per
+    tag, draws the matrix GenericSequence.draw(ring, seed,
+    f"{seed}:{e}:{tag}", bound_e, label) and hands it to compute; label
+    names the route's random stream ("gin", "forms"), while the round's
+    prime, round_prime(ring, seed, bound_e), is shared by all of them.  A
+    round succeeds, returning (results, e, bound_e), when key(result) is
+    the same for every draw and check, given that value, returns None.
+    Otherwise the round fails with a compute's BadPrime, as "trials
     disagree" or with the text check returned, and after the fifth
     GenericityError lists every round's failure.
     """
+    check_bound(bound)
     failures = []
     for escalation in range(ROUNDS):
         round_bound = bound << escalation
         try:
-            results = [draw(f"{seed}:{escalation}:{tag}", round_bound) for tag in tags]
+            results = [
+                compute(GenericSequence._draw(
+                    ring, seed, f"{seed}:{escalation}:{tag}", round_bound, label
+                ))
+                for tag in tags
+            ]
         except BadPrime as exc:
             failures.append(str(exc))
             continue
@@ -516,21 +558,23 @@ def linear_form(ring, coeffs):
     return Element(ring, terms)
 
 
-def change_coordinates(ring, elements, g):
+def change_coordinates(ring, elements, g, p=None):
     """Substitute variable i by sum_j g[j][i] * (variable j) in every element.
 
-    g must be an invertible n x n matrix over QQ.  The substitution is a
-    graded ring homomorphism for both ring kinds, so degrees are preserved.
-    The rank of g over QQ is checked once; substitute does the rest.
+    g must be an invertible n x n matrix over QQ, or with p, of integer
+    elements, mod the prime p, and the images are then reduced mod p.  The
+    substitution is a graded ring homomorphism for both ring kinds, so
+    degrees are preserved.  The rank of g is checked once (IntRank, or
+    ModRank(p)); substitute does the rest.
     """
     n = ring.n
     if len(g) != n or any(len(row) != n for row in g):
         raise ValueError("matrix size does not match the ring")
-    eng = IntRank()
+    eng = IntRank() if p is None else ModRank(p)
     if not all(eng.add(dict(enumerate(row))) for row in g):
         raise ValueError("singular change of coordinates")
     linear = [linear_form(ring, [row[i] for row in g]) for i in range(n)]
-    return substitute(ring, elements, linear)
+    return substitute(ring, elements, linear, p)
 
 
 def substitute(target, elements, linear, p=None):

@@ -5,9 +5,14 @@ from pathlib import Path
 
 import pytest
 
-from ginlab.annihilators import GenericSequence
 from ginlab.corpus import CorpusSpec
 from ginlab.parsing import parse_ideal
+from ginlab.rings import (
+    PRIME_BOUND,
+    ROUNDS,
+    GenericSequence,
+    random_invertible_matrix_mod,
+)
 
 # The three reference ideals every suite keeps coming back to: a
 # three-variable staircase with a degree-5 tail, a four-variable ideal
@@ -102,3 +107,18 @@ def integer_sequence(ring, key, bound=COEFF_BOUND):
         random.Random(f"forms:{key}:{bound}"), ring.n, bound
     )
     return GenericSequence(ring, tuple(map(tuple, rows)), key, bound, None)
+
+
+def force_forms_prime(monkeypatch, prime, rounds=ROUNDS):
+    """The generic sequences of the first rounds draw mod prime, from their
+    own stream "forms:{key}:{bound}"; gin's draws keep their round primes."""
+    draw = GenericSequence._draw
+
+    def forced(ring, seed, key, bound, label):
+        if label != "forms" or bound >= PRIME_BOUND << rounds:
+            return draw(ring, seed, key, bound, label)
+        rng = random.Random(f"forms:{key}:{bound}")
+        rows = random_invertible_matrix_mod(rng, ring.n, prime)
+        return GenericSequence(ring, tuple(map(tuple, rows)), key, bound, prime)
+
+    monkeypatch.setattr(GenericSequence, "_draw", staticmethod(forced))

@@ -44,6 +44,7 @@ from conftest import (
     CRITERION_6,
     STAIRCASE_3,
     STRAND_4,
+    force_forms_prime,
     integer_sequence,
     load_perfbench,
 )
@@ -240,6 +241,15 @@ class TestPrefixDims:
         draws = []
 
         def recorded(ideal, seq, dmax):
+            # each is the draw of rings.certified_draw for its round and
+            # tag, and round 0's a is the single-draw routes' sequence
+            _, e, tag = seq.key.split(":")
+            ring = ideal.ring
+            assert seq == GenericSequence.draw(
+                ring, 0, f"0:{e}:{tag}", PRIME_BOUND << int(e), "forms"
+            )
+            if (e, tag) == ("0", "a"):
+                assert seq == GenericSequence.first(ring, 0)
             draw = repr((seq.key, seq.bound, seq.prime, seq.rows))
             if not draws or draws[-1] != draw:
                 draws.append(draw)
@@ -677,32 +687,21 @@ class TestBadPrimes:
     DEN_3_POLY = "ring poly 3 QQ\n3*x1^2 + x2^2\nx2*x3\n"
 
     @staticmethod
-    def force(monkeypatch, prime, rounds=5):
-        """The sequences of the first rounds draw mod prime."""
-        real = annihilators.round_prime
-
-        def forced(ring, seed, bound):
-            if bound < PRIME_BOUND << rounds:
-                return prime
-            return real(ring, seed, bound)
-
-        monkeypatch.setattr(annihilators, "round_prime", forced)
-
-    @staticmethod
     def failures(monkeypatch):
         """The BadPrime texts of the sequence routes' draws from here on."""
         out = []
         loop = annihilators.certified_draw
 
-        def recorded(seed, bound, tags, draw, key=None, check=None):
-            def recording(tag, round_bound):
+        def recorded(ring, seed, bound, label, tags, compute, key=None,
+                     check=None):
+            def recording(seq):
                 try:
-                    return draw(tag, round_bound)
+                    return compute(seq)
                 except BadPrime as exc:
                     out.append(str(exc))
                     raise
 
-            return loop(seed, bound, tags, recording, key, check)
+            return loop(ring, seed, bound, label, tags, recording, key, check)
 
         monkeypatch.setattr(annihilators, "certified_draw", recorded)
         return out
@@ -722,7 +721,7 @@ class TestBadPrimes:
             return dims
 
         I = parse_ideal(STAIRCASE_3)
-        self.force(monkeypatch, 5, rounds=1)
+        force_forms_prime(monkeypatch, 5, rounds=1)
         assert GenericSequence.draw(I.ring, 5, "5:0:a").rows[:2] == (
             (3, 2, 0), (4, 1, 2)
         )
@@ -736,13 +735,13 @@ class TestBadPrimes:
         want = partial_homology(parse_ideal(self.DEN_3), 2)
         I = parse_ideal(self.DEN_3)
         assert I.piece(2).den == 3
-        self.force(monkeypatch, 3, rounds=1)
+        force_forms_prime(monkeypatch, 3, rounds=1)
         failures = self.failures(monkeypatch)
         assert partial_homology(I, 2) == want
         assert failures[0] == "prime 3: it divides the denominator 3 of I_2"
 
     def test_single_draws_raise_genericity_error(self, monkeypatch):
-        self.force(monkeypatch, 3)
+        force_forms_prime(monkeypatch, 3)
         with pytest.raises(GenericityError, match="^prime 3: "):
             verify_homology_formula(parse_ideal(self.DEN_3))
         ctx = RigidityContext(parse_ideal(self.DEN_3_POLY), seed=0)

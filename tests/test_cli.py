@@ -14,7 +14,7 @@ from ginlab.ideals import MonomialIdeal
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import BATTERY, STATEMENTS, RigidityContext, battery
 
-from conftest import CANCEL_4, STAIRCASE_3, STRAND_4
+from conftest import CANCEL_4, STAIRCASE_3, STRAND_4, force_forms_prime
 
 
 def write(tmp_path, text, name="ideal.txt"):
@@ -340,9 +340,7 @@ class TestErrors:
         # the sequence of cancellation-delta draws mod 3, which divides
         # the denominator 3 of the normal forms of I_2 that the workspace
         # reads: a computation failure, not a ValueError of pow
-        monkeypatch.setattr(
-            annihilators, "round_prime", lambda ring, seed, bound: 3
-        )
+        force_forms_prime(monkeypatch, 3)
         path = write(tmp_path, "ring poly 3 QQ\n3*x1^2 + x2^2\nx2*x3\n")
         code, out, err = run_main(
             capsys, "check", path, "--statement", "cancellation-delta"

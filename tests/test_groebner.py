@@ -12,7 +12,6 @@ from ginlab.groebner import (
     PRIME_BOUND,
     _initial_ideal_degreewise,
     _scan_plan,
-    _trial_generators,
     buchberger,
     gin,
     initial_ideal,
@@ -36,6 +35,7 @@ from ginlab.rings import (
     BadPrime,
     Element,
     GenericityError,
+    GenericSequence,
     apply_linear_change,
     certified_draw,
     change_coordinates,
@@ -238,7 +238,19 @@ class TestEscalation:
             return verdicts[-1]
 
         monkeypatch.setattr(groebner, "is_strongly_stable", unstable_once)
-        J, cert = gin(parse_ideal(STAIRCASE_3), seed=5)  # fresh: no memo
+        drawn = []
+        loop = groebner.certified_draw
+
+        def recorded(ring, seed, bound, label, tags, compute, **kwargs):
+            def recording(seq):
+                drawn.append(seq)
+                return compute(seq)
+
+            return loop(ring, seed, bound, label, tags, recording, **kwargs)
+
+        monkeypatch.setattr(groebner, "certified_draw", recorded)
+        I = parse_ideal(STAIRCASE_3)  # fresh: no memo
+        J, cert = gin(I, seed=5)
         assert verdicts == [False, True]
         bound = PRIME_BOUND << 1
         assert (cert.escalations, cert.coeff_bound) == (1, bound)
@@ -250,11 +262,18 @@ class TestEscalation:
             ))))
             for t in range(2)
         )
+        # each trial of each round ran on the one draw of rings.certified_draw
+        assert drawn == [
+            GenericSequence.draw(I.ring, 5, f"5:{e}:{t}", PRIME_BOUND << e, "gin")
+            for e in range(2)
+            for t in range(2)
+        ]
+        assert cert.matrices == tuple((s.prime, s.rows) for s in drawn[2:])
         assert gens_as_strings(J) == STAIRCASE_GIN
 
     def test_unstable_results_raise_after_five_rounds(self, monkeypatch):
         bounds, primes = [], []
-        prime, draw = rings.random_prime, groebner.random_invertible_matrix_mod
+        prime, draw = rings.random_prime, rings.random_invertible_matrix_mod
 
         def recorded_prime(rng, lo):
             bounds.append(lo)
@@ -265,7 +284,7 @@ class TestEscalation:
             return draw(rng, n, p)
 
         monkeypatch.setattr(rings, "random_prime", recorded_prime)
-        monkeypatch.setattr(groebner, "random_invertible_matrix_mod", recorded)
+        monkeypatch.setattr(rings, "random_invertible_matrix_mod", recorded)
         monkeypatch.setattr(groebner, "is_strongly_stable", lambda J: False)
         with pytest.raises(GenericityError) as err:
             gin(parse_ideal(STAIRCASE_3), trials=3)
@@ -497,16 +516,18 @@ def _integer_gin(ideal, order, max_scan_degree=None, seed=0):
     ring = ideal.ring
     numerator, dims = _scan_plan(ideal, max_scan_degree)
 
-    def trial(key, bound):
-        rng = random.Random(f"gin:{key}:{bound}")
-        mat = random_invertible_matrix(rng, ring.n, bound)
+    def trial(seq):
+        # the integer matrix of the draw's key and bound; its rows mod p
+        # go unused
+        rng = random.Random(f"gin:{seq.key}:{seq.bound}")
+        mat = random_invertible_matrix(rng, ring.n, seq.bound)
         gens = change_coordinates(ring, ideal.generators, mat)
         return _initial_ideal_degreewise(
             ring, gens, order, numerator, max_scan_degree, dims
         )
 
     runs, _, _ = certified_draw(
-        seed, COEFF_BOUND, range(2), trial,
+        ring, seed, COEFF_BOUND, "gin", range(2), trial,
         check=lambda run: (
             None if is_strongly_stable(run[0]) else "result not strongly stable"
         ),
@@ -653,7 +674,7 @@ class TestKnownRanks:
                     numerator, dims = _scan_plan(ideal, up_to)
                     primitive = [g.normalized_integer() for g in ideal.generators]
                     for p, rows in cert.matrices:
-                        gens = _trial_generators(ring, primitive, rows, p)
+                        gens = change_coordinates(ring, primitive, rows, p)
                         engine = partial(ModRank, p)
                         full = _initial_ideal_degreewise(
                             ring, gens, order, numerator, up_to, engine=engine
@@ -675,15 +696,18 @@ class TestModularTrials:
         # round 0 draw its odd prime from [2, 4)
         failures = []
 
-        def recorded(seed, bound, tags, draw, key=None, check=None):
-            def recording(tag, round_bound):
+        def recorded(ring, seed, bound, label, tags, compute, key=None,
+                     check=None):
+            def recording(seq):
                 try:
-                    return draw(tag, round_bound)
+                    return compute(seq)
                 except BadPrime as exc:
                     failures.append(str(exc))
                     raise
 
-            return certified_draw(seed, bound, tags, recording, key, check)
+            return certified_draw(
+                ring, seed, bound, label, tags, recording, key, check
+            )
 
         monkeypatch.setattr(groebner, "certified_draw", recorded)
         J, cert = gin(parse_ideal(self.BAD_AT_3), coeff_bound=2)

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginlab import groebner, linalg
+from ginlab import groebner, linalg, rings
 from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.groebner import gin, initial_ideal
 from ginlab.ideals import (
@@ -364,8 +364,8 @@ class TestDegreeScan:
         def no_draw(*args):
             raise AssertionError("prime or matrix drawn for a scan past the cap")
 
-        monkeypatch.setattr(groebner, "round_prime", no_draw)
-        monkeypatch.setattr(groebner, "random_invertible_matrix_mod", no_draw)
+        monkeypatch.setattr(rings, "round_prime", no_draw)
+        monkeypatch.setattr(rings, "random_invertible_matrix_mod", no_draw)
         # a monomial input is refused by its top generator degree; the
         # numerator 1 - t^200 of the binomial needs a generator of degree
         # >= 200 / 2, since one generated in degrees <= e has lcms, and so

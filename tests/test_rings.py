@@ -1,10 +1,13 @@
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ginlab import rings
 from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.groebner import gin, initial_ideal
 from ginlab.ideals import MonomialIdeal, lex_ideal
@@ -396,3 +399,21 @@ class TestPrimes:
                 mat = random_invertible_matrix_mod(rng, n, p)
                 assert all(0 <= x < p for row in mat for x in row)
                 assert fraction_det(mat) % p != 0
+
+
+def test_draws_have_one_home():
+    # rings.certified_draw draws every generic matrix and corpus.py its
+    # inputs: no other module of the package imports random
+    package = Path(rings.__file__).parent
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "random" in names:
+                importers.add(path.name)
+    assert importers == {"corpus.py", "rings.py"}
