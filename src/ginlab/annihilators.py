@@ -17,7 +17,9 @@ three exact stops skip the degrees whose answer is already known.
 The homology workspace (betti.HomologyWorkspace) computes
 H_i(y_1..y_p; M) over a window (profile) together with the delta numbers:
 ranks of multiplication by the next form on Koszul homology, resp. of the
-connecting map gamma of the Cartan long exact sequence.
+connecting map gamma of the Cartan long exact sequence.  A delta whose
+source or target homology is 0 is 0 (a zero rule, exact in the field of
+the ranks); cycle bases are built only where both ends are nonzero.
 verify_homology_formula evaluates the closed formula for h_{i,i+k}(p) in
 terms of alpha and delta, and the degreewise recurrences it comes from,
 cell by cell.

@@ -201,7 +201,8 @@ class HomologyWorkspace:
     (IntRank); at p = n their homology is the graded Betti table.  Along
     a GenericSequence everything runs mod its prime (ModRank).  Cycle
     spaces come from kernel computations so that images of induced maps
-    can be reduced against boundaries.  Differentials are streamed, never
+    can be reduced against boundaries, only for a delta whose source and
+    target homology are both nonzero.  Differentials are streamed, never
     stored: each call that eliminates one feeds its columns to a fresh
     engine, sparsest first.  Rank, pivot columns and the span of the
     kernel of an elimination do not depend on the order of its rows, so
@@ -248,7 +249,7 @@ class HomologyWorkspace:
                         if val:
                             col[idx] = val
                         else:
-                            del col[idx]
+                            col.pop(idx, None)
             self._mult[key] = out
         return self._mult[key]
 
@@ -402,29 +403,38 @@ class HomologyWorkspace:
         its coefficients with v_{p+1} (zero for i = 0 by convention).
         Either way the rank is what the images of the source cycles add
         to the boundaries of C_{i+1,k}(p).
+
+        Zero rule: a map from or to a zero space has rank 0, so where the
+        source (H_i(p)_{k-1} over S, H_i(p+1)_{k-1} over E) or the target
+        H_i(p)_k is 0, delta is 0, and no cycle basis, multiplication table
+        or boundary engine is built.  Both h are ranks in the field of
+        delta (F_p along a sequence, QQ on the coordinates), so the rule is
+        exact; cycle bases are built only where both ends are nonzero.
         """
         d = k - 1 - i
         if i < 1 or d < 0 or self.dim(d) == 0:
             return 0
         key = (p, i, k)
-        if key not in self._delta:
-            reindex = None
-            if self.ring.is_exterior:
-                tgt = {s: idx for idx, s in enumerate(self.chain_sets(p, i))}
-                reindex = [
-                    None if a[p] else tgt[a[:p]]
-                    for a in self.chain_sets(p + 1, i)
-                ]
-                src = self.cycles(p + 1, i, k - 1)
-            else:
-                src = self.cycles(p, i, k - 1)
-            eng = self._eliminate(p, i + 1, k)
-            rank0 = eng.rank
-            # y_{p+1}, resp. v_{p+1}, on M_d; read only when a cycle exists
-            images = [self._push(z, d, self.mult(p, d), reindex) for z in src]
-            for img in sorted(images, key=len):
-                eng.add(img)
-            self._delta[key] = eng.rank - rank0
+        if key in self._delta:
+            return self._delta[key]
+        sp = p + 1 if self.ring.is_exterior else p
+        if self.h(sp, i, k - 1) == 0 or self.h(p, i, k) == 0:
+            self._delta[key] = 0
+            return 0
+        reindex = None
+        if self.ring.is_exterior:
+            tgt = {s: idx for idx, s in enumerate(self.chain_sets(p, i))}
+            reindex = [
+                None if a[p] else tgt[a[:p]] for a in self.chain_sets(sp, i)
+            ]
+        src = self.cycles(sp, i, k - 1)
+        eng = self._eliminate(p, i + 1, k)
+        rank0 = eng.rank
+        # y_{p+1}, resp. v_{p+1}, on M_d; read only when a cycle exists
+        images = [self._push(z, d, self.mult(p, d), reindex) for z in src]
+        for img in sorted(images, key=len):
+            eng.add(img)
+        self._delta[key] = eng.rank - rank0
         return self._delta[key]
 
 

@@ -490,7 +490,7 @@ class TestVanishingPropagation:
                 {idx: v % prime for idx, v in col.items() if v % prime}
                 for col in mult_var(ws.ideal, t, d)
             ]
-            eng = ws._eliminate(p, i + 1, j)  # a fresh boundary IntRank
+            eng = ws._eliminate(p, i + 1, j)  # a fresh boundary ModRank
             for z in ws.cycles(p, i, j - 1):
                 eng.add(ws._push(z, d, cols))
             if eng.rank != rank0:
@@ -642,6 +642,12 @@ def _coordinate_image(ideal, seq):
     return Ideal(ideal.ring, change_coordinates(ideal.ring, ideal.generators, g))
 
 
+def _integer_workspace(ideal):
+    """The coordinate workspace of phi(I) for round 0's draw a over QQ."""
+    seq = integer_sequence(ideal.ring, "0:0:a")
+    return HomologyWorkspace(_coordinate_image(ideal, seq))
+
+
 def _integer_routes(ideal, monkeypatch):
     """(alpha entries, partial homology at each p, delta at each p < n)
     along the integer sequence of round 0's draw a over QQ: alpha from the
@@ -653,7 +659,7 @@ def _integer_routes(ideal, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(annihilators, "_prefix_dims", _reference_prefix_dims)
         alpha = annihilators._alpha_for_sequence(ideal, seq, kmax)
-    ws = HomologyWorkspace(_coordinate_image(ideal, seq))
+    ws = _integer_workspace(ideal)
     return (
         alpha,
         [ws.profile(p, imax, kmax) for p in range(n + 1)],
@@ -665,8 +671,7 @@ def test_routes_mod_p_equal_the_integer_routes_over_QQ(monkeypatch):
     # the certified routes mod p against one integer draw over QQ, with
     # entries in [-1000, 1000], on the reference ideals and the exterior
     # corpora of acceptance criterion 6
-    ideals = [parse_ideal(text) for text in REFERENCE.values()]
-    ideals += [ideal for spec in CRITERION_6 for ideal in generate(spec)]
+    ideals = _oracle_ideals()
     assert len(ideals) == 26
     for ideal in ideals:
         alpha, homology, delta = _integer_routes(ideal, monkeypatch)
@@ -674,6 +679,69 @@ def test_routes_mod_p_equal_the_integer_routes_over_QQ(monkeypatch):
         assert generic_annihilators_direct(ideal, seed=0).entries == alpha
         assert [partial_homology(ideal, p) for p in range(n + 1)] == homology
         assert [partial_delta(ideal, p) for p in range(n)] == delta
+
+
+def _oracle_ideals():
+    """The reference ideals and the exterior corpora of criterion 6."""
+    ideals = [parse_ideal(text) for text in REFERENCE.values()]
+    return ideals + [ideal for spec in CRITERION_6 for ideal in generate(spec)]
+
+
+def _reference_delta(ws, p, i, k):
+    """delta(p, i, k) by the kernel route on every cell, with no zero rule:
+    the rank the images of the source cycles add to the boundaries of
+    C_{i+1,k}(p)."""
+    d = k - 1 - i
+    if i < 1 or d < 0 or ws.dim(d) == 0:
+        return 0
+    reindex = None
+    if ws.ring.is_exterior:
+        tgt = {s: idx for idx, s in enumerate(ws.chain_sets(p, i))}
+        reindex = [None if a[p] else tgt[a[:p]] for a in ws.chain_sets(p + 1, i)]
+        src = ws.cycles(p + 1, i, k - 1)
+    else:
+        src = ws.cycles(p, i, k - 1)
+    eng = ws._eliminate(p, i + 1, k)
+    rank0 = eng.rank
+    for z in src:
+        eng.add(ws._push(z, d, ws.mult(p, d), reindex))
+    return eng.rank - rank0
+
+
+def test_zero_rule_equals_the_kernel_route():
+    # every cell of the delta window, mod p along round 0's sequence a and
+    # over QQ on the coordinate workspace of the integer draw
+    ideals = _oracle_ideals()
+    assert len(ideals) == 26
+    for ideal in ideals:
+        kmax, imax = annihilators._windows(ideal, 0)
+        n = ideal.ring.n
+        for ws in (
+            HomologyWorkspace(ideal, GenericSequence.first(ideal.ring, 0)),
+            _integer_workspace(ideal),
+        ):
+            for p in range(n):
+                for i in range(1, imax + 1):
+                    for k in range(i + kmax + 2):
+                        assert ws.delta(p, i, k) == _reference_delta(
+                            ws, p, i, k
+                        ), (ws.seq, p, i, k)
+
+
+def test_cycle_bases_only_where_both_ends_are_nonzero():
+    # the cycle basis Z_i(q)_j is read by delta(q, i, j + 1) over S and by
+    # delta(q - 1, i, j + 1) over E; it is built only where both homology
+    # spaces of that map are nonzero
+    built = 0
+    for ideal in _oracle_ideals():
+        verify_homology_formula(ideal, seed=0)
+        ws = HomologyWorkspace(ideal, GenericSequence.first(ideal.ring, 0))
+        shift = 1 if ws.ring.is_exterior else 0
+        for q, i, j in ws._cycles:
+            if i >= 1:
+                built += 1
+                assert ws.h(q, i, j) and ws.h(q - shift, i, j + 1), (q, i, j)
+    assert built <= 60
 
 
 class TestBadPrimes:
@@ -739,6 +807,18 @@ class TestBadPrimes:
         failures = self.failures(monkeypatch)
         assert partial_homology(I, 2) == want
         assert failures[0] == "prime 3: it divides the denominator 3 of I_2"
+
+    def test_an_entry_divisible_by_p_is_no_bad_prime(self):
+        # mult_var(I, 0, 1) holds the entry 10, 0 mod 5, while the
+        # denominator 2 of I_2 is prime to 5: the column mod 5 drops it
+        I = parse_ideal("ring poly 3 QQ\n2*x1*x2 + x3^2\nx1^2 - 5*x2*x3\n")
+        rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        ws = HomologyWorkspace(I, GenericSequence(I.ring, rows, "id", 1, 5))
+        assert any(10 in col.values() for col in mult_var(I, 0, 1))
+        assert ws.mult(0, 1) == [
+            {idx: v % 5 for idx, v in col.items() if v % 5}
+            for col in mult_var(I, 0, 1)
+        ]
 
     def test_single_draws_raise_genericity_error(self, monkeypatch):
         force_forms_prime(monkeypatch, 3)
