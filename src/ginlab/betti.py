@@ -31,7 +31,6 @@ n variables.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
 from math import inf
 
 from .groebner import gin, initial_ideal
@@ -48,10 +47,10 @@ from .rings import (
     BadPrime,
     Element,
     binom,
+    exponent_vectors,
     max_variable,
-    monomial_mul,
+    monomial_product,
     polynomial_ring,
-    wedge_supports,
 )
 
 IDEAL = "ideal"
@@ -168,10 +167,7 @@ def mult_var(ideal, t, d):
         (var,) = ideal.ring.variable(t).terms
         cols = []
         for u in ideal.piece(d).std_monomials:
-            if ideal.ring.is_exterior:
-                sgn, up = wedge_supports(u, var)
-            else:
-                sgn, up = 1, monomial_mul(u, var)
+            sgn, up = monomial_product(ideal.ring.is_exterior, u, var)
             nf = target.nf_monomial(up) if sgn else {}
             cols.append({tgt_index[m]: sgn * c for m, c in nf.items()})
         return cols
@@ -181,17 +177,6 @@ def mult_var(ideal, t, d):
 
 # ---------------------------------------------------------------------------
 # homological route
-
-
-def divided_power_multiindices(n, i):
-    """All a in N^n with |a| = i (basis of the divided power degree i)."""
-    out = []
-    for c in combinations_with_replacement(range(n), i):
-        a = [0] * n
-        for t in c:
-            a[t] += 1
-        out.append(tuple(a))
-    return out
 
 
 class HomologyWorkspace:
@@ -211,6 +196,10 @@ class HomologyWorkspace:
     they live in Ideal.memo under the forms' prime and rows (("workspace",)
     on the coordinates), shared by every workspace on the same ideal and
     forms; that state holds no reference back to the ideal.
+
+    Chains of both complexes are exponent vectors of the dual ring
+    (chain_sets): exterior monomials over S, divided powers over E
+    (Aramova-Avramov-Herzog, Trans. AMS 352, 2000).
     """
 
     def __init__(self, ideal, seq=None):
@@ -254,13 +243,12 @@ class HomologyWorkspace:
         return self._mult[key]
 
     def chain_sets(self, p, i):
-        """Index sets for C_i on the first p forms."""
+        """The chain basis of C_i(p): the degree-i monomials of the dual ring
+        in p variables, 0/1 vectors over S and divided powers over E, in
+        the exponent_vectors order that indexes every elimination."""
         key = (p, i)
         if key not in self._sets:
-            if self.ring.is_exterior:
-                self._sets[key] = divided_power_multiindices(p, i)
-            else:
-                self._sets[key] = list(combinations(range(p), i))
+            self._sets[key] = exponent_vectors(p, i, not self.ring.is_exterior)
         return self._sets[key]
 
     def chain_dim(self, p, i, j):
@@ -289,20 +277,19 @@ class HomologyWorkspace:
         block = self.dim(src_deg + 1)
         mult = [self.mult(t, src_deg) for t in range(p)]
         sizes = [[len(c) for c in mt] for mt in mult]
+        # the drop s -> s - e_t has sign (-1)^(variables of s before t)
+        # over S, +1 over E: the parity flips per variable only over S
+        flip = not self.ring.is_exterior
         chain_drops = []
         lengths = []
         for s in self.chain_sets(p, i):
             drops = []
-            if self.ring.is_exterior:
-                for t in range(p):
-                    if s[t]:
-                        down = s[:t] + (s[t] - 1,) + s[t + 1 :]
-                        drops.append((tgt_sets[down] * block, 1, t))
-            else:
-                for pos, t in enumerate(s):
-                    rest = s[:pos] + s[pos + 1 :]
-                    sgn = -1 if pos % 2 else 1
-                    drops.append((tgt_sets[rest] * block, sgn, t))
+            odd = False
+            for t in range(p):
+                if s[t]:
+                    down = s[:t] + (s[t] - 1,) + s[t + 1 :]
+                    drops.append((tgt_sets[down] * block, -1 if odd else 1, t))
+                    odd ^= flip
             chain_drops.append(drops)
             lengths.extend(map(sum, zip(*(sizes[t] for _, _, t in drops))))
         for idx in sorted(range(len(lengths)), key=lengths.__getitem__):

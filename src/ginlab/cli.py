@@ -167,16 +167,16 @@ def cmd_check(args):
         raise _UsageError(
             f"the whole battery takes no {pins}; pin with --statement NAME"
         )
+    name = args.statement
+    if name is not None and name not in STATEMENTS:
+        raise _UsageError(
+            f"unknown statement {name!r}; known: {', '.join(sorted(STATEMENTS))}"
+        )
     ideal = _load_ideal(args.file)
     ctx = RigidityContext(ideal, seed=args.seed, i_max=args.imax)
-    if args.statement is None:
+    if name is None:
         reports = battery(ctx)
     else:
-        name = args.statement
-        if name not in STATEMENTS:
-            raise _UsageError(
-                f"unknown statement {name!r}; known: {', '.join(sorted(STATEMENTS))}"
-            )
         check = STATEMENTS[name].check
         reports = [check(ctx, **params) for params in sweep(ctx, name, fixed)]
     violated = [r for r in reports if not r.holds]
@@ -268,7 +268,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, imax=True):
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", action="store_true")
         if imax:
             p.add_argument(
@@ -352,6 +352,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if args.seed is None:
+            args.seed = _default_seed()
         if getattr(args, "imax", None) is not None and args.imax < 0:
             raise _UsageError("i_max must be nonnegative")
         return args.fn(args)

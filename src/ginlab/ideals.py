@@ -25,8 +25,10 @@ from .rings import (
     Element,
     Ring,
     check_monomials,
+    exponent_vectors,
     max_variable,
     monomial_divides,
+    monomial_product,
     order_key,
     render_monomial,
 )
@@ -304,20 +306,19 @@ def is_strongly_stable(ideal):
     """Borel exchange test: replacing a variable by any earlier one stays inside.
 
     For monomial ideals it suffices to test the exchanges on minimal
-    generators; over E only with a variable the generator lacks.
+    generators: x_i * g / x_j for i < j, where monomial_product decides
+    whether the exchange is a monomial (over E, x_i must not divide g / x_j).
     """
     ring = ideal.ring
+    units = exponent_vectors(ring.n, 1, True)
     for g in ideal.gens:
         for j in range(ring.n):
             if not g[j]:
                 continue
+            rest = g[:j] + (g[j] - 1,) + g[j + 1:]
             for i in range(j):
-                if ring.is_exterior and g[i]:
-                    continue
-                moved = list(g)
-                moved[j] -= 1
-                moved[i] += 1
-                if not ideal.contains(tuple(moved)):
+                sgn, moved = monomial_product(ring.is_exterior, rest, units[i])
+                if sgn and not ideal.contains(moved):
                     return False
     return True
 
@@ -446,14 +447,13 @@ def quotient_dim_from_numerator(num, n, d):
 
 def variable_multiples(ring, monomials):
     """All nonzero products of the given monomials with one variable."""
+    units = exponent_vectors(ring.n, 1, True)
     out = set()
     for m in monomials:
-        for i in range(ring.n):
-            if ring.is_exterior and m[i]:
-                continue
-            up = list(m)
-            up[i] += 1
-            out.add(tuple(up))
+        for unit in units:
+            sgn, up = monomial_product(ring.is_exterior, m, unit)
+            if sgn:
+                out.add(up)
     return out
 
 

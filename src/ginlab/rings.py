@@ -2,11 +2,11 @@
 
 Monomials are exponent vectors of length n over both ring kinds; over
 the exterior algebra the entries are 0 or 1, so a squarefree monomial is
-the same tuple in S and in E.  Only the multiplication rule tells the
-rings apart: e_i ^ e_i = 0, and a sign for reordering the factors.
-Elements map monomials to nonzero exact rational coefficients (int or
-Fraction).  Everything is immutable after construction and all
-operations are pure functions.
+the same tuple in S and in E.  Only the product tells the rings apart,
+and monomial_product is its one home: over E, e_i ^ e_i = 0, and a sign
+for reordering the factors.  Elements map monomials to nonzero exact
+rational coefficients (int or Fraction).  Everything is immutable after
+construction and all operations are pure functions.
 
 The random draws of the certified generic computations live here too:
 certified_draw draws one prime per round and seed, and for each trial a
@@ -88,13 +88,7 @@ class Ring:
         variables of a monomial are distinct."""
         order = order or self.order
         if (d, order) not in self._memo:
-            pick = combinations if self.is_exterior else combinations_with_replacement
-            monos = []
-            for c in pick(range(self.n), d):
-                exps = [0] * self.n
-                for i in c:
-                    exps[i] += 1
-                monos.append(tuple(exps))
+            monos = exponent_vectors(self.n, d, self.is_exterior)
             monos.sort(key=order_key(self, order), reverse=True)
             self._memo[(d, order)] = tuple(monos)
         return self._memo[(d, order)]
@@ -125,6 +119,19 @@ def binom(a, b):
 
 # ---------------------------------------------------------------------------
 # monomial helpers
+
+
+def exponent_vectors(n, d, squarefree):
+    """The degree-d monomials in n >= 0 variables of E (squarefree) or S,
+    in the order of combinations (resp. combinations_with_replacement)."""
+    pick = combinations if squarefree else combinations_with_replacement
+    out = []
+    for c in pick(range(n), d):
+        exps = [0] * n
+        for i in c:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out
 
 
 def max_variable(ring, m):
@@ -172,6 +179,15 @@ def wedge_supports(s, t):
         elif a:
             inv += seen
     return -1 if inv & 1 else 1, tuple(map(add, s, t))
+
+
+def monomial_product(exterior, a, b):
+    """The one product rule of both ring kinds: a * b as (sign, monomial),
+    or (0, None) when it vanishes.  Over E (exterior) it is wedge_supports;
+    over S it is (1, monomial_mul(a, b)), inlined: this is a hot path."""
+    if exterior:
+        return wedge_supports(a, b)
+    return 1, tuple(map(add, a, b))
 
 
 def order_key(ring, order=None):
@@ -286,32 +302,26 @@ class Element:
         return Element(self.ring, {m: c * x for m, x in self.terms.items()})
 
     def term_mul(self, mono, coeff=1):
-        """Multiply by coeff * (monomial); exterior signs handled."""
-        ring = self.ring
-        out = {}
-        if ring.is_exterior:
-            for m, c in self.terms.items():
-                sgn, merged = wedge_supports(m, mono)
-                if sgn:
-                    s = out.get(merged, 0) + sgn * c * coeff
-                    if s:
-                        out[merged] = s
-                    else:
-                        del out[merged]
-        else:
-            for m, c in self.terms.items():
-                out[monomial_mul(m, mono)] = c * coeff
-        return Element(ring, out)
+        """Multiply by coeff * (monomial)."""
+        return self._times(((mono, coeff),))
 
     def __mul__(self, other):
+        return self._times(other.terms.items())
+
+    def _times(self, terms):
+        """self times the sum of the (monomial, coeff) terms: the one
+        product loop of term_mul and __mul__, over monomial_product."""
+        exterior = self.ring.is_exterior
         out = {}
-        for m, c in other.terms.items():
-            for t, x in self.term_mul(m, c).terms.items():
-                s = out.get(t, 0) + x
-                if s:
-                    out[t] = s
-                else:
-                    del out[t]
+        for mono, coeff in terms:
+            for m, c in self.terms.items():
+                sgn, t = monomial_product(exterior, m, mono)
+                if sgn:
+                    s = out.get(t, 0) + sgn * c * coeff
+                    if s:
+                        out[t] = s
+                    else:
+                        del out[t]
         return Element(self.ring, out)
 
     def leading_monomial(self, order=None):

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -362,6 +363,20 @@ def dense_exterior_quadrics_e4():
         Element(ring, {m: rng.randint(-4, 4) for m in ring.monomials(2)})
         for _ in range(3)
     ])
+
+
+@pytest.mark.parametrize("kind", [POLY, EXT])
+def test_chain_order_is_pinned(kind):
+    """chain_sets lists C_i(p) in the order of combinations (S) or
+    combinations_with_replacement (E) of range(p): the order that indexes
+    the columns of every elimination, and with it coefficient growth."""
+    ring = polynomial_ring(5) if kind == POLY else exterior_ring(5)
+    ws = HomologyWorkspace(Ideal(ring, [ring.variable(0)]))
+    pick = combinations if kind == POLY else combinations_with_replacement
+    for p in range(6):
+        for i in range(7):
+            want = [tuple(c.count(t) for t in range(p)) for c in pick(range(p), i)]
+            assert ws.chain_sets(p, i) == want, (p, i)
 
 
 class TestIntegerTables:

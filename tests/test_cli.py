@@ -239,6 +239,11 @@ class TestCheck:
         path = write(tmp_path, STAIRCASE_3)
         code, _, err = run_main(capsys, "check", path, "--statement", "nope")
         assert code == 1 and "unknown statement" in err
+        # refused before the file is read
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_main(capsys, "check", missing, "--statement", "nope")
+        assert code == 1 and "unknown statement" in err and out == ""
+        assert "cannot read" not in err
 
 
 class TestErrors:
@@ -486,3 +491,8 @@ class TestDeterminism:
         a = subprocess.run(cmd, capture_output=True, env=env)
         assert a.returncode == 0
         assert json.loads(a.stdout)["certificate"]["seed"] == 0
+        # an explicit --seed wins; the variable is then not read at all
+        env = dict(os.environ, GINLAB_SEED="abc")
+        a = subprocess.run(cmd + ["--seed", "3"], capture_output=True, env=env)
+        assert a.returncode == 0
+        assert json.loads(a.stdout)["certificate"]["seed"] == 3

@@ -19,11 +19,13 @@ from ginlab.rings import (
     apply_linear_change,
     change_coordinates,
     compare_monomials,
+    exponent_vectors,
     exterior_ring,
     is_prime,
     linear_form,
     max_variable,
     monomial_mul,
+    monomial_product,
     order_key,
     polynomial_ring,
     random_invertible_matrix_mod,
@@ -126,8 +128,15 @@ class TestMonomials:
                     monos = ring.monomials(d, order)
                     assert monos == tuple(want), (ring, order, d)
                     assert ring.monomials(d, order) is monos
+                    vectors = exponent_vectors(ring.n, d, ring.is_exterior)
+                    assert sorted(vectors) == sorted(monos), (ring, d)
         # the memo is not part of a ring's value
         assert R3 == polynomial_ring(3) and hash(R3) == hash(polynomial_ring(3))
+
+    @pytest.mark.parametrize("squarefree", [True, False])
+    def test_exponent_vectors_in_no_variables(self, squarefree):
+        assert exponent_vectors(0, 0, squarefree) == [()]
+        assert exponent_vectors(0, 2, squarefree) == []
 
 
 class TestWedge:
@@ -148,6 +157,17 @@ class TestWedge:
                 s1, m1 = wedge_supports(ext(4, i), ext(4, j))
                 s2, m2 = wedge_supports(ext(4, j), ext(4, i))
                 assert m1 == m2 and s1 == -s2
+
+    @pytest.mark.parametrize("ring", [polynomial_ring(3), exterior_ring(3)])
+    def test_monomial_product_is_the_one_rule(self, ring):
+        monos = [m for d in range(3) for m in ring.monomials(d)]
+        for a in monos:
+            for b in monos:
+                got = monomial_product(ring.is_exterior, a, b)
+                if ring.is_exterior:
+                    assert got == wedge_supports(a, b), (a, b)
+                else:
+                    assert got == (1, monomial_mul(a, b)), (a, b)
 
 
 @given(st.permutations(list(range(4))))
@@ -417,3 +437,24 @@ def test_draws_have_one_home():
             if "random" in names:
                 importers.add(path.name)
     assert importers == {"corpus.py", "rings.py"}
+
+
+def test_the_product_rule_has_one_home():
+    # rings.monomial_product is the one product of monomials: no other
+    # module of the package names wedge_supports (__init__ re-exports it),
+    # and betti.py enumerates its chains with rings.exponent_vectors
+    package = Path(rings.__file__).parent
+    users = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = getattr(node, "id", None) or getattr(node, "name", None)
+            if name == "wedge_supports":
+                users.add(path.name)
+            if path.name == "betti.py" and isinstance(
+                node, (ast.Import, ast.ImportFrom)
+            ):
+                modules = [a.name for a in node.names]
+                modules.append(getattr(node, "module", None))
+                assert "itertools" not in modules
+    assert users == {"__init__.py", "rings.py"}
