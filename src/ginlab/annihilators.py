@@ -41,7 +41,7 @@ window from _windows (the upper-bound check takes only its i_max).
 
 from dataclasses import dataclass, field
 
-from .betti import QUOTIENT, HomologyWorkspace, betti_table, binom
+from .betti import HomologyWorkspace, betti_table, binom
 from .groebner import _scan_plan, gin
 from .ideals import eliminate_degree
 from .linalg import ModRank
@@ -437,8 +437,8 @@ def upper_bound_check(ideal, seed=0):
     r = J.max_gen_degree()
     _, imax = _windows(ideal, seed)
     kmax = n if ring.is_exterior else max(r - 1, 0)
-    bI = betti_table(ideal, QUOTIENT, seed=seed, i_max=imax, reg_bound=r)
-    bG = betti_table(J.to_ideal(), QUOTIENT, seed=seed, i_max=imax, reg_bound=r)
+    bI = betti_table(ideal, seed=seed, i_max=imax, reg_bound=r)
+    bG = betti_table(J.to_ideal(), seed=seed, i_max=imax, reg_bound=r)
 
     report = UpperBoundReport(ring, {"i_max": imax, "k_max": kmax})
     attained = True

@@ -15,6 +15,10 @@ Bigatti's count in terms of m_<=q, and the Aramova-Herzog-Hibi formula
 over the exterior algebra.  The homological and combinatorial routes stay
 independent so they can act as oracles for each other.
 
+Every table is beta(R/I), the convention the homology computes and the
+paper states its theorems in; BettiTable.as_convention is the one place
+that re-indexes, to beta_{i,j}(I) = beta_{i+1,j}(R/I).
+
 Polynomial tables carry a self-certifying window: strands run up to the
 top generator degree r of the generic initial ideal, and the strand at r
 is computed and required to vanish identically.
@@ -70,6 +74,9 @@ class WindowError(ImplementationFault):
 
 @dataclass
 class BettiTable:
+    """beta_{i,j} of R/I (QUOTIENT) or of I (IDEAL), complete in its window:
+    strands j - i <= strand_max and i <= i_max."""
+
     ring: object
     convention: str
     entries: dict
@@ -94,16 +101,26 @@ class BettiTable:
         return max(ks) if ks else None
 
     def as_convention(self, convention):
+        """This table as beta(I) (IDEAL) or beta(R/I) (QUOTIENT), where
+        beta_{i,j}(I) = beta_{i+1,j}(R/I); the window moves with the entries."""
+        if convention not in (IDEAL, QUOTIENT):
+            raise ValueError(f"unknown Betti convention {convention!r}")
         if convention == self.convention:
             return self
         if convention == IDEAL:
+            shift = 1
             entries = {
                 (i - 1, j): b for (i, j), b in self.entries.items() if i >= 1
             }
         else:
+            shift = -1
             entries = {(i + 1, j): b for (i, j), b in self.entries.items()}
             entries[(0, 0)] = 1
-        return BettiTable(self.ring, convention, entries, dict(self.window))
+        window = dict(self.window)
+        if window:
+            window["strand_max"] += shift
+            window["i_max"] -= shift
+        return BettiTable(self.ring, convention, entries, window)
 
     def __eq__(self, other):
         return (
@@ -482,7 +499,7 @@ def _drop_regular_variables(ideal):
     return section
 
 
-def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):
+def koszul_betti(ideal, reg_bound=None, seed=0):
     """Betti table of R/I from Koszul homology on the coordinate forms.
 
     The homology runs on _regular_section(I), which has the same table:
@@ -503,10 +520,9 @@ def koszul_betti(ideal, convention=QUOTIENT, reg_bound=None, seed=0):
     if reg_bound is None:
         reg_bound = gin(section, seed=seed)[0].max_gen_degree()
     entries = _homology_table(section, section.ring.n, reg_bound, reg_bound)
-    table = BettiTable(
+    return BettiTable(
         ring, QUOTIENT, entries, {"strand_max": reg_bound - 1, "i_max": ring.n}
     )
-    return table.as_convention(convention)
 
 
 def exterior_i_max(ring):
@@ -518,7 +534,7 @@ def exterior_i_max(ring):
     return ring.n + 3
 
 
-def cartan_betti(ideal, convention=QUOTIENT, i_max=None):
+def cartan_betti(ideal, i_max=None):
     """Betti table of E/J from Cartan homology, up to homological degree i_max.
 
     The window in i defaults to exterior_i_max.  Internal degrees
@@ -535,10 +551,7 @@ def cartan_betti(ideal, convention=QUOTIENT, i_max=None):
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
     entries = _homology_table(ideal, i_max, n)
-    table = BettiTable(
-        ring, QUOTIENT, entries, {"strand_max": n, "i_max": i_max}
-    )
-    return table.as_convention(convention)
+    return BettiTable(ring, QUOTIENT, entries, {"strand_max": n, "i_max": i_max})
 
 
 # ---------------------------------------------------------------------------
@@ -552,25 +565,24 @@ def _require_strongly_stable(J):
         raise NotStronglyStableError(f"{J} is not strongly stable")
 
 
-def ek_betti(J, convention=IDEAL):
-    """Eliahou-Kervaire: beta_{i,i+j}(I) = sum over G(I)_j of C(m(u)-1, i)."""
+def ek_betti(J):
+    """Eliahou-Kervaire in beta(S/J): beta_{i+1,i+d}(S/J) = beta_{i,i+d}(J)
+    = sum over G(J)_d of C(m(u)-1, i)."""
     _require_strongly_stable(J)
     ring = J.ring
     if ring.is_exterior:
         raise ValueError("polynomial-ring ideal expected")
-    entries = {}
+    entries = {(0, 0): 1}
     for u in J.gens:
         d = sum(u)
         m = max_variable(ring, u)
         for i in range(m):
-            entries[(i, i + d)] = entries.get((i, i + d), 0) + binom(m - 1, i)
-    table = BettiTable(
-        ring, IDEAL, entries, {"strand_max": J.max_gen_degree(), "i_max": ring.n}
-    )
-    return table.as_convention(convention)
+            entries[(i + 1, i + d)] = entries.get((i + 1, i + d), 0) + binom(m - 1, i)
+    r = J.max_gen_degree()
+    return BettiTable(ring, QUOTIENT, entries, {"strand_max": r - 1, "i_max": ring.n})
 
 
-def bigatti_betti(J, convention=QUOTIENT):
+def bigatti_betti(J):
     """Strongly stable Betti numbers from the m_<=q counts.
 
     The closed form reads, for s >= 0 and strand k,
@@ -614,13 +626,10 @@ def bigatti_betti(J, convention=QUOTIENT):
                 raise WindowError("negative Betti number from m-counts")
             if val:
                 entries[(s + 1, s + 1 + k)] = val
-    table = BettiTable(
-        ring, QUOTIENT, entries, {"strand_max": r - 1, "i_max": n}
-    )
-    return table.as_convention(convention)
+    return BettiTable(ring, QUOTIENT, entries, {"strand_max": r - 1, "i_max": n})
 
 
-def ahh_betti(J, i_max=None, convention=QUOTIENT):
+def ahh_betti(J, i_max=None):
     """Aramova-Herzog-Hibi closed form over the exterior algebra.
 
     beta_{i,i+k}(E/J) = sum over G(J)_{k+1} of C(m(u)+i-2, i-1), i >= 1.
@@ -639,36 +648,34 @@ def ahh_betti(J, i_max=None, convention=QUOTIENT):
             c = binom(m + i - 2, i - 1)
             if c:
                 entries[(i, i + k)] = entries.get((i, i + k), 0) + c
-    table = BettiTable(
+    return BettiTable(
         ring, QUOTIENT, entries, {"strand_max": ring.n, "i_max": i_max}
     )
-    return table.as_convention(convention)
 
 
 # ---------------------------------------------------------------------------
 # regularity and linearity predicates
 
 
-def betti_table(ideal, convention=QUOTIENT, seed=0, i_max=None, reg_bound=None):
-    """The honest (homological-route) Betti table for either ring kind."""
+def betti_table(ideal, seed=0, i_max=None, reg_bound=None):
+    """The honest (homological-route) Betti table of R/I for either ring kind."""
     if ideal.ring.is_exterior:
-        return cartan_betti(ideal, convention, i_max=i_max)
-    return koszul_betti(ideal, convention, reg_bound=reg_bound, seed=seed)
+        return cartan_betti(ideal, i_max=i_max)
+    return koszul_betti(ideal, reg_bound=reg_bound, seed=seed)
 
 
 def regularity(ideal, seed=0):
     """reg(I) = max{k : beta_{i,i+k}(I) != 0}, ideal convention."""
     if ideal.is_zero():
         raise ValueError("regularity of the zero ideal is undefined")
-    table = betti_table(ideal, IDEAL, seed=seed)
-    return table.max_strand()
+    return betti_table(ideal, seed=seed).as_convention(IDEAL).max_strand()
 
 
 def has_linear_resolution(ideal, seed=0, i_max=None, reg_bound=None):
     """Equigenerated in degree d with reg = d; the zero ideal passes vacuously."""
     if ideal.is_zero():
         return True
-    table = betti_table(ideal, IDEAL, seed=seed, i_max=i_max, reg_bound=reg_bound)
+    table = betti_table(ideal, seed, i_max, reg_bound).as_convention(IDEAL)
     gen_degrees = {j for (i, j) in table.entries if i == 0}
     return len(gen_degrees) == 1 and table.max_strand() == gen_degrees.pop()
 
@@ -679,6 +686,6 @@ def is_componentwise_linear(ideal, seed=0):
         return True
     J, _ = gin(ideal, seed=seed)
     r = J.max_gen_degree()
-    a = betti_table(ideal, QUOTIENT, seed=seed, reg_bound=r)
-    b = betti_table(J.to_ideal(), QUOTIENT, seed=seed, reg_bound=r)
+    a = betti_table(ideal, seed=seed, reg_bound=r)
+    b = betti_table(J.to_ideal(), seed=seed, reg_bound=r)
     return a.entries == b.entries

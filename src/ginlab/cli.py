@@ -84,9 +84,7 @@ def _gin_json(ring, J, cert):
 
 def cmd_betti(args):
     ideal = _load_ideal(args.file)
-    table = betti_table(
-        ideal, convention=args.convention, seed=args.seed, i_max=args.imax
-    )
+    table = betti_table(ideal, args.seed, args.imax).as_convention(args.convention)
     if args.json:
         _emit_json(table.to_json())
     else:

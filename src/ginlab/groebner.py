@@ -78,7 +78,6 @@ class GroebnerBasis:
     ring: object
     order: str
     elements: tuple
-    reduced: bool = True
 
 
 def _spoly(f, lmf, g, lmg):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .annihilators import annihilators_from_gin, generic_annihilators_direct
 from .betti import (
-    QUOTIENT,
     ahh_betti,
     bigatti_betti,
     cartan_betti,
@@ -31,9 +30,9 @@ class OracleResult:
 
 def betti_oracle_triple(J):
     """ek = bigatti = koszul on a strongly stable polynomial ideal."""
-    kz = koszul_betti(J.to_ideal(), QUOTIENT, reg_bound=J.max_gen_degree())
-    ek = ek_betti(J, QUOTIENT)
-    bg = bigatti_betti(J, QUOTIENT)
+    kz = koszul_betti(J.to_ideal(), reg_bound=J.max_gen_degree())
+    ek = ek_betti(J)
+    bg = bigatti_betti(J)
     ok = kz.entries == ek.entries == bg.entries
     detail = ""
     if not ok:
@@ -43,7 +42,7 @@ def betti_oracle_triple(J):
 
 def betti_oracle_exterior(J, i_max):
     """ahh = cartan on a strongly stable exterior ideal, windowed in i."""
-    ct = cartan_betti(J.to_ideal(), QUOTIENT, i_max=i_max)
+    ct = cartan_betti(J.to_ideal(), i_max=i_max)
     ah = ahh_betti(J, i_max=i_max)
     ok = ct.entries == ah.entries
     detail = ""

@@ -1,10 +1,12 @@
 """Executable verdicts for the Betti-rigidity statements.
 
 Every check compares exact tables: the graded Betti tables of R/I and
-R/gin(I), the annihilator numbers, the cancellation numbers.  Statement
-windows are finite and recorded in the reports: polynomial tables carry
-self-certified strand bounds, exterior checks run to a chosen homological
-bound.  A violated verdict means the implementation is falsified (these
+R/gin(I), the annihilator numbers, the cancellation numbers.  The Betti
+tables are beta(R/I); a statement about beta(I), and the cancellation
+numbers, read beta_{i,j}(I) as table.get(i + 1, j).  Statement windows
+are finite and recorded in the reports: polynomial tables carry
+self-certified strand bounds, exterior checks run to a chosen
+homological bound.  A violated verdict means the implementation is falsified (these
 are theorems), and carries a reproducible witness.
 """
 
@@ -13,8 +15,6 @@ from typing import Callable, NamedTuple
 
 from .annihilators import HomologyWorkspace, annihilator_index_set
 from .betti import (
-    IDEAL,
-    QUOTIENT,
     ahh_betti,
     betti_table,
     binom,
@@ -160,24 +160,12 @@ class RigidityContext:
     def table(self):
         return self._get(
             "table",
-            lambda: betti_table(
-                self.ideal, QUOTIENT, self.seed, self.i_max, self.reg_bound
-            ),
+            lambda: betti_table(self.ideal, self.seed, self.i_max, self.reg_bound),
         )
 
     @property
     def gin_table(self):
         return self.stable_table(self.gin_ideal)
-
-    @property
-    def table_ideal_conv(self):
-        return self._get("table_i", lambda: self.table.as_convention(IDEAL))
-
-    @property
-    def gin_table_ideal_conv(self):
-        return self._get(
-            "gin_table_i", lambda: self.gin_table.as_convention(IDEAL)
-        )
 
     @property
     def scan_cut(self):
@@ -212,7 +200,7 @@ class RigidityContext:
         key = ("stable_table", J.gens)
         if self.ring.is_exterior:
             return self._get(key, lambda: ahh_betti(J, i_max=self.i_max))
-        return self._get(key, lambda: ek_betti(J, QUOTIENT))
+        return self._get(key, lambda: ek_betti(J))
 
     def component_gin(self, k):
         """gin(I_<k>) through the truncation identity.
@@ -418,15 +406,15 @@ def cancellation_numbers(ctx):
     """
     if ctx.ring.is_exterior:
         raise ValueError("cancellation numbers live over the polynomial ring")
-    bI = ctx.table_ideal_conv
-    bG = ctx.gin_table_ideal_conv
+    bI, bG = ctx.table, ctx.gin_table
     n = ctx.ring.n
-    columns = {j for (_, j) in bI.entries} | {j for (_, j) in bG.entries}
+    # beta_{i,j}(I) = beta_{i+1,j}(S/I): the columns of the ideal tables
+    columns = {j for t in (bI, bG) for (i, j) in t.entries if i >= 1}
     entries = {}
     for j in sorted(columns):
         prev = 0  # c_{0,j} = 0
         for i in range(0, n + 2):
-            c_next = bG.get(i, j) - bI.get(i, j) - prev
+            c_next = bG.get(i + 1, j) - bI.get(i + 1, j) - prev
             if c_next < 0:
                 raise TheoremViolationError(
                     f"negative cancellation number c[{i + 1},{j}] = {c_next}"
@@ -484,11 +472,11 @@ def post_clinear_corollary(ctx, k, q):
     adjacent cells in columns q+k+2 and q+k-1 (ideal convention)."""
     if not ctx.component_linear(k):
         raise ValueError("requires a component ideal with linear resolution")
-    bI = ctx.table_ideal_conv
-    bG = ctx.gin_table_ideal_conv
+    bI, bG = ctx.table, ctx.gin_table
 
     def eq(i, j):
-        return bI.get(i, j) == bG.get(i, j)
+        """beta_{i,j}(I) = beta_{i,j}(gin I), read in the quotient tables."""
+        return bI.get(i + 1, j) == bG.get(i + 1, j)
 
     part_i_hyp = eq(q, q + k + 2)
     part_i_ok = (not part_i_hyp) or eq(q + 1, q + k + 2)
@@ -574,9 +562,9 @@ def degree_d_componentwise(ctx):
     through d; generator-count equality through d + 1 (ideal convention)."""
     if ctx.ring.is_exterior:
         raise ValueError("polynomial-ring statement")
-    bI = ctx.table_ideal_conv
-    bG = ctx.gin_table_ideal_conv
-    gen_degrees = [j for (i, j) in bI.entries if i == 0]
+    bI, bG = ctx.table, ctx.gin_table
+    # beta_{i,j}(I) = beta_{i+1,j}(S/I); both quotient tables hold (0, 0): 1
+    gen_degrees = [j for (i, j) in bI.entries if i == 1]
     if not gen_degrees:
         return RigidityReport(
             "degree-d-componentwise", {}, "holds", vacuous=True
@@ -585,14 +573,14 @@ def degree_d_componentwise(ctx):
     n = ctx.ring.n
     cond_full = bI.entries == bG.entries
     cond_strands = all(
-        bI.get(i, i + k) == bG.get(i, i + k)
+        bI.get(i + 1, i + k) == bG.get(i + 1, i + k)
         for i in range(0, n + 1)
         for k in range(0, d + 1)
     )
     cond_first = all(
-        bI.get(1, 1 + k) == bG.get(1, 1 + k) for k in range(0, d + 1)
+        bI.get(2, 1 + k) == bG.get(2, 1 + k) for k in range(0, d + 1)
     )
-    cond_gens = all(bI.get(0, k) == bG.get(0, k) for k in range(0, d + 2))
+    cond_gens = all(bI.get(1, k) == bG.get(1, k) for k in range(0, d + 2))
     return _agreement(
         "degree-d-componentwise",
         {"d": d},

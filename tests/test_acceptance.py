@@ -14,7 +14,7 @@ import time
 import pytest
 
 from ginlab.annihilators import verify_homology_formula
-from ginlab.betti import has_linear_resolution, koszul_betti
+from ginlab.betti import IDEAL, has_linear_resolution, koszul_betti
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin
 from ginlab.ideals import component_ideal
@@ -67,14 +67,14 @@ def test_criterion_2_cancellation_example():
     t0 = time.time()
     I = parse_ideal(CANCEL_4)
     ctx = RigidityContext(I, seed=0)
-    assert ctx.table_ideal_conv.entries == {
+    assert ctx.table.as_convention(IDEAL).entries == {
         (0, 3): 6,
         (1, 4): 6,
         (1, 5): 1,
         (2, 5): 1,
         (2, 6): 1,
     }
-    assert ctx.gin_table_ideal_conv.entries == {
+    assert ctx.gin_table.as_convention(IDEAL).entries == {
         (0, 3): 6,
         (0, 4): 1,
         (1, 4): 7,

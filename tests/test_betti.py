@@ -1,7 +1,9 @@
+import ast
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -86,7 +88,7 @@ class TestKoszul:
         assert T.entries == {(0, 0): 1, (1, 1): 3, (2, 2): 3, (3, 3): 1}
 
     def test_cancel_ideal_convention(self, cancel4):
-        T = koszul_betti(cancel4, convention=IDEAL)
+        T = koszul_betti(cancel4).as_convention(IDEAL)
         assert T.entries == {
             (0, 3): 6,
             (1, 4): 6,
@@ -269,14 +271,14 @@ class TestIndependentChecks:
 class TestClosedForms:
     def test_ek_two_variables(self):
         J = MonomialIdeal(polynomial_ring(2), [(1, 0), (0, 1)])
-        T = ek_betti(J)
+        T = ek_betti(J).as_convention(IDEAL)
         assert T.entries == {(0, 1): 2, (1, 2): 1}
 
     def test_ek_square(self):
         J = MonomialIdeal(polynomial_ring(2), [(2, 0), (1, 1), (0, 2)])
-        T = ek_betti(J)
+        T = ek_betti(J).as_convention(IDEAL)
         assert T.entries == {(0, 2): 3, (1, 3): 2}
-        K = koszul_betti(J.to_ideal(), convention=IDEAL, reg_bound=2)
+        K = koszul_betti(J.to_ideal(), reg_bound=2).as_convention(IDEAL)
         assert K.entries == T.entries
 
     def test_ek_requires_stable(self):
@@ -295,7 +297,7 @@ class TestClosedForms:
             J, _ = gin(I, seed=0)
             kz = koszul_betti(J.to_ideal(), reg_bound=J.max_gen_degree())
             assert bigatti_betti(J).entries == kz.entries
-            assert ek_betti(J, QUOTIENT).entries == kz.entries
+            assert ek_betti(J).entries == kz.entries
 
     def test_three_way_on_random_borel(self):
         rng = random.Random(12)
@@ -305,8 +307,20 @@ class TestClosedForms:
                 J = random_borel(ring, rng)
                 assert is_strongly_stable(J)
                 kz = koszul_betti(J.to_ideal(), reg_bound=J.max_gen_degree())
-                assert ek_betti(J, QUOTIENT).entries == kz.entries
+                assert ek_betti(J).entries == kz.entries
                 assert bigatti_betti(J).entries == kz.entries
+
+    def test_closed_form_windows_agree_on_corpus_gins(self):
+        # both closed forms are built as beta(S/J), window included
+        gins = [
+            gin(I)[0] for spec in ACCEPTANCE_SPECS if spec.kind == POLY
+            for I in generate(spec)
+        ]
+        assert len(gins) == 64
+        for J in gins:
+            ek, bg = ek_betti(J), bigatti_betti(J)
+            assert ek.window == bg.window, J
+            assert ek.entries == bg.entries, J
 
 
 class TestCartan:
@@ -585,9 +599,27 @@ class TestTableType:
         T = koszul_betti(cancel4)
         back = T.as_convention(IDEAL).as_convention(QUOTIENT)
         assert back.entries == T.entries
+        assert back.window == T.window
+
+    def test_window_moves_with_entries(self, cancel4):
+        # beta_{i,j}(I) = beta_{i+1,j}(S/I): one strand up, one step down
+        T = koszul_betti(cancel4)
+        assert T.window == {"strand_max": 3, "i_max": 4}
+        view = T.as_convention(IDEAL)
+        assert view.window == {"strand_max": 4, "i_max": 3}
+        assert view.max_strand() == view.window["strand_max"]
+        assert max(i for i, _ in view.entries) <= view.window["i_max"]
+        back = view.as_convention(QUOTIENT).as_convention(IDEAL)
+        assert back == view and back.window == view.window
+
+    @pytest.mark.parametrize("name", ["ideals", "Ideal"])
+    def test_unknown_convention_raises(self, name):
+        T = koszul_betti(parse_ideal("ring poly 2 QQ\nx1^2\nx1*x2\n"))
+        with pytest.raises(ValueError, match="unknown Betti convention"):
+            T.as_convention(name)
 
     def test_strand_view(self, cancel4):
-        T = koszul_betti(cancel4, convention=IDEAL)
+        T = koszul_betti(cancel4).as_convention(IDEAL)
         assert T.strand(3) == {0: 6, 1: 6, 2: 1}
         assert T.max_strand() == 4
 
@@ -600,3 +632,17 @@ class TestTableType:
         pairs = [(e["i"], e["j"]) for e in data["entries"]]
         assert pairs == sorted(pairs)
         assert data["ring"] == {"kind": "poly", "n": 4}
+
+
+def test_the_convention_has_one_home():
+    # every table is built, cached and compared as beta(R/I): only betti.py
+    # (regularity, has_linear_resolution) and cli.py (--convention) name
+    # IDEAL or re-index a table with as_convention
+    package = Path(betti.__file__).parent
+    users = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            for attr in ("id", "name", "attr"):
+                if getattr(node, attr, None) in ("IDEAL", "as_convention"):
+                    users.add(path.name)
+    assert users == {"betti.py", "cli.py"}

@@ -425,6 +425,27 @@ class TestCorpus:
         )
         assert code == 0 and "all statements hold" in out
 
+    @pytest.mark.skipif(
+        (os.cpu_count() or 1) < 2, reason="needs two CPUs for two workers"
+    )
+    def test_two_workers_match_one(self):
+        # the multiprocessing.Pool branch of --check-all prints what the
+        # serial loop prints
+        runs = []
+        for workers in ("1", "2"):
+            cmd = [
+                sys.executable, "-m", "ginlab.cli", "corpus", "--n", "2",
+                "--count", "4", "--seed", "3", "--check-all",
+                "--workers", workers,
+            ]
+            runs.append(
+                subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+            )
+        serial, parallel = runs
+        assert serial.returncode == parallel.returncode == 0, parallel.stderr
+        assert "4 ideals checked" in serial.stdout
+        assert parallel.stdout == serial.stdout
+
     @pytest.mark.parametrize("workers", ["0", "-3", str(10**6)])
     def test_workers_out_of_range_exit_1(self, capsys, monkeypatch, workers):
         def no_pool(*args, **kwargs):

@@ -3,6 +3,7 @@ import inspect
 import pytest
 
 from ginlab import rigidity
+from ginlab.betti import IDEAL
 from ginlab.ideals import Ideal, MonomialIdeal
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import (
@@ -157,8 +158,8 @@ class TestCancellation:
         assert ctx.cancellation.is_zero()
 
     def test_identity_against_tables(self, ctx_cancel):
-        bI = ctx_cancel.table_ideal_conv
-        bG = ctx_cancel.gin_table_ideal_conv
+        bI = ctx_cancel.table.as_convention(IDEAL)
+        bG = ctx_cancel.gin_table.as_convention(IDEAL)
         c = ctx_cancel.cancellation
         cells = set(bI.entries) | set(bG.entries)
         for (i, j) in cells:
