@@ -10,7 +10,8 @@ of the input, which is exact.
 
 gin runs its trials over F_p on the matrices of rings.certified_draw,
 which draws them and their prime p: each trial sends x_i to column i of
-its matrix mod p and eliminates each degree mod p
+its matrix's echelon form mod p (GenericSequence.echelon, which has the
+same initial ideals) and eliminates each degree mod p
 (ideals.eliminate_degree).  All trials must agree and the result must be
 strongly stable, otherwise the next round runs, and after five rounds
 GenericityError says why.
@@ -386,9 +387,13 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     numerator, dims = _scan_plan(ideal, max_scan_degree)
 
     def trial(seq):
+        # the echelon rows are the drawn rows followed by x_k -> c x_k +
+        # (smaller variables), c != 0 mod p, which keeps every leading
+        # monomial: the same initial ideal, degree by degree, from sparser
+        # images; the certificate records the drawn rows
         p = seq.prime
         J, cut = _initial_ideal_degreewise(
-            ring, change_coordinates(ring, ideal.generators, seq.rows, p),
+            ring, change_coordinates(ring, ideal.generators, seq.echelon, p),
             order, numerator, max_scan_degree, dims, partial(ModRank, p),
         )
         return J, cut, (p, seq.rows)

@@ -17,6 +17,7 @@ route, a gin trial or a generic sequence.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, prod
 from operator import add
@@ -321,7 +322,7 @@ class Element:
                     if s:
                         out[t] = s
                     else:
-                        del out[t]
+                        out.pop(t, None)
         return Element(self.ring, out)
 
     def leading_monomial(self, order=None):
@@ -485,13 +486,40 @@ class BadPrime(GenericityError):
 class GenericSequence:
     """A drawn matrix: n x n rows, entries in [0, prime), invertible mod the
     prime.  Its rows are the forms y_1..y_n of a generic sequence; a gin
-    trial sends x_i to column i (change_coordinates mod the prime)."""
+    trial sends x_i to column i (change_coordinates mod the prime).
+
+    The rows name the draw: certificates and Ideal.memo keys record them.
+    The routes compute with echelon, a basis of the same flag
+    span(y_1) < span(y_1, y_2) < ... mod the prime: the Koszul and Cartan
+    homology of a prefix, its delta numbers, the prefix ideals J_p and a
+    gin trial's initial ideals depend on the flag alone, so every number
+    is that of the rows.
+    """
 
     ring: object
     rows: tuple
     key: object
     bound: int
     prime: int
+
+    @cached_property
+    def echelon(self):
+        """The rows' echelon form mod the prime, computed once: row t is the
+        pivot row of y_t in a ModRank fed y_1..y_t, y_t minus a combination
+        of y_1..y_{t-1} scaled to lead 1.  A generic draw gives
+        u_t = x_t + sum_{s > t} c_s x_s, so u_n = x_n: n(n + 1)/2 entries
+        where the rows have n^2."""
+        n, eng, out = self.ring.n, ModRank(self.prime), []
+        for row in self.rows:
+            if not eng.add(dict(enumerate(row))):
+                raise ValueError(f"the rows are singular mod {self.prime}")
+            lead, rest = next(reversed(eng.pivots.items()))
+            u = [0] * n
+            u[lead] = 1
+            for c, x in rest.items():
+                u[c] = x
+            out.append(tuple(u))
+        return tuple(out)
 
     @classmethod
     def draw(cls, ring, seed, key, bound=PRIME_BOUND, label="forms"):

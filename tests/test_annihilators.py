@@ -44,6 +44,7 @@ from conftest import (
     CRITERION_6,
     STAIRCASE_3,
     STRAND_4,
+    check_echelon,
     force_forms_prime,
     integer_sequence,
     load_perfbench,
@@ -190,8 +191,8 @@ def _reference_prefix_dims(ideal, seq, dmax):
 def _counting_rows(monkeypatch):
     """Count every row fed to the ModRank of annihilators from here on:
     the prefix eliminations of _prefix_dims and the rows of the reference
-    mod p, not the forms _quotient echelonizes, nor the rows of the draws
-    or of gin."""
+    mod p, not the forms (GenericSequence.echelon echelonizes them), nor
+    the rows of the draws or of gin."""
     rows = [0]
 
     class Counting(ModRank):
@@ -199,16 +200,40 @@ def _counting_rows(monkeypatch):
             rows[0] += 1
             return super().add(row)
 
-    quotient = annihilators._quotient
-
-    def uncounted(*args):
-        with monkeypatch.context() as m:
-            m.setattr(annihilators, "ModRank", ModRank)
-            return quotient(*args)
-
     monkeypatch.setattr(annihilators, "ModRank", Counting)
-    monkeypatch.setattr(annihilators, "_quotient", uncounted)
     return rows
+
+
+HAND_ROWS = pytest.mark.parametrize(
+    "text, rows",
+    [
+        # leads in columns 2, 1, 0, 3 and 3, 0, 2, 1: the free
+        # variables of a prefix are not its last ones
+        (STRAND_4, ((0, 0, 3, -2), (0, 5, 1, 0), (2, 0, 0, 7), (1, 1, 1, 1))),
+        (CANCEL_4, ((0, 0, 0, 4), (-3, 2, 0, 1), (0, 0, 1, 5), (0, 6, -1, 0))),
+        ("ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n",
+         ((0, 0, 3, -2), (0, 5, 1, 0), (2, 0, 0, 7), (1, 1, 1, 1))),
+        ("ring ext 5 QQ\ne1*e3 - e2*e5\ne4*e5 + 2*e1*e2\ne1*e2*e3\n",
+         ((0, 0, 0, 0, 1), (0, 2, 0, -1, 3), (1, 0, 0, 0, 0),
+          (0, 0, 4, 1, 0), (0, 1, 1, 1, 1))),
+        # y_1 divides the generator, so it vanishes modulo y_1 only if
+        # the pivot variable goes through the inverse of the lead 3,
+        # resp. 2, mod p
+        ("ring poly 3 QQ\n9*x2^2 - x3^2\n",
+         ((0, 3, -1), (1, 0, 0), (0, 0, 1))),
+        ("ring ext 3 QQ\n2*e1*e3 - e2*e3\n",
+         ((2, -1, 0), (0, 0, 1), (0, 1, 0))),
+    ],
+    ids=["poly4-strand", "poly4-cancel", "ext4", "ext5", "poly3-special",
+         "ext3-special"],
+)
+
+
+def _hand_sequence(ring, rows):
+    """The hand-drawn rows as a sequence mod the prime 2^61 - 1."""
+    p = (1 << 61) - 1
+    rows = tuple(tuple(x % p for x in row) for row in rows)
+    return GenericSequence(ring, rows, "hand", PRIME_BOUND, p)
 
 
 class TestPrefixDims:
@@ -283,42 +308,23 @@ class TestPrefixDims:
         assert dims == _reference_prefix_dims(I, seq, 6)
         assert pruned_rows < rows[0] - pruned_rows  # a stop cut rows
 
-    @pytest.mark.parametrize(
-        "text, rows",
-        [
-            # leads in columns 2, 1, 0, 3 and 3, 0, 2, 1: the free
-            # variables of a prefix are not its last ones
-            (STRAND_4, ((0, 0, 3, -2), (0, 5, 1, 0), (2, 0, 0, 7), (1, 1, 1, 1))),
-            (CANCEL_4, ((0, 0, 0, 4), (-3, 2, 0, 1), (0, 0, 1, 5), (0, 6, -1, 0))),
-            ("ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n",
-             ((0, 0, 3, -2), (0, 5, 1, 0), (2, 0, 0, 7), (1, 1, 1, 1))),
-            ("ring ext 5 QQ\ne1*e3 - e2*e5\ne4*e5 + 2*e1*e2\ne1*e2*e3\n",
-             ((0, 0, 0, 0, 1), (0, 2, 0, -1, 3), (1, 0, 0, 0, 0),
-              (0, 0, 4, 1, 0), (0, 1, 1, 1, 1))),
-            # y_1 divides the generator, so it vanishes modulo y_1 only if
-            # the pivot variable goes through the inverse of the lead 3,
-            # resp. 2, mod p
-            ("ring poly 3 QQ\n9*x2^2 - x3^2\n",
-             ((0, 3, -1), (1, 0, 0), (0, 0, 1))),
-            ("ring ext 3 QQ\n2*e1*e3 - e2*e3\n",
-             ((2, -1, 0), (0, 0, 1), (0, 1, 0))),
-        ],
-        ids=["poly4-strand", "poly4-cancel", "ext4", "ext5", "poly3-special",
-             "ext3-special"],
-    )
+    @HAND_ROWS
     def test_pivots_off_the_leading_columns(self, text, rows):
         I = parse_ideal(text)
-        p = (1 << 61) - 1
-        rows = tuple(tuple(x % p for x in row) for row in rows)
-        seq = GenericSequence(I.ring, rows, "hand", PRIME_BOUND, p)
+        seq = _hand_sequence(I.ring, rows)
         dims = annihilators._prefix_dims(I, seq, 7)
         assert dims == _reference_prefix_dims(I, seq, 7)
+
+    @HAND_ROWS
+    def test_echelon_of_the_hand_rows(self, text, rows):
+        check_echelon(_hand_sequence(parse_ideal(text).ring, rows))
 
     @pytest.mark.parametrize("kind", ["poly", "ext"])
     def test_forms_vanish_in_their_quotient(self, kind):
         # pins the map R -> R' = R/(y_1..y_p), not only the dimensions:
         # any p independent forms give the same dimensions on a generic
-        # ideal, but only y_1..y_p themselves have zero images
+        # ideal, but only forms in the span of the drawn y_1..y_p have zero
+        # images; _quotient reads the echelon prefix, the drawn rows vanish
         for n in range(2, 7):
             ring = Ring(kind, n)
             for seed in range(10):
@@ -326,7 +332,9 @@ class TestPrefixDims:
                 for p in range(1, n):
                     forms = seq.rows[:p]
                     ideal = Ideal(ring, [linear_form(ring, r) for r in forms])
-                    _, images = annihilators._quotient(ideal, forms, seq.prime)
+                    _, images = annihilators._quotient(
+                        ideal, seq.echelon[:p], seq.prime
+                    )
                     assert all(f.is_zero() for f in images), (kind, n, seed, p)
 
     @pytest.mark.parametrize("tag", ["q4", "e5"])
@@ -685,6 +693,37 @@ def _oracle_ideals():
     """The reference ideals and the exterior corpora of criterion 6."""
     ideals = [parse_ideal(text) for text in REFERENCE.values()]
     return ideals + [ideal for spec in CRITERION_6 for ideal in generate(spec)]
+
+
+def _sequence_routes(ideal, kmax, imax):
+    """(partial homology at each p, delta at each p < n) along round 0's
+    sequence a, read off one HomologyWorkspace."""
+    ws = HomologyWorkspace(ideal, GenericSequence.first(ideal.ring, 0))
+    n = ideal.ring.n
+    return (
+        [ws.profile(p, imax, kmax) for p in range(n + 1)],
+        [annihilators._delta_slice(ws, p, kmax, imax) for p in range(n)],
+    )
+
+
+def test_echelon_routes_equal_the_drawn_rows(monkeypatch):
+    # the workspace multiplies by the echelon rows of the draw; forced onto
+    # the drawn rows themselves it must give every h and delta cell of the
+    # window alike.  The drawn side reads freshly parsed ideals: both sides
+    # share the memo key (prime, rows)
+    def ideals():
+        acceptance = [i for spec in ACCEPTANCE_SPECS for i in generate(spec)]
+        return _oracle_ideals() + acceptance
+
+    fast, drawn = ideals(), ideals()
+    assert len(fast) == 126
+    for ideal, fresh in zip(fast, drawn):
+        kmax, imax = annihilators._windows(ideal, 0)
+        got = _sequence_routes(ideal, kmax, imax)
+        with monkeypatch.context() as m:
+            m.setattr(GenericSequence, "echelon", property(lambda s: s.rows))
+            want = _sequence_routes(fresh, kmax, imax)
+        assert got == want, ideal
 
 
 def _reference_delta(ws, p, i, k):

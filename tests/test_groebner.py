@@ -662,15 +662,17 @@ class TestKnownRanks:
             assert failure.endswith(": degree 2 has rank 3, below dim I_2 = 4")
 
     def test_targets_leave_every_trial_scan_unchanged(self):
-        # the full elimination of every degree is the oracle: with the
-        # shared targets and skips each certified trial finds the same
-        # initial ideal and cut, under degrevlex and under lex at scan_cut
+        # the full elimination of every degree in the coordinates of the
+        # drawn rows is the oracle: with the shared targets and skips each
+        # certified trial finds the same initial ideal and cut, and so
+        # does gin, whose trials read the rows' echelon form, under
+        # degrevlex and under lex at scan_cut
         for spec in ACCEPTANCE_SPECS:
             for ideal in generate(spec):
                 ring = ideal.ring
                 cut = RigidityContext(ideal, seed=0).scan_cut
                 for order, up_to in ((DEGREVLEX, None), (LEX, cut)):
-                    _, cert = gin(ideal, order=order, max_scan_degree=up_to)
+                    J, cert = gin(ideal, order=order, max_scan_degree=up_to)
                     numerator, dims = _scan_plan(ideal, up_to)
                     primitive = [g.normalized_integer() for g in ideal.generators]
                     for p, rows in cert.matrices:
@@ -683,6 +685,9 @@ class TestKnownRanks:
                             ring, gens, order, numerator, up_to, dims, engine
                         )
                         assert shared == full, (ideal.generators, order)
+                        assert full == (J, cert.truncated_at), (
+                            ideal.generators, order
+                        )
 
 
 class TestModularTrials:

@@ -15,6 +15,7 @@ from ginlab.rings import (
     PRIME_LIMIT,
     TERM_ORDERS,
     Element,
+    GenericSequence,
     Ring,
     apply_linear_change,
     change_coordinates,
@@ -33,7 +34,7 @@ from ginlab.rings import (
     wedge_supports,
 )
 
-from conftest import CRITERION_6, ext, fraction_det
+from conftest import CRITERION_6, check_echelon, ext, fraction_det
 
 R3 = polynomial_ring(3)
 E4 = exterior_ring(4)
@@ -168,6 +169,20 @@ class TestWedge:
                     assert got == wedge_supports(a, b), (a, b)
                 else:
                     assert got == (1, monomial_mul(a, b)), (a, b)
+
+
+@pytest.mark.parametrize("ring", [polynomial_ring(4), exterior_ring(4)])
+def test_term_mul_is_the_product_by_one_term(ring):
+    # term_mul is __mul__ by one term, and coefficient 0 gives the zero
+    # element: _times once deleted a key it never stored (KeyError)
+    monos = [m for d in range(3) for m in ring.monomials(d)]
+    f = Element(ring, {m: i - 3 for i, m in enumerate(ring.monomials(2))})
+    f = f + Element(ring, {ring.unit_monomial(): 5})
+    for m in monos:
+        for c in (1, -2):
+            assert f.term_mul(m, c) == f * Element.monomial(ring, m, c), (m, c)
+        assert f.term_mul(m, 0).is_zero()
+    assert Element(R3, {(1, 0, 0): 2}).term_mul((0, 1, 0), 0).is_zero()
 
 
 @given(st.permutations(list(range(4))))
@@ -419,6 +434,36 @@ class TestPrimes:
                 mat = random_invertible_matrix_mod(rng, n, p)
                 assert all(0 <= x < p for row in mat for x in row)
                 assert fraction_det(mat) % p != 0
+
+
+class TestEchelon:
+    """GenericSequence.echelon, the basis of the drawn flag that every
+    route along a sequence computes with."""
+
+    @pytest.mark.parametrize("kind", ["poly", "ext"])
+    def test_draws(self, kind):
+        for n in range(2, 7):
+            for seed in range(10):
+                seq = GenericSequence.first(Ring(kind, n), seed)
+                check_echelon(seq)
+                # a generic draw leads on the diagonal: u_n = x_n
+                assert seq.echelon[-1] == (0,) * (n - 1) + (1,)
+
+    def test_computed_once_per_sequence(self, monkeypatch):
+        calls = []
+        engine = rings.ModRank
+        monkeypatch.setattr(
+            rings, "ModRank", lambda p: calls.append(p) or engine(p)
+        )
+        seq = GenericSequence.first(polynomial_ring(4), 0)
+        del calls[:]
+        echelon = seq.echelon
+        assert seq.echelon is echelon and calls == [seq.prime]
+        # an equal sequence object computes its own, the same
+        other = GenericSequence.first(polynomial_ring(4), 0)
+        del calls[:]
+        assert other == seq and other.echelon == echelon
+        assert calls == [seq.prime]
 
 
 def test_draws_have_one_home():
