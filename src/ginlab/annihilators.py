@@ -27,17 +27,13 @@ cell by cell.
 The forms are the draws of rings.certified_draw (rings.GenericSequence),
 and every rank along them, lower-semicontinuous in the forms, is taken
 mod their prime p (linalg.ModRank): it can only fall below its value over
-QQ, for a minor of degree D with probability at most D / (p - n)
-(Schwartz-Zippel), unless p is bad.  Every route computes with the
-sequence's one echelon form mod p (GenericSequence.echelon), a basis of
-the same flag span(y_1..y_p), p = 1..n: the prefix quotients, the
-Koszul and Cartan homology and the delta numbers depend on that flag
-alone.  The echelon rows have lead 1, so only a Piece.den the workspace
-reads can make p bad: it raises rings.BadPrime.  The certified routes
-(direct alpha, partial homology and delta) run on the sequences a and b
-of one certified_draw, the single-draw routes (verify_homology_formula,
-rigidity.lemma_can_check) on round 0's sequence a
-(GenericSequence.first).
+QQ, for a minor of degree D with probability at most D / p
+(Schwartz-Zippel), unless p is bad.  The forms are unitriangular, each
+with lead 1, so only a Piece.den the workspace reads can make p bad: it
+raises rings.BadPrime.  The certified routes (direct alpha, partial
+homology and delta) run on the sequences a and b of one certified_draw,
+the single-draw routes (verify_homology_formula, rigidity.lemma_can_check)
+on round 0's sequence a (GenericSequence.first).
 The homology state and prefix dimensions of a sequence live on the ideal,
 so every route along it shares them.  All read their (k_max, i_max)
 window from _windows (the upper-bound check takes only its i_max).
@@ -104,9 +100,9 @@ def _prefix_dims(ideal, seq, dmax):
 
     p = 0 is dim I_d as the gin scans read it off in_revlex(I)
     (groebner._scan_plan), with no elimination.  For p >= 1, R/J_p = R'/I'
-    with R' = R/(y_1..y_p), the ring in the variables that lead no row of
-    the first p rows of seq.echelon (the free ones), and I' the image of I
-    in R'; so dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, with dim I'_d
+    with R' = R/(y_1..y_p), the ring in the variables x_{p+1}..x_n that
+    the unitriangular y_1..y_p leave free, and I' the image of I in R';
+    so dim (J_p)_d = dim R_d - dim R'_d + dim I'_d, with dim I'_d
     eliminated mod the sequence's prime on the dim R'_d columns only
     (_quotient, then ideals.eliminate_degree).  At p = n, R/J_n = K.
 
@@ -134,7 +130,7 @@ def _prefix_dims(ideal, seq, dmax):
                 column.append(full if d else 0)
             else:
                 if p not in quotients:
-                    quotients[p] = _quotient(ideal, seq.echelon[:p], seq.prime)
+                    quotients[p] = _quotient(ideal, seq.rows[:p], seq.prime)
                 quotient, images = quotients[p]
                 monos, eng = eliminate_degree(
                     quotient, images, d, ModRank(seq.prime)
@@ -145,20 +141,18 @@ def _prefix_dims(ideal, seq, dmax):
     return [row[: dmax + 1] for row in dims]
 
 
-def _quotient(ideal, echelon, p):
+def _quotient(ideal, rows, p):
     """(R', images of the gens of I mod p) for R' = R / (forms) over F_p,
-    the forms given by echelon rows mod p (GenericSequence.echelon), in
-    the variables that lead no row: back-substituted from the last lead,
-    the lead x_i of the row x_i + sum_{c > i} r_c x_c goes to
-    -sum_c r_c x_c over the free ones."""
+    the forms the unitriangular rows x_t + sum_{s > t} r_s x_s mod p of a
+    prefix (GenericSequence.rows[:q]), in the free variables x_{q+1}..x_n:
+    back-substituted from the last row, x_t goes to -sum_s r_s x_s."""
     ring = ideal.ring
-    leads = {row.index(1): row for row in echelon}  # lead 1: the first nonzero entry
-    free = [j for j in range(ring.n) if j not in leads]
-    form = {j: [int(j == f) for f in free] for j in free}
-    for i in sorted(leads, reverse=True):
-        row = [(c, r) for c, r in enumerate(leads[i]) if r and c > i]
-        form[i] = [-sum(r * form[c][t] for c, r in row) % p for t in range(len(free))]
-    quotient = Ring(ring.kind, len(free))
+    q, free = len(rows), ring.n - len(rows)
+    form = [None] * q + [[int(j == f) for f in range(free)] for j in range(free)]
+    for t in reversed(range(q)):
+        row = [(s, r) for s, r in enumerate(rows[t]) if r and s > t]
+        form[t] = [-sum(r * form[s][f] for s, r in row) % p for f in range(free)]
+    quotient = Ring(ring.kind, free)
     linear = [linear_form(quotient, form[j]) for j in range(ring.n)]
     return quotient, substitute(quotient, ideal.generators, linear, p)
 

@@ -202,20 +202,18 @@ class HomologyWorkspace:
     seq=None stands for the coordinate forms, eliminated over QQ
     (IntRank); at p = n their homology is the graded Betti table.  Along
     a GenericSequence everything runs mod its prime (ModRank), on the
-    forms of its echelon rows (GenericSequence.echelon): they span the
-    same flag as the drawn rows, so every h and delta is theirs, with
-    sparser multiplication columns.  Cycle spaces come from kernel
-    computations so that images of induced maps can be reduced against
-    boundaries, only for a delta whose source and target homology are
-    both nonzero.  Differentials are streamed, never
-    stored: each call that eliminates one feeds its columns to a fresh
-    engine, sparsest first.  Rank, pivot columns and the span of the
-    kernel of an elimination do not depend on the order of its rows, so
-    the order changes no number.  The ranks, cycle bases, delta numbers
-    and mod-p multiplication columns depend on I and the draw alone, so
-    they live in Ideal.memo under the draw's prime and rows (("workspace",)
-    on the coordinates), shared by every workspace on the same ideal and
-    forms; that state holds no reference back to the ideal.
+    forms of its rows.  Cycle spaces come from kernel computations so that
+    images of induced maps can be reduced against boundaries, only for a
+    delta whose source and target homology are both nonzero.
+    Differentials are streamed, never stored: each call that eliminates
+    one feeds its columns to a fresh engine, sparsest first.  Rank, pivot
+    columns and the span of the kernel of an elimination do not depend on
+    the order of its rows, so the order changes no number.  The ranks,
+    cycle bases, delta numbers and mod-p multiplication columns depend on
+    I and the draw alone, so they live in Ideal.memo under the draw's
+    prime and rows (("workspace",) on the coordinates), shared by every
+    workspace on the same ideal and forms; that state holds no reference
+    back to the ideal.
 
     Chains of both complexes are exponent vectors of the dual ring
     (chain_sets): exterior monomials over S, divided powers over E
@@ -238,8 +236,8 @@ class HomologyWorkspace:
 
     def mult(self, t, d):
         """Multiplication by the form t on M_d: mult_var on the coordinates,
-        along a sequence the combination mod p by its echelon row t
-        (GenericSequence.echelon), where p | piece(d + 1).den is bad."""
+        along a sequence the combination mod p by its row t, where
+        p | piece(d + 1).den is bad."""
         if self.seq is None:
             return mult_var(self.ideal, t, d)
         key = (t, d)
@@ -249,7 +247,7 @@ class HomologyWorkspace:
             if not den % p:
                 raise BadPrime(p, f"it divides the denominator {den} of I_{d + 1}")
             out = [{} for _ in range(self.dim(d))]
-            for s, c in enumerate(self.seq.echelon[t]):
+            for s, c in enumerate(self.seq.rows[t]):
                 if not c:
                     continue
                 for col, add in zip(out, mult_var(self.ideal, s, d)):

@@ -8,23 +8,20 @@ degree scan of ideals.py, degree_scan, which stops over both ring kinds
 and under every term order once the candidate has the Hilbert numerator
 of the input, which is exact.
 
-gin runs its trials over F_p on the matrices of rings.certified_draw,
-which draws them and their prime p: each trial sends x_i to column i of
-its matrix's echelon form mod p (GenericSequence.echelon, which has the
-same initial ideals) and eliminates each degree mod p
-(ideals.eliminate_degree).  All trials must agree and the result must be
+gin runs its trials over F_p on the upper-unitriangular matrices of
+rings.certified_draw, which draws them and their prime p: each trial
+sends x_i to column i of its matrix mod p and eliminates each degree mod
+p (ideals.eliminate_degree).  All trials must agree and the result must be
 strongly stable, otherwise the next round runs, and after five rounds
 GenericityError says why.
 
 A trial is wrong only one way.  For V = g.I_d the Pluecker coordinate
 p_S(V) of a monomial set S is a polynomial of degree at most d dim I_d in
 the entries of g, and gin(I)_d is the largest S with p_S nonzero; a trial
-finds the largest S with p_S(g) nonzero mod p, so S <= gin(I)_d.  Unless
-p divides every coefficient of p_gin (a bad prime; there are finitely
-many), S < gin(I)_d has probability at most d dim I_d / p over all g by
-Schwartz-Zippel, so at most d dim I_d / (p - n) over the invertible g
-that are kept.  Only the degrees where gin(I) has generators can differ
-(see GinCertificate).
+finds the largest S with p_S(g) nonzero mod p, so S <= gin(I)_d, and
+unless p is bad S < gin(I)_d has probability at most d dim I_d / p on a
+unitriangular g (see GinCertificate).  Only the degrees where gin(I) has
+generators can differ.
 
 Each trial's scan reads its stop and its target ranks dim I_d off one
 Hilbert numerator over QQ, which every trial and every gin of I share
@@ -281,11 +278,17 @@ class GinCertificate:
     """How a gin was certified.
 
     matrices holds one (p, rows) pair per trial: the prime of the round
-    and the matrix, entries in [0, p), invertible mod p.  failure_bound
-    bounds the probability that one trial of the round returns less than
-    the gin: sum d dim I_d / p over the degrees d where the (possibly
-    truncated) gin has generators, divided by 1 - n/p because singular
-    draws are rejected.
+    and the upper-unitriangular matrix mod p the trial computed with.
+    failure_bound bounds the probability that one trial of the round
+    returns less than the gin: min(1, sum d dim I_d / p) over the degrees
+    d where the (possibly truncated) gin has generators.  In degree d the
+    Pluecker coordinate p_gin of gin(I)_d, a polynomial of degree at most
+    d dim I_d in the entries of g, is nonzero on a nonempty open set of
+    flags, which meets the unitriangular cell; so its restriction to the
+    n(n - 1)/2 entries above the diagonal is nonzero, of no larger degree.
+    Unless p divides every coefficient of that restriction (a bad prime;
+    there are finitely many), Schwartz-Zippel bounds its zeros by
+    d dim I_d / p.
     """
 
     order: str
@@ -387,13 +390,9 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     numerator, dims = _scan_plan(ideal, max_scan_degree)
 
     def trial(seq):
-        # the echelon rows are the drawn rows followed by x_k -> c x_k +
-        # (smaller variables), c != 0 mod p, which keeps every leading
-        # monomial: the same initial ideal, degree by degree, from sparser
-        # images; the certificate records the drawn rows
         p = seq.prime
         J, cut = _initial_ideal_degreewise(
-            ring, change_coordinates(ring, ideal.generators, seq.echelon, p),
+            ring, change_coordinates(ring, ideal.generators, seq.rows, p),
             order, numerator, max_scan_degree, dims, partial(ModRank, p),
         )
         return J, cut, (p, seq.rows)
@@ -407,11 +406,7 @@ def _certified_gin(ideal, order, seed, coeff_bound, trials, max_scan_degree):
     )
     J, cut, (p, _) = runs[0]
     weight = sum(d * dims(d) for d in {sum(m) for m in J.gens})
-    # a probability: 1 when p <= n leaves no bound on the singular draws
-    failure_bound = (
-        min(Fraction(1), Fraction(weight, p - ring.n)) if p > ring.n
-        else Fraction(1)
-    )
+    failure_bound = min(Fraction(1), Fraction(weight, p))
     cert = GinCertificate(
         order, seed, bound, trials, escalation,
         tuple(run[2] for run in runs), True, cut, failure_bound,

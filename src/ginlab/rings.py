@@ -9,15 +9,14 @@ rational coefficients (int or Fraction).  Everything is immutable after
 construction and all operations are pure functions.
 
 The random draws of the certified generic computations live here too:
-certified_draw draws one prime per round and seed, and for each trial a
-matrix invertible mod that prime (GenericSequence), and hands it to the
-route, a gin trial or a generic sequence.
+certified_draw draws one prime per round and seed, and for each trial an
+upper-unitriangular matrix mod that prime (GenericSequence), and hands it
+to the route, a gin trial or a generic sequence.
 """
 
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import comb, gcd, prod
 from operator import add
@@ -387,14 +386,14 @@ def render_element(f):
 # linear changes of coordinates
 
 
-def random_invertible_matrix_mod(rng, n, p):
-    """An n x n matrix with entries in [0, p), invertible mod the prime p,
-    drawn uniformly from the random.Random rng by rejection."""
-    while True:
-        mat = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
-        eng = ModRank(p)
-        if all(eng.add(dict(enumerate(row))) for row in mat):
-            return mat
+def random_unitriangular_matrix_mod(rng, n, p):
+    """The upper-unitriangular n x n matrix mod the prime p whose entries
+    above the diagonal are drawn uniformly from [0, p) by the random.Random
+    rng, row by row: row t is the form x_t + sum_{s > t} c_{t,s} x_s."""
+    return [
+        [0] * t + [1] + [rng.randrange(p) for _ in range(t + 1, n)]
+        for t in range(n)
+    ]
 
 
 _SMALL_PRIMES = tuple(
@@ -484,16 +483,19 @@ class BadPrime(GenericityError):
 
 @dataclass(frozen=True)
 class GenericSequence:
-    """A drawn matrix: n x n rows, entries in [0, prime), invertible mod the
-    prime.  Its rows are the forms y_1..y_n of a generic sequence; a gin
-    trial sends x_i to column i (change_coordinates mod the prime).
+    """A drawn matrix: n x n rows mod the prime, upper unitriangular.  Its
+    rows are the forms y_t = x_t + sum_{s > t} c_{t,s} x_s of a generic
+    sequence; a gin trial sends x_i to column i (change_coordinates mod the
+    prime).  Certificates, Ideal.memo keys and every route read these rows.
 
-    The rows name the draw: certificates and Ideal.memo keys record them.
-    The routes compute with echelon, a basis of the same flag
-    span(y_1) < span(y_1, y_2) < ... mod the prime: the Koszul and Cartan
-    homology of a prefix, its delta numbers, the prefix ideals J_p and a
-    gin trial's initial ideals depend on the flag alone, so every number
-    is that of the rows.
+    The homology of a prefix, its delta numbers, the prefix ideals J_p and
+    a gin trial's initial ideals depend on the flag span(y_1) < span(y_1,
+    y_2) < ... alone: another basis of the flag changes a trial by
+    x_k -> c x_k + (smaller variables), c != 0, which keeps every leading
+    monomial.  A flag in general position has one basis of this shape,
+    its echelon form, so the unitriangular cell meets every nonempty open
+    set of flags, and its n(n - 1)/2 entries carry the Schwartz-Zippel
+    bound (GinCertificate).
     """
 
     ring: object
@@ -502,30 +504,11 @@ class GenericSequence:
     bound: int
     prime: int
 
-    @cached_property
-    def echelon(self):
-        """The rows' echelon form mod the prime, computed once: row t is the
-        pivot row of y_t in a ModRank fed y_1..y_t, y_t minus a combination
-        of y_1..y_{t-1} scaled to lead 1.  A generic draw gives
-        u_t = x_t + sum_{s > t} c_s x_s, so u_n = x_n: n(n + 1)/2 entries
-        where the rows have n^2."""
-        n, eng, out = self.ring.n, ModRank(self.prime), []
-        for row in self.rows:
-            if not eng.add(dict(enumerate(row))):
-                raise ValueError(f"the rows are singular mod {self.prime}")
-            lead, rest = next(reversed(eng.pivots.items()))
-            u = [0] * n
-            u[lead] = 1
-            for c, x in rest.items():
-                u[c] = x
-            out.append(tuple(u))
-        return tuple(out)
-
     @classmethod
     def draw(cls, ring, seed, key, bound=PRIME_BOUND, label="forms"):
-        """The matrix of label and key: uniform in GL_n(F_p) from the stream
-        "{label}:{key}:{bound}", p = round_prime(ring, seed, bound), after
-        check_bound(bound)."""
+        """The matrix of label and key: uniform among the upper-unitriangular
+        matrices mod p from the stream "{label}:{key}:{bound}",
+        p = round_prime(ring, seed, bound), after check_bound(bound)."""
         check_bound(bound)
         return cls._draw(ring, seed, key, bound, label)
 
@@ -534,7 +517,7 @@ class GenericSequence:
         # certified_draw checks its base bound once: a later round's bound
         # may pass the check's headroom and still draw a certified prime
         p = round_prime(ring, seed, bound)
-        rows = random_invertible_matrix_mod(
+        rows = random_unitriangular_matrix_mod(
             random.Random(f"{label}:{key}:{bound}"), ring.n, p
         )
         return cls(ring, tuple(map(tuple, rows)), key, bound, p)

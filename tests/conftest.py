@@ -6,13 +6,12 @@ from pathlib import Path
 import pytest
 
 from ginlab.corpus import CorpusSpec
-from ginlab.linalg import ModRank
 from ginlab.parsing import parse_ideal
 from ginlab.rings import (
     PRIME_BOUND,
     ROUNDS,
     GenericSequence,
-    random_invertible_matrix_mod,
+    random_unitriangular_matrix_mod,
 )
 
 # The three reference ideals every suite keeps coming back to: a
@@ -110,27 +109,6 @@ def integer_sequence(ring, key, bound=COEFF_BOUND):
     return GenericSequence(ring, tuple(map(tuple, rows)), key, bound, None)
 
 
-def check_echelon(seq):
-    """seq.echelon is an echelon basis of the drawn rows' flag mod the
-    prime: every row has lead 1, no two rows share a lead, and for every p
-    the first p echelon rows and the first p drawn rows together have
-    rank p."""
-    p, n = seq.prime, seq.ring.n
-    echelon = seq.echelon
-    assert len(echelon) == n
-    leads = set()
-    for u in echelon:
-        assert all(0 <= x < p for x in u)
-        lead = next(j for j, x in enumerate(u) if x)
-        assert u[lead] == 1 and lead not in leads, (u, leads)
-        leads.add(lead)
-    for q in range(1, n + 1):
-        eng = ModRank(p)
-        for row in echelon[:q] + seq.rows[:q]:
-            eng.add(dict(enumerate(row)))
-        assert eng.rank == q, q
-
-
 def force_forms_prime(monkeypatch, prime, rounds=ROUNDS):
     """The generic sequences of the first rounds draw mod prime, from their
     own stream "forms:{key}:{bound}"; gin's draws keep their round primes."""
@@ -140,7 +118,7 @@ def force_forms_prime(monkeypatch, prime, rounds=ROUNDS):
         if label != "forms" or bound >= PRIME_BOUND << rounds:
             return draw(ring, seed, key, bound, label)
         rng = random.Random(f"forms:{key}:{bound}")
-        rows = random_invertible_matrix_mod(rng, ring.n, prime)
+        rows = random_unitriangular_matrix_mod(rng, ring.n, prime)
         return GenericSequence(ring, tuple(map(tuple, rows)), key, bound, prime)
 
     monkeypatch.setattr(GenericSequence, "_draw", staticmethod(forced))

@@ -44,7 +44,6 @@ from conftest import (
     CRITERION_6,
     STAIRCASE_3,
     STRAND_4,
-    check_echelon,
     force_forms_prime,
     integer_sequence,
     load_perfbench,
@@ -191,8 +190,7 @@ def _reference_prefix_dims(ideal, seq, dmax):
 def _counting_rows(monkeypatch):
     """Count every row fed to the ModRank of annihilators from here on:
     the prefix eliminations of _prefix_dims and the rows of the reference
-    mod p, not the forms (GenericSequence.echelon echelonizes them), nor
-    the rows of the draws or of gin."""
+    mod p, not the rows of gin."""
     rows = [0]
 
     class Counting(ModRank):
@@ -207,22 +205,22 @@ def _counting_rows(monkeypatch):
 HAND_ROWS = pytest.mark.parametrize(
     "text, rows",
     [
-        # leads in columns 2, 1, 0, 3 and 3, 0, 2, 1: the free
-        # variables of a prefix are not its last ones
-        (STRAND_4, ((0, 0, 3, -2), (0, 5, 1, 0), (2, 0, 0, 7), (1, 1, 1, 1))),
-        (CANCEL_4, ((0, 0, 0, 4), (-3, 2, 0, 1), (0, 0, 1, 5), (0, 6, -1, 0))),
+        # unitriangular flags, as drawn, with zeros above the diagonal: a
+        # prefix form skips a variable that is free in its quotient, and
+        # the third form of ext5 is a variable
+        (STRAND_4, ((1, 0, 3, -2), (0, 1, 0, 5), (0, 0, 1, -1), (0, 0, 0, 1))),
+        (CANCEL_4, ((1, 0, 0, 4), (0, 1, 2, 0), (0, 0, 1, 5), (0, 0, 0, 1))),
         ("ring ext 4 QQ\ne1*e2 + e3*e4\ne2*e3\n",
-         ((0, 0, 3, -2), (0, 5, 1, 0), (2, 0, 0, 7), (1, 1, 1, 1))),
+         ((1, 0, 3, -2), (0, 1, 0, 5), (0, 0, 1, -1), (0, 0, 0, 1))),
         ("ring ext 5 QQ\ne1*e3 - e2*e5\ne4*e5 + 2*e1*e2\ne1*e2*e3\n",
-         ((0, 0, 0, 0, 1), (0, 2, 0, -1, 3), (1, 0, 0, 0, 0),
-          (0, 0, 4, 1, 0), (0, 1, 1, 1, 1))),
-        # y_1 divides the generator, so it vanishes modulo y_1 only if
-        # the pivot variable goes through the inverse of the lead 3,
-        # resp. 2, mod p
-        ("ring poly 3 QQ\n9*x2^2 - x3^2\n",
-         ((0, 3, -1), (1, 0, 0), (0, 0, 1))),
-        ("ring ext 3 QQ\n2*e1*e3 - e2*e3\n",
-         ((2, -1, 0), (0, 0, 1), (0, 1, 0))),
+         ((1, 0, 0, 0, 1), (0, 1, 0, -1, 3), (0, 0, 1, 0, 0),
+          (0, 0, 0, 1, 4), (0, 0, 0, 0, 1))),
+        # y_1 = x1 - 2*x3, resp. e1 + 2*e3, divides the generator, so it
+        # vanishes modulo y_1 only if x1 goes to 2*x3, resp. -2*e3, mod p
+        ("ring poly 3 QQ\nx1^2 - 4*x3^2\n",
+         ((1, 0, -2), (0, 1, 0), (0, 0, 1))),
+        ("ring ext 3 QQ\ne1*e2 - 2*e2*e3\n",
+         ((1, 0, 2), (0, 1, 0), (0, 0, 1))),
     ],
     ids=["poly4-strand", "poly4-cancel", "ext4", "ext5", "poly3-special",
          "ext3-special"],
@@ -286,7 +284,7 @@ class TestPrefixDims:
                 generic_annihilators_direct(ideal, seed=0)
         assert len(draws) == 200
         assert hashlib.sha256("\n".join(draws).encode()).hexdigest() == (
-            "c6c7bdbbace249ab69c942dbcea53278ad50690edd8be408c1e77220e72da087"
+            "1341e12314db7831aa9659caccc931ff362ed258933906c636f7beb0e4f02506"
         )
 
     @pytest.mark.parametrize(
@@ -317,14 +315,27 @@ class TestPrefixDims:
 
     @HAND_ROWS
     def test_echelon_of_the_hand_rows(self, text, rows):
-        check_echelon(_hand_sequence(parse_ideal(text).ring, rows))
+        # the hand rows are in echelon form, as every draw: _quotient of
+        # each prefix sends its forms to 0 and the free variables to the
+        # variables of R'
+        ring = parse_ideal(text).ring
+        seq = _hand_sequence(ring, rows)
+        n = ring.n
+        for q in range(1, n):
+            forms = [linear_form(ring, row) for row in seq.rows[:q]]
+            free = [ring.variable(j) for j in range(q, n)]
+            quotient, images = annihilators._quotient(
+                Ideal(ring, forms + free), seq.rows[:q], seq.prime
+            )
+            assert all(f.is_zero() for f in images[:q]), q
+            assert images[q:] == [quotient.variable(j) for j in range(n - q)]
 
     @pytest.mark.parametrize("kind", ["poly", "ext"])
     def test_forms_vanish_in_their_quotient(self, kind):
         # pins the map R -> R' = R/(y_1..y_p), not only the dimensions:
         # any p independent forms give the same dimensions on a generic
         # ideal, but only forms in the span of the drawn y_1..y_p have zero
-        # images; _quotient reads the echelon prefix, the drawn rows vanish
+        # images
         for n in range(2, 7):
             ring = Ring(kind, n)
             for seed in range(10):
@@ -332,9 +343,7 @@ class TestPrefixDims:
                 for p in range(1, n):
                     forms = seq.rows[:p]
                     ideal = Ideal(ring, [linear_form(ring, r) for r in forms])
-                    _, images = annihilators._quotient(
-                        ideal, seq.echelon[:p], seq.prime
-                    )
+                    _, images = annihilators._quotient(ideal, forms, seq.prime)
                     assert all(f.is_zero() for f in images), (kind, n, seed, p)
 
     @pytest.mark.parametrize("tag", ["q4", "e5"])
@@ -695,10 +704,10 @@ def _oracle_ideals():
     return ideals + [ideal for spec in CRITERION_6 for ideal in generate(spec)]
 
 
-def _sequence_routes(ideal, kmax, imax):
-    """(partial homology at each p, delta at each p < n) along round 0's
-    sequence a, read off one HomologyWorkspace."""
-    ws = HomologyWorkspace(ideal, GenericSequence.first(ideal.ring, 0))
+def _sequence_routes(ideal, seq, kmax, imax):
+    """(partial homology at each p, delta at each p < n) along seq, read
+    off one HomologyWorkspace."""
+    ws = HomologyWorkspace(ideal, seq)
     n = ideal.ring.n
     return (
         [ws.profile(p, imax, kmax) for p in range(n + 1)],
@@ -706,24 +715,36 @@ def _sequence_routes(ideal, kmax, imax):
     )
 
 
-def test_echelon_routes_equal_the_drawn_rows(monkeypatch):
-    # the workspace multiplies by the echelon rows of the draw; forced onto
-    # the drawn rows themselves it must give every h and delta cell of the
-    # window alike.  The drawn side reads freshly parsed ideals: both sides
-    # share the memo key (prime, rows)
-    def ideals():
-        acceptance = [i for spec in ACCEPTANCE_SPECS for i in generate(spec)]
-        return _oracle_ideals() + acceptance
+def _dense_basis(seq, rng):
+    """Another basis of the flag of seq: row t goes to sum_{s <= t} a_{ts}
+    row_s mod p, the a_{ts} drawn from rng with a_{tt} != 0."""
+    p, n = seq.prime, seq.ring.n
+    rows = []
+    for t in range(n):
+        a = [rng.randrange(p) for _ in range(t)] + [rng.randrange(1, p)]
+        rows.append(tuple(
+            sum(c * row[j] for c, row in zip(a, seq.rows)) % p for j in range(n)
+        ))
+    return GenericSequence(seq.ring, tuple(rows), seq.key, seq.bound, p)
 
-    fast, drawn = ideals(), ideals()
-    assert len(fast) == 126
-    for ideal, fresh in zip(fast, drawn):
+
+def test_routes_depend_on_the_flag_alone():
+    # every h and delta depends on the flag span(y_1) < span(y_1, y_2) <
+    # ... alone: a workspace on round 0's unitriangular rows a and one on
+    # a dense basis of the same flag agree on every cell of the window.
+    # Their memo keys (prime, rows) differ, so neither reads the other's
+    acceptance = [i for spec in ACCEPTANCE_SPECS for i in generate(spec)]
+    ideals = _oracle_ideals() + acceptance
+    assert len(ideals) == 126
+    rng = random.Random("dense flag bases")
+    for ideal in ideals:
         kmax, imax = annihilators._windows(ideal, 0)
-        got = _sequence_routes(ideal, kmax, imax)
-        with monkeypatch.context() as m:
-            m.setattr(GenericSequence, "echelon", property(lambda s: s.rows))
-            want = _sequence_routes(fresh, kmax, imax)
-        assert got == want, ideal
+        seq = GenericSequence.first(ideal.ring, 0)
+        dense = _dense_basis(seq, rng)
+        assert dense.rows[-1][0]  # dense: even y_n has an x_1 term
+        assert _sequence_routes(ideal, seq, kmax, imax) == _sequence_routes(
+            ideal, dense, kmax, imax
+        ), ideal
 
 
 def _reference_delta(ws, p, i, k):
@@ -785,9 +806,8 @@ def test_cycle_bases_only_where_both_ends_are_nonzero():
 
 class TestBadPrimes:
     """A round prime that divides a Piece.den the workspace reads fails its
-    round; a single draw raises GenericityError.  The forms are echelonized
-    mod p, so a prime that divides a lead of their echelon basis over QQ is
-    not bad.  No ValueError of pow(x, -1, p) escapes."""
+    round; a single draw raises GenericityError.  No ValueError of
+    pow(x, -1, p) escapes."""
 
     # 3*e1*e2 + 2*e2*e3 leads I_2: its normal forms have denominator 3
     DEN_3 = "ring ext 3 QQ\ne1*e2 + 2/3*e2*e3\n"
@@ -812,31 +832,6 @@ class TestBadPrimes:
 
         monkeypatch.setattr(annihilators, "certified_draw", recorded)
         return out
-
-    def test_lead_divisible_by_p_over_QQ_is_no_bad_prime(self, monkeypatch):
-        # at seed 5 the first draw mod 5 has its first two forms
-        # (3, 2, 0) and (4, 1, 2): invertible mod 5, though over QQ their
-        # minor on the first two columns is -5, the lead of both rows of
-        # their echelon basis; echelonized mod 5, round 0 runs through
-        pruned = annihilators._prefix_dims
-        keys = []
-
-        def checked(ideal, seq, dmax):
-            dims = pruned(ideal, seq, dmax)
-            assert dims == _reference_prefix_dims(ideal, seq, dmax), seq.key
-            keys.append(seq.key)
-            return dims
-
-        I = parse_ideal(STAIRCASE_3)
-        force_forms_prime(monkeypatch, 5, rounds=1)
-        assert GenericSequence.draw(I.ring, 5, "5:0:a").rows[:2] == (
-            (3, 2, 0), (4, 1, 2)
-        )
-        monkeypatch.setattr(annihilators, "_prefix_dims", checked)
-        failures = self.failures(monkeypatch)
-        generic_annihilators_direct(I, seed=5)
-        assert keys[:2] == ["5:0:a", "5:0:b"]
-        assert failures == []
 
     def test_bad_denominator_fails_the_round(self, monkeypatch):
         want = partial_homology(parse_ideal(self.DEN_3), 2)

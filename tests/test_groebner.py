@@ -41,7 +41,7 @@ from ginlab.rings import (
     change_coordinates,
     exterior_ring,
     polynomial_ring,
-    random_invertible_matrix_mod,
+    random_unitriangular_matrix_mod,
     random_prime,
     render_monomial,
 )
@@ -257,7 +257,7 @@ class TestEscalation:
         p = random_prime(random.Random(f"gin-prime:5:{bound}"), bound)
         assert bound <= p < 2 * bound
         assert cert.matrices == tuple(
-            (p, tuple(map(tuple, random_invertible_matrix_mod(
+            (p, tuple(map(tuple, random_unitriangular_matrix_mod(
                 random.Random(f"gin:5:1:{t}:{bound}"), 3, p
             ))))
             for t in range(2)
@@ -273,7 +273,7 @@ class TestEscalation:
 
     def test_unstable_results_raise_after_five_rounds(self, monkeypatch):
         bounds, primes = [], []
-        prime, draw = rings.random_prime, rings.random_invertible_matrix_mod
+        prime, draw = rings.random_prime, rings.random_unitriangular_matrix_mod
 
         def recorded_prime(rng, lo):
             bounds.append(lo)
@@ -284,7 +284,7 @@ class TestEscalation:
             return draw(rng, n, p)
 
         monkeypatch.setattr(rings, "random_prime", recorded_prime)
-        monkeypatch.setattr(rings, "random_invertible_matrix_mod", recorded)
+        monkeypatch.setattr(rings, "random_unitriangular_matrix_mod", recorded)
         monkeypatch.setattr(groebner, "is_strongly_stable", lambda J: False)
         with pytest.raises(GenericityError) as err:
             gin(parse_ideal(STAIRCASE_3), trials=3)
@@ -665,8 +665,7 @@ class TestKnownRanks:
         # the full elimination of every degree in the coordinates of the
         # drawn rows is the oracle: with the shared targets and skips each
         # certified trial finds the same initial ideal and cut, and so
-        # does gin, whose trials read the rows' echelon form, under
-        # degrevlex and under lex at scan_cut
+        # does gin, under degrevlex and under lex at scan_cut
         for spec in ACCEPTANCE_SPECS:
             for ideal in generate(spec):
                 ring = ideal.ring
@@ -759,13 +758,16 @@ class TestModularTrials:
         assert escalations > 0
 
     def test_failure_bound(self, staircase3):
-        # sum d dim I_d / (p - n) over the generator degrees of the gin
+        # sum d dim I_d / p over the generator degrees of the gin
         J, cert = gin(staircase3)
         ((p, _), _) = cert.matrices
         degrees = {sum(m) for m in J.gens}
-        want = Fraction(sum(d * staircase3.dim_piece(d) for d in degrees), p - 3)
+        want = Fraction(sum(d * staircase3.dim_piece(d) for d in degrees), p)
         assert cert.failure_bound == want
         assert f"failure bound:   {float(want):.3g} per trial" in cert.describe()
+        # a probability: mod 3 the sum passes 1
+        _, small = gin(staircase3, coeff_bound=2)
+        assert small.matrices[0][0] == 3 and small.failure_bound == 1
 
     def test_failure_bound_of_the_q5_lex_gin(self):
         # the gin check --all builds for transfer on the generic workload's

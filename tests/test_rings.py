@@ -29,12 +29,12 @@ from ginlab.rings import (
     monomial_product,
     order_key,
     polynomial_ring,
-    random_invertible_matrix_mod,
     random_prime,
+    random_unitriangular_matrix_mod,
     wedge_supports,
 )
 
-from conftest import CRITERION_6, check_echelon, ext, fraction_det
+from conftest import CRITERION_6, ext, fraction_det
 
 R3 = polynomial_ring(3)
 E4 = exterior_ring(4)
@@ -428,42 +428,44 @@ class TestPrimes:
 
     @pytest.mark.parametrize("p", [2, 3, (1 << 61) - 1])
     def test_matrices_invertible_mod_p(self, p):
+        # unitriangular, so invertible mod p with no singular draw to reject
         rng = random.Random(p)
         for n in range(1, 5):
             for _ in range(10):
-                mat = random_invertible_matrix_mod(rng, n, p)
+                mat = random_unitriangular_matrix_mod(rng, n, p)
                 assert all(0 <= x < p for row in mat for x in row)
-                assert fraction_det(mat) % p != 0
+                assert fraction_det(mat) == 1
 
 
 class TestEchelon:
-    """GenericSequence.echelon, the basis of the drawn flag that every
-    route along a sequence computes with."""
+    """GenericSequence.draw draws the echelon basis of a generic flag: the
+    one matrix that the certificates name and every route computes with."""
 
     @pytest.mark.parametrize("kind", ["poly", "ext"])
     def test_draws(self, kind):
+        # the forms x_t + sum_{s > t} c_{t,s} x_s, entries in [0, p)
         for n in range(2, 7):
             for seed in range(10):
                 seq = GenericSequence.first(Ring(kind, n), seed)
-                check_echelon(seq)
-                # a generic draw leads on the diagonal: u_n = x_n
-                assert seq.echelon[-1] == (0,) * (n - 1) + (1,)
+                assert len(seq.rows) == n and seq.prime > 2
+                for t, row in enumerate(seq.rows):
+                    assert len(row) == n
+                    assert row[:t + 1] == (0,) * t + (1,), (seq, t)
+                    assert all(0 <= c < seq.prime for c in row[t + 1:])
+                assert any(c > 1 for row in seq.rows for c in row)
 
-    def test_computed_once_per_sequence(self, monkeypatch):
-        calls = []
-        engine = rings.ModRank
-        monkeypatch.setattr(
-            rings, "ModRank", lambda p: calls.append(p) or engine(p)
-        )
-        seq = GenericSequence.first(polynomial_ring(4), 0)
-        del calls[:]
-        echelon = seq.echelon
-        assert seq.echelon is echelon and calls == [seq.prime]
-        # an equal sequence object computes its own, the same
-        other = GenericSequence.first(polynomial_ring(4), 0)
-        del calls[:]
-        assert other == seq and other.echelon == echelon
-        assert calls == [seq.prime]
+    def test_same_draw_same_rows(self):
+        # the rows depend on (seed, key, bound, label) alone: a fresh ring
+        # draws them again, and another tag, bound or label draws others
+        seq = GenericSequence.draw(polynomial_ring(4), 3, "3:0:a")
+        assert GenericSequence.draw(polynomial_ring(4), 3, "3:0:a") == seq
+        bound = rings.PRIME_BOUND << 1
+        for other in (
+            GenericSequence.draw(polynomial_ring(4), 3, "3:0:b"),
+            GenericSequence.draw(polynomial_ring(4), 3, "3:0:a", bound),
+            GenericSequence.draw(polynomial_ring(4), 3, "3:0:a", label="gin"),
+        ):
+            assert other.rows != seq.rows
 
 
 def test_draws_have_one_home():
