@@ -195,7 +195,8 @@ class RigidityContext:
         The one route to the tables of gin(I), Lex(I) and gin_lex(I): the
         Eliahou-Kervaire (resp. Aramova-Herzog-Hibi) closed form, cut at
         i_max over E.  oracle_equivalences checks it against the Koszul
-        (resp. Cartan) homology of gin(I) on every corpus ideal.
+        homology (resp. the induced subcomplexes) of gin(I) on every corpus
+        ideal.
         """
         key = ("stable_table", J.gens)
         if self.ring.is_exterior:

@@ -29,7 +29,13 @@ from ginlab.betti import (
 )
 from ginlab.corpus import ACCEPTANCE_SPECS, CorpusSpec, generate
 from ginlab.groebner import gin, initial_ideal
-from ginlab.ideals import Ideal, MonomialIdeal, degree_rows, is_strongly_stable
+from ginlab.ideals import (
+    Ideal,
+    MonomialIdeal,
+    degree_rows,
+    is_strongly_stable,
+    minimal_generators,
+)
 from ginlab.linalg import IntRank
 from ginlab.oracles import oracle_equivalences
 from ginlab.parsing import parse_ideal
@@ -76,8 +82,6 @@ def random_borel(ring, rng, tries=8):
                 if moved not in closure:
                     closure.add(moved)
                     frontier.append(moved)
-    from ginlab.ideals import minimal_generators
-
     return minimal_generators(ring, closure)
 
 
@@ -369,6 +373,99 @@ class TestCartan:
             assert v <= b.get(i, j)
 
 
+def exterior_corpus_gins():
+    """The certified gins of the 36 exterior acceptance ideals."""
+    gins = [
+        gin(I)[0] for spec in ACCEPTANCE_SPECS if spec.kind == EXT
+        for I in generate(spec)
+    ]
+    assert len(gins) == 36
+    return gins
+
+
+def random_squarefree(rng):
+    """1-5 squarefree generators of degree 2-3 in n = 4..6 variables, as
+    the same 0/1 vectors over S and over E."""
+    n = rng.randint(4, 6)
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        support = rng.sample(range(n), rng.choice([2, 3]))
+        gens.append(tuple(int(t in support) for t in range(n)))
+    return (
+        minimal_generators(polynomial_ring(n), gens),
+        minimal_generators(exterior_ring(n), gens),
+    )
+
+
+class TestSquarefree:
+    """Exterior tables of monomial ideals come from their induced
+    subcomplexes (betti._squarefree_table); the Cartan complex, the AHH
+    closed form and the Koszul tables over S check them."""
+
+    def test_cartan_complex_on_the_corpus(self):
+        # the 10 monomial exterior inputs, the 36 exterior gins, (e1) and
+        # the maximal ideal of E with n = 3
+        ideals = [
+            I for spec in ACCEPTANCE_SPECS if spec.kind == EXT
+            for I in generate(spec) if I.monomial_image() is not None
+        ]
+        assert len(ideals) == 10
+        ideals += [J.to_ideal() for J in exterior_corpus_gins()]
+        ideals += [
+            parse_ideal("ring ext 3 QQ\ne1\n"),
+            parse_ideal("ring ext 3 QQ\ne1\ne2\ne3\n"),
+        ]
+        for I in ideals:
+            n = I.ring.n
+            assert cartan_betti(I).entries == _homology_table(I, n + 3, n), (
+                I.monomial_image()
+            )
+
+    def test_ahh_past_the_window(self):
+        for J in exterior_corpus_gins():
+            i_max = 3 * J.ring.n
+            table = cartan_betti(J.to_ideal(), i_max=i_max)
+            assert table.entries == ahh_betti(J, i_max=i_max).entries, J
+
+    def test_cross_ring_oracle(self):
+        # beta^E_{i,i+j}(J) = sum_k C(i+j-1, k+j-1) beta^S_{k,k+j}(I) in
+        # the ideal convention, for I and J on the same 0/1 generators
+        rng = random.Random(34)
+        pairs = [random_squarefree(rng) for _ in range(40)]
+        for J in exterior_corpus_gins():
+            pairs.append((MonomialIdeal(polynomial_ring(J.ring.n), J.gens), J))
+        assert len(pairs) == 76
+        for I, J in pairs:
+            n = J.ring.n
+            S = koszul_betti(I.to_ideal()).as_convention(IDEAL)
+            E = cartan_betti(J.to_ideal(), i_max=3 * n).as_convention(IDEAL)
+            want = {}
+            for i in range(3 * n):
+                for j in S.strands():
+                    b = sum(
+                        comb(i + j - 1, k + j - 1) * S.get(k, k + j)
+                        for k in range(n)
+                    )
+                    if b:
+                        want[(i, i + j)] = b
+            assert {c: b for c, b in E.entries.items() if c[0] < 3 * n} == want, J
+
+    def test_no_workspace_on_monomial_ideals(self, monkeypatch):
+        built = []
+        init = HomologyWorkspace.__init__
+
+        def counting(self, ideal, seq=None):
+            built.append(ideal)
+            init(self, ideal, seq)
+
+        monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
+        I = parse_ideal("ring ext 4 QQ\ne1*e2\n2*e2*e3*e4\n")
+        assert cartan_betti(I).get(1, 2) == 1
+        assert built == []
+        cartan_betti(parse_ideal("ring ext 3 QQ\ne1*e2 + e2*e3\n"))
+        assert len(built) == 1
+
+
 def dense_exterior_quadrics_e4():
     """Three dense quadrics in E with four variables, coefficients in [-4, 4]."""
     ring = exterior_ring(4)
@@ -469,19 +566,28 @@ class TestTableMemo:
         assert betti_table(I).entries == expected
 
     def test_battery_and_oracles_build_one_gin_table(self, monkeypatch):
+        # gin(I) is monomial: its table is read off the squarefree counts,
+        # built once, and no coordinate workspace runs on it
         I = parse_ideal(REFERENCE["ext4"])
         gens = gin(I, seed=0)[0].to_ideal().generators
-        built = []
+        built, counted = [], []
         init = HomologyWorkspace.__init__
+        count = betti._squarefree_counts
 
         def counting(self, ideal, seq=None):
             built.append((ideal.generators, seq))
             init(self, ideal, seq)
 
+        def counting_counts(ideal):
+            counted.append(ideal.generators)
+            return count(ideal)
+
         monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
+        monkeypatch.setattr(betti, "_squarefree_counts", counting_counts)
         battery(I, seed=0)
         oracle_equivalences(I, seed=0)
-        assert built.count((gens, None)) == 1
+        assert (gens, None) not in built
+        assert counted.count(gens) == 1
 
     @pytest.mark.parametrize("name", ["cancel", "ext4"])
     def test_battery_builds_no_workspace_on_gin(self, name, monkeypatch):
