@@ -208,7 +208,7 @@ def _degree_pivot_monomials(ring, gens, d, order, target=None, engine=IntRank):
 def initial_ideal(ideal, order=None):
     """in(I): minimal monomial generators of the initial ideal.
 
-    Over E the pivots of I_0..I_n: the memoized integer Rref pieces in the
+    Over E the pivots of I_0..I_n: the memoized graded pieces in the
     ring's order, one elimination per degree in any other.  Kept in
     Ideal.memo under the resolved order.
     """

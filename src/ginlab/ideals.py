@@ -30,6 +30,7 @@ from .rings import (
     monomial_divides,
     monomial_product,
     order_key,
+    render_element,
     render_monomial,
 )
 
@@ -65,8 +66,8 @@ def eliminate_degree(ring, gens, d, engine, order=None, target=None):
 
     Sparse rows first keep the elimination basis short and the integer
     growth down when monomial and dense generators mix.  Rank, pivots and
-    Rref's fully reduced basis depend only on the span and the column
-    order, so neither the row order nor the stop moves them."""
+    the reduced echelon form (Rref.reduced) depend only on the span and
+    the column order, so neither the row order nor the stop moves them."""
     monos = ring.monomials(d, order)
     stop = len(monos) if target is None else target
     index = {m: i for i, m in enumerate(monos)}
@@ -80,15 +81,15 @@ def eliminate_degree(ring, gens, d, engine, order=None, target=None):
 class Piece:
     """Echelonized degree-d piece of a graded ideal."""
 
-    def __init__(self, ring, d, monomials, pivot_set, rref):
+    def __init__(self, ring, d, monomials, pivot_set, rows):
         self.ring = ring
         self.d = d
         self.monomials = monomials  # descending in the term order
         self.index = {m: i for i, m in enumerate(monomials)}
         self.pivots = pivot_set  # set of pivot monomials
-        self.rref = rref  # None for the monomial fast path
-        # lcm of the Rref leads: den times a normal form is integer
-        self.den = lcm(*(r[c] for c, r in rref.pivots.items())) if rref else 1
+        self.rows = rows  # lead -> reduced row; None for the monomial fast path
+        # lcm of the leads: den times a normal form is integer
+        self.den = lcm(*(r[c] for c, r in rows.items())) if rows else 1
         self.dim = len(pivot_set)
         self.std_monomials = [m for m in monomials if m not in pivot_set]
         self._std_index = {m: i for i, m in enumerate(self.std_monomials)}
@@ -97,17 +98,17 @@ class Piece:
         """den times the normal form of a monomial: std monomial -> int."""
         if m not in self.pivots:
             return {m: self.den}
-        if self.rref is None:
+        if self.rows is None:
             return {}
         col = self.index[m]
-        row = self.rref.pivots[col]
+        row = self.rows[col]
         f = self.den // row[col]
         return {self.monomials[c]: -f * v for c, v in row.items() if c != col}
 
     def basis_elements(self):
         """Reduced echelon basis of I_d as Elements (deterministic)."""
         ring = self.ring
-        if self.rref is None:
+        if self.rows is None:
             key = order_key(ring)
             return [
                 Element.monomial(ring, m)
@@ -115,7 +116,7 @@ class Piece:
             ]
         return [
             Element(ring, {self.monomials[c]: v for c, v in r.items()})
-            for _, r in sorted(self.rref.pivots.items())
+            for _, r in sorted(self.rows.items())
         ]
 
 
@@ -138,6 +139,10 @@ class Ideal:
         self.generators = tuple(gens)
         self._pieces = {}  # piece(d), the hot path, keeps its own dict
         self._memo = {}
+
+    def __repr__(self):
+        body = ", ".join(render_element(g) for g in self.generators)
+        return f"({body})" if body else "(0)"
 
     @classmethod
     def zero(cls, ring):
@@ -190,8 +195,8 @@ class Ideal:
         mono_ideal = self.monomial_image()
         if mono_ideal is not None:
             return Piece(ring, d, monos, set(mono_ideal.monomials(d)), None)
-        _, rref = eliminate_degree(ring, self.generators, d, Rref())
-        return Piece(ring, d, monos, {monos[c] for c in rref.pivots}, rref)
+        rows = eliminate_degree(ring, self.generators, d, Rref())[1].reduced()
+        return Piece(ring, d, monos, {monos[c] for c in rows}, rows)
 
     def dim_piece(self, d):
         return self.piece(d).dim

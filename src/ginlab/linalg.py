@@ -5,10 +5,12 @@ callers index them so that column 0 is the most significant (for monomial
 matrices: the largest monomial in the term order), which makes echelon
 pivots coincide with leading monomials.
 
-One fraction-free step, _cancel, serves two engines keyed col -> row.
-IntRank gives exact ranks over QQ and, with each row augmented by a unit
-column, left kernels.  Rref keeps a fully reduced basis for the graded
-pieces, where coordinates matter: primitive integer rows, positive lead.
+IntRank is the one elimination loop over QQ, keyed col -> row, on one
+fraction-free step, _cancel.  It gives exact ranks and, with each row
+augmented by a unit column, left kernels.  Rref is IntRank plus one
+method for the graded pieces, where coordinates matter: after the last
+row, reduced() back-substitutes the stored rows once, with the same step,
+into the reduced echelon form (primitive integer rows, positive lead).
 
 IntRank strips a working row's content whenever its largest entry passes
 256 bits.  It decides that from an exact bound on the row's bit length,
@@ -43,46 +45,6 @@ def _cancel(row, prow, col):
         else:
             del row[c]
     return pf, vf
-
-
-class Rref:
-    """Incremental reduced row echelon basis of primitive integer rows with
-    a positive lead; fully reduced, so reducing a vector never brings in a
-    new pivot column: one step per pivot column of the vector suffices."""
-
-    def __init__(self):
-        self.pivots = {}  # col -> primitive row with that leading col
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-    def reduce(self, row):
-        """Fully reduce a vector against the current basis; the result is
-        an integer row, a positive multiple of the reduction over QQ."""
-        out = scale_to_int(row)
-        for c in [c for c in out if c in self.pivots]:
-            _cancel(out, self.pivots[c], c)
-        return out
-
-    def add(self, row):
-        """Insert a vector; returns the new pivot column, or None for a
-        vector already in the span."""
-        res = self.reduce(row)
-        if not res:
-            return None
-        lead = min(res)
-        g = gcd(*res.values())
-        if res[lead] < 0:
-            g = -g
-        new = {c: v // g for c, v in res.items()}
-        # keep the basis fully reduced; pf > 0 keeps every lead positive
-        for r in self.pivots.values():
-            if lead in r:
-                _cancel(r, new, lead)
-                _divide_content(r)
-        self.pivots[lead] = new
-        return lead
 
 
 def _divide_content(row):
@@ -183,6 +145,27 @@ class IntRank:
                 if bits > 256:
                     _divide_content(out)
                     bits = _max_bits(out)
+
+
+class Rref(IntRank):
+    """A graded piece's elimination: IntRank's add, then its reduced
+    echelon basis once, after the last row."""
+
+    def reduced(self):
+        """{lead: primitive integer row with a positive lead}, the reduced
+        row echelon form of the span: the stored rows back-substituted
+        from the last pivot to the first, each against the reduced rows
+        after it, which hold no pivot column but their own lead."""
+        out = {}
+        for col in sorted(self.pivots, reverse=True):
+            row = dict(self.pivots[col])
+            for c in [c for c in row if c in out]:
+                _cancel(row, out[c], c)
+            g = gcd(*row.values())
+            if row[col] < 0:
+                g = -g
+            out[col] = {c: v // g for c, v in row.items()}
+        return out
 
 
 class ModRank:

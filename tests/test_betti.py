@@ -2,7 +2,7 @@ import ast
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement
-from math import comb
+from math import comb, gcd
 from pathlib import Path
 
 import pytest
@@ -33,12 +33,13 @@ from ginlab.ideals import (
     Ideal,
     MonomialIdeal,
     degree_rows,
+    graded_piece_basis,
     is_strongly_stable,
     minimal_generators,
 )
 from ginlab.linalg import IntRank
 from ginlab.oracles import oracle_equivalences
-from ginlab.parsing import parse_ideal
+from ginlab.parsing import parse_ideal, render_ideal
 from ginlab.rigidity import battery
 from ginlab.rings import (
     DEGREVLEX,
@@ -51,7 +52,7 @@ from ginlab.rings import (
     wedge_supports,
 )
 
-from conftest import ext, fraction_det
+from conftest import ext, fraction_det, load_perfbench
 from test_homology_values import REFERENCE
 from test_linalg import ReferenceRref
 
@@ -490,6 +491,14 @@ def test_chain_order_is_pinned(kind):
             assert ws.chain_sets(p, i) == want, (p, i)
 
 
+def generic_q4_quadrics():
+    """The generic workload's q4: three dense quadrics in four variables,
+    coefficients in [-4, 4]."""
+    workloads = load_perfbench("workloads")
+    kind, n, count = workloads.QUADRICS["q4"]
+    return workloads.dense_quadrics(kind, n, count, "q4")
+
+
 class TestIntegerTables:
     """Multiplication tables come out integer: the table into degree d + 1
     is piece(d + 1).den times the normal forms over QQ, and the homology
@@ -499,6 +508,9 @@ class TestIntegerTables:
         "ring poly 2 QQ\nx1^2 + 1/2*x1*x2\n",
         "ring ext 3 QQ\ne1*e2 + 2/3*e2*e3\n",
         REFERENCE["dense"],
+        # dense pieces, where the back-substitution has work to do
+        render_ideal(dense_exterior_quadrics_e4()),
+        render_ideal(generic_q4_quadrics()),
     ])
     def test_mult_var_is_den_times_reference_normal_form(self, text):
         I = parse_ideal(text)
@@ -521,6 +533,32 @@ class TestIntegerTables:
                         tgt[piece.monomials[c]]: piece.den * v
                         for c, v in nf.items()
                     }
+
+    def test_piece_basis_is_the_reference_rref_on_the_corpus(self):
+        # every non-monomial acceptance ideal, up to one past its top
+        # generator degree: the basis is the reference's rows over QQ,
+        # each a primitive integer row with a positive lead
+        checked = 0
+        for spec in ACCEPTANCE_SPECS:
+            for I in generate(spec):
+                if I.monomial_image() is not None:
+                    continue
+                checked += 1
+                for d in range(I.max_degree() + 2):
+                    piece = I.piece(d)
+                    ref = ReferenceRref()
+                    for row in degree_rows(I.ring, I.generators, d, piece.index):
+                        ref.add(row)
+                    basis = graded_piece_basis(I, d)
+                    assert [
+                        {piece.index[m]: c for m, c in f.monic().terms.items()}
+                        for f in basis
+                    ] == [ref.rows[ref.pivots[c]] for c in sorted(ref.pivots)]
+                    for f in basis:
+                        assert f.leading_coefficient() > 0
+                        assert all(type(c) is int for c in f.terms.values())
+                        assert gcd(*f.terms.values()) == 1
+        assert checked > 0
 
     @pytest.mark.parametrize("text, dens", [
         ("ring poly 2 QQ\nx1^2 + 1/2*x1*x2\n", [1, 1, 2, 4, 8]),

@@ -95,6 +95,19 @@ class TestGradedPieces:
         assert (piece.dim, piece.den) == (4, 1)
 
 
+class TestRepr:
+    def test_generators_in_order(self):
+        I = parse_ideal("ring poly 3 QQ\nx1^2 + x1*x2\nx3\n")
+        assert repr(I) == "(x1^2 + x1*x2, x3)"
+        assert repr(Ideal.zero(I.ring)) == "(0)"
+
+    def test_matches_monomial_ideal_on_acceptance_gins(self):
+        gins = [gin(I)[0] for spec in ACCEPTANCE_SPECS for I in generate(spec)]
+        assert len(gins) == 100
+        for J in gins:
+            assert repr(J.to_ideal()) == repr(J)
+
+
 class TestMonomialsChecked:
     """The entry points take only monomials of their ring: n nonnegative
     ints, each at most 1 over E."""

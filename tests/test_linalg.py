@@ -140,16 +140,22 @@ def test_rref_reduces_members():
     eng = Rref()
     eng.add({0: 2, 1: 4})
     eng.add({1: 1, 2: 1})
-    assert not eng.reduce({0: 1, 1: 2})
-    assert not eng.reduce({0: 1, 1: 3, 2: 1})
-    assert eng.reduce({2: 1})
+    assert eng.reduced() == {0: {0: 1, 2: -2}, 1: {1: 1, 2: 1}}
 
 
 def test_rref_pivot_normalization():
-    eng = Rref()
-    eng.add({0: 3, 2: 6})
-    row = eng.pivots[0]
-    assert row[0] == 1 and row[2] == 2
+    for lead in (3, -3):
+        eng = Rref()
+        eng.add({0: lead, 2: 6})
+        assert eng.reduced() == {0: {0: 1, 2: 6 // lead}}
+
+
+def test_rref_is_intrank_loop():
+    # one reduction loop over QQ: Rref adds only the back-substitution
+    assert Rref.add is IntRank.add
+    assert Rref.rank is IntRank.rank
+    assert Rref.__init__ is IntRank.__init__
+    assert not hasattr(Rref, "reduce")
 
 
 class ReferenceRref:
@@ -212,10 +218,12 @@ class ReferenceRref:
 def test_rref_matches_reference(rows, probes):
     eng, ref = Rref(), ReferenceRref()
     for row in rows:
-        assert eng.add(row) == ref.add(row)
+        eng.add(row)
+        ref.add(row)
+    reduced = eng.reduced()
     # the same pivot columns
-    assert sorted(eng.pivots) == sorted(ref.pivots)
-    for col, row in eng.pivots.items():
+    assert sorted(reduced) == sorted(ref.pivots)
+    for col, row in reduced.items():
         ref_row = ref.rows[ref.pivots[col]]
         # a primitive integer row with a positive lead ...
         assert min(row) == col and row[col] > 0
@@ -224,8 +232,13 @@ def test_rref_matches_reference(rows, probes):
         # ... that is a positive multiple of the reference row (lead 1)
         assert row.keys() == ref_row.keys()
         assert all(v == row[col] * ref_row[c] for c, v in row.items())
+    # the rows span the same space: a probe is a member iff it adds no rank
     for probe in rows + probes:
-        assert (not eng.reduce(probe)) == ref.contains(probe)
+        span = IntRank()
+        for row in reduced.values():
+            span.add(row)
+        span.add(probe)
+        assert (span.rank == len(reduced)) == ref.contains(probe)
 
 
 def reference_scale_to_int(row):

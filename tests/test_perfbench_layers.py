@@ -52,3 +52,22 @@ def test_tracer_counts_and_restores():
     assert metrics["linalg.left_kernel.calls"][0] == 1
     assert metrics["betti.koszul_betti.calls"][0] >= 1
     assert metrics["linalg.intrank_add.calls"][0] > 2
+
+
+def test_piece_rows_are_the_rref_add_layer():
+    # Rref inherits IntRank's loop; the tracer wraps it on Rref as its own
+    # layer, so the rows of a graded piece count there and only there
+    layers = load_layers()
+    assert linalg.Rref.add is linalg.IntRank.add
+    I = parse_ideal("ring poly 2 QQ\nx1^2 + x1*x2\n")
+    tracer = layers.Tracer()
+    tracer.install()
+    try:
+        I.piece(3)
+    finally:
+        tracer.uninstall()
+    assert linalg.Rref.add is linalg.IntRank.add
+    metrics = tracer.summary(items=1)
+    assert metrics["ideals.piece.calls"][0] == 1
+    assert metrics["linalg.rref_add.calls"][0] == 2  # x1*g and x2*g
+    assert metrics["linalg.intrank_add.calls"][0] == 0
