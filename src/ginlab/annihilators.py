@@ -367,9 +367,11 @@ def verify_homology_formula(ideal, seed=0):
     report = FormulaReport(ring, {"k_max": kmax, "i_max": imax, "n": n})
 
     for p in range(1, n + 1):
-        for i in range(1, min(imax, ws.top(p)) + 1):
+        top = min(imax, ws.top(p))
+        h = ws.profile(p, top, kmax)  # one sweep per p, cleared top down
+        for i in range(1, top + 1):
             for k in range(0, kmax + 1):
-                lhs = ws.h(p, i, i + k)
+                lhs = h.get((i, i + k), 0)
                 rhs = _alpha_sum(ring.is_exterior, p, i, k, a)
                 rhs -= _delta_sum(ws, p, i, k)
                 report.cells_checked += 1

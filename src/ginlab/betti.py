@@ -8,7 +8,10 @@ partial homology of generic sequences in annihilators.py runs on the same
 workspace over F_p, where a rank can only fall below its generic value.
 What a workspace computes is kept on the ideal (Ideal.memo), one state
 per set of forms, beside the coordinate multiplication tables (mult_var)
-that every workspace on the ideal reads.
+that every workspace on the ideal reads.  Each boundary elimination skips
+the columns at the pivots of the differential above it, the clearing of
+persistent homology (Chen-Kerber, EuroCG 2011; Bauer-Kerber-Reininghaus,
+TopoInVis 2014); those pivot sets stay on the workspace, not in the memo.
 
 A monomial exterior ideal J skips the workspace.  Its Cartan complex
 splits by multidegree, and the strand at a depends only on F = supp(a):
@@ -214,15 +217,24 @@ class HomologyWorkspace:
     forms of its rows.  Cycle spaces come from kernel computations so that
     images of induced maps can be reduced against boundaries, only for a
     delta whose source and target homology are both nonzero.
-    Differentials are streamed, never stored: each call that eliminates
-    one feeds its columns to a fresh engine, sparsest first.  Rank, pivot
-    columns and the span of the kernel of an elimination do not depend on
-    the order of its rows, so the order changes no number.  The ranks,
+    Differentials are streamed: each call that eliminates one feeds its
+    columns to a fresh engine, sparsest first.  Rank, pivot columns and
+    the span of the kernel of an elimination do not depend on the order
+    of its rows, so the order changes no number.  The ranks,
     cycle bases, delta numbers and mod-p multiplication columns depend on
     I and the draw alone, so they live in Ideal.memo under the draw's
     prime and rows (("workspace",) on the coordinates), shared by every
     workspace on the same ideal and forms; that state holds no reference
     back to the ideal.
+
+    Of a differential itself a workspace keeps only its pivot set, for
+    the clearing of the one below (_eliminate): the elimination of d_{i,j}
+    skips the columns at the pivots of d_{i+1,j} (Chen-Kerber, Persistent
+    homology computation with a twist, EuroCG 2011; Bauer-Kerber-
+    Reininghaus, Clear and compress, TopoInVis 2014).  The sets are plain
+    sets on the workspace, not in Ideal.memo, each dropped once the
+    differential below has used it; h and profile rank each degree j from
+    the top i down, so that the sets are there when needed.
 
     Chains of both complexes are exponent vectors of the dual ring
     (chain_sets): exterior monomials over S, divided powers over E
@@ -238,6 +250,7 @@ class HomologyWorkspace:
             key, lambda: ({}, {}, {}, {})
         )
         self._sets = {}
+        self._pivots = {}  # (p, i, j) -> pivot set of d_{i,j}, until d_{i-1,j}
 
     def dim(self, d):
         """dim (R/I)_d, the standard monomials of ideal.piece(d)."""
@@ -286,10 +299,11 @@ class HomologyWorkspace:
         for i > p, unbounded (inf) over E."""
         return inf if self.ring.is_exterior else p
 
-    def _columns(self, p, i, j):
+    def _columns(self, p, i, j, skip=()):
         """Yield (index, column) for C_{i,j}(p) -> C_{i-1,j}(p), sparsest first.
 
-        index is the column's position in the chain basis.  The terms of
+        index is the column's position in the chain basis; the indices in
+        skip are left out before their columns are built.  The terms of
         one column land in distinct target blocks, so its length is the sum
         of the lengths of its multiplication columns and is known before
         the column is built; the columns come in a stable order of
@@ -320,6 +334,8 @@ class HomologyWorkspace:
             chain_drops.append(drops)
             lengths.extend(map(sum, zip(*(sizes[t] for _, _, t in drops))))
         for idx in sorted(range(len(lengths)), key=lengths.__getitem__):
+            if idx in skip:
+                continue
             s_idx, u_idx = divmod(idx, dim_src)
             col = {}
             for base, sgn, t in chain_drops[s_idx]:
@@ -335,16 +351,29 @@ class HomologyWorkspace:
         mapped back from insertion positions to chain-basis indices.  The
         first elimination of a differential records its rank.  An empty
         column is fed only to a kernel engine, where it is a cycle.
+
+        A boundary engine (ncols None) is cleared: it skips the columns at
+        the pivots that the boundary engine of d_{i+1,j} left, and leaves
+        its own for d_{i-1,j}.  Each pivot row of d_{i+1,j} has its pivot
+        for smallest column, so those rows and the unit vectors off the
+        pivots are a basis of C_{i,j}; d_{i,j} vanishes on the rows, so its
+        columns off the pivots span its image, which clears d_{i-1,j} in
+        turn.  The pivot keys of d_{i+1,j} are the indices _columns(p, i, j)
+        yields, and over F_p all of this holds of the spans mod p.  A
+        kernel engine is fed every column, so its kernel is all of Z_i.
         """
         seq = self.seq
         eng = IntRank(ncols) if seq is None else ModRank(seq.prime, ncols)
+        skip = () if ncols is not None else self._pivots.pop((p, i + 1, j), ())
         order = []
-        for idx, col in self._columns(p, i, j):
+        for idx, col in self._columns(p, i, j, skip):
             if col or ncols is not None:
                 eng.add(col)
                 order.append(idx)
         eng.kernel = [{order[t]: v for t, v in z.items()} for z in eng.kernel]
         self._rank.setdefault((p, i, j), eng.rank)
+        if ncols is None and i > 1:
+            self._pivots[(p, i, j)] = set(eng.pivots)
         return eng
 
     def boundary_rank(self, p, i, j):
@@ -359,18 +388,18 @@ class HomologyWorkspace:
             return 0
         if i == 0:
             return self.dim(j) - self.boundary_rank(p, 1, j)
-        return (
-            self.chain_dim(p, i, j)
-            - self.boundary_rank(p, i, j)
-            - self.boundary_rank(p, i + 1, j)
-        )
+        above = self.boundary_rank(p, i + 1, j)  # first: it clears d_{i,j}
+        return self.chain_dim(p, i, j) - self.boundary_rank(p, i, j) - above
 
     def profile(self, p, i_max, k_max):
         """The nonzero h(p, i, i + k), i <= i_max and k <= k_max, keyed
-        (i, i + k): the one sweep of a window, for Betti tables and partial
-        homology.  Over S, i > p reads empty eliminations (_columns)."""
+        (i, i + k) in order of i, then k: the one sweep of a window, for
+        Betti tables and partial homology.  The cells are evaluated from
+        the top i down, so each differential is cleared by the one above
+        it.  Over S, i > p reads empty eliminations (_columns)."""
         cells = [(i, i + k) for i in range(i_max + 1) for k in range(k_max + 1)]
-        return {c: v for c in cells if (v := self.h(p, *c))}
+        values = {c: self.h(p, *c) for c in reversed(cells)}
+        return {c: v for c in cells if (v := values[c])}
 
     def cycles(self, p, i, j):
         """Basis of Z_i(p)_j as coefficient dicts over the chain basis."""

@@ -93,7 +93,9 @@ class IntRank:
     max(bits + pf.bit_length(), pivot bits + vf.bit_length()) + 1 after a
     step.  It scans only when the bound passes 256, so the content is
     stripped at exactly the steps where the largest entry passes 256 bits,
-    and the stored rows equal those of a scan after every step.
+    and the stored rows equal those of a scan after every step.  A row
+    stored with no step keeps the scan made before the loop: scale_to_int
+    has already stripped its content, so that scan is exact.
     """
 
     def __init__(self, ncols=None):
@@ -117,6 +119,7 @@ class IntRank:
             return False
         pivots, pivot_bits = self.pivots, self._bits
         bits = _max_bits(out)
+        stepped = False
         while True:
             lead = min(out)
             prow = pivots.get(lead)
@@ -124,17 +127,22 @@ class IntRank:
                 if ncols is not None and lead >= ncols:
                     self.kernel.append({c - ncols: v for c, v in out.items()})
                     return False
-                # store a compact copy with the content stripped: the
-                # in-place updates below leave slack in the working dict's
-                # table, and dict(out) would clone that table
-                g = gcd(*out.values())
-                if g > 1:
-                    out = {c: x // g for c, x in out.items()}
-                else:
-                    out = {c: x for c, x in out.items()}
+                if stepped:
+                    # store a compact copy with the content stripped: the
+                    # in-place updates below leave slack in the working
+                    # dict's table, and dict(out) would clone that table
+                    g = gcd(*out.values())
+                    if g > 1:
+                        out = {c: x // g for c, x in out.items()}
+                    else:
+                        out = {c: x for c, x in out.items()}
+                    bits = _max_bits(out)
+                # else scale_to_int built out compact and primitive, and
+                # its scan above is exact
                 pivots[lead] = out
-                pivot_bits[lead] = _max_bits(out)
+                pivot_bits[lead] = bits
                 return True
+            stepped = True
             pf, vf = _cancel(out, prow, lead)
             if not out:
                 return False
@@ -202,7 +210,9 @@ class ModRank:
                 continue
             if ncols is not None and lead >= ncols:
                 out[lead] = f
-                self.kernel.append({c - ncols: x % p for c, x in out.items() if x % p})
+                self.kernel.append(
+                    {c - ncols: y for c, x in out.items() if (y := x % p)}
+                )
                 return False
             prow = pivots.get(lead)
             if prow is None:

@@ -581,6 +581,58 @@ class TestRowOrder:
                         ), (p, i, j)
 
 
+class TestClearing:
+    """A boundary elimination cleared by the pivots of the differential
+    above it has the rank and pivot set of a fresh engine fed every column,
+    over QQ on the coordinates and mod p along round 0's sequence a."""
+
+    @staticmethod
+    def checked_eliminations(monkeypatch):
+        """Wrap _eliminate so that every boundary engine it returns is
+        compared with the full-column elimination; counts (eliminations
+        checked, eliminations that found a pivot set to clear with)."""
+        real = HomologyWorkspace._eliminate
+        count = [0, 0]
+
+        def checked(self, p, i, j, ncols=None):
+            cleared = ncols is None and (p, i + 1, j) in self._pivots
+            eng = real(self, p, i, j, ncols)
+            if ncols is None:
+                seq = self.seq
+                full = IntRank() if seq is None else ModRank(seq.prime)
+                for _, col in self._columns(p, i, j):
+                    full.add(col)
+                assert eng.rank == full.rank, (seq, p, i, j)
+                assert eng.pivots.keys() == full.pivots.keys(), (seq, p, i, j)
+                count[0] += 1
+                count[1] += cleared
+            return eng
+
+        monkeypatch.setattr(HomologyWorkspace, "_eliminate", checked)
+        return count
+
+    def test_cleared_ranks_equal_the_full_columns(self, monkeypatch):
+        # every cell of the profile and delta windows of _sequence_routes
+        # on the oracle ideals, the acceptance corpus and the generic
+        # workload's dense quadrics q4 and e5; the ideals are fresh, so no
+        # rank comes from an earlier memo
+        count = self.checked_eliminations(monkeypatch)
+        acceptance = [i for spec in ACCEPTANCE_SPECS for i in generate(spec)]
+        workloads = load_perfbench("workloads")
+        quadrics = [
+            workloads.dense_quadrics(*workloads.QUADRICS[tag], tag)
+            for tag in ("q4", "e5")
+        ]
+        ideals = _oracle_ideals() + acceptance + quadrics
+        assert len(ideals) == 128
+        for ideal in ideals:
+            kmax, imax = annihilators._windows(ideal, 0)
+            for seq in (None, GenericSequence.first(ideal.ring, 0)):
+                _sequence_routes(ideal, seq, kmax, imax)
+        checked, cleared = count
+        assert 0 < cleared < checked
+
+
 class TestUpperBound:
     def test_two_variables_attained(self):
         rep = upper_bound_check(parse_ideal("ring poly 2 QQ\nx1\nx2\n"), seed=0)

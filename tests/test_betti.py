@@ -589,6 +589,42 @@ class TestIntegerTables:
         assert all(type(v) is int for row in fed for v in row.values())
 
 
+@pytest.mark.parametrize("route", ["cartan", "koszul"])
+def test_sweeps_clear_below_the_top(route, monkeypatch):
+    """A Betti sweep ranks each degree j from the top i down, and every
+    elimination under the first one of its degree is fed chain_dim(p, i, j)
+    - rank(p, i + 1, j) columns: those at the pivots of d_{i+1,j} are
+    skipped before they are built (HomologyWorkspace._eliminate)."""
+    fed = []
+    real = HomologyWorkspace._columns
+
+    def counted(self, p, i, j, skip=()):
+        record = [self, p, i, j, 0]
+        fed.append(record)
+        for item in real(self, p, i, j, skip):
+            record[-1] += 1
+            yield item
+
+    monkeypatch.setattr(HomologyWorkspace, "_columns", counted)
+    if route == "cartan":
+        assert cartan_betti(dense_exterior_quadrics_e4()).entries
+    else:
+        assert koszul_betti(generic_q4_quadrics()).entries
+    below = {}  # (workspace, p, j) -> the last i eliminated
+    skipped = 0
+    for ws, p, i, j, n in fed:
+        key = (id(ws), p, j)
+        full = ws.chain_dim(p, i, j)
+        if key in below:
+            assert i == below[key] - 1, (p, i, j)
+            assert n == full - ws._rank[(p, i + 1, j)], (p, i, j)
+            skipped += full - n
+        else:
+            assert n == full, (p, i, j)
+        below[key] = i
+    assert skipped > 0
+
+
 class TestTableMemo:
     def test_gin_to_ideal_is_one_object(self, staircase3):
         J, _ = gin(staircase3, seed=0)

@@ -7,7 +7,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ginlab import linalg
+from ginlab import ideals, linalg
+from ginlab.corpus import ACCEPTANCE_SPECS, generate
 from ginlab.linalg import IntRank, ModRank, Rref, left_kernel, scale_to_int
 
 
@@ -381,7 +382,7 @@ def run_both(rows, ncols):
     assert eng.kernel == ref.kernel
     assert fired == ref.fired
     for col, prow in eng.pivots.items():
-        assert eng._bits[col] >= max(abs(v) for v in prow.values()).bit_length()
+        assert eng._bits[col] == max(abs(v) for v in prow.values()).bit_length()
     return fired
 
 
@@ -404,6 +405,28 @@ def test_int_rank_guard_fires(ncols):
     fired = run_both(rows, ncols)
     assert fired
     assert all(max(map(abs, row.values())).bit_length() > 256 for row in fired)
+
+
+def test_stored_bits_are_exact_on_the_corpus_pieces(monkeypatch):
+    """Every pivot's stored bit length is its row's, after the graded pieces
+    of the acceptance corpus are built: also for a row stored with no
+    reduction step, which keeps its scan from before the loop."""
+    engines = []
+
+    class Recorded(Rref):
+        def __init__(self, *args):
+            super().__init__(*args)
+            engines.append(self)
+
+    monkeypatch.setattr(ideals, "Rref", Recorded)
+    for spec in ACCEPTANCE_SPECS:
+        for I in generate(spec):
+            for d in range(I.max_degree() + 2):
+                I.piece(d)
+    assert engines
+    for eng in engines:
+        for col, prow in eng.pivots.items():
+            assert eng._bits[col] == linalg._max_bits(prow)
 
 
 def test_int_rank_big_entries():
