@@ -639,13 +639,17 @@ def koszul_betti(ideal, reg_bound=None, seed=0):
     )
 
 
-def exterior_i_max(ring):
-    """The default homological window of exterior tables: n + 3.
+def exterior_i_max(ring, i_max=None):
+    """The homological window of exterior tables: i_max, n + 3 by default.
 
     Betti numbers over E live in unbounded homological degree, so every
     exterior table, closed form and statement is cut at some i_max.
     """
-    return ring.n + 3
+    if i_max is None:
+        return ring.n + 3
+    if i_max < 0:
+        raise ValueError("i_max must be nonnegative")
+    return i_max
 
 
 def cartan_betti(ideal, i_max=None):
@@ -662,10 +666,7 @@ def cartan_betti(ideal, i_max=None):
     if ideal.contains_unit():
         raise ValueError("proper ideal expected")
     n = ring.n
-    if i_max is None:
-        i_max = exterior_i_max(ring)
-    if i_max < 0:
-        raise ValueError("i_max must be nonnegative")
+    i_max = exterior_i_max(ring, i_max)
     if ideal.monomial_image() is not None:
         entries = _squarefree_table(ideal, i_max)
     else:
@@ -757,8 +758,7 @@ def ahh_betti(J, i_max=None):
     ring = J.ring
     if not ring.is_exterior:
         raise ValueError("exterior ideal expected")
-    if i_max is None:
-        i_max = exterior_i_max(ring)
+    i_max = exterior_i_max(ring, i_max)
     entries = {(0, 0): 1}
     for u in J.gens:
         k = sum(u) - 1

@@ -79,27 +79,26 @@ def eliminate_degree(ring, gens, d, engine, order=None, target=None):
 
 
 class Piece:
-    """Echelonized degree-d piece of a graded ideal."""
+    """Echelonized degree-d piece of a graded ideal: rows maps each lead
+    column of monomials to its reduced integer row {column: coefficient}."""
 
-    def __init__(self, ring, d, monomials, pivot_set, rows):
+    def __init__(self, ring, d, monomials, rows):
         self.ring = ring
         self.d = d
         self.monomials = monomials  # descending in the term order
         self.index = {m: i for i, m in enumerate(monomials)}
-        self.pivots = pivot_set  # set of pivot monomials
-        self.rows = rows  # lead -> reduced row; None for the monomial fast path
+        self.rows = rows
+        self.pivots = {monomials[c] for c in rows}
         # lcm of the leads: den times a normal form is integer
-        self.den = lcm(*(r[c] for c, r in rows.items())) if rows else 1
-        self.dim = len(pivot_set)
-        self.std_monomials = [m for m in monomials if m not in pivot_set]
+        self.den = lcm(*(r[c] for c, r in rows.items()))
+        self.dim = len(rows)
+        self.std_monomials = [m for m in monomials if m not in self.pivots]
         self._std_index = {m: i for i, m in enumerate(self.std_monomials)}
 
     def nf_monomial(self, m):
         """den times the normal form of a monomial: std monomial -> int."""
         if m not in self.pivots:
             return {m: self.den}
-        if self.rows is None:
-            return {}
         col = self.index[m]
         row = self.rows[col]
         f = self.den // row[col]
@@ -107,15 +106,8 @@ class Piece:
 
     def basis_elements(self):
         """Reduced echelon basis of I_d as Elements (deterministic)."""
-        ring = self.ring
-        if self.rows is None:
-            key = order_key(ring)
-            return [
-                Element.monomial(ring, m)
-                for m in sorted(self.pivots, key=key, reverse=True)
-            ]
         return [
-            Element(ring, {self.monomials[c]: v for c, v in r.items()})
+            Element(self.ring, {self.monomials[c]: v for c, v in r.items()})
             for _, r in sorted(self.rows.items())
         ]
 
@@ -190,13 +182,16 @@ class Ideal:
         return self._pieces[d]
 
     def _build_piece(self, d):
+        """I_d echelonized; a monomial ideal's rows are its unit rows."""
         ring = self.ring
         monos = ring.monomials(d)
         mono_ideal = self.monomial_image()
-        if mono_ideal is not None:
-            return Piece(ring, d, monos, set(mono_ideal.monomials(d)), None)
-        rows = eliminate_degree(ring, self.generators, d, Rref())[1].reduced()
-        return Piece(ring, d, monos, {monos[c] for c in rows}, rows)
+        if mono_ideal is None:
+            rows = eliminate_degree(ring, self.generators, d, Rref())[1].reduced()
+        else:
+            inside = set(mono_ideal.monomials(d))
+            rows = {c: {c: 1} for c, m in enumerate(monos) if m in inside}
+        return Piece(ring, d, monos, rows)
 
     def dim_piece(self, d):
         return self.piece(d).dim
@@ -513,10 +508,7 @@ def degree_scan(ring, piece, start, up_to, numerator):
 
 def lex_ideal(ideal):
     """Lex(I): the lexsegment ideal with the Hilbert function of I."""
-    result, complete = lex_segment_ideal(ideal, None)
-    if not complete:
-        raise ImplementationFault("the lexsegment scan stopped short of Lex(I)")
-    return result
+    return lex_segment_ideal(ideal, None)[0]
 
 
 def lex_segment_ideal(ideal, up_to):

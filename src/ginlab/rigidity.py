@@ -123,13 +123,10 @@ class RigidityContext:
         self.seed = seed
         # homological window; polynomial tables stop at n by Hilbert's
         # syzygy theorem, so only exterior rings read a cutoff
-        if not ideal.ring.is_exterior:
-            i_max = ideal.ring.n
-        elif i_max is None:
-            i_max = exterior_i_max(ideal.ring)
-        elif i_max < 0:
-            raise ValueError("i_max must be nonnegative")
-        self.i_max = i_max
+        if ideal.ring.is_exterior:
+            self.i_max = exterior_i_max(ideal.ring, i_max)
+        else:
+            self.i_max = ideal.ring.n
         self._cache = {}
 
     def _get(self, key, builder):

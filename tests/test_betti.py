@@ -52,7 +52,7 @@ from ginlab.rings import (
     wedge_supports,
 )
 
-from conftest import ext, fraction_det, load_perfbench
+from conftest import STAIRCASE_3, ext, fraction_det, load_perfbench
 from test_homology_values import REFERENCE
 from test_linalg import ReferenceRref
 
@@ -345,6 +345,8 @@ class TestCartan:
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
         with pytest.raises(ValueError, match="i_max"):
             cartan_betti(I, i_max=-1)
+        with pytest.raises(ValueError, match="i_max"):
+            ahh_betti(I.monomial_image(), i_max=-1)
 
     def test_two_form_strand(self):
         I = parse_ideal("ring ext 3 QQ\ne1*e2\n")
@@ -511,12 +513,18 @@ class TestIntegerTables:
         # dense pieces, where the back-substitution has work to do
         render_ideal(dense_exterior_quadrics_e4()),
         render_ideal(generic_q4_quadrics()),
+        # monomial pieces: unit rows, den 1
+        STAIRCASE_3,
+        "ring ext 4 QQ\ne1*e2\ne1*e3*e4\ne2*e3\n",
     ])
     def test_mult_var_is_den_times_reference_normal_form(self, text):
         I = parse_ideal(text)
         ring = I.ring
         for d in range(4):
             piece = I.piece(d + 1)
+            if I.monomial_image() is not None:
+                assert piece.den == 1
+                assert piece.rows == {c: {c: 1} for c in piece.rows}
             ref = ReferenceRref()
             for row in degree_rows(ring, I.generators, d + 1, piece.index):
                 ref.add(row)
@@ -535,30 +543,29 @@ class TestIntegerTables:
                     }
 
     def test_piece_basis_is_the_reference_rref_on_the_corpus(self):
-        # every non-monomial acceptance ideal, up to one past its top
+        # every acceptance ideal and its gin, up to one past the top
         # generator degree: the basis is the reference's rows over QQ,
-        # each a primitive integer row with a positive lead
-        checked = 0
-        for spec in ACCEPTANCE_SPECS:
-            for I in generate(spec):
-                if I.monomial_image() is not None:
-                    continue
-                checked += 1
-                for d in range(I.max_degree() + 2):
-                    piece = I.piece(d)
-                    ref = ReferenceRref()
-                    for row in degree_rows(I.ring, I.generators, d, piece.index):
-                        ref.add(row)
-                    basis = graded_piece_basis(I, d)
-                    assert [
-                        {piece.index[m]: c for m, c in f.monic().terms.items()}
-                        for f in basis
-                    ] == [ref.rows[ref.pivots[c]] for c in sorted(ref.pivots)]
-                    for f in basis:
-                        assert f.leading_coefficient() > 0
-                        assert all(type(c) is int for c in f.terms.values())
-                        assert gcd(*f.terms.values()) == 1
-        assert checked > 0
+        # each a primitive integer row with a positive lead; a monomial
+        # ideal's rows are unit rows
+        ideals = [I for spec in ACCEPTANCE_SPECS for I in generate(spec)]
+        ideals += [gin(I)[0].to_ideal() for I in ideals]
+        assert len(ideals) == 200
+        for I in ideals:
+            for d in range(I.max_degree() + 2):
+                piece = I.piece(d)
+                ref = ReferenceRref()
+                for row in degree_rows(I.ring, I.generators, d, piece.index):
+                    ref.add(row)
+                assert len(piece.rows) == piece.dim == len(ref.pivots)
+                basis = graded_piece_basis(I, d)
+                assert [
+                    {piece.index[m]: c for m, c in f.monic().terms.items()}
+                    for f in basis
+                ] == [ref.rows[ref.pivots[c]] for c in sorted(ref.pivots)]
+                for f in basis:
+                    assert f.leading_coefficient() > 0
+                    assert all(type(c) is int for c in f.terms.values())
+                    assert gcd(*f.terms.values()) == 1
 
     @pytest.mark.parametrize("text, dens", [
         ("ring poly 2 QQ\nx1^2 + 1/2*x1*x2\n", [1, 1, 2, 4, 8]),
