@@ -41,7 +41,7 @@ window from _windows (the upper-bound check takes only its i_max).
 
 from dataclasses import dataclass, field
 
-from .betti import HomologyWorkspace, betti_table, binom
+from .betti import HomologyWorkspace, betti_table, binom, stable_table
 from .groebner import _scan_plan, gin
 from .ideals import eliminate_degree
 from .linalg import ModRank
@@ -437,7 +437,7 @@ def upper_bound_check(ideal, seed=0):
     _, imax = _windows(ideal, seed)
     kmax = n if ring.is_exterior else max(r - 1, 0)
     bI = betti_table(ideal, seed=seed, i_max=imax, reg_bound=r)
-    bG = betti_table(J.to_ideal(), seed=seed, i_max=imax, reg_bound=r)
+    bG = stable_table(J, i_max=imax)
 
     report = UpperBoundReport(ring, {"i_max": imax, "k_max": kmax})
     attained = True

@@ -1,17 +1,27 @@
 """The ideal file format: parser and renderer.
 
 Line 1: ``ring <poly|ext> <n> QQ [order]``.  Every following nonempty,
-non-comment line holds one or more generators separated by commas, written
-as ``coef*mon +- ...`` with ``^`` powers and ``*`` products.  ``#`` starts
-a comment.  Rendering one generator per line round-trips through the
-parser up to whitespace.
+non-comment line holds one or more generators separated by commas.  A
+generator is terms joined by ``+`` or ``-``, a term is factors joined by
+``*``, and a factor is an integer, ``p/q``, or a variable with an optional
+``^`` power; an implicit product (``2x1``, ``x1 x2``) is a parse error.
+``#`` starts a comment.  Rendering one generator per line round-trips
+through the parser up to whitespace.
 """
 
 import re
 from fractions import Fraction
 
 from .ideals import Ideal
-from .rings import EXT, POLY, TERM_ORDERS, Element, Ring, render_element
+from .rings import (
+    EXT,
+    POLY,
+    TERM_ORDERS,
+    Element,
+    Ring,
+    monomial_product,
+    render_element,
+)
 
 
 class ParseError(Exception):
@@ -25,140 +35,92 @@ class ParseError(Exception):
 
 
 _TOKEN = re.compile(
-    r"\s*(?:(?P<var>[a-zA-Z]+\d+)|(?P<num>\d+)|(?P<op>[-+*/^]))"
+    r"\s*(?:(?P<var>[a-zA-Z]+\d+)|(?P<num>\d+)|(?P<op>[-+*/^])|(?P<bad>\S))"
 )
+_END = (None, "end of generator", None)
 
 
-def _tokenize(text, lineno):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos and text[pos:].strip():
-            raise ParseError(
-                f"unexpected character {text[pos:].strip()[:1]!r}",
-                lineno,
-                pos + 1,
-            )
-        if m.end() == pos:
-            break
+def _parse_generator(ring, text, lineno):
+    """One generator: ``sign? term (sign term)*``, a term being factors
+    joined by ``*`` and a factor ``num[/num]`` or ``var[^num]``.
+
+    Terms are summed in one {monomial: coefficient} dict.  Every variable
+    factor goes through monomial_product, and a vanishing exterior product
+    keeps its term at coefficient 0 through the factors that follow.
+    """
+    tokens = []
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        out.append((kind, m.group(kind), pos + 1))
-        pos = m.end()
-        if pos >= len(text) or not text[pos:].strip():
-            break
-    return out
+        col = m.start(kind) + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", lineno, col)
+        tokens.append((kind, m.group(kind), col))
+    tokens.append(_END)
 
+    def number(i, what):
+        kind, val, col = tokens[i]
+        if kind != "num":
+            raise ParseError(f"expected {what}, found {val}", lineno, col)
+        return int(val)
 
-class _TermParser:
-    def __init__(self, ring, tokens, lineno):
-        self.ring = ring
-        self.tokens = tokens
-        self.lineno = lineno
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of generator", self.lineno)
-        self.i += 1
-        return tok
-
-    def parse_element(self):
-        total = Element.zero(self.ring)
-        sign = 1
-        first = True
-        while self.peek() is not None:
-            kind, val, col = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                sign = 1 if val == "+" else -1
-            elif not first:
-                raise ParseError(
-                    f"expected + or - before {val!r}", self.lineno, col
-                )
-            total = total + self.parse_term().scale(sign)
-            sign = 1
-            first = False
-        if first:
-            raise ParseError("empty generator", self.lineno)
-        return total
-
-    def parse_term(self):
-        ring = self.ring
-        coeff = Fraction(1)
-        mono = Element.monomial(ring, ring.unit_monomial())
-        saw_factor = False
+    exterior = ring.is_exterior
+    prefix = "e" if exterior else "x"
+    terms, i = {}, 0
+    while tokens[i] is not _END:
+        sign = -1 if tokens[i][1] == "-" else 1
+        if tokens[i][1] in ("+", "-"):
+            i += 1
+        coeff, mono = Fraction(1), ring.unit_monomial()
         while True:
-            tok = self.peek()
-            if tok is None or (tok[0] == "op" and tok[1] in "+-"):
-                break
-            kind, val, col = self.take()
+            kind, val, col = tokens[i]
+            i += 1
             if kind == "num":
-                c = Fraction(int(val))
-                nxt = self.peek()
-                if nxt and nxt[0] == "op" and nxt[1] == "/":
-                    self.take()
-                    dkind, dval, dcol = self.take()
-                    if dkind != "num" or int(dval) == 0:
-                        raise ParseError(
-                            "expected nonzero integer denominator",
-                            self.lineno,
-                            dcol,
-                        )
-                    c /= int(dval)
-                coeff *= c
+                coeff *= int(val)
+                if tokens[i][1] == "/":
+                    den = number(i + 1, "integer denominator")
+                    if not den:
+                        raise ParseError("zero denominator", lineno, tokens[i + 1][2])
+                    coeff /= den
+                    i += 2
             elif kind == "var":
                 exp = 1
-                nxt = self.peek()
-                if nxt and nxt[0] == "op" and nxt[1] == "^":
-                    self.take()
-                    ekind, eval_, ecol = self.take()
-                    if ekind != "num":
-                        raise ParseError(
-                            "expected integer exponent", self.lineno, ecol
-                        )
-                    exp = int(eval_)
-                mono = mono * self._variable_power(val, exp, col)
+                if tokens[i][1] == "^":
+                    exp = number(i + 1, "integer exponent")
+                    i += 2
+                if val[0] != prefix or not val[1:].isdecimal():
+                    raise ParseError(
+                        f"unknown variable {val!r} (expected {prefix}1..{prefix}{ring.n})",
+                        lineno,
+                        col,
+                    )
+                idx = int(val[1:])
+                if not 1 <= idx <= ring.n:
+                    raise ParseError(
+                        f"variable {val!r} out of range 1..{ring.n}", lineno, col
+                    )
+                if exterior and exp > 1:
+                    raise ParseError("exterior variables square to zero", lineno, col)
+                var = (0,) * (idx - 1) + (exp,) + (0,) * (ring.n - idx)
+                sgn, product = monomial_product(exterior, mono, var)
+                coeff *= sgn
+                if sgn:
+                    mono = product
             else:
                 raise ParseError(
-                    f"unexpected operator {val!r}", self.lineno, col
+                    f"expected a number or variable, found {val}", lineno, col
                 )
-            saw_factor = True
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "*":
-                self.take()
-                nxt2 = self.peek()
-                if nxt2 is None or (nxt2[0] == "op" and nxt2[1] in "+-"):
-                    raise ParseError("dangling *", self.lineno)
-        if not saw_factor:
-            raise ParseError("empty term", self.lineno)
-        return mono.scale(coeff)
-
-    def _variable_power(self, name, exp, col):
-        ring = self.ring
-        prefix = "e" if ring.is_exterior else "x"
-        m = re.fullmatch(prefix + r"(\d+)", name)
-        if not m:
-            raise ParseError(
-                f"unknown variable {name!r} (expected {prefix}1..{prefix}{ring.n})",
-                self.lineno,
-                col,
-            )
-        idx = int(m.group(1))
-        if not 1 <= idx <= ring.n:
-            raise ParseError(
-                f"variable {name!r} out of range 1..{ring.n}", self.lineno, col
-            )
-        if ring.is_exterior and exp > 1:
-            raise ParseError(
-                "exterior variables square to zero", self.lineno, col
-            )
-        exps = [0] * ring.n
-        exps[idx - 1] = exp
-        return Element.monomial(ring, tuple(exps))
+            if tokens[i][1] != "*":
+                break
+            i += 1
+        kind, val, col = tokens[i]
+        if kind is not None and val not in ("+", "-"):
+            raise ParseError(f"expected *, + or - before {val!r}", lineno, col)
+        s = terms.get(mono, 0) + sign * coeff
+        if s:
+            terms[mono] = s
+        else:
+            terms.pop(mono, None)
+    return Element(ring, terms)
 
 
 def parse_ideal(text):
@@ -206,8 +168,7 @@ def parse_ideal(text):
             chunk = chunk.strip()
             if not chunk:
                 raise ParseError("empty generator between commas", i)
-            tokens = _tokenize(chunk, i)
-            f = _TermParser(ring, tokens, i).parse_element()
+            f = _parse_generator(ring, chunk, i)
             if f.is_zero():
                 raise ParseError("generator is zero", i)
             if not f.is_homogeneous():

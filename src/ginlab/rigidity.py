@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .annihilators import HomologyWorkspace, annihilator_index_set
-from .betti import (
-    ahh_betti,
-    betti_table,
-    binom,
-    ek_betti,
-    exterior_i_max,
-)
+from .betti import betti_table, binom, exterior_i_max, stable_table
 from .groebner import gin
 from .ideals import (
     Ideal,
@@ -187,18 +181,11 @@ class RigidityContext:
         )[0]
 
     def stable_table(self, J):
-        """Quotient-convention table of a strongly stable monomial ideal.
-
-        The one route to the tables of gin(I), Lex(I) and gin_lex(I): the
-        Eliahou-Kervaire (resp. Aramova-Herzog-Hibi) closed form, cut at
-        i_max over E.  oracle_equivalences checks it against the Koszul
-        homology (resp. the induced subcomplexes) of gin(I) on every corpus
-        ideal.
-        """
-        key = ("stable_table", J.gens)
-        if self.ring.is_exterior:
-            return self._get(key, lambda: ahh_betti(J, i_max=self.i_max))
-        return self._get(key, lambda: ek_betti(J))
+        """betti.stable_table(J) in this context's window, cached: the
+        table of gin(I), Lex(I) and gin_lex(I)."""
+        return self._get(
+            ("stable_table", J.gens), lambda: stable_table(J, self.i_max)
+        )
 
     def component_gin(self, k):
         """gin(I_<k>) through the truncation identity.

@@ -766,6 +766,12 @@ class TestPredicates:
         assert is_componentwise_linear(parse_ideal("ring poly 2 QQ\nx1\nx2^2\n"))
         assert not is_componentwise_linear(strand4, seed=0)
 
+    def test_componentwise_linear_exterior(self):
+        assert is_componentwise_linear(parse_ideal("ring ext 3 QQ\ne1\ne2*e3\n"))
+        assert not is_componentwise_linear(
+            parse_ideal("ring ext 4 QQ\ne1*e2 + e3*e4\n"), seed=0
+        )
+
     def test_lex_is_componentwise_linear(self, staircase3):
         from ginlab.ideals import lex_ideal
 
@@ -833,3 +839,22 @@ def test_the_convention_has_one_home():
                 if getattr(node, attr, None) in ("IDEAL", "as_convention"):
                     users.add(path.name)
     assert users == {"betti.py", "cli.py"}
+
+
+def test_gin_tables_come_from_the_closed_form():
+    # stable_table is the one route to the table of a gin J: only the
+    # oracles compute the homology of J.to_ideal()
+    package = Path(betti.__file__).parent
+    homology = ("betti_table", "koszul_betti", "cartan_betti")
+    users = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) in homology
+                and node.args
+                and isinstance(node.args[0], ast.Call)
+                and getattr(node.args[0].func, "attr", None) == "to_ideal"
+            ):
+                users.add(path.name)
+    assert users == {"oracles.py"}
