@@ -3,9 +3,11 @@
 Homological route: Koszul complex on the coordinate forms over S (Cartan
 complex over E), exact ranks of the differentials per internal degree.
 HomologyWorkspace builds that complex on any sequence of linear forms; a
-Betti table is its homology on all n coordinates, exact over QQ, and the
-partial homology of generic sequences in annihilators.py runs on the same
-workspace over F_p, where a rank can only fall below its generic value.
+polynomial Betti table is its homology on all n coordinates, exact over
+QQ, and the partial homology of generic sequences in annihilators.py runs
+on the same workspace over F_p, where a rank can only fall below its
+generic value.  Over E the coordinate workspace is the oracle of the two
+routes below.
 What a workspace computes is kept on the ideal (Ideal.memo), one state
 per set of forms, beside the coordinate multiplication tables (mult_var)
 that every workspace on the ideal reads.  Each boundary elimination skips
@@ -21,6 +23,16 @@ dim H~^{l-1} of that complex (Aramova-Avramov-Herzog, Trans. AMS 352,
 2000).  Those 2^n small complexes are ranked once per ideal, exactly over
 QQ, from the same multiplication tables; the table then holds for every
 i, and the window only cuts it.  Over E every monomial is squarefree.
+
+Any other exterior ideal takes the module route of the BGG correspondence
+(Eisenbud-Floystad-Schreyer, Trans. AMS 355, 2003; Eisenbud, The Geometry
+of Syzygies, ch. 7).  The dual of the Cartan differential
+D_i (x) (E/I)_k -> D_{i-1} (x) (E/I)_{k+1} is S-linear in
+S = K[y_1..y_n], so its image is the degree-i piece of one submodule N_k
+of S (x) (E/I)_k^*, generated by linear vectors.  One module Groebner basis
+per strand (groebner.initial_submodule) gives in(N_k), and the Hilbert
+numerators of its monomial ideals give rank d_{i,i+k} for every i at
+once.  The window only cuts the table.
 
 Closed forms for strongly stable monomial ideals: Eliahou-Kervaire,
 Bigatti's count in terms of m_<=q, and the Aramova-Herzog-Hibi formula
@@ -49,13 +61,15 @@ n variables.
 from dataclasses import dataclass, field
 from math import inf
 
-from .groebner import gin, initial_ideal
+from .groebner import gin, initial_ideal, initial_submodule
 from .ideals import (
     Ideal,
     ImplementationFault,
     MonomialIdeal,
+    hilbert_numerator,
     is_strongly_stable,
     m_leq,
+    quotient_dim_from_numerator,
 )
 from .linalg import IntRank, ModRank
 from .rings import (
@@ -212,7 +226,8 @@ class HomologyWorkspace:
     """Koszul (or Cartan) homology of partial sequences of linear forms on R/I.
 
     seq=None stands for the coordinate forms, eliminated over QQ
-    (IntRank); at p = n their homology is the graded Betti table.  Along
+    (IntRank); at p = n their homology is the graded Betti table (over E
+    the oracle of cartan_betti's routes).  Along
     a GenericSequence everything runs mod its prime (ModRank), on the
     forms of its rows.  Cycle spaces come from kernel computations so that
     images of induced maps can be reduced against boundaries, only for a
@@ -485,6 +500,7 @@ def _homology_table(ideal, i_max, k_max, cert_strand=None):
     """Entries (i, i + k) -> dim H_i(x_1..x_n; R/I)_{i+k}, the table of R/I:
     the profile of the coordinate workspace at p = n.  The coordinate
     workspace keeps the ranks, so reading a window again costs only lookups.
+    koszul_betti's route over S, the oracle of cartan_betti over E.
     """
     entries = HomologyWorkspace(ideal).profile(ideal.ring.n, i_max, k_max)
     return _checked(ideal.ring, entries, cert_strand)
@@ -558,6 +574,63 @@ def _squarefree_table(ideal, i_max):
             )
             if b:
                 entries[(i, i + l)] = b
+    return _checked(ideal.ring, entries)
+
+
+def _bgg_strands(ideal):
+    """Per strand k = 0..n of E/I: the Hilbert numerators of S/J_u, u < m,
+    where in(N_k) = sum of J_u e_u in S^m, m = dim (E/I)_k and
+    S = K[y_1..y_n].
+
+    N_k is the image of the dual of the Cartan differential
+    D_i (x) (E/I)_k -> D_{i-1} (x) (E/I)_{k+1}: the submodule of S^m
+    generated by sum_t y_t (x) (phi o x_t), one vector for each phi in the
+    dual basis of the standard monomials b of (E/I)_{k+1} (BGG;
+    Eisenbud-Floystad-Schreyer, Trans. AMS 355, 2003).  Its coordinates are
+    the mult_var(ideal, t, k) columns read at b, so for every i its
+    degree-i piece, and that of in(N_k), has dimension rank d_{i,i+k}."""
+    n = ideal.ring.n
+    S = polynomial_ring(n)
+    ys = exponent_vectors(n, 1, False)
+    strands = []
+    for k in range(n + 1):
+        m = len(ideal.piece(k).std_monomials)
+        gens = [{} for _ in ideal.piece(k + 1).std_monomials]
+        for t, y in enumerate(ys):
+            for u, col in enumerate(mult_var(ideal, t, k)):
+                for b, c in col.items():
+                    gens[b][(u, y)] = c
+        strands.append(
+            [hilbert_numerator(J) for J in initial_submodule(S, gens, m)]
+        )
+    return strands
+
+
+def _bgg_rank(ideal, k, i):
+    """rank d_{i,i+k} of the Cartan complex of E/I: dim (N_k)_i, the sum
+    over u of dim (J_u)_i (_bgg_strands, kept in Ideal.memo)."""
+    if k < 0:
+        return 0
+    n = ideal.ring.n
+    nums = ideal.memo(("bgg",), lambda: _bgg_strands(ideal))[k]
+    return sum(
+        binom(n + i - 1, i) - quotient_dim_from_numerator(num, n, i)
+        for num in nums
+    )
+
+
+def _bgg_table(ideal, i_max):
+    """The table of E/I, i <= i_max, from the module route:
+    beta_{i,i+k} = C(n+i-1, i) dim (E/I)_k - rank d_{i,i+k}
+    - rank d_{i+1,i+k} (_bgg_rank).  Every strand k <= n is read."""
+    n = ideal.ring.n
+    entries = {}
+    for i in range(i_max + 1):
+        for k in range(n + 1):
+            chains = binom(n + i - 1, i) * len(ideal.piece(k).std_monomials)
+            b = chains - _bgg_rank(ideal, k, i) - _bgg_rank(ideal, k - 1, i + 1)
+            if b:
+                entries[(i, i + k)] = b
     return _checked(ideal.ring, entries)
 
 
@@ -658,7 +731,8 @@ def cartan_betti(ideal, i_max=None):
     The window in i defaults to exterior_i_max.  Internal degrees
     j <= n + i are complete for each computed i.  A monomial ideal reads
     its table off its induced subcomplexes (_squarefree_table); any other
-    runs the Cartan complex on the coordinates.
+    off one module Groebner basis per strand (_bgg_table).  The Cartan
+    complex on the coordinates (_homology_table) is the oracle of both.
     """
     ring = ideal.ring
     if not ring.is_exterior:
@@ -670,7 +744,7 @@ def cartan_betti(ideal, i_max=None):
     if ideal.monomial_image() is not None:
         entries = _squarefree_table(ideal, i_max)
     else:
-        entries = _homology_table(ideal, i_max, n)
+        entries = _bgg_table(ideal, i_max)
     return BettiTable(ring, QUOTIENT, entries, {"strand_max": n, "i_max": i_max})
 
 

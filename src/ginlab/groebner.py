@@ -1,12 +1,18 @@
 """Initial ideals and generic initial ideals.
 
-Polynomial initial ideals come from a reduced Groebner basis (Buchberger,
-normal selection, criteria 1 and 2), exterior ones from the pivot
-monomials of the echelonized pieces I_0..I_n (E_d = 0 for d > n).  Both
-are exact over QQ.  The per-trial initial ideals inside gin run the one
-degree scan of ideals.py, degree_scan, which stops over both ring kinds
-and under every term order once the candidate has the Hilbert numerator
-of the input, which is exact.
+Polynomial initial ideals come from a reduced Groebner basis, exterior
+ones from the pivot monomials of the echelonized pieces I_0..I_n
+(E_d = 0 for d > n).  Both are exact over QQ.  One Buchberger loop
+(_groebner: normal selection, the chain criterion, and the coprime
+criterion for ideals only) runs on terms keyed (position, monomial) with
+fraction-free integer coefficients, made primitive after each reduction.
+An ideal is its rank-1 case (buchberger); the submodules of S^m of the
+exterior Betti tables are the others (initial_submodule).
+
+The per-trial initial ideals inside gin run the one degree scan of
+ideals.py, degree_scan, which stops over both ring kinds and under every
+term order once the candidate has the Hilbert numerator of the input,
+which is exact.
 
 gin runs its trials over F_p on the upper-unitriangular matrices of
 rings.certified_draw, which draws them and their prime p: each trial
@@ -37,7 +43,8 @@ tests' references.
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
+from math import gcd
 
 from .ideals import (
     MonomialIdeal,
@@ -78,111 +85,155 @@ class GroebnerBasis:
     elements: tuple
 
 
-def _spoly(f, lmf, g, lmg):
-    lcm = monomial_lcm(lmf, lmg)
-    sf = f.term_mul(monomial_div(lcm, lmf), g.terms[lmg])
-    sg = g.term_mul(monomial_div(lcm, lmg), f.terms[lmf])
-    return (sf - sg).normalized_integer()
+def _term_key(mkey):
+    """Sort key of terms (position, monomial), cached per term: term over
+    position, the monomial's key mkey first, and on a tie the lower
+    position is the larger term."""
+    return cache(lambda term: (mkey(term[1]), -term[0]))
 
 
-def _normal_form(f, basis, lms, key):
-    """Remainder of f on division by basis (deterministic reducer choice)."""
-    work = dict(f.terms)
-    out = {}
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        hit = None
-        for idx, lm in enumerate(lms):
-            if monomial_divides(lm, t):
-                hit = idx
-                break
+def _primitive(f):
+    """f divided by the gcd of its integer coefficients."""
+    g = gcd(*f.values())
+    return f if g == 1 else {t: c // g for t, c in f.items()}
+
+
+def _add_multiple(f, c, g, shift):
+    """f += c * shift * g in place, for terms (position, monomial)."""
+    for (p, m), v in g.items():
+        t = (p, monomial_mul(m, shift))
+        x = f.get(t, 0) + c * v
+        if x:
+            f[t] = x
+        else:
+            del f[t]
+
+
+def _normal_form(f, basis, leads, key, tail):
+    """f reduced by basis, fraction-free: each step scales f by an integer
+    so that a multiple of the reducer cancels the term, and makes f
+    primitive again.  Without tail only the lead term is reduced, until no
+    lead of basis divides it; with tail every term is."""
+    f, kept = dict(f), set()
+    while len(kept) < len(f):
+        t = max(f.keys() - kept if kept else f, key=key)
+        pos, mono = t
+        hit = next((
+            idx for idx, (p, lm) in enumerate(leads)
+            if p == pos and monomial_divides(lm, mono)
+        ), None)
         if hit is None:
-            out[t] = c
+            if not tail:
+                break
+            kept.add(t)
             continue
-        g = basis[hit]
-        shift = monomial_div(t, lms[hit])
-        factor = Fraction(c, 1) / g.terms[lms[hit]]
-        for m, gc in g.terms.items():
-            if m == lms[hit]:
-                continue
-            mm = monomial_mul(m, shift)
-            s = work.get(mm, 0) - factor * gc
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-    return Element(f.ring, out)
+        g, lt = basis[hit], leads[hit]
+        h = gcd(g[lt], f[t])
+        a, c = g[lt] // h, f[t] // h
+        if a != 1:
+            f = {s: a * v for s, v in f.items()}
+        _add_multiple(f, -c, g, monomial_div(mono, lt[1]))  # cancels t
+        if f:
+            f = _primitive(f)
+    return f
 
 
-def buchberger(ideal, order=None):
-    """Reduced Groebner basis of a homogeneous polynomial ideal."""
-    ring = ideal.ring
-    if ring.is_exterior:
-        raise ValueError("Buchberger runs over the polynomial ring only")
-    order = order or ring.order
-    key = order_key(ring, order)
+def _groebner(gens, key, rank_one):
+    """A Groebner basis of the submodule of S^m spanned by gens, terms
+    {(position, monomial): int}, and the lead terms of its elements.
 
-    basis = []
-    lms = []
+    The one pair loop: normal selection (smallest lcm first), the chain
+    criterion, and the coprime criterion where it holds, for an ideal
+    (rank_one).  S-polynomials are fraction-free and reduced at the lead
+    only.
+    """
+    basis, leads = [], []
     pairs = set()
     heap = []
 
-    def push_pairs(idx):
+    def add(f):
+        idx = len(basis)
+        basis.append(_primitive(f))
+        leads.append(max(f, key=key))
+        pos, lm = leads[idx]
         for i in range(idx):
-            pairs.add((i, idx))
-            heapq.heappush(
-                heap, (key(monomial_lcm(lms[i], lms[idx])), (i, idx))
-            )
+            if leads[i][0] == pos:
+                pairs.add((i, idx))
+                lcm = (pos, monomial_lcm(leads[i][1], lm))
+                heapq.heappush(heap, (key(lcm), (i, idx)))
 
-    for f in ideal.generators:
-        basis.append(f)
-        lms.append(f.leading_monomial(order))
-        push_pairs(len(basis) - 1)
-
+    for f in gens:
+        if f:
+            add(f)
     while pairs:
-        # normal strategy: smallest lcm first
         while True:
             _, (i, j) = heapq.heappop(heap)
             if (i, j) in pairs:
                 break
         pairs.remove((i, j))
-        lcm = monomial_lcm(lms[i], lms[j])
-        if lcm == monomial_mul(lms[i], lms[j]):
+        (pos, a), (_, b) = leads[i], leads[j]
+        lcm = monomial_lcm(a, b)
+        if rank_one and lcm == monomial_mul(a, b):
             continue  # coprime leading monomials
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j) or not monomial_divides(lms[k], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a not in pairs and b not in pairs:
-                skip = True
-                break
-        if skip:
-            continue
-        s = _spoly(basis[i], lms[i], basis[j], lms[j])
-        r = _normal_form(s, basis, lms, key)
-        if not r.is_zero():
-            r = r.normalized_integer()
-            basis.append(r)
-            lms.append(r.leading_monomial(order))
-            push_pairs(len(basis) - 1)
+        if any(
+            k not in (i, j) and leads[k][0] == pos
+            and monomial_divides(leads[k][1], lcm)
+            and (min(i, k), max(i, k)) not in pairs
+            and (min(j, k), max(j, k)) not in pairs
+            for k in range(len(basis))
+        ):
+            continue  # chain criterion
+        ci, cj = basis[i][leads[i]], basis[j][leads[j]]
+        h = gcd(ci, cj)
+        s = {}
+        _add_multiple(s, cj // h, basis[i], monomial_div(lcm, a))
+        _add_multiple(s, -ci // h, basis[j], monomial_div(lcm, b))
+        r = _normal_form(s, basis, leads, key, False)
+        if r:
+            add(r)
+    return basis, leads
 
-    # minimalize, then interreduce tails for the unique reduced basis
-    order_idx = sorted(range(len(basis)), key=lambda t: key(lms[t]))
+
+def buchberger(ideal, order=None):
+    """Reduced Groebner basis of a homogeneous polynomial ideal: the rank-1
+    case of _groebner, minimalized, tail-reduced and made monic."""
+    ring = ideal.ring
+    if ring.is_exterior:
+        raise ValueError("Buchberger runs over the polynomial ring only")
+    order = order or ring.order
+    key = _term_key(order_key(ring, order))
+    gens = [{(0, m): c for m, c in g.terms.items()} for g in ideal.generators]
+    basis, leads = _groebner(gens, key, True)
+
+    # minimalize, then interreduce tails for the unique reduced basis; the
+    # leads stay, so the basis comes out in increasing order of its leads
     minimal = []
-    for t in order_idx:
-        if not any(monomial_divides(lms[s], lms[t]) for s in minimal):
+    for t in sorted(range(len(basis)), key=lambda t: key(leads[t])):
+        if not any(monomial_divides(leads[s][1], leads[t][1]) for s in minimal):
             minimal.append(t)
     reduced = []
     for t in minimal:
-        others = [basis[s] for s in minimal if s != t]
-        other_lms = [lms[s] for s in minimal if s != t]
-        r = _normal_form(basis[t], others, other_lms, key)
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda f: key(f.leading_monomial(order)))
+        others = [s for s in minimal if s != t]
+        r = _normal_form(
+            basis[t], [basis[s] for s in others], [leads[s] for s in others],
+            key, True,
+        )
+        f = Element(ring, {m: c for (_, m), c in r.items()})
+        reduced.append(f.monic(order))
     return GroebnerBasis(ring, order, tuple(reduced))
+
+
+def initial_submodule(ring, gens, rank):
+    """in(N) for the submodule N of S^rank spanned by gens, terms
+    {(position, monomial): int} over the polynomial ring: the monomial
+    ideals J_0..J_{rank-1} with in(N) = sum of J_u e_u, term over position
+    in the ring's order (_term_key)."""
+    key = _term_key(order_key(ring))
+    _, leads = _groebner(gens, key, rank == 1)
+    return [
+        minimal_generators(ring, [m for p, m in leads if p == u])
+        for u in range(rank)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -40,9 +40,18 @@ _TOKEN = re.compile(
 _END = (None, "end of generator", None)
 
 
-def _parse_generator(ring, text, lineno):
+def _integer(text, lineno, col):
+    """int(text), or a ParseError past Python's limit on digits."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text)} digits is too long", lineno, col)
+
+
+def _parse_generator(ring, text, lineno, offset):
     """One generator: ``sign? term (sign term)*``, a term being factors
-    joined by ``*`` and a factor ``num[/num]`` or ``var[^num]``.
+    joined by ``*`` and a factor ``num[/num]`` or ``var[^num]``.  text
+    starts at column offset + 1 of its line.
 
     Terms are summed in one {monomial: coefficient} dict.  Every variable
     factor goes through monomial_product, and a vanishing exterior product
@@ -51,7 +60,7 @@ def _parse_generator(ring, text, lineno):
     tokens = []
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
-        col = m.start(kind) + 1
+        col = offset + m.start(kind) + 1
         if kind == "bad":
             raise ParseError(f"unexpected character {m.group(kind)!r}", lineno, col)
         tokens.append((kind, m.group(kind), col))
@@ -61,7 +70,7 @@ def _parse_generator(ring, text, lineno):
         kind, val, col = tokens[i]
         if kind != "num":
             raise ParseError(f"expected {what}, found {val}", lineno, col)
-        return int(val)
+        return _integer(val, lineno, col)
 
     exterior = ring.is_exterior
     prefix = "e" if exterior else "x"
@@ -75,7 +84,7 @@ def _parse_generator(ring, text, lineno):
             kind, val, col = tokens[i]
             i += 1
             if kind == "num":
-                coeff *= int(val)
+                coeff *= _integer(val, lineno, col)
                 if tokens[i][1] == "/":
                     den = number(i + 1, "integer denominator")
                     if not den:
@@ -93,7 +102,7 @@ def _parse_generator(ring, text, lineno):
                         lineno,
                         col,
                     )
-                idx = int(val[1:])
+                idx = _integer(val[1:], lineno, col)
                 if not 1 <= idx <= ring.n:
                     raise ParseError(
                         f"variable {val!r} out of range 1..{ring.n}", lineno, col
@@ -161,18 +170,19 @@ def parse_ideal(text):
     for i, raw in enumerate(lines, 1):
         if i <= header_line:
             continue
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+        body = raw.split("#", 1)[0]
+        if not body.strip():
             continue
-        for chunk in stripped.split(","):
-            chunk = chunk.strip()
-            if not chunk:
+        offset = 0  # columns count from the start of the line
+        for chunk in body.split(","):
+            if not chunk.strip():
                 raise ParseError("empty generator between commas", i)
-            f = _parse_generator(ring, chunk, i)
+            f = _parse_generator(ring, chunk, i, offset)
+            offset += len(chunk) + 1
             if f.is_zero():
                 raise ParseError("generator is zero", i)
             if not f.is_homogeneous():
-                raise ParseError(f"inhomogeneous generator: {chunk}", i)
+                raise ParseError(f"inhomogeneous generator: {chunk.strip()}", i)
             gens.append(f)
     try:
         return Ideal(ring, gens)

@@ -465,7 +465,12 @@ class TestSquarefree:
         I = parse_ideal("ring ext 4 QQ\ne1*e2\n2*e2*e3*e4\n")
         assert cartan_betti(I).get(1, 2) == 1
         assert built == []
-        cartan_betti(parse_ideal("ring ext 3 QQ\ne1*e2 + e2*e3\n"))
+        # a non-monomial ideal takes the module route; its oracle, the
+        # Cartan complex, is the one workspace
+        mixed = parse_ideal("ring ext 3 QQ\ne1*e2 + e2*e3\n")
+        table = cartan_betti(mixed)
+        assert built == []
+        assert _homology_table(mixed, 6, 3) == table.entries
         assert len(built) == 1
 
 
@@ -477,6 +482,52 @@ def dense_exterior_quadrics_e4():
         Element(ring, {m: rng.randint(-4, 4) for m in ring.monomials(2)})
         for _ in range(3)
     ])
+
+
+class TestModuleRoute:
+    """Exterior tables of non-monomial ideals come from one module Groebner
+    basis per strand (betti._bgg_table); the Cartan complex checks their
+    ranks inside the window, the AHH closed form their tables past it."""
+
+    def test_ranks_equal_the_cartan_complex(self):
+        ideals = [
+            I for spec in ACCEPTANCE_SPECS if spec.kind == EXT
+            for I in generate(spec) if I.monomial_image() is None
+        ]
+        assert len(ideals) == 26
+        ideals.append(dense_exterior_quadrics_e4())
+        for I in ideals:
+            n = I.ring.n
+            want = _homology_table(I, n + 3, n)
+            ws = HomologyWorkspace(I)
+            for i in range(n + 5):
+                for k in range(n + 1):
+                    rank = ws.boundary_rank(n, i, i + k)
+                    assert betti._bgg_rank(I, k, i) == rank, (I, i, k)
+            assert cartan_betti(I).entries == want, I
+
+    def test_ahh_past_the_window(self):
+        for J in exterior_corpus_gins():
+            i_max = 3 * J.ring.n
+            table = betti._bgg_table(J.to_ideal(), i_max)
+            assert table == ahh_betti(J, i_max=i_max).entries, J
+
+    def test_strands_are_built_once(self, monkeypatch):
+        # every window reads the numerators kept in Ideal.memo
+        built = []
+        strands = betti._bgg_strands
+
+        def counting(ideal):
+            built.append(ideal)
+            return strands(ideal)
+
+        monkeypatch.setattr(betti, "_bgg_strands", counting)
+        I = dense_exterior_quadrics_e4()
+        table = cartan_betti(I)
+        wide = cartan_betti(I, i_max=12)
+        assert built == [I]
+        assert {c: b for c, b in wide.entries.items() if c[0] <= 7} == table.entries
+        assert max(i for i, _ in wide.entries) == 12
 
 
 @pytest.mark.parametrize("kind", [POLY, EXT])
@@ -588,7 +639,7 @@ class TestIntegerTables:
         monkeypatch.setattr(betti, "IntRank", SpyIntRank)
         if route == "cartan":
             I = dense_exterior_quadrics_e4()
-            assert cartan_betti(I).entries
+            assert _homology_table(I, 7, 4)
             assert max(I.piece(d).den for d in range(5)) > 1
         else:
             assert koszul_betti(parse_ideal(REFERENCE["dense"])).entries
@@ -614,7 +665,7 @@ def test_sweeps_clear_below_the_top(route, monkeypatch):
 
     monkeypatch.setattr(HomologyWorkspace, "_columns", counted)
     if route == "cartan":
-        assert cartan_betti(dense_exterior_quadrics_e4()).entries
+        assert _homology_table(dense_exterior_quadrics_e4(), 7, 4)
     else:
         assert koszul_betti(generic_q4_quadrics()).entries
     below = {}  # (workspace, p, j) -> the last i eliminated
@@ -674,6 +725,8 @@ class TestTableMemo:
     def test_battery_builds_no_workspace_on_gin(self, name, monkeypatch):
         # the statements read the table of gin(I) from the closed forms, so
         # the only coordinate complex the battery builds is the one of I
+        # over S; over E the table of I takes the module route and the
+        # battery builds no coordinate complex at all
         I = parse_ideal(REFERENCE[name])
         built = []
         init = HomologyWorkspace.__init__
@@ -685,8 +738,10 @@ class TestTableMemo:
 
         monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
         battery(I, seed=0)
-        own = I if I.ring.is_exterior else _regular_section(I)
-        assert len(built) == 1 and built[0] is own
+        if I.ring.is_exterior:
+            assert built == []
+        else:
+            assert len(built) == 1 and built[0] is _regular_section(I)
 
     def test_regular_section_is_built_once(self, monkeypatch):
         # x4 divides no generator: every Koszul table of I, and of gin(I),

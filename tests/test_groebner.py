@@ -15,10 +15,12 @@ from ginlab.groebner import (
     buchberger,
     gin,
     initial_ideal,
+    initial_submodule,
 )
 from ginlab.ideals import (
     Ideal,
     _poly_mul,
+    hilbert_numerator,
     is_strongly_stable,
     variable_multiples,
 )
@@ -97,6 +99,38 @@ class TestBuchberger:
         I = parse_ideal("ring poly 3 QQ\nx1^2 - x2*x3\nx1*x2 - x3^2\n")
         gb = buchberger(I)
         assert len(gb.elements) == 3
+
+
+class TestInitialSubmodule:
+    def test_hand_checked_submodule_of_s2(self):
+        # N in S^2, S = QQ[x1, x2], spanned by g1 = x1 e1 + x2 e2 and
+        # g2 = x2 e1.  The leads x1 e1 and x2 e1 are coprime, yet their
+        # S-pair x2 g1 - x1 g2 = x2^2 e2 is new: the coprime criterion holds
+        # for ideals only.  So in(N) = (x1, x2) e1 + (x2^2) e2
+        S = polynomial_ring(2)
+        gens = [{(0, (1, 0)): 1, (1, (0, 1)): 1}, {(0, (0, 1)): 1}]
+        J1, J2 = initial_submodule(S, gens, 2)
+        assert J1.gens == ((1, 0), (0, 1))
+        assert J2.gens == ((0, 2),)
+        # g1, g2 have no syzygy, so N is free: dim N_d = 2 dim S_{d-1} = 2d
+        assert [J1.dim(d) + J2.dim(d) for d in range(6)] == [0, 2, 4, 6, 8, 10]
+        assert hilbert_numerator(J1) == [1, -2, 1]
+        assert hilbert_numerator(J2) == [1, 0, -1]
+
+    def test_fraction_free_leads(self):
+        # g1 = 2 x1 e1 + 3 x2 e2 and g2 = 3 x1 e1 + x2 e1 share the lead
+        # x1 e1.  Their S-pair 3 g1 - 2 g2 = -2 x2 e1 + 9 x2 e2 has the lead
+        # x2 e1 (the lower position wins the tie), and the S-pair of g1 and
+        # that element, with the multipliers -1 and -1 after the gcd 2 of
+        # the leads, is -9 x1 x2 e2 - 3 x2^2 e2.  N is free on g1, g2, so
+        # dim N_d = 2d = (d + 1) + (d - 1) and nothing more is new
+        S = polynomial_ring(2)
+        gens = [
+            {(0, (1, 0)): 2, (1, (0, 1)): 3},
+            {(0, (1, 0)): 3, (0, (0, 1)): 1},
+        ]
+        J1, J2 = initial_submodule(S, gens, 2)
+        assert (J1.gens, J2.gens) == (((1, 0), (0, 1)), ((1, 1),))
 
 
 class TestInitialIdeal:

@@ -90,6 +90,33 @@ def test_syntax_error_carries_line():
     assert (err.value.line, err.value.col) == (2, 5)
 
 
+def test_column_counts_from_the_start_of_the_line():
+    # generators after a comma, and indented lines, keep their columns
+    for text, col in (("x1, x2 $", 8), ("x1,x2,  x1 x2", 12), ("  x1 $", 6)):
+        with pytest.raises(ParseError) as err:
+            parse_ideal(f"ring poly 2 QQ\n{text}\n")
+        assert (err.value.line, err.value.col) == (2, col), text
+
+
+@pytest.mark.parametrize("line, col", [
+    ("1" * 5000 + "*x1", 1),
+    ("x1 + " + "1" * 5000 + "/2*x2", 6),
+    ("x1 + 3/" + "1" * 5000 + "*x2", 8),
+    ("x" + "1" * 5000, 1),
+])
+def test_overlong_integers_are_parse_errors(line, col, tmp_path):
+    # past Python's limit on the digits of int(str)
+    with pytest.raises(ParseError, match="too long") as err:
+        parse_ideal(f"ring poly 2 QQ\n{line}\n")
+    assert (err.value.line, err.value.col) == (2, col)
+    path = tmp_path / "ideal.txt"
+    path.write_text(f"ring poly 2 QQ\n{line}\n")
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        assert main(["lex", str(path)]) == 1
+    assert stderr.getvalue().startswith("parse error:")
+
+
 @pytest.mark.parametrize(
     "line, col",
     [("x1^2 x2^2", 6), ("x1 x2 - x2^2", 4), ("2x1", 2), ("x1 2", 4)],
