@@ -7,7 +7,8 @@ polynomial Betti table is its homology on all n coordinates, exact over
 QQ, and the partial homology of generic sequences in annihilators.py runs
 on the same workspace over F_p, where a rank can only fall below its
 generic value.  Over E the coordinate workspace is the oracle of the two
-routes below.
+routes below, and along a sequence its boundary ranks take the module
+route mod p.
 What a workspace computes is kept on the ideal (Ideal.memo), one state
 per set of forms, beside the coordinate multiplication tables (mult_var)
 that every workspace on the ideal reads.  Each boundary elimination skips
@@ -32,7 +33,10 @@ S = K[y_1..y_n], so its image is the degree-i piece of one submodule N_k
 of S (x) (E/I)_k^*, generated by linear vectors.  One module Groebner basis
 per strand (groebner.initial_submodule) gives in(N_k), and the Hilbert
 numerators of its monomial ideals give rank d_{i,i+k} for every i at
-once.  The window only cuts the table.
+once.  The window only cuts the table.  On the first p forms of a generic
+sequence the same module, over F_p[y_1..y_p] from the workspace's
+multiplication columns mod p, gives the Cartan boundary ranks of the
+partial homology (HomologyWorkspace.boundary_rank).
 
 Closed forms for strongly stable monomial ideals: Eliahou-Kervaire,
 Bigatti's count in terms of m_<=q, and the Aramova-Herzog-Hibi formula
@@ -59,6 +63,7 @@ n variables.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
 
 from .groebner import gin, initial_ideal, initial_submodule
@@ -227,20 +232,23 @@ class HomologyWorkspace:
 
     seq=None stands for the coordinate forms, eliminated over QQ
     (IntRank); at p = n their homology is the graded Betti table (over E
-    the oracle of cartan_betti's routes).  Along
-    a GenericSequence everything runs mod its prime (ModRank), on the
-    forms of its rows.  Cycle spaces come from kernel computations so that
+    the oracle of cartan_betti's routes).  Along a GenericSequence every
+    rank is taken mod its prime, on the forms of its rows: over S by
+    elimination (ModRank), over E the boundary ranks by the module route,
+    one Groebner basis over F_p per (p, k) that gives rank d_{i,i+k}(p) for
+    every i (_module_rank), and the cycle bases and delta ranks by
+    elimination.  Cycle spaces come from kernel computations so that
     images of induced maps can be reduced against boundaries, only for a
     delta whose source and target homology are both nonzero.
     Differentials are streamed: each call that eliminates one feeds its
     columns to a fresh engine, sparsest first.  Rank, pivot columns and
     the span of the kernel of an elimination do not depend on the order
     of its rows, so the order changes no number.  The ranks,
-    cycle bases, delta numbers and mod-p multiplication columns depend on
-    I and the draw alone, so they live in Ideal.memo under the draw's
-    prime and rows (("workspace",) on the coordinates), shared by every
-    workspace on the same ideal and forms; that state holds no reference
-    back to the ideal.
+    cycle bases, delta numbers, mod-p multiplication columns and module
+    route numerators depend on I and the draw alone, so they live in
+    Ideal.memo under the draw's prime and rows (("workspace",) on the
+    coordinates), shared by every workspace on the same ideal and forms;
+    that state holds no reference back to the ideal.
 
     Of a differential itself a workspace keeps only its pivot set, for
     the clearing of the one below (_eliminate): the elimination of d_{i,j}
@@ -249,7 +257,9 @@ class HomologyWorkspace:
     Reininghaus, Clear and compress, TopoInVis 2014).  The sets are plain
     sets on the workspace, not in Ideal.memo, each dropped once the
     differential below has used it; h and profile rank each degree j from
-    the top i down, so that the sets are there when needed.
+    the top i down, so that the sets are there when needed.  Along a
+    sequence over E h eliminates nothing, so only delta's boundary
+    engines clear.
 
     Chains of both complexes are exponent vectors of the dual ring
     (chain_sets): exterior monomials over S, divided powers over E
@@ -261,8 +271,8 @@ class HomologyWorkspace:
         self.ring = ideal.ring
         self.seq = seq
         key = ("workspace",) if seq is None else ("workspace", seq.prime, seq.rows)
-        self._rank, self._delta, self._cycles, self._mult = ideal.memo(
-            key, lambda: ({}, {}, {}, {})
+        self._rank, self._delta, self._cycles, self._mult, self._strands = (
+            ideal.memo(key, lambda: ({}, {}, {}, {}, {}))
         )
         self._sets = {}
         self._pivots = {}  # (p, i, j) -> pivot set of d_{i,j}, until d_{i-1,j}
@@ -394,8 +404,26 @@ class HomologyWorkspace:
     def boundary_rank(self, p, i, j):
         key = (p, i, j)
         if key not in self._rank:
-            self._eliminate(p, i, j)
+            if self.seq is not None and self.ring.is_exterior:
+                self._rank[key] = self._module_rank(p, i, j - i)
+            else:
+                self._eliminate(p, i, j)
         return self._rank[key]
+
+    def _module_rank(self, p, i, k):
+        """rank d_{i,i+k}(p) over E along the sequence: dim (N_k(p))_i for
+        the submodule N_k(p) of F_p[y_1..y_p]^m, m = dim (E/I)_k, that the
+        dual of the differential generates (_bgg_numerators on the columns
+        of mult mod p).  The numerators of each (p, k) are built once, in
+        the shared state, and serve every i."""
+        if i < 1 or p == 0 or self.dim(k) == 0:
+            return 0
+        nums = self._strands.get((p, k))
+        if nums is None:
+            nums = self._strands[(p, k)] = _bgg_numerators(
+                self.mult, p, k, self.dim(k), self.dim(k + 1), self.seq.prime
+            )
+        return _strand_rank(nums, p, i)
 
     def h(self, p, i, j):
         """dim H_i(y_1..y_p; M)_j."""
@@ -577,46 +605,55 @@ def _squarefree_table(ideal, i_max):
     return _checked(ideal.ring, entries)
 
 
-def _bgg_strands(ideal):
-    """Per strand k = 0..n of E/I: the Hilbert numerators of S/J_u, u < m,
-    where in(N_k) = sum of J_u e_u in S^m, m = dim (E/I)_k and
-    S = K[y_1..y_n].
+def _bgg_numerators(mult, p, k, m, size, prime=None):
+    """The Hilbert numerators of S/J_u, u < m, where in(N_k) = sum of
+    J_u e_u in S^m, S = K[y_1..y_p] and m = dim (E/I)_k, for the Cartan
+    complex of E/I on p forms whose multiplication on (E/I)_k is
+    mult(t, k), t < p; over QQ, or over F_p for a prime and columns mod it.
 
     N_k is the image of the dual of the Cartan differential
     D_i (x) (E/I)_k -> D_{i-1} (x) (E/I)_{k+1}: the submodule of S^m
     generated by sum_t y_t (x) (phi o x_t), one vector for each phi in the
-    dual basis of the standard monomials b of (E/I)_{k+1} (BGG;
+    dual basis of the size standard monomials b of (E/I)_{k+1} (BGG;
     Eisenbud-Floystad-Schreyer, Trans. AMS 355, 2003).  Its coordinates are
-    the mult_var(ideal, t, k) columns read at b, so for every i its
-    degree-i piece, and that of in(N_k), has dimension rank d_{i,i+k}."""
+    the mult(t, k) columns read at b, so for every i its degree-i piece,
+    and that of in(N_k), has dimension rank d_{i,i+k} (_strand_rank)."""
+    gens = [{} for _ in range(size)]
+    for t, y in enumerate(exponent_vectors(p, 1, False)):
+        for u, col in enumerate(mult(t, k)):
+            for b, c in col.items():
+                gens[b][(u, y)] = c
+    S = polynomial_ring(p)
+    return [hilbert_numerator(J) for J in initial_submodule(S, gens, m, prime)]
+
+
+def _strand_rank(nums, p, i):
+    """dim (N_k)_i = sum over u of dim (J_u)_i, for the numerators of
+    _bgg_numerators on p forms: rank d_{i,i+k}."""
+    return sum(
+        binom(p + i - 1, i) - quotient_dim_from_numerator(num, p, i)
+        for num in nums
+    )
+
+
+def _bgg_strands(ideal):
+    """Per strand k = 0..n of E/I: _bgg_numerators on the coordinate
+    forms, over QQ from the mult_var columns."""
     n = ideal.ring.n
-    S = polynomial_ring(n)
-    ys = exponent_vectors(n, 1, False)
-    strands = []
-    for k in range(n + 1):
-        m = len(ideal.piece(k).std_monomials)
-        gens = [{} for _ in ideal.piece(k + 1).std_monomials]
-        for t, y in enumerate(ys):
-            for u, col in enumerate(mult_var(ideal, t, k)):
-                for b, c in col.items():
-                    gens[b][(u, y)] = c
-        strands.append(
-            [hilbert_numerator(J) for J in initial_submodule(S, gens, m)]
-        )
-    return strands
+    dim = [len(ideal.piece(k).std_monomials) for k in range(n + 2)]
+    return [
+        _bgg_numerators(partial(mult_var, ideal), n, k, dim[k], dim[k + 1])
+        for k in range(n + 1)
+    ]
 
 
 def _bgg_rank(ideal, k, i):
-    """rank d_{i,i+k} of the Cartan complex of E/I: dim (N_k)_i, the sum
-    over u of dim (J_u)_i (_bgg_strands, kept in Ideal.memo)."""
+    """rank d_{i,i+k} of the Cartan complex of E/I (_strand_rank on the
+    _bgg_strands kept in Ideal.memo)."""
     if k < 0:
         return 0
-    n = ideal.ring.n
     nums = ideal.memo(("bgg",), lambda: _bgg_strands(ideal))[k]
-    return sum(
-        binom(n + i - 1, i) - quotient_dim_from_numerator(num, n, i)
-        for num in nums
-    )
+    return _strand_rank(nums, ideal.ring.n, i)
 
 
 def _bgg_table(ideal, i_max):

@@ -4,10 +4,13 @@ Polynomial initial ideals come from a reduced Groebner basis, exterior
 ones from the pivot monomials of the echelonized pieces I_0..I_n
 (E_d = 0 for d > n).  Both are exact over QQ.  One Buchberger loop
 (_groebner: normal selection, the chain criterion, and the coprime
-criterion for ideals only) runs on terms keyed (position, monomial) with
-fraction-free integer coefficients, made primitive after each reduction.
-An ideal is its rank-1 case (buchberger); the submodules of S^m of the
-exterior Betti tables are the others (initial_submodule).
+criterion for ideals only) runs on terms keyed (position, monomial).
+Over QQ its coefficients are fraction-free integers, made primitive after
+each reduction; over F_p (a prime given) they are residues mod p and every
+element is kept monic.  An ideal is its rank-1 case (buchberger); the
+submodules of S^m of the exterior Betti tables, over QQ, and of the
+Cartan homology along a generic sequence, over F_p, are the others
+(initial_submodule).
 
 The per-trial initial ideals inside gin run the one degree scan of
 ideals.py, degree_scan, which stops over both ring kinds and under every
@@ -98,22 +101,33 @@ def _primitive(f):
     return f if g == 1 else {t: c // g for t, c in f.items()}
 
 
-def _add_multiple(f, c, g, shift):
-    """f += c * shift * g in place, for terms (position, monomial)."""
-    for (p, m), v in g.items():
-        t = (p, monomial_mul(m, shift))
+def _monic(f, lead, prime):
+    """f mod prime, scaled so that its lead coefficient is 1."""
+    inv = pow(f[lead], -1, prime)
+    return {t: c * inv % prime for t, c in f.items()}
+
+
+def _add_multiple(f, c, g, shift, prime=None):
+    """f += c * shift * g in place, for terms (position, monomial), mod
+    prime when one is given."""
+    for (pos, m), v in g.items():
+        t = (pos, monomial_mul(m, shift))
         x = f.get(t, 0) + c * v
+        if prime is not None:
+            x %= prime
         if x:
             f[t] = x
         else:
             del f[t]
 
 
-def _normal_form(f, basis, leads, key, tail):
-    """f reduced by basis, fraction-free: each step scales f by an integer
-    so that a multiple of the reducer cancels the term, and makes f
-    primitive again.  Without tail only the lead term is reduced, until no
-    lead of basis divides it; with tail every term is."""
+def _normal_form(f, basis, leads, key, tail, prime=None):
+    """f reduced by basis.  Over QQ (prime None) fraction-free: each step
+    scales f by an integer so that a multiple of the reducer cancels the
+    term, and makes f primitive again.  Over F_p the reducers are monic,
+    so a step subtracts the term's coefficient times the reducer, mod
+    prime.  Without tail only the lead term is reduced, until no lead of
+    basis divides it; with tail every term is."""
     f, kept = dict(f), set()
     while len(kept) < len(f):
         t = max(f.keys() - kept if kept else f, key=key)
@@ -132,20 +146,23 @@ def _normal_form(f, basis, leads, key, tail):
         a, c = g[lt] // h, f[t] // h
         if a != 1:
             f = {s: a * v for s, v in f.items()}
-        _add_multiple(f, -c, g, monomial_div(mono, lt[1]))  # cancels t
-        if f:
+        _add_multiple(f, -c, g, monomial_div(mono, lt[1]), prime)  # cancels t
+        if f and prime is None:
             f = _primitive(f)
     return f
 
 
-def _groebner(gens, key, rank_one):
+def _groebner(gens, key, rank_one, prime=None):
     """A Groebner basis of the submodule of S^m spanned by gens, terms
-    {(position, monomial): int}, and the lead terms of its elements.
+    {(position, monomial): coefficient}, and the lead terms of its
+    elements: over QQ for integer coefficients (prime None), over F_p for
+    nonzero residues mod prime.
 
     The one pair loop: normal selection (smallest lcm first), the chain
     criterion, and the coprime criterion where it holds, for an ideal
-    (rank_one).  S-polynomials are fraction-free and reduced at the lead
-    only.
+    (rank_one).  S-polynomials are reduced at the lead only; over QQ they
+    are fraction-free and each element is primitive, over F_p each element
+    is monic, so an S-polynomial is the difference of the two shifts.
     """
     basis, leads = [], []
     pairs = set()
@@ -153,9 +170,10 @@ def _groebner(gens, key, rank_one):
 
     def add(f):
         idx = len(basis)
-        basis.append(_primitive(f))
-        leads.append(max(f, key=key))
-        pos, lm = leads[idx]
+        lead = max(f, key=key)
+        basis.append(_primitive(f) if prime is None else _monic(f, lead, prime))
+        leads.append(lead)
+        pos, lm = lead
         for i in range(idx):
             if leads[i][0] == pos:
                 pairs.add((i, idx))
@@ -186,9 +204,9 @@ def _groebner(gens, key, rank_one):
         ci, cj = basis[i][leads[i]], basis[j][leads[j]]
         h = gcd(ci, cj)
         s = {}
-        _add_multiple(s, cj // h, basis[i], monomial_div(lcm, a))
-        _add_multiple(s, -ci // h, basis[j], monomial_div(lcm, b))
-        r = _normal_form(s, basis, leads, key, False)
+        _add_multiple(s, cj // h, basis[i], monomial_div(lcm, a), prime)
+        _add_multiple(s, -ci // h, basis[j], monomial_div(lcm, b), prime)
+        r = _normal_form(s, basis, leads, key, False, prime)
         if r:
             add(r)
     return basis, leads
@@ -223,13 +241,14 @@ def buchberger(ideal, order=None):
     return GroebnerBasis(ring, order, tuple(reduced))
 
 
-def initial_submodule(ring, gens, rank):
+def initial_submodule(ring, gens, rank, prime=None):
     """in(N) for the submodule N of S^rank spanned by gens, terms
-    {(position, monomial): int} over the polynomial ring: the monomial
-    ideals J_0..J_{rank-1} with in(N) = sum of J_u e_u, term over position
-    in the ring's order (_term_key)."""
+    {(position, monomial): coefficient} over the polynomial ring, with
+    integer coefficients over QQ, or nonzero residues over F_p for a prime:
+    the monomial ideals J_0..J_{rank-1} with in(N) = sum of J_u e_u, term
+    over position in the ring's order (_term_key)."""
     key = _term_key(order_key(ring))
-    _, leads = _groebner(gens, key, rank == 1)
+    _, leads = _groebner(gens, key, rank == 1, prime)
     return [
         minimal_generators(ring, [m for p, m in leads if p == u])
         for u in range(rank)

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -55,6 +56,19 @@ def ext(n, *indices):
     length-n 0/1 exponent vector that ginlab stores for it."""
     assert all(0 <= i < n for i in indices) and len(set(indices)) == len(indices)
     return tuple(int(i in indices) for i in range(n))
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra):
+    """The environment of a child Python process that imports ginlab from
+    this checkout without an install: the caller's, with src first on
+    PYTHONPATH and the variables in extra (say GINLAB_SEED) set."""
+    env = dict(os.environ, **extra)
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = str(SRC) + (os.pathsep + path if path else "")
+    return env
 
 
 def load_perfbench(name):

@@ -28,7 +28,13 @@ from ginlab.rigidity import (
 )
 from ginlab.rings import render_monomial
 
-from conftest import CANCEL_4, STAIRCASE_3, STAIRCASE_GIN, STRAND_4
+from conftest import (
+    CANCEL_4,
+    STAIRCASE_3,
+    STAIRCASE_GIN,
+    STRAND_4,
+    child_env,
+)
 
 
 def _digest(lines):
@@ -208,8 +214,8 @@ def test_criterion_7_determinism(tmp_path):
     )
     for argv in commands:
         cmd = [sys.executable, "-m", "ginlab.cli"] + argv
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=child_env())
+        b = subprocess.run(cmd, capture_output=True, env=child_env())
         assert a.returncode == 0, a.stderr
         assert a.stdout == b.stdout and a.returncode == b.returncode
     _report("criterion 7 (byte-identical reruns)", t0, 120)

@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from ginlab import annihilators
+from ginlab import annihilators, groebner
 from ginlab.annihilators import (
     GenericSequence,
     HomologyWorkspace,
@@ -28,6 +28,7 @@ from ginlab.oracles import alpha_oracle, oracle_equivalences
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import RigidityContext, battery, lemma_can_check
 from ginlab.rings import (
+    EXT,
     PRIME_BOUND,
     BadPrime,
     Element,
@@ -590,9 +591,10 @@ class TestClearing:
     def checked_eliminations(monkeypatch):
         """Wrap _eliminate so that every boundary engine it returns is
         compared with the full-column elimination; counts (eliminations
-        checked, eliminations that found a pivot set to clear with)."""
+        checked, eliminations that found a pivot set to clear with, those
+        of them mod p over E)."""
         real = HomologyWorkspace._eliminate
-        count = [0, 0]
+        count = [0, 0, 0]
 
         def checked(self, p, i, j, ncols=None):
             cleared = ncols is None and (p, i + 1, j) in self._pivots
@@ -606,6 +608,7 @@ class TestClearing:
                 assert eng.pivots.keys() == full.pivots.keys(), (seq, p, i, j)
                 count[0] += 1
                 count[1] += cleared
+                count[2] += cleared and seq is not None and self.ring.is_exterior
             return eng
 
         monkeypatch.setattr(HomologyWorkspace, "_eliminate", checked)
@@ -615,7 +618,9 @@ class TestClearing:
         # every cell of the profile and delta windows of _sequence_routes
         # on the oracle ideals, the acceptance corpus and the generic
         # workload's dense quadrics q4 and e5; the ideals are fresh, so no
-        # rank comes from an earlier memo
+        # rank comes from an earlier memo.  Along a sequence over E the
+        # profile reads the module route, so there the boundary
+        # eliminations of its window are swept directly, top down
         count = self.checked_eliminations(monkeypatch)
         acceptance = [i for spec in ACCEPTANCE_SPECS for i in generate(spec)]
         workloads = load_perfbench("workloads")
@@ -627,10 +632,46 @@ class TestClearing:
         assert len(ideals) == 128
         for ideal in ideals:
             kmax, imax = annihilators._windows(ideal, 0)
-            for seq in (None, GenericSequence.first(ideal.ring, 0)):
-                _sequence_routes(ideal, seq, kmax, imax)
-        checked, cleared = count
+            seq = GenericSequence.first(ideal.ring, 0)
+            for forms in (None, seq):
+                _sequence_routes(ideal, forms, kmax, imax)
+            if ideal.ring.is_exterior:
+                ws = HomologyWorkspace(ideal, seq)
+                for p in range(ideal.ring.n + 1):
+                    for i in reversed(range(1, imax + 2)):
+                        for k in range(kmax + 1):
+                            ws._eliminate(p, i, i + k)
+        checked, cleared, exterior_mod_p = count
         assert 0 < cleared < checked
+        assert exterior_mod_p > 0
+
+
+def test_module_ranks_equal_the_full_columns():
+    # along round 0's sequence a over E every boundary rank comes from the
+    # module route mod p; a fresh full-column elimination of the same
+    # differential, with no pivot set to clear with, checks it on every
+    # cell p <= n, 1 <= i <= n + 4, k <= n of the criterion-6 corpora, the
+    # exterior acceptance corpus and the generic workload's e5 quadrics
+    workloads = load_perfbench("workloads")
+    ideals = [I for spec in CRITERION_6 for I in generate(spec)]
+    ideals += [
+        I for spec in ACCEPTANCE_SPECS if spec.kind == EXT
+        for I in generate(spec)
+    ]
+    ideals.append(workloads.dense_quadrics(*workloads.QUADRICS["e5"], "e5"))
+    assert len(ideals) == 57
+    for ideal in ideals:
+        n = ideal.ring.n
+        ws = HomologyWorkspace(ideal, GenericSequence.first(ideal.ring, 0))
+        for p in range(n + 1):
+            for i in range(1, n + 5):
+                for k in range(n + 1):
+                    assert (p, i, i + k) not in ws._rank
+                    rank = ws.boundary_rank(p, i, i + k)
+                    ws._pivots.clear()
+                    full = ws._eliminate(p, i, i + k).rank
+                    assert rank == full, (ideal, p, i, k)
+        assert ws._strands
 
 
 class TestUpperBound:
@@ -922,8 +963,9 @@ class TestBadPrimes:
 class TestSharedState:
     """Every HomologyWorkspace on one ideal and set of forms reads one state
     in Ideal.memo, and so does every _prefix_dims, so a route run again
-    eliminates nothing, and the single-draw routes share round 0's
-    sequence a; no memo entry refers back to its ideal."""
+    eliminates nothing and builds no Groebner basis, and the single-draw
+    routes share round 0's sequence a; no memo entry refers back to its
+    ideal."""
 
     @staticmethod
     def eliminations(monkeypatch):
@@ -937,6 +979,19 @@ class TestSharedState:
 
         monkeypatch.setattr(HomologyWorkspace, "_eliminate", counted)
         return calls
+
+    @staticmethod
+    def groebner_builds(monkeypatch):
+        """The count of Groebner bases (groebner._groebner) from here on."""
+        built = [0]
+        real = groebner._groebner
+
+        def counted(*args):
+            built[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(groebner, "_groebner", counted)
+        return built
 
     ROUTES = {
         "formula": lambda I: verify_homology_formula(I, seed=0),
@@ -952,8 +1007,28 @@ class TestSharedState:
         I = parse_ideal(CANCEL_4)
         first = self.ROUTES[route](I)
         calls = self.eliminations(monkeypatch)
+        built = self.groebner_builds(monkeypatch)
         assert self.ROUTES[route](I) == first
         assert calls == []
+        assert built == [0]
+
+    @pytest.mark.parametrize("route", ["formula", "partial"])
+    def test_a_repeated_exterior_route_builds_nothing(self, route, monkeypatch):
+        # along a sequence over E the boundary ranks come from one module
+        # Groebner basis per (p, k), kept in the shared state
+        built = self.groebner_builds(monkeypatch)
+        I = parse_ideal(REFERENCE["ext4"])
+        first = self.ROUTES[route](I)
+        strands = sum(
+            len(state[4]) for key, state in I._memo.items()
+            if key[0] == "workspace"
+        )
+        assert built[0] == strands > 0
+        built[0] = 0
+        calls = self.eliminations(monkeypatch)
+        assert self.ROUTES[route](I) == first
+        assert calls == []
+        assert built == [0]
 
     def test_the_lemma_reads_the_formula_state(self, monkeypatch):
         calls = self.eliminations(monkeypatch)
@@ -1000,6 +1075,9 @@ class TestSharedState:
                 partial_delta(ideal, p)
             if not ideal.ring.is_exterior:
                 lemma_can_check(RigidityContext(ideal, seed=0))
+            else:  # the module route's numerators are in the state
+                seq = GenericSequence.first(ideal.ring, 0)
+                assert HomologyWorkspace(ideal, seq)._strands
             upper_bound_check(ideal)
             ref = weakref.ref(ideal)
             del ideal

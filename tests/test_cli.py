@@ -14,7 +14,13 @@ from ginlab.ideals import MonomialIdeal
 from ginlab.parsing import parse_ideal
 from ginlab.rigidity import BATTERY, STATEMENTS, RigidityContext, battery
 
-from conftest import CANCEL_4, STAIRCASE_3, STRAND_4, force_forms_prime
+from conftest import (
+    CANCEL_4,
+    STAIRCASE_3,
+    STRAND_4,
+    child_env,
+    force_forms_prime,
+)
 
 
 def write(tmp_path, text, name="ideal.txt"):
@@ -269,7 +275,9 @@ class TestErrors:
         path = write(tmp_path, "ring poly 2 QQ\nx1^70\n")
         for command in ("gin", "betti", "lex"):
             cmd = [sys.executable, "-m", "ginlab.cli", command, path]
-            run = subprocess.run(cmd, capture_output=True, text=True)
+            run = subprocess.run(
+                cmd, capture_output=True, text=True, env=child_env()
+            )
             assert run.returncode == 2, (command, run.stderr)
             assert run.stderr.startswith("computation failed:")
             assert "Traceback" not in run.stderr
@@ -281,7 +289,8 @@ class TestErrors:
         ):
             cmd = [sys.executable, "-m", "ginlab.cli", *command, path]
             run = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=10
+                cmd, capture_output=True, text=True, timeout=10,
+                env=child_env(),
             )
             assert run.returncode == 2, (command, run.stderr)
             assert run.stderr.startswith("computation failed:")
@@ -363,7 +372,8 @@ class TestErrors:
                 "--coeff-bound", bound,
             ]
             run = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=60
+                cmd, capture_output=True, text=True, timeout=60,
+                env=child_env(),
             )
             assert run.returncode == 1, (bound, run.stderr)
             assert "coefficient bound must be at least 1" in run.stderr
@@ -391,7 +401,8 @@ class TestErrors:
                 "--imax", "-1",
             ]
             run = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=60
+                cmd, capture_output=True, text=True, timeout=60,
+                env=child_env(),
             )
             assert run.returncode == 1, (command, run.stderr)
             assert "i_max must be nonnegative" in run.stderr
@@ -439,7 +450,10 @@ class TestCorpus:
                 "--workers", workers,
             ]
             runs.append(
-                subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+                subprocess.run(
+                    cmd, capture_output=True, text=True, timeout=300,
+                    env=child_env(),
+                )
             )
         serial, parallel = runs
         assert serial.returncode == parallel.returncode == 0, parallel.stderr
@@ -471,7 +485,9 @@ class TestCorpus:
             (["--count", "-1"], "count must be nonnegative"),
         ):
             cmd = [sys.executable, "-m", "ginlab.cli", "corpus", *flags]
-            run = subprocess.run(cmd, capture_output=True, text=True, timeout=60)
+            run = subprocess.run(
+                cmd, capture_output=True, text=True, timeout=60, env=child_env()
+            )
             assert run.returncode == 1, (flags, run.stderr)
             assert message in run.stderr
             assert "Traceback" not in run.stderr
@@ -484,36 +500,32 @@ class TestDeterminism:
             sys.executable, "-m", "ginlab.cli", "gin", path,
             "--seed", "9", "--json",
         ]
-        a = subprocess.run(cmd, capture_output=True)
-        b = subprocess.run(cmd, capture_output=True)
+        a = subprocess.run(cmd, capture_output=True, env=child_env())
+        b = subprocess.run(cmd, capture_output=True, env=child_env())
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
     def test_env_seed(self, tmp_path):
-        import os
-
         path = write(tmp_path, STAIRCASE_3)
-        env = dict(os.environ, GINLAB_SEED="5")
+        env = child_env(GINLAB_SEED="5")
         cmd = [sys.executable, "-m", "ginlab.cli", "gin", path, "--json"]
         a = subprocess.run(cmd, capture_output=True, env=env)
         assert json.loads(a.stdout)["certificate"]["seed"] == 5
 
     def test_malformed_env_seed_exit_1(self, tmp_path):
-        import os
-
         path = write(tmp_path, STAIRCASE_3)
         cmd = [sys.executable, "-m", "ginlab.cli", "gin", path, "--json"]
         for value in ("abc", "5x"):
-            env = dict(os.environ, GINLAB_SEED=value)
+            env = child_env(GINLAB_SEED=value)
             a = subprocess.run(cmd, capture_output=True, env=env)
             assert a.returncode == 1 and a.stdout == b""
             assert a.stderr == b"error: GINLAB_SEED must be an integer\n"
-        env = dict(os.environ, GINLAB_SEED="")
+        env = child_env(GINLAB_SEED="")
         a = subprocess.run(cmd, capture_output=True, env=env)
         assert a.returncode == 0
         assert json.loads(a.stdout)["certificate"]["seed"] == 0
         # an explicit --seed wins; the variable is then not read at all
-        env = dict(os.environ, GINLAB_SEED="abc")
+        env = child_env(GINLAB_SEED="abc")
         a = subprocess.run(cmd + ["--seed", "3"], capture_output=True, env=env)
         assert a.returncode == 0
         assert json.loads(a.stdout)["certificate"]["seed"] == 3

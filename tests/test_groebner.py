@@ -133,6 +133,67 @@ class TestInitialSubmodule:
         assert (J1.gens, J2.gens) == (((1, 0), (0, 1)), ((1, 1),))
 
 
+def _random_submodule(rng, S, m, prime):
+    """Homogeneous generators of a submodule of F_p[y]^m, terms
+    {(position, monomial): nonzero residue}: a few random ones of degree 1
+    or 2, a combination of two of the same degree and a variable times a
+    linear one, so that some S-pairs reduce to zero."""
+    gens = []
+    for _ in range(rng.randint(1, 5)):
+        monos = S.monomials(rng.randint(1, 2))
+        gens.append({
+            (rng.randrange(m), rng.choice(monos)): rng.randrange(1, prime)
+            for _ in range(rng.randint(1, 4))
+        })
+    f, g = rng.choice(gens), rng.choice(gens)
+    if sum(next(iter(f))[1]) == sum(next(iter(g))[1]):
+        a, b = rng.randrange(1, prime), rng.randrange(1, prime)
+        combo = {t: a * c for t, c in f.items()}
+        for t, c in g.items():
+            combo[t] = combo.get(t, 0) + b * c
+        combo = {t: c % prime for t, c in combo.items() if c % prime}
+        if combo:
+            gens.append(combo)
+    linear = [f for f in gens if sum(next(iter(f))[1]) == 1]
+    if linear:
+        y = rng.choice(S.monomials(1))
+        gens.append({
+            (u, rings.monomial_mul(mono, y)): c
+            for (u, mono), c in rng.choice(linear).items()
+        })
+    return gens
+
+
+@pytest.mark.parametrize("prime", [5, 101])
+def test_submodule_hilbert_function_mod_p(prime):
+    # in(N) over F_p from the Buchberger loop mod p: in each degree d its
+    # dimension is the rank mod p of N_d, spanned by the monomial shifts
+    # of the generators, on seeded random submodules of F_p[y_1..y_n]^m
+    rng = random.Random(f"submodules mod {prime}")
+    for _ in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        S = polynomial_ring(n)
+        gens = _random_submodule(rng, S, m, prime)
+        J = initial_submodule(S, gens, m, prime)
+        assert len(J) == m
+        key = groebner._term_key(rings.order_key(S))
+        basis, leads = groebner._groebner(gens, key, m == 1, prime)
+        assert all(f[lead] == 1 for f, lead in zip(basis, leads))
+        assert all(0 < c < prime for f in basis for c in f.values())
+        for d in range(5):
+            eng, columns = ModRank(prime), {}
+            for g in gens:
+                e = sum(next(iter(g))[1])
+                for shift in S.monomials(d - e) if d >= e else ():
+                    eng.add({
+                        columns.setdefault(
+                            (u, rings.monomial_mul(mono, shift)), len(columns)
+                        ): c
+                        for (u, mono), c in g.items()
+                    })
+            assert sum(Ju.dim(d) for Ju in J) == eng.rank, (gens, d)
+
+
 class TestInitialIdeal:
     def test_principal(self):
         I = parse_ideal("ring poly 2 QQ\nx1^2 + x2^2\n")

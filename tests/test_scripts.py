@@ -1,20 +1,20 @@
 """Smoke tests: the scripts run end to end on the library as it stands."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conftest import child_env
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
 
