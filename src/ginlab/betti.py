@@ -3,12 +3,9 @@
 Homological route: Koszul complex on the coordinate forms over S (Cartan
 complex over E), exact ranks of the differentials per internal degree.
 HomologyWorkspace builds that complex on any sequence of linear forms; a
-polynomial Betti table is its homology on all n coordinates, exact over
-QQ, and the partial homology of generic sequences in annihilators.py runs
-on the same workspace over F_p, where a rank can only fall below its
-generic value.  Over E the coordinate workspace is the oracle of the two
-routes below, and along a sequence its boundary ranks take the module
-route mod p.
+Betti table is its homology on all n coordinates, exact over QQ, and the
+partial homology of generic sequences in annihilators.py runs on the same
+workspace over F_p, where a rank can only fall below its generic value.
 What a workspace computes is kept on the ideal (Ideal.memo), one state
 per set of forms, beside the coordinate multiplication tables (mult_var)
 that every workspace on the ideal reads.  Each boundary elimination skips
@@ -16,27 +13,18 @@ the columns at the pivots of the differential above it, the clearing of
 persistent homology (Chen-Kerber, EuroCG 2011; Bauer-Kerber-Reininghaus,
 TopoInVis 2014); those pivot sets stay on the workspace, not in the memo.
 
-A monomial exterior ideal J skips the workspace.  Its Cartan complex
-splits by multidegree, and the strand at a depends only on F = supp(a):
-it is the cochain complex of the standard monomials supported in F, so
-beta_{i,i+l}(E/J) = sum over F != {} of C(i+l-1, |F|-1) times
-dim H~^{l-1} of that complex (Aramova-Avramov-Herzog, Trans. AMS 352,
-2000).  Those 2^n small complexes are ranked once per ideal, exactly over
-QQ, from the same multiplication tables; the table then holds for every
-i, and the window only cuts it.  Over E every monomial is squarefree.
-
-Any other exterior ideal takes the module route of the BGG correspondence
-(Eisenbud-Floystad-Schreyer, Trans. AMS 355, 2003; Eisenbud, The Geometry
-of Syzygies, ch. 7).  The dual of the Cartan differential
-D_i (x) (E/I)_k -> D_{i-1} (x) (E/I)_{k+1} is S-linear in
-S = K[y_1..y_n], so its image is the degree-i piece of one submodule N_k
+Over E every boundary rank takes the module route of the BGG
+correspondence (Eisenbud-Floystad-Schreyer, Trans. AMS 355, 2003;
+Eisenbud, The Geometry of Syzygies, ch. 7).  The dual of the Cartan
+differential D_i (x) (E/I)_k -> D_{i-1} (x) (E/I)_{k+1} is S-linear in
+S = K[y_1..y_p], so its image is the degree-i piece of one submodule N_k
 of S (x) (E/I)_k^*, generated by linear vectors.  One module Groebner basis
 per strand (groebner.initial_submodule) gives in(N_k), and the Hilbert
 numerators of its monomial ideals give rank d_{i,i+k} for every i at
-once.  The window only cuts the table.  On the first p forms of a generic
-sequence the same module, over F_p[y_1..y_p] from the workspace's
-multiplication columns mod p, gives the Cartan boundary ranks of the
-partial homology (HomologyWorkspace.boundary_rank).
+once, so the window only cuts the table.  The module is taken over QQ on
+the coordinates and over F_p on the first p forms of a generic sequence,
+from the workspace's multiplication columns
+(HomologyWorkspace._module_rank).
 
 Closed forms for strongly stable monomial ideals: Eliahou-Kervaire,
 Bigatti's count in terms of m_<=q, and the Aramova-Herzog-Hibi formula
@@ -63,7 +51,6 @@ n variables.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 from math import inf
 
 from .groebner import gin, initial_ideal, initial_submodule
@@ -230,22 +217,22 @@ def mult_var(ideal, t, d):
 class HomologyWorkspace:
     """Koszul (or Cartan) homology of partial sequences of linear forms on R/I.
 
-    seq=None stands for the coordinate forms, eliminated over QQ
-    (IntRank); at p = n their homology is the graded Betti table (over E
-    the oracle of cartan_betti's routes).  Along a GenericSequence every
-    rank is taken mod its prime, on the forms of its rows: over S by
-    elimination (ModRank), over E the boundary ranks by the module route,
-    one Groebner basis over F_p per (p, k) that gives rank d_{i,i+k}(p) for
-    every i (_module_rank), and the cycle bases and delta ranks by
-    elimination.  Cycle spaces come from kernel computations so that
-    images of induced maps can be reduced against boundaries, only for a
-    delta whose source and target homology are both nonzero.
+    seq=None stands for the coordinate forms, over QQ; at p = n their
+    homology is the graded Betti table.  Along a GenericSequence every
+    rank is taken mod its prime, on the forms of its rows.  Over S the
+    boundary ranks come from elimination (IntRank over QQ, ModRank mod
+    p); over E from the module route, one Groebner basis per (p, k) that
+    gives rank d_{i,i+k}(p) for every i (_module_rank).  Cycle bases and
+    delta ranks come from elimination in both rings.  Cycle spaces come
+    from kernel computations so that images of induced maps can be
+    reduced against boundaries, only for a delta whose source and target
+    homology are both nonzero.
     Differentials are streamed: each call that eliminates one feeds its
     columns to a fresh engine, sparsest first.  Rank, pivot columns and
     the span of the kernel of an elimination do not depend on the order
     of its rows, so the order changes no number.  The ranks,
     cycle bases, delta numbers, mod-p multiplication columns and module
-    route numerators depend on I and the draw alone, so they live in
+    route numerators depend on I and the forms alone, so they live in
     Ideal.memo under the draw's prime and rows (("workspace",) on the
     coordinates), shared by every workspace on the same ideal and forms;
     that state holds no reference back to the ideal.
@@ -256,10 +243,11 @@ class HomologyWorkspace:
     homology computation with a twist, EuroCG 2011; Bauer-Kerber-
     Reininghaus, Clear and compress, TopoInVis 2014).  The sets are plain
     sets on the workspace, not in Ideal.memo, each dropped once the
-    differential below has used it; h and profile rank each degree j from
-    the top i down, so that the sets are there when needed.  Along a
-    sequence over E h eliminates nothing, so only delta's boundary
-    engines clear.
+    differential below has used it; over S h and profile rank each degree
+    j from the top i down, so that the sets are there when needed.  Over E
+    h eliminates nothing, and the only boundary engines are delta's: the
+    engine of delta(p, i, k), on d_{i+1,k}, is cleared only when
+    delta(p, i + 1, k) ran first on the same workspace.
 
     Chains of both complexes are exponent vectors of the dual ring
     (chain_sets): exterior monomials over S, divided powers over E
@@ -317,7 +305,16 @@ class HomologyWorkspace:
         return self._sets[key]
 
     def chain_dim(self, p, i, j):
-        return len(self.chain_sets(p, i)) * self.dim(j - i)
+        """dim C_{i,j}(p): the size of chain_sets(p, i), C(p, i) over S and
+        C(p + i - 1, i) over E, counted without listing the chains, times
+        dim M_{j-i}."""
+        if i == 0:
+            chains = 1
+        elif self.ring.is_exterior:
+            chains = binom(p + i - 1, i)
+        else:
+            chains = binom(p, i)
+        return chains * self.dim(j - i)
 
     def top(self, p):
         """The top i of the complex on p forms: p over S, where C_i(p) = 0
@@ -404,26 +401,43 @@ class HomologyWorkspace:
     def boundary_rank(self, p, i, j):
         key = (p, i, j)
         if key not in self._rank:
-            if self.seq is not None and self.ring.is_exterior:
+            if self.ring.is_exterior:
                 self._rank[key] = self._module_rank(p, i, j - i)
             else:
                 self._eliminate(p, i, j)
         return self._rank[key]
 
     def _module_rank(self, p, i, k):
-        """rank d_{i,i+k}(p) over E along the sequence: dim (N_k(p))_i for
-        the submodule N_k(p) of F_p[y_1..y_p]^m, m = dim (E/I)_k, that the
-        dual of the differential generates (_bgg_numerators on the columns
-        of mult mod p).  The numerators of each (p, k) are built once, in
-        the shared state, and serve every i."""
-        if i < 1 or p == 0 or self.dim(k) == 0:
+        """rank d_{i,i+k}(p) over E: dim (N_k)_i = sum over u < m of
+        dim (J_u)_i, where in(N_k) = sum of J_u e_u in S^m, S = K[y_1..y_p]
+        and m = dim (E/I)_k; K is QQ on the coordinates, F_p along the
+        sequence.
+
+        N_k is the image of the dual of the Cartan differential
+        D_i (x) (E/I)_k -> D_{i-1} (x) (E/I)_{k+1}: the submodule of S^m
+        generated by sum_t y_t (x) (phi o x_t), one vector for each phi in
+        the dual basis of the standard monomials b of (E/I)_{k+1} (BGG;
+        Eisenbud-Floystad-Schreyer, Trans. AMS 355, 2003).  Its coordinates
+        are the mult(t, k) columns read at b.  The Hilbert numerators of
+        the J_u of each (p, k) are built once, in the shared state, and
+        serve every i."""
+        m = self.dim(k)
+        if i < 1 or p == 0 or m == 0:
             return 0
         nums = self._strands.get((p, k))
         if nums is None:
-            nums = self._strands[(p, k)] = _bgg_numerators(
-                self.mult, p, k, self.dim(k), self.dim(k + 1), self.seq.prime
-            )
-        return _strand_rank(nums, p, i)
+            gens = [{} for _ in range(self.dim(k + 1))]
+            for t, y in enumerate(exponent_vectors(p, 1, False)):
+                for u, col in enumerate(self.mult(t, k)):
+                    for b, c in col.items():
+                        gens[b][(u, y)] = c
+            prime = None if self.seq is None else self.seq.prime
+            in_n = initial_submodule(polynomial_ring(p), gens, m, prime)
+            nums = self._strands[(p, k)] = [hilbert_numerator(J) for J in in_n]
+        return sum(
+            binom(p + i - 1, i) - quotient_dim_from_numerator(num, p, i)
+            for num in nums
+        )
 
     def h(self, p, i, j):
         """dim H_i(y_1..y_p; M)_j."""
@@ -526,149 +540,13 @@ class HomologyWorkspace:
 
 def _homology_table(ideal, i_max, k_max, cert_strand=None):
     """Entries (i, i + k) -> dim H_i(x_1..x_n; R/I)_{i+k}, the table of R/I:
-    the profile of the coordinate workspace at p = n.  The coordinate
-    workspace keeps the ranks, so reading a window again costs only lookups.
-    koszul_betti's route over S, the oracle of cartan_betti over E.
+    the profile of the coordinate workspace at p = n, the one sweep of
+    koszul_betti and cartan_betti.  The coordinate workspace keeps the
+    ranks (over E the strand numerators), so reading a window again costs
+    only lookups.
     """
     entries = HomologyWorkspace(ideal).profile(ideal.ring.n, i_max, k_max)
     return _checked(ideal.ring, entries, cert_strand)
-
-
-def _squarefree_counts(ideal):
-    """c[m][l] = sum over |F| = m of dim H~^{l-1}(Delta_F), for a monomial
-    exterior ideal J, where Delta_F is the complex of standard monomials
-    supported in F.
-
-    The Cartan complex of E/J is Z^n-graded.  Its strand at a multidegree
-    a has the standard monomials u with support in F = supp(a) for basis,
-    u in homological degree |a| - |u|, and u -> u * sum_{t in F} e_t for
-    differential: the cochain complex of Delta_F, so its homology at
-    |u| = l is H~^{l-1}(Delta_F) (Aramova-Avramov-Herzog, Trans. AMS 352,
-    2000).  Each column is the sum over t in F of the mult_var columns,
-    +-1 entries in the standard bases of the pieces, and each rank is
-    exact over QQ.  A face set is closed under subsets, so the sweep of
-    one F stops at the first l with no face.
-    """
-    n = ideal.ring.n
-    faces = []  # per degree l: (index, support bitmask) of the std monomials
-    for l in range(n + 1):
-        faces.append([
-            (idx, sum(1 << t for t in range(n) if u[t]))
-            for idx, u in enumerate(ideal.piece(l).std_monomials)
-        ])
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for F in range(1 << n):
-        members = [t for t in range(n) if F >> t & 1]
-        m = len(members)
-        into = 0  # rank of the differential into degree l
-        for l in range(m + 1):
-            inside = [idx for idx, mask in faces[l] if not mask & ~F]
-            if not inside:
-                break
-            out = 0
-            if l < m:
-                mult = [mult_var(ideal, t, l) for t in members]
-                eng = IntRank()
-                for idx in inside:
-                    col = {}
-                    for mt in mult:
-                        col.update(mt[idx])
-                    eng.add(col)
-                out = eng.rank
-            counts[m][l] += len(inside) - out - into
-            into = out
-    return counts
-
-
-def _compositions(j, m):
-    """The multidegrees of degree j with support a fixed m-set: C(j-1, m-1),
-    and the one multidegree 0 for m = 0."""
-    return binom(j - 1, m - 1) if m else int(j == 0)
-
-
-def _squarefree_table(ideal, i_max):
-    """The table of E/J for a monomial exterior ideal J, i <= i_max, from
-    its induced subcomplexes: beta_{i,i+l}(E/J) = sum over m of
-    C(i+l-1, m-1) * c[m][l] (_squarefree_counts), F = {} giving only
-    (0, 0).  The counts are built once per ideal (Ideal.memo) and serve
-    every window; every strand l <= n is read."""
-    counts = ideal.memo(("squarefree",), lambda: _squarefree_counts(ideal))
-    n = ideal.ring.n
-    entries = {}
-    for i in range(i_max + 1):
-        for l in range(n + 1):
-            b = sum(
-                _compositions(i + l, m) * counts[m][l] for m in range(n + 1)
-            )
-            if b:
-                entries[(i, i + l)] = b
-    return _checked(ideal.ring, entries)
-
-
-def _bgg_numerators(mult, p, k, m, size, prime=None):
-    """The Hilbert numerators of S/J_u, u < m, where in(N_k) = sum of
-    J_u e_u in S^m, S = K[y_1..y_p] and m = dim (E/I)_k, for the Cartan
-    complex of E/I on p forms whose multiplication on (E/I)_k is
-    mult(t, k), t < p; over QQ, or over F_p for a prime and columns mod it.
-
-    N_k is the image of the dual of the Cartan differential
-    D_i (x) (E/I)_k -> D_{i-1} (x) (E/I)_{k+1}: the submodule of S^m
-    generated by sum_t y_t (x) (phi o x_t), one vector for each phi in the
-    dual basis of the size standard monomials b of (E/I)_{k+1} (BGG;
-    Eisenbud-Floystad-Schreyer, Trans. AMS 355, 2003).  Its coordinates are
-    the mult(t, k) columns read at b, so for every i its degree-i piece,
-    and that of in(N_k), has dimension rank d_{i,i+k} (_strand_rank)."""
-    gens = [{} for _ in range(size)]
-    for t, y in enumerate(exponent_vectors(p, 1, False)):
-        for u, col in enumerate(mult(t, k)):
-            for b, c in col.items():
-                gens[b][(u, y)] = c
-    S = polynomial_ring(p)
-    return [hilbert_numerator(J) for J in initial_submodule(S, gens, m, prime)]
-
-
-def _strand_rank(nums, p, i):
-    """dim (N_k)_i = sum over u of dim (J_u)_i, for the numerators of
-    _bgg_numerators on p forms: rank d_{i,i+k}."""
-    return sum(
-        binom(p + i - 1, i) - quotient_dim_from_numerator(num, p, i)
-        for num in nums
-    )
-
-
-def _bgg_strands(ideal):
-    """Per strand k = 0..n of E/I: _bgg_numerators on the coordinate
-    forms, over QQ from the mult_var columns."""
-    n = ideal.ring.n
-    dim = [len(ideal.piece(k).std_monomials) for k in range(n + 2)]
-    return [
-        _bgg_numerators(partial(mult_var, ideal), n, k, dim[k], dim[k + 1])
-        for k in range(n + 1)
-    ]
-
-
-def _bgg_rank(ideal, k, i):
-    """rank d_{i,i+k} of the Cartan complex of E/I (_strand_rank on the
-    _bgg_strands kept in Ideal.memo)."""
-    if k < 0:
-        return 0
-    nums = ideal.memo(("bgg",), lambda: _bgg_strands(ideal))[k]
-    return _strand_rank(nums, ideal.ring.n, i)
-
-
-def _bgg_table(ideal, i_max):
-    """The table of E/I, i <= i_max, from the module route:
-    beta_{i,i+k} = C(n+i-1, i) dim (E/I)_k - rank d_{i,i+k}
-    - rank d_{i+1,i+k} (_bgg_rank).  Every strand k <= n is read."""
-    n = ideal.ring.n
-    entries = {}
-    for i in range(i_max + 1):
-        for k in range(n + 1):
-            chains = binom(n + i - 1, i) * len(ideal.piece(k).std_monomials)
-            b = chains - _bgg_rank(ideal, k, i) - _bgg_rank(ideal, k - 1, i + 1)
-            if b:
-                entries[(i, i + k)] = b
-    return _checked(ideal.ring, entries)
 
 
 def _checked(ring, entries, cert_strand=None):
@@ -766,10 +644,10 @@ def cartan_betti(ideal, i_max=None):
     """Betti table of E/J from Cartan homology, up to homological degree i_max.
 
     The window in i defaults to exterior_i_max.  Internal degrees
-    j <= n + i are complete for each computed i.  A monomial ideal reads
-    its table off its induced subcomplexes (_squarefree_table); any other
-    off one module Groebner basis per strand (_bgg_table).  The Cartan
-    complex on the coordinates (_homology_table) is the oracle of both.
+    j <= n + i are complete for each computed i: strands k > n vanish,
+    as (E/J)_k = 0.  The sweep is koszul_betti's (_homology_table), whose
+    boundary ranks over E take the module route, one Groebner basis per
+    strand that serves every i, so the window only cuts the table.
     """
     ring = ideal.ring
     if not ring.is_exterior:
@@ -778,10 +656,7 @@ def cartan_betti(ideal, i_max=None):
         raise ValueError("proper ideal expected")
     n = ring.n
     i_max = exterior_i_max(ring, i_max)
-    if ideal.monomial_image() is not None:
-        entries = _squarefree_table(ideal, i_max)
-    else:
-        entries = _bgg_table(ideal, i_max)
+    entries = _homology_table(ideal, i_max, n)
     return BettiTable(ring, QUOTIENT, entries, {"strand_max": n, "i_max": i_max})
 
 
@@ -889,8 +764,8 @@ def stable_table(J, i_max=None):
     The one route to the table of a gin (or of Lex(I), gin_lex(I)) outside
     oracles.py: the Eliahou-Kervaire closed form over S, the
     Aramova-Herzog-Hibi one over E, cut at i_max.  oracle_equivalences
-    checks it against the Koszul homology (resp. the induced subcomplexes)
-    of gin(I) on every corpus ideal.
+    checks it against the Koszul (resp. Cartan) homology of gin(I) on
+    every corpus ideal.
     """
     if J.ring.is_exterior:
         return ahh_betti(J, i_max=i_max)

@@ -2,11 +2,15 @@ import importlib.util
 import os
 import random
 from fractions import Fraction
+from functools import cache
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from ginlab.betti import HomologyWorkspace
 from ginlab.corpus import CorpusSpec
+from ginlab.ideals import Ideal
 from ginlab.parsing import parse_ideal
 from ginlab.rings import (
     PRIME_BOUND,
@@ -56,6 +60,38 @@ def ext(n, *indices):
     length-n 0/1 exponent vector that ginlab stores for it."""
     assert all(0 <= i < n for i in indices) and len(set(indices)) == len(indices)
     return tuple(int(i in indices) for i in range(n))
+
+
+def cartan_ranks(ideal):
+    """(i, j) -> rank d_{i,j} of the Cartan complex of E/I on the
+    coordinates, each from a fresh full-column elimination
+    (HomologyWorkspace._eliminate with no pivot set to clear with) on a
+    copy of I: no rank comes from the module route or from the memo of I,
+    and none goes into it."""
+    ws = HomologyWorkspace(Ideal(ideal.ring, ideal.generators))
+    n = ideal.ring.n
+
+    @cache
+    def rank(i, j):
+        ws._pivots.clear()
+        return ws._eliminate(n, i, j).rank
+
+    return rank
+
+
+def cartan_table(ideal, i_max):
+    """The table of E/I, i <= i_max, from cartan_ranks: beta_{i,i+k} =
+    C(n+i-1, i) dim (E/I)_k - rank d_{i,i+k} - rank d_{i+1,i+k}."""
+    n = ideal.ring.n
+    rank = cartan_ranks(ideal)
+    entries = {}
+    for i in range(i_max + 1):
+        for k in range(n + 1):
+            chains = comb(n + i - 1, i) * len(ideal.piece(k).std_monomials)
+            b = chains - rank(i, i + k) - rank(i + 1, i + k)
+            if b:
+                entries[(i, i + k)] = b
+    return entries
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -618,9 +618,10 @@ class TestClearing:
         # every cell of the profile and delta windows of _sequence_routes
         # on the oracle ideals, the acceptance corpus and the generic
         # workload's dense quadrics q4 and e5; the ideals are fresh, so no
-        # rank comes from an earlier memo.  Along a sequence over E the
-        # profile reads the module route, so there the boundary
-        # eliminations of its window are swept directly, top down
+        # rank comes from an earlier memo.  Over E the profile reads the
+        # module route, so there the boundary eliminations of its window
+        # are swept directly, top down, on the coordinates and along the
+        # sequence
         count = self.checked_eliminations(monkeypatch)
         acceptance = [i for spec in ACCEPTANCE_SPECS for i in generate(spec)]
         workloads = load_perfbench("workloads")
@@ -636,22 +637,25 @@ class TestClearing:
             for forms in (None, seq):
                 _sequence_routes(ideal, forms, kmax, imax)
             if ideal.ring.is_exterior:
-                ws = HomologyWorkspace(ideal, seq)
-                for p in range(ideal.ring.n + 1):
-                    for i in reversed(range(1, imax + 2)):
-                        for k in range(kmax + 1):
-                            ws._eliminate(p, i, i + k)
+                for forms in (None, seq):
+                    ws = HomologyWorkspace(ideal, forms)
+                    for p in range(ideal.ring.n + 1):
+                        for i in reversed(range(1, imax + 2)):
+                            for k in range(kmax + 1):
+                                ws._eliminate(p, i, i + k)
         checked, cleared, exterior_mod_p = count
         assert 0 < cleared < checked
         assert exterior_mod_p > 0
 
 
 def test_module_ranks_equal_the_full_columns():
-    # along round 0's sequence a over E every boundary rank comes from the
-    # module route mod p; a fresh full-column elimination of the same
-    # differential, with no pivot set to clear with, checks it on every
-    # cell p <= n, 1 <= i <= n + 4, k <= n of the criterion-6 corpora, the
-    # exterior acceptance corpus and the generic workload's e5 quadrics
+    # over E every boundary rank comes from the module route: over QQ on
+    # the coordinates (forms None), mod p along round 0's sequence a.  A
+    # fresh full-column elimination of the same differential, with no
+    # pivot set to clear with, checks it on every cell p <= n,
+    # 1 <= i <= n + 4, k <= n of the criterion-6 corpora, the exterior
+    # acceptance corpus (its 10 monomial inputs among them) and the
+    # generic workload's e5 quadrics
     workloads = load_perfbench("workloads")
     ideals = [I for spec in CRITERION_6 for I in generate(spec)]
     ideals += [
@@ -660,18 +664,20 @@ def test_module_ranks_equal_the_full_columns():
     ]
     ideals.append(workloads.dense_quadrics(*workloads.QUADRICS["e5"], "e5"))
     assert len(ideals) == 57
+    assert sum(I.monomial_image() is not None for I in ideals[20:56]) == 10
     for ideal in ideals:
         n = ideal.ring.n
-        ws = HomologyWorkspace(ideal, GenericSequence.first(ideal.ring, 0))
-        for p in range(n + 1):
-            for i in range(1, n + 5):
-                for k in range(n + 1):
-                    assert (p, i, i + k) not in ws._rank
-                    rank = ws.boundary_rank(p, i, i + k)
-                    ws._pivots.clear()
-                    full = ws._eliminate(p, i, i + k).rank
-                    assert rank == full, (ideal, p, i, k)
-        assert ws._strands
+        for forms in (None, GenericSequence.first(ideal.ring, 0)):
+            ws = HomologyWorkspace(ideal, forms)
+            for p in range(n + 1):
+                for i in range(1, n + 5):
+                    for k in range(n + 1):
+                        assert (p, i, i + k) not in ws._rank
+                        rank = ws.boundary_rank(p, i, i + k)
+                        ws._pivots.clear()
+                        full = ws._eliminate(p, i, i + k).rank
+                        assert rank == full, (ideal, forms, p, i, k)
+            assert ws._strands
 
 
 class TestUpperBound:

@@ -52,7 +52,14 @@ from ginlab.rings import (
     wedge_supports,
 )
 
-from conftest import STAIRCASE_3, ext, fraction_det, load_perfbench
+from conftest import (
+    STAIRCASE_3,
+    cartan_ranks,
+    cartan_table,
+    ext,
+    fraction_det,
+    load_perfbench,
+)
 from test_homology_values import REFERENCE
 from test_linalg import ReferenceRref
 
@@ -401,9 +408,9 @@ def random_squarefree(rng):
 
 
 class TestSquarefree:
-    """Exterior tables of monomial ideals come from their induced
-    subcomplexes (betti._squarefree_table); the Cartan complex, the AHH
-    closed form and the Koszul tables over S check them."""
+    """Exterior tables of monomial ideals take the module route like every
+    exterior table; the full-column Cartan complex (conftest.cartan_table),
+    the AHH closed form and the Koszul tables over S check them."""
 
     def test_cartan_complex_on_the_corpus(self):
         # the 10 monomial exterior inputs, the 36 exterior gins, (e1) and
@@ -420,7 +427,7 @@ class TestSquarefree:
         ]
         for I in ideals:
             n = I.ring.n
-            assert cartan_betti(I).entries == _homology_table(I, n + 3, n), (
+            assert cartan_betti(I).entries == cartan_table(I, n + 3), (
                 I.monomial_image()
             )
 
@@ -453,25 +460,19 @@ class TestSquarefree:
                         want[(i, i + j)] = b
             assert {c: b for c, b in E.entries.items() if c[0] < 3 * n} == want, J
 
-    def test_no_workspace_on_monomial_ideals(self, monkeypatch):
-        built = []
-        init = HomologyWorkspace.__init__
 
-        def counting(self, ideal, seq=None):
-            built.append(ideal)
-            init(self, ideal, seq)
+def module_builds(monkeypatch):
+    """The argument tuples of betti.initial_submodule from here on: one
+    module Groebner basis per strand the module route builds."""
+    built = []
+    real = betti.initial_submodule
 
-        monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
-        I = parse_ideal("ring ext 4 QQ\ne1*e2\n2*e2*e3*e4\n")
-        assert cartan_betti(I).get(1, 2) == 1
-        assert built == []
-        # a non-monomial ideal takes the module route; its oracle, the
-        # Cartan complex, is the one workspace
-        mixed = parse_ideal("ring ext 3 QQ\ne1*e2 + e2*e3\n")
-        table = cartan_betti(mixed)
-        assert built == []
-        assert _homology_table(mixed, 6, 3) == table.entries
-        assert len(built) == 1
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(betti, "initial_submodule", counting)
+    return built
 
 
 def dense_exterior_quadrics_e4():
@@ -485,9 +486,10 @@ def dense_exterior_quadrics_e4():
 
 
 class TestModuleRoute:
-    """Exterior tables of non-monomial ideals come from one module Groebner
-    basis per strand (betti._bgg_table); the Cartan complex checks their
-    ranks inside the window, the AHH closed form their tables past it."""
+    """Every exterior boundary rank comes from one module Groebner basis
+    per strand (HomologyWorkspace._module_rank); the full-column Cartan
+    complex (conftest.cartan_ranks) checks those ranks and tables inside
+    the window, and the AHH closed form checks that complex past it."""
 
     def test_ranks_equal_the_cartan_complex(self):
         ideals = [
@@ -498,34 +500,35 @@ class TestModuleRoute:
         ideals.append(dense_exterior_quadrics_e4())
         for I in ideals:
             n = I.ring.n
-            want = _homology_table(I, n + 3, n)
+            full = cartan_ranks(I)
             ws = HomologyWorkspace(I)
             for i in range(n + 5):
                 for k in range(n + 1):
                     rank = ws.boundary_rank(n, i, i + k)
-                    assert betti._bgg_rank(I, k, i) == rank, (I, i, k)
-            assert cartan_betti(I).entries == want, I
+                    assert rank == full(i, i + k), (I, i, k)
+            assert cartan_betti(I).entries == cartan_table(I, n + 3), I
 
     def test_ahh_past_the_window(self):
+        # the oracle itself against the closed form, at i <= 3n;
+        # TestSquarefree checks cartan_betti against it there
         for J in exterior_corpus_gins():
             i_max = 3 * J.ring.n
-            table = betti._bgg_table(J.to_ideal(), i_max)
+            table = cartan_table(J.to_ideal(), i_max)
             assert table == ahh_betti(J, i_max=i_max).entries, J
 
     def test_strands_are_built_once(self, monkeypatch):
-        # every window reads the numerators kept in Ideal.memo
-        built = []
-        strands = betti._bgg_strands
-
-        def counting(ideal):
-            built.append(ideal)
-            return strands(ideal)
-
-        monkeypatch.setattr(betti, "_bgg_strands", counting)
+        # every window reads the numerators kept in the coordinate state:
+        # one module Groebner basis per strand k with (E/I)_k != 0
+        built = module_builds(monkeypatch)
         I = dense_exterior_quadrics_e4()
         table = cartan_betti(I)
+        strands = I._memo[("workspace",)][4]
+        assert sorted(strands) == [
+            (4, k) for k in range(5) if I.piece(k).std_monomials
+        ]
+        assert len(built) == len(strands)
         wide = cartan_betti(I, i_max=12)
-        assert built == [I]
+        assert len(built) == len(strands)
         assert {c: b for c, b in wide.entries.items() if c[0] <= 7} == table.entries
         assert max(i for i, _ in wide.entries) == 12
 
@@ -534,7 +537,8 @@ class TestModuleRoute:
 def test_chain_order_is_pinned(kind):
     """chain_sets lists C_i(p) in the order of combinations (S) or
     combinations_with_replacement (E) of range(p): the order that indexes
-    the columns of every elimination, and with it coefficient growth."""
+    the columns of every elimination, and with it coefficient growth;
+    chain_dim counts it."""
     ring = polynomial_ring(5) if kind == POLY else exterior_ring(5)
     ws = HomologyWorkspace(Ideal(ring, [ring.variable(0)]))
     pick = combinations if kind == POLY else combinations_with_replacement
@@ -542,6 +546,7 @@ def test_chain_order_is_pinned(kind):
         for i in range(7):
             want = [tuple(c.count(t) for t in range(p)) for c in pick(range(p), i)]
             assert ws.chain_sets(p, i) == want, (p, i)
+            assert ws.chain_dim(p, i, i + 1) == len(want) * ws.dim(1), (p, i)
 
 
 def generic_q4_quadrics():
@@ -638,13 +643,25 @@ class TestIntegerTables:
 
         monkeypatch.setattr(betti, "IntRank", SpyIntRank)
         if route == "cartan":
+            # Cartan boundary engines over QQ, the kind delta builds over E
             I = dense_exterior_quadrics_e4()
-            assert _homology_table(I, 7, 4)
+            sweep_cartan_eliminations(I, 7)
             assert max(I.piece(d).den for d in range(5)) > 1
         else:
             assert koszul_betti(parse_ideal(REFERENCE["dense"])).entries
         assert fed
         assert all(type(v) is int for row in fed for v in row.values())
+
+
+def sweep_cartan_eliminations(ideal, i_max):
+    """The boundary eliminations of d_{i,j}, 1 <= i <= i_max + 1 and
+    0 <= j - i <= n, of the Cartan complex on the coordinates: each degree
+    j from the top i down, the order in which profile ranks a window."""
+    n = ideal.ring.n
+    ws = HomologyWorkspace(ideal)
+    for j in range(i_max + n + 2):
+        for i in reversed(range(max(1, j - n), min(j, i_max + 1) + 1)):
+            ws._eliminate(n, i, j)
 
 
 @pytest.mark.parametrize("route", ["cartan", "koszul"])
@@ -665,7 +682,9 @@ def test_sweeps_clear_below_the_top(route, monkeypatch):
 
     monkeypatch.setattr(HomologyWorkspace, "_columns", counted)
     if route == "cartan":
-        assert _homology_table(dense_exterior_quadrics_e4(), 7, 4)
+        # the module route ranks every exterior sweep; the boundary
+        # engines of delta still clear, so the sweep is run directly
+        sweep_cartan_eliminations(dense_exterior_quadrics_e4(), 7)
     else:
         assert koszul_betti(generic_q4_quadrics()).entries
     below = {}  # (workspace, p, j) -> the last i eliminated
@@ -698,35 +717,34 @@ class TestTableMemo:
         assert betti_table(I).entries == expected
 
     def test_battery_and_oracles_build_one_gin_table(self, monkeypatch):
-        # gin(I) is monomial: its table is read off the squarefree counts,
-        # built once, and no coordinate workspace runs on it
+        # one coordinate workspace on I (the battery's table) and one on
+        # gin(I) (the oracle's homology of it); the numerators of each
+        # strand of either are built once across the two
         I = parse_ideal(REFERENCE["ext4"])
-        gens = gin(I, seed=0)[0].to_ideal().generators
-        built, counted = [], []
+        G = gin(I, seed=0)[0].to_ideal()
+        built = []
         init = HomologyWorkspace.__init__
-        count = betti._squarefree_counts
 
         def counting(self, ideal, seq=None):
-            built.append((ideal.generators, seq))
+            built.append((ideal, seq))
             init(self, ideal, seq)
 
-        def counting_counts(ideal):
-            counted.append(ideal.generators)
-            return count(ideal)
-
         monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
-        monkeypatch.setattr(betti, "_squarefree_counts", counting_counts)
+        modules = module_builds(monkeypatch)
         battery(I, seed=0)
         oracle_equivalences(I, seed=0)
-        assert (gens, None) not in built
-        assert counted.count(gens) == 1
+        assert [X for X, seq in built if seq is None] == [I, G]
+        strands = sum(
+            len(state[4]) for X in (I, G) for key, state in X._memo.items()
+            if key[0] == "workspace"
+        )
+        assert len(modules) == strands > 0
 
     @pytest.mark.parametrize("name", ["cancel", "ext4"])
     def test_battery_builds_no_workspace_on_gin(self, name, monkeypatch):
         # the statements read the table of gin(I) from the closed forms, so
-        # the only coordinate complex the battery builds is the one of I
-        # over S; over E the table of I takes the module route and the
-        # battery builds no coordinate complex at all
+        # the only coordinate workspace the battery builds is the one of
+        # I: on its regular section over S, on I itself over E
         I = parse_ideal(REFERENCE[name])
         built = []
         init = HomologyWorkspace.__init__
@@ -738,10 +756,8 @@ class TestTableMemo:
 
         monkeypatch.setattr(HomologyWorkspace, "__init__", counting)
         battery(I, seed=0)
-        if I.ring.is_exterior:
-            assert built == []
-        else:
-            assert len(built) == 1 and built[0] is _regular_section(I)
+        want = I if I.ring.is_exterior else _regular_section(I)
+        assert len(built) == 1 and built[0] is want
 
     def test_regular_section_is_built_once(self, monkeypatch):
         # x4 divides no generator: every Koszul table of I, and of gin(I),
